@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .embeddings import Corpus, Embedding
-from .plda import PldaModel, _ScoreCache
+from .plda import PldaModel, score_matrix
 
 ASSIGNMENTS = ("per_speaker", "per_utterance")
 
@@ -49,6 +49,13 @@ def derive_stream(seed: int, subset_tag: str, key: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, entropy]))
 
 
+def _id_ranks(utt_ids) -> np.ndarray:
+    """Position of each id in ascending id order (equal ids keep input order)."""
+    ranks = np.empty(len(utt_ids), dtype=np.intp)
+    ranks[sorted(range(len(utt_ids)), key=utt_ids.__getitem__)] = np.arange(len(utt_ids))
+    return ranks
+
+
 def tie_break_ranking(distances, utt_ids) -> list[int]:
     """Indices ordered by descending distance, ties by ascending utt_id."""
     d = np.asarray(distances, dtype=np.float64)
@@ -56,10 +63,11 @@ def tie_break_ranking(distances, utt_ids) -> list[int]:
         raise ValueError("distances must be finite")
     if len(utt_ids) != d.size:
         raise ValueError("distances and utt_ids must have equal length")
-    return sorted(range(d.size), key=lambda i: (-d[i], utt_ids[i]))
+    return np.lexsort((_id_ranks(list(utt_ids)), -d)).tolist()
 
 
 def _pool_view(pool: Corpus, cfg: AnonConfig, gender: str):
+    """Pool matrix one source gender ranks against, and its utt_id ranks."""
     records = pool.records
     if cfg.same_gender_pool:
         records = tuple(r for r in records if r.gender == gender)
@@ -69,19 +77,35 @@ def _pool_view(pool: Corpus, cfg: AnonConfig, gender: str):
         raise ValueError(
             f"n_farthest ({cfg.n_farthest}) exceeds pool size ({len(records)})"
         )
-    ids = [r.utt_id for r in records]
-    matrix = np.stack([r.vector for r in records])
-    return ids, matrix
+    return np.stack([r.vector for r in records]), _id_ranks([r.utt_id for r in records])
 
 
-def _pseudo_vector(source_vec, ids, matrix, cache, cfg, rng) -> np.ndarray:
-    distances = -cache.score_many(np.asarray(source_vec, dtype=np.float64), matrix)
-    order = tie_break_ranking(distances, ids)
-    top = np.array(order[: cfg.n_farthest])
-    chosen = rng.choice(cfg.n_farthest, size=cfg.n_select, replace=False)
-    # pool order canonicalizes summation, so the mean is selection-order free
-    selected = np.sort(top[chosen])
-    return matrix[selected].mean(axis=0)
+def _ranked_rows(sources: np.ndarray, matrix: np.ndarray, id_rank: np.ndarray,
+                 model: PldaModel) -> list[np.ndarray]:
+    """Pool row order per source row, all sources scored in one matrix product.
+
+    Rows are ordered by descending distance, ties by ascending utt_id.
+    """
+    if matrix.shape[1] != model.dim:
+        raise ValueError("pool or source dimension does not match model")
+    # score distinct rows only: GEMM tiling can give identical rows different
+    # last bits, and the tie rule needs identical vectors at equal distance
+    unique, inverse = np.unique(matrix, axis=0, return_inverse=True)
+    distances = -score_matrix(model, sources, unique)[:, inverse.ravel()]
+    return [np.lexsort((id_rank, -d)) for d in distances]
+
+
+def _pseudo_vectors(sources, view, model: PldaModel, cfg: AnonConfig, streams):
+    """One pseudo-vector per source row, each drawing from its own stream."""
+    matrix, id_rank = view
+    out = []
+    for order, rng in zip(_ranked_rows(sources, matrix, id_rank, model), streams):
+        top = order[: cfg.n_farthest]
+        chosen = rng.choice(cfg.n_farthest, size=cfg.n_select, replace=False)
+        # pool order canonicalizes summation, so the mean is selection-order free
+        selected = np.sort(top[chosen])
+        out.append(matrix[selected].mean(axis=0))
+    return out
 
 
 def anonymize_embedding(
@@ -92,11 +116,10 @@ def anonymize_embedding(
     stream: np.random.Generator,
 ) -> Embedding:
     """Replace one embedding's vector; utt/speaker/gender labels are kept."""
-    ids, matrix = _pool_view(pool, cfg, source.gender)
-    if matrix.shape[1] != model.dim or source.dim != model.dim:
+    view = _pool_view(pool, cfg, source.gender)
+    if source.dim != model.dim:
         raise ValueError("pool or source dimension does not match model")
-    cache = _ScoreCache(model)
-    vec = _pseudo_vector(source.vector, ids, matrix, cache, cfg, stream)
+    (vec,) = _pseudo_vectors(source.vector[None, :], view, model, cfg, [stream])
     return Embedding(source.utt_id, source.spk_id, source.gender, vec)
 
 
@@ -106,33 +129,40 @@ def anonymize_corpus(
     """Anonymize every record, keyed per speaker or per utterance.
 
     per_speaker ranks against the speaker's mean embedding and assigns the
-    identical pseudo-vector to all of that speaker's utterances.
+    identical pseudo-vector to all of that speaker's utterances. Each pool
+    view is built once and ranked against all of its sources together.
     """
     if len(corpus) == 0:
         raise ValueError("cannot anonymize an empty corpus")
-    cache = _ScoreCache(model)
     if corpus.dim != model.dim:
         raise ValueError("corpus dimension does not match model")
 
-    out: list[Embedding] = []
-    if cfg.assignment == "per_speaker":
-        pseudo: dict[str, np.ndarray] = {}
-        for spk, recs in corpus.by_speaker().items():
-            ids, matrix = _pool_view(pool, cfg, recs[0].gender)
-            source = np.mean([r.vector for r in recs], axis=0)
-            rng = derive_stream(cfg.seed, cfg.subset_tag, spk)
-            pseudo[spk] = _pseudo_vector(source, ids, matrix, cache, cfg, rng)
-        out = [
-            Embedding(r.utt_id, r.spk_id, r.gender, pseudo[r.spk_id])
-            for r in corpus.records
-        ]
+    per_speaker = cfg.assignment == "per_speaker"
+    if per_speaker:
+        groups = corpus.by_speaker()
+        keys = list(groups)
+        genders = [recs[0].gender for recs in groups.values()]
+        sources = np.stack([np.mean([r.vector for r in recs], axis=0) for recs in groups.values()])
     else:
-        for r in corpus.records:
-            ids, matrix = _pool_view(pool, cfg, r.gender)
-            rng = derive_stream(cfg.seed, cfg.subset_tag, r.utt_id)
-            vec = _pseudo_vector(r.vector, ids, matrix, cache, cfg, rng)
-            out.append(Embedding(r.utt_id, r.spk_id, r.gender, vec))
-    return Corpus(name=corpus.name, records=tuple(out), subset=corpus.subset)
+        keys = [r.utt_id for r in corpus.records]
+        genders = [r.gender for r in corpus.records]
+        sources = corpus.matrix()
+
+    by_view: dict[str, list[int]] = {}
+    for i, gender in enumerate(genders):
+        by_view.setdefault(gender if cfg.same_gender_pool else "", []).append(i)
+    pseudo: dict[str, np.ndarray] = {}
+    for gender, idx in by_view.items():
+        streams = [derive_stream(cfg.seed, cfg.subset_tag, keys[i]) for i in idx]
+        vectors = _pseudo_vectors(sources[idx], _pool_view(pool, cfg, gender), model, cfg,
+                                  streams)
+        pseudo.update(zip((keys[i] for i in idx), vectors))
+
+    out = tuple(
+        Embedding(r.utt_id, r.spk_id, r.gender, pseudo[r.spk_id if per_speaker else r.utt_id])
+        for r in corpus.records
+    )
+    return Corpus(name=corpus.name, records=out, subset=corpus.subset)
 
 
 def with_subset_tag(cfg: AnonConfig, tag: str) -> AnonConfig:

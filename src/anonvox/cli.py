@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .anonymize import AnonConfig, anonymize_corpus, with_subset_tag
+from .anonymize import AnonConfig, anonymize_corpus
 from .embeddings import (
     TrialPolicy,
     load_embeddings,
@@ -26,7 +26,7 @@ from .embeddings import (
     save_trials,
 )
 from .formant import ShiftConfig, anonymize_wav, read_wav, write_wav
-from .harness import Condition, render_report, run_condition
+from .harness import Condition, render_report, run_condition, trial_tag
 from .metrics import det_points, format_det, wer
 from .plda import (
     PreprocessConfig,
@@ -171,7 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, options in _OPTIONS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="key = value option file")
-        p.add_argument("--jobs", type=int, default=1, help="worker cap (evaluation is vectorized; 1 process)")
         for opt in options:
             flag = "--" + opt.name.replace("_", "-")
             p.add_argument(flag, dest=opt.name, type=opt.type, default=None, help=opt.help)
@@ -346,6 +345,7 @@ def _cmd_eval(opts: dict) -> int:
         raise UsageError("no conditions requested")
 
     cfg = _anon_config(opts)
+    anonymized: dict = {}  # (side, subset_tag) -> anonymized corpus, shared by the conditions
     runs = []
     for condition in conditions:
         runs.extend(
@@ -359,6 +359,7 @@ def _cmd_eval(opts: dict) -> int:
                 trials,
                 dataset=opts["dataset"],
                 same_tags=opts["same_tags"],
+                anonymized=anonymized,
             )
         )
     report = render_report(runs)
@@ -368,13 +369,13 @@ def _cmd_eval(opts: dict) -> int:
     if opts["dump_anon"]:
         dump = Path(opts["dump_anon"])
         dump.mkdir(parents=True, exist_ok=True)
-        if any(c in (Condition.oa, Condition.aa) for c in conditions):
-            tag = "enroll" if (opts["same_tags"] and Condition.aa in conditions) else "trial"
-            anon_trial = anonymize_corpus(trial, pool, model, with_subset_tag(cfg, tag))
-            save_embeddings(anon_trial, dump / "trial_anon.xvec", "binary")
+        # the dump holds corpora that were scored; aa's trial side takes precedence over oa's
+        anon_conditions = [c for c in (Condition.oa, Condition.aa) if c in conditions]
+        if anon_conditions:
+            key = ("trial", trial_tag(anon_conditions[-1], opts["same_tags"]))
+            save_embeddings(anonymized[key], dump / "trial_anon.xvec", "binary")
         if Condition.aa in conditions:
-            anon_enroll = anonymize_corpus(enroll, pool, model, with_subset_tag(cfg, "enroll"))
-            save_embeddings(anon_enroll, dump / "enroll_anon.xvec", "binary")
+            save_embeddings(anonymized["enroll", "enroll"], dump / "enroll_anon.xvec", "binary")
     return 0
 
 
@@ -433,8 +434,6 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        if args.jobs is not None and args.jobs < 1:
-            raise UsageError("--jobs must be at least 1")
         opts = _resolve_options(args.command, args)
         _print_provenance(args.command, opts)
         return _HANDLERS[args.command](opts)

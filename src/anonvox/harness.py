@@ -42,6 +42,11 @@ class Condition(enum.Enum):
 _CONDITION_ORDER = {c: i for i, c in enumerate(Condition)}
 
 
+def trial_tag(condition: Condition, same_tags: bool) -> str:
+    """Subset tag of the anonymized trial side; ``aa`` with ``same_tags`` uses "enroll"."""
+    return "enroll" if (same_tags and condition is Condition.aa) else "trial"
+
+
 @dataclass(frozen=True)
 class EvalRun:
     dataset: str
@@ -66,22 +71,30 @@ def run_condition(
     trial_list: TrialList,
     dataset: str | None = None,
     same_tags: bool = False,
+    anonymized: dict[tuple[str, str], Corpus] | None = None,
 ) -> list[EvalRun]:
     """Score one condition and return per-gender metric runs.
 
     Anonymization subset tags are fixed to "enroll"/"trial" (or shared when
-    ``same_tags``), overriding whatever tag the config carries.
+    ``same_tags``), overriding whatever tag the config carries. Anonymized
+    corpora are stored in ``anonymized`` under ``(side, subset_tag)``, with
+    side "enroll" or "trial", and reused from it: pass one dict to every
+    condition of a run that shares the same corpora, pool, model and config.
     """
+    memo = {} if anonymized is None else anonymized
+
+    def anonymize(side: str, corpus: Corpus, tag: str) -> Corpus:
+        if (side, tag) not in memo:
+            memo[side, tag] = anon.anonymize_corpus(
+                corpus, pool, model, anon.with_subset_tag(anon_cfg, tag)
+            )
+        return memo[side, tag]
+
     enroll_c, trial_c = enroll, trial
     if condition in (Condition.oa, Condition.aa):
-        trial_tag = "enroll" if (same_tags and condition is Condition.aa) else "trial"
-        trial_c = anon.anonymize_corpus(
-            trial, pool, model, anon.with_subset_tag(anon_cfg, trial_tag)
-        )
+        trial_c = anonymize("trial", trial, trial_tag(condition, same_tags))
     if condition is Condition.aa:
-        enroll_c = anon.anonymize_corpus(
-            enroll, pool, model, anon.with_subset_tag(anon_cfg, "enroll")
-        )
+        enroll_c = anonymize("enroll", enroll, "enroll")
 
     scores = score_trials(model, enroll_c, trial_c, trial_list)
     spk_gender = enroll.speaker_gender()

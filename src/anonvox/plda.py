@@ -220,51 +220,52 @@ def log_likelihood(model: PldaModel, corpus: Corpus) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _ScoreCache:
-    """Precomputed quadratic forms for repeated scoring against one model.
+def _scoring_forms(model: PldaModel) -> tuple[np.ndarray, np.ndarray, float]:
+    """Quadratic forms ``(Q, G, c)`` of the LLR in GEMM form.
 
-    With T = between + within, the LLR reduces to
-
-        const - 0.25 * [u' (Q + G) u  +  v' (Q - G) v]
-
-    where u = (x1 - mu) + (x2 - mu), v = (x1 - mu) - (x2 - mu),
-    Q = (T - B T^-1 B)^-1 - T^-1 and G the off-diagonal block of the
-    same-speaker precision. The u/v form makes score(a, b) == score(b, a)
-    bit-exact.
+    With T = between + within, ``Q = (T - B T^-1 B)^-1 - T^-1`` and ``G`` is
+    the off-diagonal block of the same-speaker precision, so for centered
+    vectors ``LLR(x, y) = c - 0.5 (x'Qx + y'Qy) - x'Gy``.
     """
+    d = model.dim
+    t = model.between + model.within
+    eye = np.eye(d)
+    try:
+        t_inv = np.linalg.solve(t, eye)
+    except np.linalg.LinAlgError:
+        raise ValueError("between + within must be invertible") from None
+    schur = t - model.between @ t_inv @ model.between
+    lam = np.linalg.solve(schur, eye)
+    g = _symmetrize(-t_inv @ model.between @ lam)
+    q = _symmetrize(lam - t_inv)
+    sign_s, logdet_s = np.linalg.slogdet(schur)
+    sign_t, logdet_t = np.linalg.slogdet(t)
+    if sign_s <= 0 or sign_t <= 0:
+        raise ValueError("model covariances yield a non-PD total covariance")
+    return q, g, -0.5 * (logdet_s - logdet_t)
 
-    __slots__ = ("mu", "q_plus", "q_minus", "const", "dim")
 
-    def __init__(self, model: PldaModel):
-        d = model.dim
-        t = model.between + model.within
-        eye = np.eye(d)
-        try:
-            t_inv = np.linalg.solve(t, eye)
-        except np.linalg.LinAlgError:
-            raise ValueError("between + within must be invertible") from None
-        schur = t - model.between @ t_inv @ model.between
-        lam = np.linalg.solve(schur, eye)
-        gamma = _symmetrize(-t_inv @ model.between @ lam)
-        q = _symmetrize(lam - t_inv)
-        sign_s, logdet_s = np.linalg.slogdet(schur)
-        sign_t, logdet_t = np.linalg.slogdet(t)
-        if sign_s <= 0 or sign_t <= 0:
-            raise ValueError("model covariances yield a non-PD total covariance")
-        self.mu = model.mu
-        self.q_plus = q + gamma
-        self.q_minus = q - gamma
-        self.const = -0.5 * (logdet_s - logdet_t)
-        self.dim = d
+def _as_rows(model: PldaModel, rows, what: str) -> np.ndarray:
+    m = np.asarray(rows, dtype=np.float64)
+    if m.ndim != 2 or m.shape[1] != model.dim:
+        raise ValueError(f"{what} has shape {m.shape}, model expects (N, {model.dim})")
+    return m
 
-    def score_many(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        xc = x - self.mu
-        yc = ys - self.mu
-        u = yc + xc
-        v = xc - yc
-        quad = np.einsum("ij,jk,ik->i", u, self.q_plus, u)
-        quad = quad + np.einsum("ij,jk,ik->i", v, self.q_minus, v)
-        return self.const - 0.25 * quad
+
+def score_matrix(model: PldaModel, x, y) -> np.ndarray:
+    """LLR of every row pair: ``S[i, j] = LLR(x[i], y[j])``, shape (N, M).
+
+    GEMM form on centered rows: ``S = c - 0.5 (q_x 1' + 1 q_y') - X G Y'``
+    with ``q = diag(X Q X')``. The cross term averages both product orders,
+    so ``score_matrix(x, y) == score_matrix(y, x).T`` bit for bit.
+    """
+    xc = _as_rows(model, x, "x") - model.mu
+    yc = _as_rows(model, y, "y") - model.mu
+    q, g, const = _scoring_forms(model)
+    qx = ((xc @ q) * xc).sum(axis=1)
+    qy = ((yc @ q) * yc).sum(axis=1)
+    cross = 0.5 * ((xc @ g) @ yc.T + ((yc @ g) @ xc.T).T)
+    return const - 0.5 * (qx[:, None] + qy[None, :]) - cross
 
 
 def _as_vector(model: PldaModel, vec, what: str) -> np.ndarray:
@@ -278,8 +279,7 @@ def score(model: PldaModel, enroll_vec, test_vec) -> float:
     """Log-likelihood ratio for a single pair; symmetric in its arguments."""
     a = _as_vector(model, enroll_vec, "enrollment vector")
     b = _as_vector(model, test_vec, "test vector")
-    cache = _ScoreCache(model)
-    return float(cache.score_many(a, b[None, :])[0])
+    return float(score_matrix(model, a[None, :], b[None, :])[0, 0])
 
 
 def plda_distance(model: PldaModel, a, b) -> float:
@@ -307,31 +307,36 @@ def score_trials(
     By default a speaker's enrollment embeddings are averaged into one
     vector before scoring; with ``aggregate_embeddings=False`` each
     enrollment utterance is scored separately and the LLRs are averaged.
+    One enrolled-speaker x test-utterance score matrix is computed and the
+    trial entries are gathered from it.
     """
     if enroll.dim != model.dim or test.dim != model.dim:
         raise ValueError("corpus dimension does not match model dimension")
     enroll_groups = enroll.by_speaker()
-    test_by_utt = test.by_utt()
-    cache = _ScoreCache(model)
+    spk_row = {spk: i for i, spk in enumerate(enroll_groups)}
+    utt_col = {r.utt_id: j for j, r in enumerate(test.records)}
 
-    by_spk: dict[str, list[int]] = {}
+    rows = np.empty(len(trials), dtype=np.intp)
+    cols = np.empty(len(trials), dtype=np.intp)
     for i, entry in enumerate(trials.entries):
-        if entry.enroll_spk not in enroll_groups:
+        if entry.enroll_spk not in spk_row:
             raise ValueError(f"unknown enrollment speaker {entry.enroll_spk!r} in trial list")
-        if entry.test_utt not in test_by_utt:
+        if entry.test_utt not in utt_col:
             raise ValueError(f"unknown test utterance {entry.test_utt!r} in trial list")
-        by_spk.setdefault(entry.enroll_spk, []).append(i)
+        rows[i] = spk_row[entry.enroll_spk]
+        cols[i] = utt_col[entry.test_utt]
 
-    scores = np.empty(len(trials.entries))
-    for spk, rows in by_spk.items():
-        ys = np.stack([test_by_utt[trials.entries[i].test_utt].vector for i in rows])
-        if aggregate_embeddings:
-            scores[rows] = cache.score_many(enroll_speaker(model, enroll_groups[spk]), ys)
-        else:
-            per_utt = np.stack(
-                [cache.score_many(rec.vector, ys) for rec in enroll_groups[spk]]
-            )
-            scores[rows] = per_utt.mean(axis=0)
+    if aggregate_embeddings:
+        enrolled = np.stack([enroll_speaker(model, recs) for recs in enroll_groups.values()])
+        matrix = score_matrix(model, enrolled, test.matrix())
+    else:
+        per_utt = score_matrix(model, enroll.matrix(), test.matrix())
+        utt_row = {r.utt_id: i for i, r in enumerate(enroll.records)}
+        matrix = np.stack(
+            [per_utt[[utt_row[r.utt_id] for r in recs]].mean(axis=0)
+             for recs in enroll_groups.values()]
+        )
+    scores = matrix[rows, cols]
 
     entries = tuple(
         ScoreEntry(e.enroll_spk, e.test_utt, float(scores[i]), e.label)

@@ -11,6 +11,7 @@ from anonvox import (
     plda_distance,
     tie_break_ranking,
 )
+from anonvox import anonymize as anon
 from anonvox.anonymize import derive_stream, with_subset_tag
 from anonvox.synthgen import default_spec, generate, split
 
@@ -229,3 +230,68 @@ class TestAnonymizeCorpus:
         out = anonymize_corpus(corpus, pool, model, cfg).by_utt()
         np.testing.assert_allclose(out["a"].vector, [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(out["b"].vector, [-0.5, -0.5], atol=1e-12)
+
+
+class TestPoolRankingKernel:
+    def _duplicated_pool(self, rng, n_rows, dim):
+        """Random pool where a quarter of the rows copy other rows exactly,
+        scattered over the pool, under shuffled utt ids."""
+        matrix = rng.standard_normal((n_rows, dim))
+        copies = rng.choice(n_rows, size=n_rows // 4, replace=False)
+        matrix[copies] = matrix[rng.integers(0, n_rows, size=copies.size)]
+        names = [f"p{i:04d}" for i in rng.permutation(n_rows)]
+        genders = rng.choice(["F", "M"], size=n_rows)
+        return Corpus("pool", tuple(
+            Embedding(names[i], f"q{i}", str(genders[i]), matrix[i]) for i in range(n_rows)
+        ))
+
+    # GEMM tiling can give identical rows different last bits; at these sizes
+    # it does with OpenBLAS 0.3 on x86-64, one or two threads
+    @pytest.mark.parametrize("dim,n_rows", [(5, 513), (5, 559), (13, 517)])
+    def test_duplicate_pool_rows_follow_pair_oracle(self, dim, n_rows):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((dim, dim))
+        model = PldaModel(mu=rng.standard_normal(dim), between=a @ a.T + 0.1 * np.eye(dim),
+                          within=np.eye(dim))
+        pool = self._duplicated_pool(rng, n_rows, dim)
+        corpus = Corpus("c", tuple(
+            Embedding(f"u{i}", f"s{i}", "F", rng.standard_normal(dim)) for i in range(16)
+        ))
+        cfg = AnonConfig(n_farthest=300, n_select=150, seed=3, subset_tag="t",
+                         assignment="per_utterance")
+        ids = [p.utt_id for p in pool.records]
+        pm = pool.matrix()
+        ranked = anon._ranked_rows(corpus.matrix(), *anon._pool_view(pool, cfg, "F"), model)
+        out = anonymize_corpus(corpus, pool, model, cfg).by_utt()
+        for src, order in zip(corpus.records, ranked):
+            dists = [plda_distance(model, src.vector, p) for p in pm]
+            want = sorted(range(len(ids)), key=lambda i: (-dists[i], ids[i]))
+            assert order.tolist() == want
+            top = np.array(want[: cfg.n_farthest])
+            rng_src = derive_stream(cfg.seed, cfg.subset_tag, src.utt_id)
+            chosen = np.sort(top[rng_src.choice(cfg.n_farthest, size=cfg.n_select,
+                                                replace=False)])
+            expected = np.mean([pm[i] for i in chosen], axis=0)
+            assert np.array_equal(out[src.utt_id].vector, expected)
+
+    def test_per_utterance_gender_pool_matches_single_embedding(self):
+        rng = np.random.default_rng(11)
+        dim = 5
+        a = rng.standard_normal((dim, dim))
+        model = PldaModel(mu=np.zeros(dim), between=a @ a.T + 0.1 * np.eye(dim),
+                          within=np.eye(dim))
+        pool = self._duplicated_pool(rng, 80, dim)
+        corpus = Corpus("c", tuple(
+            Embedding(f"u{i}", f"s{i % 7}", "F" if i % 7 < 3 else "M",
+                      rng.standard_normal(dim))
+            for i in range(40)
+        ))
+        cfg = AnonConfig(n_farthest=20, n_select=8, seed=9, subset_tag="trial",
+                         assignment="per_utterance", same_gender_pool=True)
+        out = anonymize_corpus(corpus, pool, model, cfg)
+        assert {r.gender for r in out.records} == {"F", "M"}
+        for src, got in zip(corpus.records, out.records):
+            one = anonymize_embedding(src, pool, model, cfg,
+                                      derive_stream(cfg.seed, cfg.subset_tag, src.utt_id))
+            assert (got.utt_id, got.spk_id, got.gender) == (one.utt_id, one.spk_id, one.gender)
+            assert np.array_equal(got.vector, one.vector)

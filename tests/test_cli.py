@@ -1,6 +1,10 @@
 import pytest
 
+from anonvox import anonymize, cli
+from anonvox.anonymize import AnonConfig
 from anonvox.cli import main
+from anonvox.embeddings import load_embeddings, save_embeddings
+from anonvox.plda import load_model
 from anonvox.formant import read_wav, write_wav
 
 from conftest import synth_vowel
@@ -228,3 +232,47 @@ class TestPipelineCommands:
             "--conditions", "zz",
         ) == 1
         assert "unknown condition" in capsys.readouterr().err
+
+
+class TestEvalAnonymizesOncePerTag:
+    @pytest.mark.parametrize("same_tags", [False, True])
+    def test_calls_and_dump_bytes(self, synth_dir, trained, tmp_path, monkeypatch, same_tags):
+        model_path, trials = trained
+        real = anonymize.anonymize_corpus
+        calls = []
+
+        def counting(corpus, pool, model, cfg):
+            calls.append((len(corpus), cfg.subset_tag))
+            return real(corpus, pool, model, cfg)
+
+        monkeypatch.setattr(anonymize, "anonymize_corpus", counting)
+        monkeypatch.setattr(cli, "anonymize_corpus", counting)
+        dump = tmp_path / "dump"
+        assert run_cli(
+            "eval",
+            "--enroll", str(synth_dir / "enroll.xvec"),
+            "--trial", str(synth_dir / "trial.xvec"),
+            "--pool", str(synth_dir / "pool.xvec"),
+            "--model", str(model_path),
+            "--trials", str(trials),
+            "--n-farthest", "20", "--n-select", "10", "--seed", "5",
+            "--same-tags", str(same_tags).lower(),
+            "--dump-anon", str(dump),
+        ) == 0
+        enroll = load_embeddings(synth_dir / "enroll.xvec", "binary")
+        trial = load_embeddings(synth_dir / "trial.xvec", "binary")
+        # oa and aa share the trial side unless same_tags gives aa its own tag
+        expected = [(len(trial), "trial"), (len(enroll), "enroll")]
+        if same_tags:
+            expected.insert(1, (len(trial), "enroll"))
+        assert calls == expected
+
+        # the dump holds exactly what a direct anonymization with aa's tags writes
+        pool = load_embeddings(synth_dir / "pool.xvec", "binary")
+        model = load_model(model_path)
+        trial_tag = "enroll" if same_tags else "trial"
+        for name, corpus, tag in (("trial_anon.xvec", trial, trial_tag),
+                                  ("enroll_anon.xvec", enroll, "enroll")):
+            cfg = AnonConfig(n_farthest=20, n_select=10, seed=5, subset_tag=tag)
+            save_embeddings(real(corpus, pool, model, cfg), tmp_path / name, "binary")
+            assert (dump / name).read_bytes() == (tmp_path / name).read_bytes()

@@ -22,7 +22,7 @@ from anonvox import (
     score_trials,
     train_plda,
 )
-from anonvox.plda import log_likelihood
+from anonvox.plda import log_likelihood, score_matrix
 
 LN_2_OVER_SQRT3 = 0.1438410362258906
 
@@ -101,6 +101,39 @@ _SYMMETRY_MODEL = random_model(np.random.default_rng(2718), 3)
 )
 def test_score_symmetry_property(a, b):
     assert score(_SYMMETRY_MODEL, a, b) == score(_SYMMETRY_MODEL, b, a)
+
+
+class TestScoreMatrix:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_entries_match_oracle_and_pair_score(self, dim):
+        rng = np.random.default_rng(300 + dim)
+        for _ in range(10):
+            model = random_model(rng, dim)
+            x = rng.standard_normal((int(rng.integers(1, 6)), dim))
+            y = rng.standard_normal((int(rng.integers(1, 6)), dim))
+            got = score_matrix(model, x, y)
+            assert got.shape == (len(x), len(y))
+            for i in range(len(x)):
+                for j in range(len(y)):
+                    pair = score(model, x[i], y[j])
+                    assert got[i, j] == pytest.approx(dense_llr(model, x[i], y[j]), abs=1e-9)
+                    assert abs(got[i, j] - pair) <= 1e-12 * max(1.0, abs(pair))
+
+    def test_transpose_symmetry_bitwise(self):
+        rng = np.random.default_rng(314)
+        for _ in range(50):
+            dim = int(rng.integers(1, 9))
+            model = random_model(rng, dim)
+            x = 3.0 * rng.standard_normal((int(rng.integers(1, 70)), dim))
+            y = 3.0 * rng.standard_normal((int(rng.integers(1, 70)), dim))
+            assert np.array_equal(score_matrix(model, x, y), score_matrix(model, y, x).T)
+
+    def test_shape_mismatch(self):
+        model = random_model(np.random.default_rng(0), 3)
+        with pytest.raises(ValueError, match="shape"):
+            score_matrix(model, np.zeros((2, 3)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            score_matrix(model, np.zeros(3), np.zeros((2, 3)))
 
 
 class TestDistance:
@@ -321,6 +354,33 @@ class TestEnrollAndTrials:
         assert any(
             a.score != b.score for a, b in zip(default.entries, averaged_scores.entries)
         )
+
+
+    @pytest.mark.parametrize("aggregate", [True, False])
+    def test_score_trials_matches_pair_loop_on_shuffled_trials(self, aggregate):
+        corpus, _ = generate(default_spec(n_speakers=16, utts_per_speaker=5, dim=4, seed=41))
+        model = train_plda(corpus, 3)
+        enroll = Corpus("e", tuple(r for r in corpus.records if r.utt_id.endswith(("0", "1"))))
+        test = Corpus("t", tuple(r for r in corpus.records if not r.utt_id.endswith(("0", "1"))))
+        entries = [
+            TrialEntry(spk, r.utt_id, "target" if r.spk_id == spk else "nontarget")
+            for spk in enroll.by_speaker()
+            for r in test.records
+        ]
+        order = np.random.default_rng(42).permutation(len(entries))
+        trials = TrialList(tuple(entries[i] for i in order))
+        got = score_trials(model, enroll, test, trials, aggregate_embeddings=aggregate)
+        groups = enroll.by_speaker()
+        test_by_utt = test.by_utt()
+        for entry, trial in zip(got.entries, trials.entries):
+            assert (entry.enroll_spk, entry.test_utt, entry.label) == (
+                trial.enroll_spk, trial.test_utt, trial.label)
+            y = test_by_utt[entry.test_utt].vector
+            if aggregate:
+                want = score(model, enroll_speaker(model, groups[entry.enroll_spk]), y)
+            else:
+                want = np.mean([score(model, r.vector, y) for r in groups[entry.enroll_spk]])
+            assert entry.score == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestModelIO:

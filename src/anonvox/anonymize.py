@@ -10,7 +10,7 @@ different subset tags carry different pseudo-speakers without shared state.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,7 +163,3 @@ def anonymize_corpus(
         for r in corpus.records
     )
     return Corpus(name=corpus.name, records=out, subset=corpus.subset)
-
-
-def with_subset_tag(cfg: AnonConfig, tag: str) -> AnonConfig:
-    return replace(cfg, subset_tag=tag)

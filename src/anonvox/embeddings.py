@@ -9,13 +9,16 @@ On-disk formats:
   the vector as 64-bit IEEE floats. Round-trips are bit exact.
 * trial list: ``<enroll_spk> <test_utt> <target|nontarget>`` per line.
 * score file: ``<enroll_spk> <test_utt> <score>`` with six decimal places.
+  In both, each (enroll_spk, test_utt) pair appears once; in memory they are
+  held as columns (``TrialList``, ``ScoreSet``).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +124,8 @@ class Corpus:
 
 @dataclass(frozen=True)
 class TrialEntry:
+    """One trial; a read-only view row of a ``TrialList``."""
+
     enroll_spk: str
     test_utt: str
     label: str
@@ -131,34 +136,9 @@ class TrialEntry:
 
 
 @dataclass(frozen=True)
-class TrialList:
-    """Labeled verification trials; (enroll_spk, test_utt) pairs are unique."""
-
-    entries: tuple[TrialEntry, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        seen = set()
-        for e in self.entries:
-            key = (e.enroll_spk, e.test_utt)
-            if key in seen:
-                raise ValueError(f"duplicate trial pair {key}")
-            seen.add(key)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n_target(self) -> int:
-        return sum(1 for e in self.entries if e.label == "target")
-
-    @property
-    def n_nontarget(self) -> int:
-        return sum(1 for e in self.entries if e.label == "nontarget")
-
-
-@dataclass(frozen=True)
 class ScoreEntry:
+    """One score; a read-only view row of a ``ScoreSet``."""
+
     enroll_spk: str
     test_utt: str
     score: float
@@ -173,54 +153,211 @@ class ScoreEntry:
             raise ValueError(f"score label must be one of {LABELS}, got {self.label!r}")
 
 
-@dataclass(frozen=True)
-class ScoreSet:
-    """Verification LLR scores, optionally labeled for metric computation."""
+def _column(values, dtype, what: str) -> np.ndarray:
+    """A read-only 1-D column; arrays that are already read-only are shared."""
+    col = np.asarray(values, dtype=dtype)
+    if col.ndim != 1:
+        raise ValueError(f"{what} must be a 1-D column")
+    if col.flags.writeable:
+        col = col.copy()
+        col.flags.writeable = False
+    return col
 
-    entries: tuple[ScoreEntry, ...]
+
+def _label_column(values) -> np.ndarray:
+    labels = np.asarray(values)
+    if labels.size and labels.dtype != np.bool_:
+        raise ValueError(f"is_target must be boolean, got dtype {labels.dtype}")
+    return _column(labels, np.bool_, "is_target")
+
+
+def _check_lengths(*columns) -> None:
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+
+
+def _columns_equal(a, b) -> bool:
+    return type(a) is type(b) and all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
+    )
+
+
+def _label_names(is_target: np.ndarray) -> list[str]:
+    return np.where(is_target, "target", "nontarget").tolist()
+
+
+def _pair_keys(enroll_spk: np.ndarray, test_utt: np.ndarray) -> np.ndarray:
+    """One int64 key per (enroll_spk, test_utt) pair; equal pairs get equal keys."""
+    _, spk_code = np.unique(enroll_spk, return_inverse=True)
+    utts, utt_code = np.unique(test_utt, return_inverse=True)
+    return spk_code.astype(np.int64) * len(utts) + utt_code
+
+
+def _first_repeat(keys: np.ndarray) -> int:
+    """Index of the first key equal to an earlier key, or -1 if all differ."""
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    return int(repeats.min()) if repeats.size else -1
+
+
+def index_in(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Position of each key in ``ids`` (whose entries are unique), -1 where absent."""
+    if len(ids) == 0:
+        return np.full(len(keys), -1, dtype=np.intp)
+    order = np.argsort(ids, kind="stable")
+    pos = order[np.searchsorted(ids, keys, sorter=order).clip(max=len(ids) - 1)]
+    return np.where(ids[pos] == keys, pos, -1)
+
+
+@dataclass(frozen=True, eq=False)
+class TrialList:
+    """Labeled verification trials as columns; (enroll_spk, test_utt) pairs are unique.
+
+    ``enroll_spk`` and ``test_utt`` are string arrays and ``is_target`` a
+    boolean array, all read-only and of one length.
+    """
+
+    enroll_spk: np.ndarray
+    test_utt: np.ndarray
+    is_target: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+        enroll = _column(self.enroll_spk, np.str_, "enroll_spk")
+        test = _column(self.test_utt, np.str_, "test_utt")
+        is_target = _label_column(self.is_target)
+        _check_lengths(enroll, test, is_target)
+        dup = _first_repeat(_pair_keys(enroll, test))
+        if dup >= 0:
+            raise ValueError(f"duplicate trial pair {(str(enroll[dup]), str(test[dup]))}")
+        object.__setattr__(self, "enroll_spk", enroll)
+        object.__setattr__(self, "test_utt", test)
+        object.__setattr__(self, "is_target", is_target)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def _labeled(self, label: str) -> np.ndarray:
-        if any(e.label is None for e in self.entries):
-            raise ValueError("score set has unlabeled entries; labels are required")
-        return np.array(
-            [e.score for e in self.entries if e.label == label], dtype=np.float64
+    @classmethod
+    def from_entries(cls, entries) -> "TrialList":
+        entries = tuple(entries)
+        return cls(
+            [e.enroll_spk for e in entries],
+            [e.test_utt for e in entries],
+            np.array([e.label == "target" for e in entries], dtype=np.bool_),
         )
 
-    def target_scores(self) -> np.ndarray:
-        return self._labeled("target")
+    __eq__ = _columns_equal
 
-    def nontarget_scores(self) -> np.ndarray:
-        return self._labeled("nontarget")
+    def __len__(self) -> int:
+        return len(self.is_target)
 
-    def with_labels_from(self, trials: TrialList) -> "ScoreSet":
-        """Attach labels by joining on (enroll_spk, test_utt)."""
-        lookup = {(t.enroll_spk, t.test_utt): t.label for t in trials.entries}
-        out = []
-        for e in self.entries:
-            key = (e.enroll_spk, e.test_utt)
-            if key not in lookup:
-                raise ValueError(f"score pair {key} not present in trial list")
-            out.append(ScoreEntry(e.enroll_spk, e.test_utt, e.score, lookup[key]))
-        return ScoreSet(tuple(out))
+    @property
+    def entries(self) -> tuple[TrialEntry, ...]:
+        """Per-trial rows, derived from the columns on each access."""
+        return tuple(
+            map(TrialEntry, self.enroll_spk.tolist(), self.test_utt.tolist(),
+                _label_names(self.is_target))
+        )
+
+    @property
+    def n_target(self) -> int:
+        return int(np.count_nonzero(self.is_target))
+
+    @property
+    def n_nontarget(self) -> int:
+        return len(self) - self.n_target
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreSet:
+    """Verification LLR scores as columns, optionally labeled for metric computation.
+
+    ``score`` is a finite float64 array beside the ``enroll_spk`` and
+    ``test_utt`` id arrays; ``is_target`` is a boolean array, or None for an
+    unlabeled set. Columns are read-only.
+    """
+
+    enroll_spk: np.ndarray
+    test_utt: np.ndarray
+    score: np.ndarray
+    is_target: np.ndarray | None = None
+
+    def __post_init__(self):
+        enroll = _column(self.enroll_spk, np.str_, "enroll_spk")
+        test = _column(self.test_utt, np.str_, "test_utt")
+        score = _column(self.score, np.float64, "score")
+        columns = [enroll, test, score]
+        if self.is_target is not None:
+            columns.append(_label_column(self.is_target))
+            object.__setattr__(self, "is_target", columns[-1])
+        _check_lengths(*columns)
+        bad = np.flatnonzero(~np.isfinite(score))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"score for ({enroll[i]}, {test[i]}) is not finite")
+        object.__setattr__(self, "enroll_spk", enroll)
+        object.__setattr__(self, "test_utt", test)
+        object.__setattr__(self, "score", score)
+
+    @classmethod
+    def from_entries(cls, entries) -> "ScoreSet":
+        """Build from ``ScoreEntry`` rows, which must be all labeled or all unlabeled."""
+        entries = tuple(entries)
+        labels = [e.label for e in entries]
+        if all(label is None for label in labels):
+            is_target = None
+        elif any(label is None for label in labels):
+            raise ValueError("score set mixes labeled and unlabeled entries")
+        else:
+            is_target = np.array([label == "target" for label in labels], dtype=np.bool_)
+        return cls(
+            [e.enroll_spk for e in entries],
+            [e.test_utt for e in entries],
+            [e.score for e in entries],
+            is_target,
+        )
 
     @classmethod
     def from_arrays(cls, target_scores, nontarget_scores) -> "ScoreSet":
         """Build a labeled score set from raw score arrays (synthetic ids)."""
-        entries = [
-            ScoreEntry(f"t{i}", f"t{i}_u", float(s), "target")
-            for i, s in enumerate(np.asarray(target_scores, dtype=np.float64))
-        ]
-        entries += [
-            ScoreEntry(f"n{i}", f"n{i}_u", float(s), "nontarget")
-            for i, s in enumerate(np.asarray(nontarget_scores, dtype=np.float64))
-        ]
-        return cls(tuple(entries))
+        tar = np.asarray(target_scores, dtype=np.float64)
+        non = np.asarray(nontarget_scores, dtype=np.float64)
+        spk = [f"t{i}" for i in range(tar.size)] + [f"n{i}" for i in range(non.size)]
+        return cls(
+            spk,
+            [f"{s}_u" for s in spk],
+            np.concatenate([tar, non]),
+            np.concatenate([np.ones(tar.size, np.bool_), np.zeros(non.size, np.bool_)]),
+        )
+
+    __eq__ = _columns_equal
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    @property
+    def entries(self) -> tuple[ScoreEntry, ...]:
+        """Per-score rows, derived from the columns on each access."""
+        labels = [None] * len(self) if self.is_target is None else _label_names(self.is_target)
+        return tuple(
+            map(ScoreEntry, self.enroll_spk.tolist(), self.test_utt.tolist(),
+                self.score.tolist(), labels)
+        )
+
+    def select(self, mask) -> "ScoreSet":
+        """The scores where the boolean ``mask`` holds, in their order."""
+        mask = np.asarray(mask, dtype=np.bool_)
+        labels = None if self.is_target is None else self.is_target[mask]
+        return ScoreSet(self.enroll_spk[mask], self.test_utt[mask], self.score[mask], labels)
+
+    def with_labels_from(self, trials: TrialList) -> "ScoreSet":
+        """Attach labels by joining on (enroll_spk, test_utt)."""
+        spks, trial_spk = np.unique(trials.enroll_spk, return_inverse=True)
+        utts, trial_utt = np.unique(trials.test_utt, return_inverse=True)
+        spk, utt = index_in(self.enroll_spk, spks), index_in(self.test_utt, utts)
+        keys = np.where((spk < 0) | (utt < 0), -1, spk * len(utts) + utt)
+        row = index_in(keys, trial_spk.astype(np.int64) * len(utts) + trial_utt)
+        if (row < 0).any():
+            i = int(np.argmax(row < 0))
+            key = (str(self.enroll_spk[i]), str(self.test_utt[i]))
+            raise ValueError(f"score pair {key} not present in trial list")
+        return ScoreSet(self.enroll_spk, self.test_utt, self.score, trials.is_target[row])
 
 
 def _check_id(token: str, what: str) -> str:
@@ -372,7 +509,9 @@ def make_trials(enroll: Corpus, trial: Corpus, policy: TrialPolicy | None = None
     Targets pair each enrollment speaker with every trial utterance of the
     same speaker, excluding utterances that also appear in that speaker's
     enrollment set. Impostors pair enrollment speakers with other speakers'
-    trial utterances per the policy.
+    trial utterances per the policy. Both groups run speaker by speaker in
+    sorted order, each speaker's utterances in utt_id order; targets come
+    first.
     """
     policy = policy or TrialPolicy()
     if len(enroll) == 0 or len(trial) == 0:
@@ -382,91 +521,129 @@ def make_trials(enroll: Corpus, trial: Corpus, policy: TrialPolicy | None = None
             f"dimension mismatch: enrollment D={enroll.dim}, trial D={trial.dim}"
         )
 
-    enroll_groups = enroll.by_speaker()
     enroll_gender = enroll.speaker_gender()
+    enroll_owner = {r.utt_id: r.spk_id for r in enroll.records}
     trial_records = sorted(trial.records, key=lambda r: r.utt_id)
-    speakers = sorted(enroll_groups)
+    speakers = np.array(sorted(enroll_gender), dtype=np.str_)
+    utts = np.array([r.utt_id for r in trial_records], dtype=np.str_)
+    utt_spk = np.array([r.spk_id for r in trial_records], dtype=np.str_)
+    # a trial utterance also enrolled for its own speaker never makes a target
+    enrolled = np.array([enroll_owner.get(r.utt_id) == r.spk_id for r in trial_records])
 
-    entries: list[TrialEntry] = []
-    for spk in speakers:
-        own_utts = {r.utt_id for r in enroll_groups[spk]}
-        targets = [
-            r.utt_id
-            for r in trial_records
-            if r.spk_id == spk and r.utt_id not in own_utts
-        ]
-        if not targets:
-            warnings.warn(f"enrollment speaker {spk!r} has no trial utterances")
-        entries.extend(TrialEntry(spk, utt, "target") for utt in targets)
+    # (speaker, utterance) masks; row-major nonzero keeps the enumeration order
+    same = speakers[:, None] == utt_spk[None, :]
+    target = same & ~enrolled[None, :]
+    for spk in speakers[~target.any(axis=1)].tolist():
+        warnings.warn(f"enrollment speaker {spk!r} has no trial utterances")
+    impostor = ~same
+    if policy.same_gender_only:
+        spk_gender = np.array([enroll_gender[s] for s in speakers.tolist()], dtype=np.str_)
+        utt_gender = np.array([r.gender for r in trial_records], dtype=np.str_)
+        impostor &= spk_gender[:, None] == utt_gender[None, :]
 
-    candidates = []
-    for spk in speakers:
-        gender = enroll_gender[spk]
-        for rec in trial_records:
-            if rec.spk_id == spk:
-                continue
-            if policy.same_gender_only and rec.gender != gender:
-                continue
-            candidates.append(TrialEntry(spk, rec.utt_id, "nontarget"))
-    if policy.max_nontargets is not None and policy.max_nontargets < len(candidates):
+    tar_rows, tar_cols = np.nonzero(target)
+    non_rows, non_cols = np.nonzero(impostor)
+    if policy.max_nontargets is not None and policy.max_nontargets < len(non_rows):
         rng = np.random.default_rng(policy.seed)
-        keep = rng.choice(len(candidates), size=policy.max_nontargets, replace=False)
-        candidates = [candidates[i] for i in sorted(keep)]
-    entries.extend(candidates)
-    return TrialList(tuple(entries))
+        keep = np.sort(rng.choice(len(non_rows), size=policy.max_nontargets, replace=False))
+        non_rows, non_cols = non_rows[keep], non_cols[keep]
+    return TrialList(
+        speakers[np.concatenate([tar_rows, non_rows])],
+        utts[np.concatenate([tar_cols, non_cols])],
+        np.arange(len(tar_rows) + len(non_rows)) < len(tar_rows),
+    )
+
+
+def _check_ids(column: np.ndarray, what: str) -> None:
+    """Reject ids that are empty or hold whitespace, checking each distinct id once."""
+    for token in dict.fromkeys(column.tolist()):
+        _check_id(token, what)
+
+
+def _write_rows(path, *columns) -> None:
+    """Write rows as fields joined by one space, one row per line."""
+    text = "\n".join(map(" ".join, zip(*columns)))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n" if text else text)
+
+
+def _read_rows(path: Path, layout: str, parse) -> tuple[list[str], list[str], list, list[int]]:
+    """The columns of a trial or score file and each row's line number.
+
+    Blank and ``#`` comment lines are skipped; any other line must have
+    exactly three fields, and ``parse(enroll_spk, test_utt, field)`` gives its
+    third column's value or raises ValueError. An error names the first bad line.
+    """
+    enroll, test, values, linenos = [], [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            row = line.split()
+            if not row or row[0].startswith("#"):
+                continue
+            if len(row) != 3:
+                raise ValueError(f"{path}:{lineno}: expected '{layout}'")
+            try:
+                values.append(parse(*row))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            enroll.append(row[0])
+            test.append(row[1])
+            linenos.append(lineno)
+    return enroll, test, values, linenos
+
+
+def _parse_label(enroll_spk: str, test_utt: str, label: str) -> bool:
+    if label not in LABELS:
+        raise ValueError(f"bad label {label!r}")
+    return label == "target"
+
+
+def _parse_score(enroll_spk: str, test_utt: str, token: str) -> float:
+    try:
+        score = float(token)
+    except ValueError:
+        raise ValueError(f"bad score {token!r}") from None
+    if not math.isfinite(score):
+        raise ValueError(f"score for ({enroll_spk}, {test_utt}) is not finite")
+    return score
 
 
 def save_trials(trials: TrialList, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in trials.entries:
-            _check_id(e.enroll_spk, "enroll_spk")
-            _check_id(e.test_utt, "test_utt")
-            fh.write(f"{e.enroll_spk} {e.test_utt} {e.label}\n")
+    _check_ids(trials.enroll_spk, "enroll_spk")
+    _check_ids(trials.test_utt, "test_utt")
+    _write_rows(path, trials.enroll_spk.tolist(), trials.test_utt.tolist(),
+                _label_names(trials.is_target))
 
 
 def load_trials(path) -> TrialList:
     path = Path(path)
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = stripped.split()
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'spk utt label'")
-            if fields[2] not in LABELS:
-                raise ValueError(f"{path}:{lineno}: bad label {fields[2]!r}")
-            entries.append(TrialEntry(*fields))
-    if not entries:
+    enroll, test, is_target, linenos = _read_rows(path, "spk utt label", _parse_label)
+    if not linenos:
         raise ValueError(f"{path}: empty trial list")
-    return TrialList(tuple(entries))
+    enroll, test = np.array(enroll, dtype=np.str_), np.array(test, dtype=np.str_)
+    try:
+        return TrialList(enroll, test, np.array(is_target, dtype=np.bool_))
+    except ValueError as exc:  # ids and labels are valid, so the pairs repeat
+        line = linenos[_first_repeat(_pair_keys(enroll, test))]
+        raise ValueError(f"{path}:{line}: {exc}") from None
 
 
 def save_scores(scores: ScoreSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in scores.entries:
-            _check_id(e.enroll_spk, "enroll_spk")
-            _check_id(e.test_utt, "test_utt")
-            fh.write(f"{e.enroll_spk} {e.test_utt} {e.score:.6f}\n")
+    _check_ids(scores.enroll_spk, "enroll_spk")
+    _check_ids(scores.test_utt, "test_utt")
+    _write_rows(path, scores.enroll_spk.tolist(), scores.test_utt.tolist(),
+                [f"{s:.6f}" for s in scores.score.tolist()])
 
 
 def load_scores(path) -> ScoreSet:
+    """Read a score file; duplicate pairs and non-finite scores are rejected."""
     path = Path(path)
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = stripped.split()
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'spk utt score'")
-            try:
-                score = float(fields[2])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad score {fields[2]!r}") from None
-            entries.append(ScoreEntry(fields[0], fields[1], score))
-    if not entries:
+    enroll, test, score, linenos = _read_rows(path, "spk utt score", _parse_score)
+    if not linenos:
         raise ValueError(f"{path}: empty score file")
-    return ScoreSet(tuple(entries))
+    enroll, test = np.array(enroll, dtype=np.str_), np.array(test, dtype=np.str_)
+    dup = _first_repeat(_pair_keys(enroll, test))
+    if dup >= 0:
+        key = (str(enroll[dup]), str(test[dup]))
+        raise ValueError(f"{path}:{linenos[dup]}: duplicate score pair {key}")
+    return ScoreSet(enroll, test, np.array(score, dtype=np.float64))

@@ -50,7 +50,6 @@ class LpcFrame:
 
     coeffs: np.ndarray
     excitation: np.ndarray
-    frame_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ def _levinson(r: np.ndarray, order: int) -> np.ndarray:
     return a
 
 
-def lpc_analyze(frame, order: int, frame_index: int = 0) -> LpcFrame:
+def lpc_analyze(frame, order: int) -> LpcFrame:
     """Autocorrelation-method LPC; residual is the inverse-filtered frame."""
     x = np.asarray(frame, dtype=np.float64)
     if x.ndim != 1:
@@ -105,12 +104,12 @@ def lpc_analyze(frame, order: int, frame_index: int = 0) -> LpcFrame:
         raise ValueError(f"lpc order {order} must be below frame length {x.size}")
     r = _autocorrelation(x, order)
     if r[0] <= 0.0:
-        return LpcFrame(np.zeros(order), np.zeros(x.size), frame_index)
+        return LpcFrame(np.zeros(order), np.zeros(x.size))
     r = r.copy()
     r[0] *= 1.0 + 1e-9  # white-noise ridge keeps the predictor strictly stable
     error_filter = _levinson(r, order)
     residual = lfilter(error_filter, [1.0], x)
-    return LpcFrame(-error_filter[1:], residual, frame_index)
+    return LpcFrame(-error_filter[1:], residual)
 
 
 def warp_poles(poles, alpha: float) -> np.ndarray:
@@ -157,12 +156,12 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
 
     acc = np.zeros(xp.size + flen)
     wsum = np.zeros(xp.size + flen)
-    for fi, start in enumerate(range(0, xp.size, hop)):
+    for start in range(0, xp.size, hop):
         seg = xp[start : start + flen]
         if seg.size < flen:
             seg = np.pad(seg, (0, flen - seg.size))
         windowed = seg * window
-        analysis = lpc_analyze(windowed, cfg.lpc_order, frame_index=fi)
+        analysis = lpc_analyze(windowed, cfg.lpc_order)
         error_filter = np.concatenate([[1.0], -analysis.coeffs])
         poles = np.roots(error_filter)
         warped = warp_poles(poles, cfg.alpha)

@@ -10,7 +10,9 @@ pseudo-speakers differ.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import anonymize as anon
 from .anonymize import AnonConfig
@@ -56,9 +58,10 @@ class EvalRun:
     provenance: dict
 
 
-def _filter_by_gender(scores: ScoreSet, spk_gender: dict[str, str], gender: str) -> ScoreSet:
-    entries = tuple(e for e in scores.entries if spk_gender[e.enroll_spk] == gender)
-    return ScoreSet(entries)
+def _gender_column(scores: ScoreSet, spk_gender: dict[str, str]) -> np.ndarray:
+    """The enrollment speaker's gender for every score."""
+    speakers, index = np.unique(scores.enroll_spk, return_inverse=True)
+    return np.array([spk_gender[s] for s in speakers.tolist()], dtype=np.str_)[index]
 
 
 def run_condition(
@@ -86,7 +89,7 @@ def run_condition(
     def anonymize(side: str, corpus: Corpus, tag: str) -> Corpus:
         if (side, tag) not in memo:
             memo[side, tag] = anon.anonymize_corpus(
-                corpus, pool, model, anon.with_subset_tag(anon_cfg, tag)
+                corpus, pool, model, replace(anon_cfg, subset_tag=tag)
             )
         return memo[side, tag]
 
@@ -97,15 +100,13 @@ def run_condition(
         enroll_c = anonymize("enroll", enroll, "enroll")
 
     scores = score_trials(model, enroll_c, trial_c, trial_list)
-    spk_gender = enroll.speaker_gender()
+    genders = _gender_column(scores, enroll.speaker_gender())
     dataset = dataset if dataset is not None else trial.name
 
     runs = []
     for gender in ("F", "M"):
-        subset = _filter_by_gender(scores, spk_gender, gender)
-        if not any(e.label == "target" for e in subset.entries) or not any(
-            e.label == "nontarget" for e in subset.entries
-        ):
+        subset = scores.select(genders == gender)
+        if subset.is_target.all() or not subset.is_target.any():
             continue
         provenance = {
             "dataset": dataset,

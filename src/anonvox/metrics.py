@@ -90,8 +90,11 @@ class WerResult:
 
 
 def _split_scores(scores: ScoreSet) -> tuple[np.ndarray, np.ndarray]:
-    tar = scores.target_scores()
-    non = scores.nontarget_scores()
+    """Target and nontarget score arrays, each in the set's order."""
+    if scores.is_target is None:
+        raise ValueError("score set has unlabeled entries; labels are required")
+    tar = scores.score[scores.is_target]
+    non = scores.score[~scores.is_target]
     if tar.size == 0:
         raise ValueError("score set has no target trials")
     if non.size == 0:
@@ -107,14 +110,7 @@ def _operating_points(tar: np.ndarray, non: np.ndarray, thresholds: np.ndarray):
     return p_fa, p_miss
 
 
-def compute_eer(scores: ScoreSet) -> tuple[float, float]:
-    """Equal error rate and its threshold.
-
-    Sweeps every distinct score plus a high sentinel; at the sentinel all
-    targets are missed and no nontarget fires, so a sign change of
-    P_fa - P_miss always exists.
-    """
-    tar, non = _split_scores(scores)
+def _eer(tar: np.ndarray, non: np.ndarray) -> tuple[float, float]:
     thresholds = np.unique(np.concatenate([tar, non]))
     thresholds = np.append(thresholds, thresholds[-1] + 1.0)
     p_fa, p_miss = _operating_points(tar, non, thresholds)
@@ -127,12 +123,26 @@ def compute_eer(scores: ScoreSet) -> tuple[float, float]:
     return float(eer), float(threshold)
 
 
-def compute_cllr(scores: ScoreSet) -> float:
-    """Calibration-sensitive log-likelihood-ratio cost in bits."""
-    tar, non = _split_scores(scores)
+def compute_eer(scores: ScoreSet) -> tuple[float, float]:
+    """Equal error rate and its threshold.
+
+    Sweeps every distinct score plus a high sentinel; at the sentinel all
+    targets are missed and no nontarget fires, so a sign change of
+    P_fa - P_miss always exists.
+    """
+    return _eer(*_split_scores(scores))
+
+
+def _cllr(tar: np.ndarray, non: np.ndarray) -> float:
+    # logaddexp handles +-inf llrs: a certainty on the correct side costs 0
     tar_term = np.mean(np.logaddexp(0.0, -tar)) / LOG2
     non_term = np.mean(np.logaddexp(0.0, non)) / LOG2
     return float(0.5 * (tar_term + non_term))
+
+
+def compute_cllr(scores: ScoreSet) -> float:
+    """Calibration-sensitive log-likelihood-ratio cost in bits."""
+    return _cllr(*_split_scores(scores))
 
 
 def _pav(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -156,22 +166,7 @@ def _pav(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.repeat(means, sizes)
 
 
-def _cllr_of_llrs(tar_llrs: np.ndarray, non_llrs: np.ndarray) -> float:
-    # logaddexp handles +-inf llrs: a certainty on the correct side costs 0
-    tar_term = np.mean(np.logaddexp(0.0, -tar_llrs)) / LOG2
-    non_term = np.mean(np.logaddexp(0.0, non_llrs)) / LOG2
-    return float(0.5 * (tar_term + non_term))
-
-
-def compute_min_cllr(scores: ScoreSet) -> float:
-    """Discrimination loss: Cllr after optimal monotone recalibration.
-
-    Scores are mapped to empirical posteriors by PAV (ties merged first),
-    converted to LLRs against the empirical target proportion, and fed
-    through the Cllr formula. Blocks at posterior 0 or 1 contribute the
-    limit value 0 to their own-class term.
-    """
-    tar, non = _split_scores(scores)
+def _min_cllr(tar: np.ndarray, non: np.ndarray) -> float:
     raw = np.concatenate([tar, non])
     labels = np.concatenate([np.ones(tar.size), np.zeros(non.size)])
 
@@ -184,17 +179,28 @@ def compute_min_cllr(scores: ScoreSet) -> float:
         llrs = np.log(posteriors) - np.log1p(-posteriors)
         prior = tar.size / (tar.size + non.size)
         llrs = llrs - (np.log(prior) - np.log1p(-prior))
-    return _cllr_of_llrs(llrs[: tar.size], llrs[tar.size :])
+    return _cllr(llrs[: tar.size], llrs[tar.size :])
+
+
+def compute_min_cllr(scores: ScoreSet) -> float:
+    """Discrimination loss: Cllr after optimal monotone recalibration.
+
+    Scores are mapped to empirical posteriors by PAV (ties merged first),
+    converted to LLRs against the empirical target proportion, and fed
+    through the Cllr formula. Blocks at posterior 0 or 1 contribute the
+    limit value 0 to their own-class term.
+    """
+    return _min_cllr(*_split_scores(scores))
 
 
 def compute_metrics(scores: ScoreSet) -> MetricsReport:
-    """EER, Cllr and min-Cllr for one labeled score set."""
+    """EER, Cllr and min-Cllr for one labeled score set, split into classes once."""
     tar, non = _split_scores(scores)
-    eer, threshold = compute_eer(scores)
+    eer, threshold = _eer(tar, non)
     return MetricsReport(
         eer=eer,
-        cllr=compute_cllr(scores),
-        min_cllr=compute_min_cllr(scores),
+        cllr=_cllr(tar, non),
+        min_cllr=_min_cllr(tar, non),
         n_target=int(tar.size),
         n_nontarget=int(non.size),
         threshold_at_eer=threshold,
@@ -222,14 +228,15 @@ def det_points(scores: ScoreSet) -> DetCurve:
     )
 
 
+_DET_LINE = "%.9g %.9g %.9g %.9g %.9g\n"
+
+
 def format_det(curve: DetCurve) -> str:
-    lines = ["# threshold p_fa p_miss probit_fa probit_miss"]
-    for i in range(len(curve)):
-        lines.append(
-            f"{curve.thresholds[i]:.9g} {curve.p_fa[i]:.9g} {curve.p_miss[i]:.9g} "
-            f"{curve.probit_fa[i]:.9g} {curve.probit_miss[i]:.9g}"
-        )
-    return "\n".join(lines) + "\n"
+    columns = (curve.thresholds, curve.p_fa, curve.p_miss, curve.probit_fa, curve.probit_miss)
+    points = zip(*(c.tolist() for c in columns))
+    return "# threshold p_fa p_miss probit_fa probit_miss\n" + "".join(
+        map(_DET_LINE.__mod__, points)
+    )
 
 
 def wer(ref: list[str], hyp: list[str]) -> WerResult:

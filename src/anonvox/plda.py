@@ -18,11 +18,12 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .embeddings import Corpus, Embedding, ScoreEntry, ScoreSet, TrialList
+from .embeddings import Corpus, Embedding, ScoreSet, TrialList, index_in
 
 _MODEL_MAGIC = b"PLD1"
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -59,13 +60,39 @@ class PldaModel:
             raise ValueError("between covariance must be positive semi-definite")
         if float(np.min(np.linalg.eigvalsh(0.5 * (w + w.T)))) <= 0.0:
             raise ValueError("within covariance must be positive definite")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "between", _symmetrize(b))
-        object.__setattr__(self, "within", _symmetrize(w))
+        for name, value in (("mu", mu), ("between", _symmetrize(b)), ("within", _symmetrize(w))):
+            value = np.array(value)  # an owned copy, read-only so the cached forms stay valid
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return int(self.mu.shape[0])
+
+    @cached_property
+    def _scoring_forms(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Quadratic forms ``(Q, G, c)`` of the LLR in GEMM form, derived once per model.
+
+        With T = between + within, ``Q = (T - B T^-1 B)^-1 - T^-1`` and ``G`` is
+        the off-diagonal block of the same-speaker precision, so for centered
+        vectors ``LLR(x, y) = c - 0.5 (x'Qx + y'Qy) - x'Gy``.
+        """
+        d = self.dim
+        t = self.between + self.within
+        eye = np.eye(d)
+        try:
+            t_inv = np.linalg.solve(t, eye)
+        except np.linalg.LinAlgError:
+            raise ValueError("between + within must be invertible") from None
+        schur = t - self.between @ t_inv @ self.between
+        lam = np.linalg.solve(schur, eye)
+        g = _symmetrize(-t_inv @ self.between @ lam)
+        q = _symmetrize(lam - t_inv)
+        sign_s, logdet_s = np.linalg.slogdet(schur)
+        sign_t, logdet_t = np.linalg.slogdet(t)
+        if sign_s <= 0 or sign_t <= 0:
+            raise ValueError("model covariances yield a non-PD total covariance")
+        return q, g, -0.5 * (logdet_s - logdet_t)
 
 
 @dataclass(frozen=True)
@@ -220,31 +247,6 @@ def log_likelihood(model: PldaModel, corpus: Corpus) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _scoring_forms(model: PldaModel) -> tuple[np.ndarray, np.ndarray, float]:
-    """Quadratic forms ``(Q, G, c)`` of the LLR in GEMM form.
-
-    With T = between + within, ``Q = (T - B T^-1 B)^-1 - T^-1`` and ``G`` is
-    the off-diagonal block of the same-speaker precision, so for centered
-    vectors ``LLR(x, y) = c - 0.5 (x'Qx + y'Qy) - x'Gy``.
-    """
-    d = model.dim
-    t = model.between + model.within
-    eye = np.eye(d)
-    try:
-        t_inv = np.linalg.solve(t, eye)
-    except np.linalg.LinAlgError:
-        raise ValueError("between + within must be invertible") from None
-    schur = t - model.between @ t_inv @ model.between
-    lam = np.linalg.solve(schur, eye)
-    g = _symmetrize(-t_inv @ model.between @ lam)
-    q = _symmetrize(lam - t_inv)
-    sign_s, logdet_s = np.linalg.slogdet(schur)
-    sign_t, logdet_t = np.linalg.slogdet(t)
-    if sign_s <= 0 or sign_t <= 0:
-        raise ValueError("model covariances yield a non-PD total covariance")
-    return q, g, -0.5 * (logdet_s - logdet_t)
-
-
 def _as_rows(model: PldaModel, rows, what: str) -> np.ndarray:
     m = np.asarray(rows, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] != model.dim:
@@ -261,7 +263,7 @@ def score_matrix(model: PldaModel, x, y) -> np.ndarray:
     """
     xc = _as_rows(model, x, "x") - model.mu
     yc = _as_rows(model, y, "y") - model.mu
-    q, g, const = _scoring_forms(model)
+    q, g, const = model._scoring_forms
     qx = ((xc @ q) * xc).sum(axis=1)
     qy = ((yc @ q) * yc).sum(axis=1)
     cross = 0.5 * ((xc @ g) @ yc.T + ((yc @ g) @ xc.T).T)
@@ -308,23 +310,21 @@ def score_trials(
     vector before scoring; with ``aggregate_embeddings=False`` each
     enrollment utterance is scored separately and the LLRs are averaged.
     One enrolled-speaker x test-utterance score matrix is computed and the
-    trial entries are gathered from it.
+    trials are gathered from it by row and column index arrays.
     """
     if enroll.dim != model.dim or test.dim != model.dim:
         raise ValueError("corpus dimension does not match model dimension")
     enroll_groups = enroll.by_speaker()
-    spk_row = {spk: i for i, spk in enumerate(enroll_groups)}
-    utt_col = {r.utt_id: j for j, r in enumerate(test.records)}
-
-    rows = np.empty(len(trials), dtype=np.intp)
-    cols = np.empty(len(trials), dtype=np.intp)
-    for i, entry in enumerate(trials.entries):
-        if entry.enroll_spk not in spk_row:
-            raise ValueError(f"unknown enrollment speaker {entry.enroll_spk!r} in trial list")
-        if entry.test_utt not in utt_col:
-            raise ValueError(f"unknown test utterance {entry.test_utt!r} in trial list")
-        rows[i] = spk_row[entry.enroll_spk]
-        cols[i] = utt_col[entry.test_utt]
+    rows = index_in(trials.enroll_spk, np.array(list(enroll_groups), dtype=np.str_))
+    cols = index_in(trials.test_utt, np.array([r.utt_id for r in test.records], dtype=np.str_))
+    unknown = (rows < 0) | (cols < 0)
+    if unknown.any():
+        i = int(np.argmax(unknown))
+        if rows[i] < 0:
+            raise ValueError(
+                f"unknown enrollment speaker {str(trials.enroll_spk[i])!r} in trial list"
+            )
+        raise ValueError(f"unknown test utterance {str(trials.test_utt[i])!r} in trial list")
 
     if aggregate_embeddings:
         enrolled = np.stack([enroll_speaker(model, recs) for recs in enroll_groups.values()])
@@ -336,13 +336,7 @@ def score_trials(
             [per_utt[[utt_row[r.utt_id] for r in recs]].mean(axis=0)
              for recs in enroll_groups.values()]
         )
-    scores = matrix[rows, cols]
-
-    entries = tuple(
-        ScoreEntry(e.enroll_spk, e.test_utt, float(scores[i]), e.label)
-        for i, e in enumerate(trials.entries)
-    )
-    return ScoreSet(entries)
+    return ScoreSet(trials.enroll_spk, trials.test_utt, matrix[rows, cols], trials.is_target)
 
 
 # ---------------------------------------------------------------------------

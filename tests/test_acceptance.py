@@ -4,6 +4,7 @@ Run with ``pytest -s -v tests/test_acceptance.py`` to see the lines inline.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from anonvox import (
     warp_poles,
     wer,
 )
-from anonvox.anonymize import derive_stream, tie_break_ranking, with_subset_tag
+from anonvox.anonymize import derive_stream, tie_break_ranking
 from anonvox.anonymize import anonymize_corpus
 from anonvox.cli import main as cli_main
 from anonvox.formant import ShiftConfig, anonymize_wav, lpc_analyze
@@ -217,12 +218,12 @@ def test_criterion_6_anonymizer_correctness():
     _, pool, enroll, trial = split(corpus, (0.0, 0.2, 0.4, 0.4), seed=66)
     assert len(enroll.by_speaker()) == 20
     cfg = AnonConfig(n_farthest=2, n_select=1, seed=9, assignment="per_speaker")
-    anon_trial = anonymize_corpus(trial, pool, truth, with_subset_tag(cfg, "trial"))
+    anon_trial = anonymize_corpus(trial, pool, truth, replace(cfg, subset_tag="trial"))
     for recs in anon_trial.by_speaker().values():
         for rec in recs[1:]:
             assert np.array_equal(rec.vector, recs[0].vector)
 
-    anon_enroll = anonymize_corpus(enroll, pool, truth, with_subset_tag(cfg, "enroll"))
+    anon_enroll = anonymize_corpus(enroll, pool, truth, replace(cfg, subset_tag="enroll"))
     enroll_pseudo = {r.spk_id: r.vector for r in anon_enroll.records}
     trial_pseudo = {r.spk_id: r.vector for r in anon_trial.records}
     differing = sum(

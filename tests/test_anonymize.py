@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from anonvox import (
     tie_break_ranking,
 )
 from anonvox import anonymize as anon
-from anonvox.anonymize import derive_stream, with_subset_tag
+from anonvox.anonymize import derive_stream
 from anonvox.synthgen import default_spec, generate, split
 
 
@@ -168,8 +170,8 @@ class TestAnonymizeCorpus:
     def test_subset_tag_separates_pseudo_speakers(self, synth_setup):
         model, pool, enroll, _ = synth_setup
         base = AnonConfig(n_farthest=2, n_select=1, seed=7)
-        a = anonymize_corpus(enroll, pool, model, with_subset_tag(base, "trial"))
-        b = anonymize_corpus(enroll, pool, model, with_subset_tag(base, "enroll"))
+        a = anonymize_corpus(enroll, pool, model, replace(base, subset_tag="trial"))
+        b = anonymize_corpus(enroll, pool, model, replace(base, subset_tag="enroll"))
         differing = sum(
             1
             for r1, r2 in zip(a.records, b.records)

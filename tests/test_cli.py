@@ -276,3 +276,35 @@ class TestEvalAnonymizesOncePerTag:
             cfg = AnonConfig(n_farthest=20, n_select=10, seed=5, subset_tag=tag)
             save_embeddings(real(corpus, pool, model, cfg), tmp_path / name, "binary")
             assert (dump / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+class TestDetRejectsMalformedFiles:
+    """Each malformed trial or score file exits 2 with a path:line message."""
+
+    @staticmethod
+    def _det(tmp_path, capsys, scores_text, trials_text):
+        scores, trials = tmp_path / "scores.txt", tmp_path / "trials.txt"
+        scores.write_text(scores_text)
+        trials.write_text(trials_text)
+        capsys.readouterr()
+        code = run_cli("det", "--scores", str(scores), "--trials", str(trials))
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_score(self, tmp_path, capsys, token):
+        code, err = self._det(tmp_path, capsys, f"s1 u1 0.5\ns1 u2 {token}\n",
+                              "s1 u1 target\ns1 u2 nontarget\n")
+        assert code == 2
+        assert f"{tmp_path / 'scores.txt'}:2:" in err and "not finite" in err
+
+    def test_duplicate_trial_pair(self, tmp_path, capsys):
+        code, err = self._det(tmp_path, capsys, "s1 u1 0.5\ns1 u2 0.1\n",
+                              "s1 u2 nontarget\ns1 u2 nontarget\ns1 u1 target\n")
+        assert code == 2
+        assert f"{tmp_path / 'trials.txt'}:2:" in err and "duplicate trial pair" in err
+
+    def test_duplicate_score_pair(self, tmp_path, capsys):
+        code, err = self._det(tmp_path, capsys, "s1 u1 0.5\ns1 u1 0.7\ns1 u2 0.1\n",
+                              "s1 u1 target\ns1 u2 nontarget\n")
+        assert code == 2
+        assert f"{tmp_path / 'scores.txt'}:2:" in err and "duplicate score pair" in err

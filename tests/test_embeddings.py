@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anonvox import embeddings
 from anonvox import (
     Corpus,
     Embedding,
@@ -222,7 +223,7 @@ class TestMakeTrials:
 
 class TestTrialAndScoreFiles:
     def test_trial_round_trip(self, tmp_path):
-        trials = TrialList(
+        trials = TrialList.from_entries(
             (TrialEntry("s1", "t1", "target"), TrialEntry("s1", "t2", "nontarget"))
         )
         path = tmp_path / "trials.txt"
@@ -230,7 +231,7 @@ class TestTrialAndScoreFiles:
         assert load_trials(path) == trials
 
     def test_score_round_trip_six_decimals(self, tmp_path):
-        scores = ScoreSet(
+        scores = ScoreSet.from_entries(
             (ScoreEntry("s1", "t1", 1.23456789), ScoreEntry("s2", "t2", -0.5))
         )
         path = tmp_path / "scores.txt"
@@ -240,14 +241,14 @@ class TestTrialAndScoreFiles:
         assert "1.234568" in path.read_text()
 
     def test_with_labels_from(self):
-        trials = TrialList((TrialEntry("s1", "t1", "target"),))
-        scores = ScoreSet((ScoreEntry("s1", "t1", 0.25),))
+        trials = TrialList.from_entries((TrialEntry("s1", "t1", "target"),))
+        scores = ScoreSet.from_entries((ScoreEntry("s1", "t1", 0.25),))
         labeled = scores.with_labels_from(trials)
         assert labeled.entries[0].label == "target"
 
     def test_with_labels_missing_pair(self):
-        trials = TrialList((TrialEntry("s1", "t1", "target"),))
-        scores = ScoreSet((ScoreEntry("s9", "t9", 0.25),))
+        trials = TrialList.from_entries((TrialEntry("s1", "t1", "target"),))
+        scores = ScoreSet.from_entries((ScoreEntry("s9", "t9", 0.25),))
         with pytest.raises(ValueError, match="not present"):
             scores.with_labels_from(trials)
 
@@ -272,3 +273,248 @@ def test_binary_round_trip_property(tmp_path_factory, vecs):
     save_embeddings(corpus, path, "binary")
     loaded = load_embeddings(path, "binary")
     assert np.array_equal(loaded.matrix(), corpus.matrix())
+
+
+def _per_record_trials(enroll, trial, policy):
+    """The per-record enumeration make_trials replaced, kept as its oracle."""
+    enroll_groups = enroll.by_speaker()
+    enroll_gender = enroll.speaker_gender()
+    trial_records = sorted(trial.records, key=lambda r: r.utt_id)
+    speakers = sorted(enroll_groups)
+    rows = []
+    for spk in speakers:
+        own_utts = {r.utt_id for r in enroll_groups[spk]}
+        rows.extend(
+            (spk, r.utt_id, "target")
+            for r in trial_records
+            if r.spk_id == spk and r.utt_id not in own_utts
+        )
+    candidates = []
+    for spk in speakers:
+        for rec in trial_records:
+            if rec.spk_id == spk:
+                continue
+            if policy.same_gender_only and rec.gender != enroll_gender[spk]:
+                continue
+            candidates.append((spk, rec.utt_id, "nontarget"))
+    if policy.max_nontargets is not None and policy.max_nontargets < len(candidates):
+        rng = np.random.default_rng(policy.seed)
+        keep = rng.choice(len(candidates), size=policy.max_nontargets, replace=False)
+        candidates = [candidates[i] for i in sorted(keep)]
+    return rows + candidates
+
+
+class TestMakeTrialsMatchesPerRecordOracle:
+    @staticmethod
+    def _corpora(seed):
+        rng = np.random.default_rng(seed)
+        gender = {f"s{k}": "FM"[int(rng.integers(0, 2))] for k in range(9)}
+        # s0-s5 enroll, s3-s8 appear in the trial corpus, so s0-s2 have no
+        # trials and s6-s8 are impostor-only; ids are shuffled, not sorted
+        enroll_spec = [(f"e{k}_{u}", f"s{k}", gender[f"s{k}"], None)
+                       for k in range(6) for u in range(2)]
+        trial_spec = [(f"t{i:02d}", f"s{k}", gender[f"s{k}"], None)
+                      for i, k in enumerate(rng.integers(3, 9, size=30))]
+        # an utterance enrolled for its own speaker never makes a target; the
+        # same id enrolled for another speaker does not block one
+        enroll_spec.append(("x_own", "s4", gender["s4"], None))
+        enroll_spec.append(("x_other", "s5", gender["s5"], None))
+        trial_spec.append(("x_own", "s4", gender["s4"], None))
+        trial_spec.append(("x_other", "s3", gender["s3"], None))
+        enroll_spec = [enroll_spec[i] for i in rng.permutation(len(enroll_spec))]
+        trial_spec = [trial_spec[i] for i in rng.permutation(len(trial_spec))]
+        return _corpus(enroll_spec, name="enroll"), _corpus(trial_spec, name="trial")
+
+    @pytest.mark.parametrize("same_gender_only", [True, False])
+    @pytest.mark.parametrize("max_nontargets", [None, 0, 17, 10_000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_rows_in_same_order(self, same_gender_only, max_nontargets, seed):
+        enroll, trial = self._corpora(seed)
+        policy = TrialPolicy(same_gender_only=same_gender_only,
+                             max_nontargets=max_nontargets, seed=seed + 10)
+        with pytest.warns(UserWarning, match="no trial utterances"):
+            got = make_trials(enroll, trial, policy)
+        want = _per_record_trials(enroll, trial, policy)
+        assert [(e.enroll_spk, e.test_utt, e.label) for e in got.entries] == want
+        assert ("s4", "x_own", "target") not in want
+        assert ("s3", "x_other", "target") in want
+
+
+class TestColumns:
+    def test_from_entries_equals_columns(self):
+        entries = (TrialEntry("s1", "t1", "target"), TrialEntry("s2", "t1", "nontarget"))
+        columns = TrialList(["s1", "s2"], ["t1", "t1"], [True, False])
+        assert TrialList.from_entries(entries) == columns
+        assert columns.entries == entries
+
+    def test_columns_are_read_only(self):
+        trials = TrialList(np.array(["s1"]), np.array(["t1"]), np.array([True]))
+        scores = ScoreSet(["s1"], ["t1"], [0.5], [True])
+        for column in (trials.enroll_spk, trials.is_target, scores.score, scores.is_target):
+            with pytest.raises(ValueError):
+                column[0] = column[0]
+
+    def test_rejects_non_boolean_labels(self):
+        with pytest.raises(ValueError, match="boolean"):
+            TrialList(["s1"], ["t1"], ["target"])
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="length"):
+            ScoreSet(["s1", "s2"], ["t1"], [0.5])
+
+    def test_rejects_duplicate_pair(self):
+        with pytest.raises(ValueError, match=r"duplicate trial pair \('s1', 't1'\)"):
+            TrialList(["s1", "s2", "s1"], ["t1", "t1", "t1"], [True, False, True])
+
+    def test_rejects_non_finite_score(self):
+        with pytest.raises(ValueError, match=r"score for \(s2, t2\) is not finite"):
+            ScoreSet(["s1", "s2"], ["t1", "t2"], [0.5, np.nan])
+
+    def test_score_entries_keep_labels_or_none(self):
+        labeled = ScoreSet(["s1", "s2"], ["t1", "t2"], [0.5, -1.0], [False, True])
+        assert [e.label for e in labeled.entries] == ["nontarget", "target"]
+        assert [e.label for e in ScoreSet(["s1"], ["t1"], [0.5]).entries] == [None]
+
+    def test_from_entries_rejects_partial_labels(self):
+        with pytest.raises(ValueError, match="mixes"):
+            ScoreSet.from_entries(
+                (ScoreEntry("s1", "t1", 0.5, "target"), ScoreEntry("s2", "t2", 0.5))
+            )
+
+
+class TestWithLabelsJoin:
+    def _trials(self):
+        rng = np.random.default_rng(4)
+        entries = [
+            TrialEntry(f"s{s}", f"u{u}", "target" if (s + u) % 5 == 0 else "nontarget")
+            for s in range(7)
+            for u in range(11)
+        ]
+        return [entries[i] for i in rng.permutation(len(entries))]
+
+    def test_labels_follow_pairs_against_shuffled_trial_list(self):
+        entries = self._trials()
+        trials = TrialList.from_entries(entries)
+        rng = np.random.default_rng(5)
+        picked = [entries[i] for i in rng.permutation(len(entries))[:50]]
+        scores = ScoreSet.from_entries(
+            ScoreEntry(e.enroll_spk, e.test_utt, float(i)) for i, e in enumerate(picked)
+        )
+        labeled = scores.with_labels_from(trials)
+        assert [(e.enroll_spk, e.test_utt, e.score, e.label) for e in labeled.entries] == [
+            (e.enroll_spk, e.test_utt, float(i), e.label) for i, e in enumerate(picked)
+        ]
+
+    def test_aligned_scores_take_trial_labels(self):
+        trials = TrialList.from_entries(self._trials())
+        scores = ScoreSet(trials.enroll_spk, trials.test_utt, np.arange(len(trials)))
+        assert np.array_equal(scores.with_labels_from(trials).is_target, trials.is_target)
+
+    def test_rejects_pair_missing_from_shuffled_trial_list(self):
+        trials = TrialList.from_entries(self._trials())
+        # both ids occur in the trial list, but never together
+        scores = ScoreSet(["s1", "s2", "s99"], ["u1", "u3", "u1"], [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match=r"score pair \('s99', 'u1'\) not present"):
+            scores.with_labels_from(trials)
+        trials = TrialList.from_entries(e for e in self._trials() if e.test_utt != "u3")
+        with pytest.raises(ValueError, match=r"score pair \('s2', 'u3'\) not present"):
+            scores.with_labels_from(trials)
+
+
+class TestSaversCheckIds:
+    @pytest.mark.parametrize("bad", ["s 1", "s\t1", ""])
+    def test_trial_and_score_savers_reject_whitespace_ids(self, tmp_path, bad):
+        trials = TrialList(["s0", bad], ["t1", "t2"], [True, False])
+        with pytest.raises(ValueError, match="no whitespace"):
+            save_trials(trials, tmp_path / "trials.txt")
+        scores = ScoreSet(["s0", "s0"], ["t1", bad], [0.5, 1.0])
+        with pytest.raises(ValueError, match="no whitespace"):
+            save_scores(scores, tmp_path / "scores.txt")
+
+    def test_each_distinct_id_is_checked_once(self, tmp_path, monkeypatch):
+        checked = []
+        real = embeddings._check_id
+        monkeypatch.setattr(embeddings, "_check_id",
+                            lambda token, what: checked.append(token) or real(token, what))
+        spk = [f"s{i % 3}" for i in range(30)]
+        utt = [f"u{i % 10}" for i in range(30)]
+        save_trials(TrialList(spk, utt, np.zeros(30, bool)), tmp_path / "trials.txt")
+        assert sorted(checked) == sorted({*spk, *utt})
+        checked.clear()
+        save_scores(ScoreSet(spk, utt, np.zeros(30)), tmp_path / "scores.txt")
+        assert sorted(checked) == sorted({*spk, *utt})
+
+
+class TestTrialAndScoreFileErrors:
+    def test_duplicate_trial_pair_names_line(self, tmp_path):
+        path = tmp_path / "trials.txt"
+        path.write_text("# header\ns1 u1 target\ns2 u1 nontarget\ns1 u1 target\n")
+        with pytest.raises(ValueError, match=r":4: duplicate trial pair \('s1', 'u1'\)"):
+            load_trials(path)
+
+    def test_duplicate_score_pair_names_line(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_text("s1 u1 0.5\n\ns1 u1 0.25\n")
+        with pytest.raises(ValueError, match=r":3: duplicate score pair \('s1', 'u1'\)"):
+            load_scores(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_score_names_line(self, tmp_path, token):
+        path = tmp_path / "scores.txt"
+        path.write_text(f"s1 u1 0.5\ns1 u2 {token}\n")
+        with pytest.raises(ValueError, match=r":2: score for \(s1, u2\) is not finite"):
+            load_scores(path)
+
+    def test_bad_label_names_line(self, tmp_path):
+        path = tmp_path / "trials.txt"
+        path.write_text("s1 u1 target\ns1 u2 maybe\n")
+        with pytest.raises(ValueError, match=":2: bad label 'maybe'"):
+            load_trials(path)
+
+    def test_first_bad_line_is_reported(self, tmp_path):
+        trials = tmp_path / "trials.txt"
+        trials.write_text("s1 u1 target\ns1 u2 maybe\ns1 u3 target\ns1 u4\n")
+        with pytest.raises(ValueError, match=":2: bad label 'maybe'"):
+            load_trials(trials)
+        trials.write_text("s1 u1 target\ns1 u2\ns1 u3 maybe\n")
+        with pytest.raises(ValueError, match=":2: expected 'spk utt label'"):
+            load_trials(trials)
+        scores = tmp_path / "scores.txt"
+        scores.write_text("s1 u1 0.5\ns1 u2 high\ns1 u3 nan\ns1 u4\n")
+        with pytest.raises(ValueError, match=":2: bad score 'high'"):
+            load_scores(scores)
+        scores.write_text("s1 u1 0.5\ns1 u2 inf\ns1 u3 high\ns1 u4\n")
+        with pytest.raises(ValueError, match=r":2: score for \(s1, u2\) is not finite"):
+            load_scores(scores)
+
+    def test_round_trip_keeps_columns(self, tmp_path):
+        trials = TrialList(["s2", "s1", "s1"], ["u9", "u1", "u2"], [False, True, False])
+        save_trials(trials, tmp_path / "trials.txt")
+        assert (tmp_path / "trials.txt").read_text() == (
+            "s2 u9 nontarget\ns1 u1 target\ns1 u2 nontarget\n"
+        )
+        assert load_trials(tmp_path / "trials.txt") == trials
+        scores = ScoreSet(["s2", "s1"], ["u9", "u1"], [-0.0000004, 2.5])
+        save_scores(scores, tmp_path / "scores.txt")
+        assert (tmp_path / "scores.txt").read_text() == "s2 u9 -0.000000\ns1 u1 2.500000\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# header\ns1 u1 target\n\ns2 u1 nontarget\n",
+        "s1  u1\ttarget\r\ns2 u1 nontarget",
+        "  s1 u1 target  \n# s9 u9 target\ns2 u1 nontarget\n\n",
+        "# a b\ns1 u1 target\ns2 u1 nontarget\n",  # three-token comments
+        "s1 u1 target\n# c d\ns2 u1 nontarget\n",
+    ],
+)
+def test_free_form_trial_file_reads_like_canonical(tmp_path, text):
+    canonical = tmp_path / "canonical.txt"
+    canonical.write_text("s1 u1 target\ns2 u1 nontarget\n")
+    free = tmp_path / "free.txt"
+    free.write_bytes(text.encode("utf-8"))
+    assert load_trials(free) == load_trials(canonical)
+    scores = tmp_path / "scores.txt"
+    scores.write_bytes(text.replace("nontarget", "-1.5").replace("target", "2").encode())
+    assert load_scores(scores) == ScoreSet(["s1", "s2"], ["u1", "u1"], [2.0, -1.5])

@@ -35,7 +35,7 @@ class TestRunCondition:
         scores = score_trials(model, enroll, trial, trials)
         genders = enroll.speaker_gender()
         for run in runs:
-            subset = ScoreSet(
+            subset = ScoreSet.from_entries(
                 tuple(e for e in scores.entries if genders[e.enroll_spk] == run.gender)
             )
             direct = compute_metrics(subset)

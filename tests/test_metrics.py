@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonvox import (
+    ScoreEntry,
     ScoreSet,
     compute_cllr,
     compute_eer,
@@ -272,3 +273,35 @@ class TestMetricsReport:
         assert report.cllr == compute_cllr(scores)
         assert report.min_cllr == compute_min_cllr(scores)
         assert report.min_cllr <= report.cllr + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_scores, finite_scores, st.randoms(use_true_random=False))
+def test_compute_metrics_same_from_entries_and_columns(tar, non, rnd):
+    rows = [(f"s{i}", f"u{i}", s, True) for i, s in enumerate(tar)]
+    rows += [(f"s{i}", f"v{i}", s, False) for i, s in enumerate(non)]
+    rnd.shuffle(rows)
+    spk, utt, score, is_target = zip(*rows)
+    from_columns = ScoreSet(spk, utt, score, np.array(is_target))
+    from_entries = ScoreSet.from_entries(
+        ScoreEntry(s, u, v, "target" if t else "nontarget") for s, u, v, t in rows
+    )
+    assert from_entries == from_columns
+    assert compute_metrics(from_entries) == compute_metrics(from_columns)
+
+
+def test_format_det_matches_per_point_formatting():
+    rng = np.random.default_rng(21)
+    tar = np.round(rng.standard_normal(60) + 1.5, 2)  # rounding makes ties
+    non = np.round(rng.standard_normal(90), 2)
+    curve = det_points(ScoreSet.from_arrays(tar, non))
+    lines = ["# threshold p_fa p_miss probit_fa probit_miss"]
+    for i in range(len(curve)):
+        lines.append(
+            f"{curve.thresholds[i]:.9g} {curve.p_fa[i]:.9g} {curve.p_miss[i]:.9g} "
+            f"{curve.probit_fa[i]:.9g} {curve.probit_miss[i]:.9g}"
+        )
+    text = format_det(curve)
+    assert text == "\n".join(lines) + "\n"
+    assert text.splitlines()[1].startswith("-inf 1 0 ")
+    assert text.splitlines()[-1].startswith("inf 0 1 ")

@@ -128,6 +128,23 @@ class TestScoreMatrix:
             y = 3.0 * rng.standard_normal((int(rng.integers(1, 70)), dim))
             assert np.array_equal(score_matrix(model, x, y), score_matrix(model, y, x).T)
 
+    def test_forms_derived_once_per_model(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        model = random_model(rng, 4)
+        a, b = rng.standard_normal(4), rng.standard_normal(4)
+        before = score(model, a, b)
+        forms = model._scoring_forms
+        monkeypatch.setattr(np.linalg, "solve", None)  # deriving the forms again would fail
+        assert score(model, a, b) == before
+        assert plda_distance(model, b, a) == -before
+        assert model._scoring_forms is forms
+
+    def test_model_arrays_are_read_only(self):
+        model = random_model(np.random.default_rng(1), 3)
+        for array in (model.mu, model.between, model.within):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
     def test_shape_mismatch(self):
         model = random_model(np.random.default_rng(0), 3)
         with pytest.raises(ValueError, match="shape"):
@@ -298,7 +315,7 @@ class TestEnrollAndTrials:
             "t",
             tuple(Embedding(f"t{i}", f"s{i % 2}", "F", rng.standard_normal(3)) for i in range(4)),
         )
-        trials = TrialList(
+        trials = TrialList.from_entries(
             (
                 TrialEntry("s0", "t0", "target"),
                 TrialEntry("s0", "t1", "nontarget"),
@@ -321,7 +338,7 @@ class TestEnrollAndTrials:
 
     def test_score_trials_order_invariant(self):
         model, enroll, test, trials = self._setup()
-        reordered = TrialList(tuple(reversed(trials.entries)))
+        reordered = TrialList.from_entries(tuple(reversed(trials.entries)))
         first = {(e.enroll_spk, e.test_utt): e.score
                  for e in score_trials(model, enroll, test, trials).entries}
         second = {(e.enroll_spk, e.test_utt): e.score
@@ -330,7 +347,7 @@ class TestEnrollAndTrials:
 
     def test_score_trials_unknown_id(self):
         model, enroll, test, trials = self._setup()
-        bad = TrialList(trials.entries + (TrialEntry("ghost", "t0", "target"),))
+        bad = TrialList.from_entries(trials.entries + (TrialEntry("ghost", "t0", "target"),))
         with pytest.raises(ValueError, match="ghost"):
             score_trials(model, enroll, test, bad)
 
@@ -368,7 +385,7 @@ class TestEnrollAndTrials:
             for r in test.records
         ]
         order = np.random.default_rng(42).permutation(len(entries))
-        trials = TrialList(tuple(entries[i] for i in order))
+        trials = TrialList.from_entries(tuple(entries[i] for i in order))
         got = score_trials(model, enroll, test, trials, aggregate_embeddings=aggregate)
         groups = enroll.by_speaker()
         test_by_utt = test.by_utt()

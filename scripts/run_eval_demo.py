@@ -31,8 +31,8 @@ def main() -> None:
     parser.add_argument("--dim", type=int, default=32)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--iterations", type=int, default=15, help="EM iterations")
-    parser.add_argument("--n-farthest", type=int, default=200)
-    parser.add_argument("--n-select", type=int, default=100)
+    parser.add_argument("--n-farthest", type=int, help="default: min(200, pool size)")
+    parser.add_argument("--n-select", type=int, help="default: min(100, half of n-farthest)")
     args = parser.parse_args()
 
     start = time.monotonic()
@@ -52,7 +52,9 @@ def main() -> None:
     trials = make_trials(enroll, trial)
     print(f"trials: {trials.n_target} target, {trials.n_nontarget} nontarget")
 
-    cfg = AnonConfig(n_farthest=args.n_farthest, n_select=args.n_select, seed=args.seed)
+    n_farthest = min(200, len(pool)) if args.n_farthest is None else args.n_farthest
+    n_select = min(100, max(1, n_farthest // 2)) if args.n_select is None else args.n_select
+    cfg = AnonConfig(n_farthest=n_farthest, n_select=n_select, seed=args.seed)
     runs = []
     for condition in Condition:
         runs.extend(

@@ -4,7 +4,8 @@ Frames are Hann-windowed, analyzed with autocorrelation LPC, and the all-pole
 spectrum's complex poles get their phases raised to the power ``alpha``
 (magnitudes kept, then clamped inside the unit circle). The residual is
 refiltered through the warped envelope and frames are overlap-added with
-window-sum compensation. alpha = 1 reconstructs the input.
+window-sum compensation. alpha = 1 reconstructs the input. Frames are
+processed in fixed-size blocks, every step vectorized over the block's frames.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 _MAG_CLAMP = 0.998
+_BLOCK = 128  # frames per block: bounds the working arrays, not the result
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class WaveBuffer:
 
 @dataclass(frozen=True)
 class LpcFrame:
-    """Predictor coefficients a1..ap of 1 - sum a_k z^-k plus the residual."""
+    """Predictor coefficients a1..ap of 1 - sum a_k z^-k, shape (..., p), and the residual."""
 
     coeffs: np.ndarray
     excitation: np.ndarray
@@ -74,46 +75,39 @@ class ShiftConfig:
             raise ValueError("lpc_order must satisfy 1 <= lpc_order < frame_len")
 
 
-def _autocorrelation(x: np.ndarray, order: int) -> np.ndarray:
-    full = np.correlate(x, x, mode="full")
-    mid = x.size - 1
-    return full[mid : mid + order + 1]
+def lpc_analyze(frames, order: int) -> LpcFrame:
+    """Autocorrelation-method LPC of every frame (the last axis) of ``frames``.
 
+    The residual is the inverse-filtered frame. Levinson stops early on a
+    frame whose prediction error reaches zero, such as an all-zero frame,
+    which gets zero coefficients and a zero residual.
+    """
+    x = np.asarray(frames, dtype=np.float64)
+    n = x.shape[-1] if x.ndim else 0
+    if order >= n:
+        raise ValueError(f"lpc order {order} must be below frame length {n}")
+    r = np.stack([(x[..., : n - k] * x[..., k:]).sum(-1) for k in range(order + 1)], -1)
+    r[..., 0] *= 1.0 + 1e-9  # white-noise ridge keeps the predictor strictly stable
 
-def _levinson(r: np.ndarray, order: int) -> np.ndarray:
-    """Error-filter coefficients [1, c1..cp] from autocorrelation r[0..p]."""
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    err = r[0]
+    a = np.zeros(r.shape)
+    a[..., 0] = 1.0
+    err = r[..., 0].copy()
     for m in range(1, order + 1):
-        if err <= 0.0:
-            break
-        k = -(r[m] + a[1:m] @ r[m - 1 : 0 : -1]) / err
-        a[1:m] = a[1:m] + k * a[m - 1 : 0 : -1]
-        a[m] = k
+        live = err > 0.0
+        k = -(r[..., m] + (a[..., 1:m] * r[..., m - 1 : 0 : -1]).sum(-1)) / np.where(live, err, 1.0)
+        k = np.where(live, k, 0.0)
+        a[..., 1:m] += k[..., None] * a[..., m - 1 : 0 : -1]
+        a[..., m] = k
         err *= 1.0 - k * k
-    return a
 
-
-def lpc_analyze(frame, order: int) -> LpcFrame:
-    """Autocorrelation-method LPC; residual is the inverse-filtered frame."""
-    x = np.asarray(frame, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("frame must be 1-D")
-    if order >= x.size:
-        raise ValueError(f"lpc order {order} must be below frame length {x.size}")
-    r = _autocorrelation(x, order)
-    if r[0] <= 0.0:
-        return LpcFrame(np.zeros(order), np.zeros(x.size))
-    r = r.copy()
-    r[0] *= 1.0 + 1e-9  # white-noise ridge keeps the predictor strictly stable
-    error_filter = _levinson(r, order)
-    residual = lfilter(error_filter, [1.0], x)
-    return LpcFrame(-error_filter[1:], residual)
+    residual = x * a[..., :1]
+    for k in range(1, order + 1):
+        residual[..., k:] += a[..., k : k + 1] * x[..., : n - k]
+    return LpcFrame(-a[..., 1:], residual)
 
 
 def warp_poles(poles, alpha: float) -> np.ndarray:
-    """Raise each complex pole's phase to the power alpha.
+    """Raise each complex pole's phase to the power alpha, for any array shape.
 
     Real poles keep their phase; magnitudes are preserved and then clamped
     below the unit circle. Conjugate symmetry is preserved because the map
@@ -122,62 +116,64 @@ def warp_poles(poles, alpha: float) -> np.ndarray:
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
     poles = np.asarray(poles, dtype=np.complex128)
-    out = np.empty_like(poles)
-    for i, pole in enumerate(poles):
-        mag = min(abs(pole), _MAG_CLAMP)
-        if alpha == 1.0 or abs(pole.imag) <= 1e-12 * max(1.0, abs(pole.real)):
-            phase = np.angle(pole)
-        else:
-            phi = np.angle(pole)
-            phase = np.sign(phi) * np.abs(phi) ** alpha
-        out[i] = mag * np.exp(1j * phase)
-    return out
+    phase = np.angle(poles)
+    if alpha != 1.0:
+        real = np.abs(poles.imag) <= 1e-12 * np.maximum(1.0, np.abs(poles.real))
+        phase = np.where(real, phase, np.sign(phase) * np.abs(phase) ** alpha)
+    return np.minimum(np.abs(poles), _MAG_CLAMP) * np.exp(1j * phase)
 
 
-def _rebuild_error_filter(warped: np.ndarray, order: int) -> np.ndarray:
-    poly = np.atleast_1d(np.poly(warped)).real
-    if poly.size < order + 1:
-        poly = np.pad(poly, (0, order + 1 - poly.size))
-    return poly
+def _overlap_add(out: np.ndarray, start: int, frames: np.ndarray, hop: int) -> None:
+    """Add the rows of ``frames`` into ``out``, ``hop`` samples apart, the first at ``start``."""
+    count, flen = frames.shape
+    chunks = -(-flen // hop)
+    split = np.pad(frames, ((0, 0), (0, chunks * hop - flen))).reshape(count, chunks, hop)
+    for j in range(chunks):
+        out[start + j * hop : start + (j + count) * hop] += split[:, j].ravel()
 
 
 def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
-    """Shift formants frame-by-frame; output matches input length and rate."""
-    if wav.sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
-    x = wav.samples
-    n = x.size
-    flen, hop = cfg.frame_len, cfg.hop
+    """Shift formants block by block; output matches input length and rate."""
+    n, p, flen, hop = len(wav), cfg.lpc_order, cfg.frame_len, cfg.hop
 
-    # pad both ends so every original sample gets full window coverage
+    # pad the front so every original sample gets full window coverage; a
+    # frame starting past the signal would add nothing, so none is made
     pad = flen
-    xp = np.concatenate([np.zeros(pad), x, np.zeros(2 * pad)])
+    n_frames = -(-(pad + n) // hop)
+    xp = np.zeros((n_frames - 1) * hop + flen)
+    xp[pad : pad + n] = wav.samples
+    frames = np.lib.stride_tricks.sliding_window_view(xp, flen)[::hop]
     window = np.hanning(flen)
 
-    acc = np.zeros(xp.size + flen)
-    wsum = np.zeros(xp.size + flen)
-    for start in range(0, xp.size, hop):
-        seg = xp[start : start + flen]
-        if seg.size < flen:
-            seg = np.pad(seg, (0, flen - seg.size))
-        windowed = seg * window
-        analysis = lpc_analyze(windowed, cfg.lpc_order)
-        error_filter = np.concatenate([[1.0], -analysis.coeffs])
-        poles = np.roots(error_filter)
-        warped = warp_poles(poles, cfg.alpha)
-        synth_filter = _rebuild_error_filter(warped, cfg.lpc_order)
-        frame_out = lfilter([1.0], synth_filter, analysis.excitation)
-        # match per-frame energy: warping redistributes all-pole gain
-        energy_in = float(windowed @ windowed)
-        energy_out = float(frame_out @ frame_out)
-        if energy_in > 0.0 and energy_out > 0.0:
-            frame_out = frame_out * np.sqrt(energy_in / energy_out)
-        acc[start : start + flen] += frame_out
-        wsum[start : start + flen] += window
+    acc, wsum = np.zeros(xp.size + flen), np.zeros(xp.size + flen)
+    for first in range(0, n_frames, _BLOCK):
+        windowed = frames[first : first + _BLOCK] * window
+        count = len(windowed)
+        analysis = lpc_analyze(windowed, p)
+        companion = np.repeat(np.eye(p, k=-1)[None], count, axis=0)
+        companion[:, 0] = analysis.coeffs
+        warped = warp_poles(np.linalg.eigvals(companion), cfg.alpha)
+        poly = np.zeros((count, p + 1), dtype=np.complex128)
+        poly[:, 0] = 1.0
+        for j in range(p):
+            poly[:, 1 : j + 2] -= warped[:, j : j + 1] * poly[:, : j + 1]
 
-    span = slice(pad, pad + n)
-    denom = wsum[span]
-    out = np.where(denom > 1e-6, acc[span] / np.maximum(denom, 1e-6), 0.0)
+        # all-pole synthesis through 1 / poly, one sample of every frame per step
+        taps = poly.real[:, :0:-1]
+        y = np.zeros((count, p + flen))
+        for i in range(flen):
+            y[:, p + i] = analysis.excitation[:, i] - np.einsum("ij,ij->i", y[:, i : i + p], taps)
+        y = y[:, p:]
+
+        # match per-frame energy: warping redistributes all-pole gain
+        energy_in, energy_out = (windowed**2).sum(1), (y**2).sum(1)
+        live = (energy_in > 0.0) & (energy_out > 0.0)
+        gain = np.sqrt(np.divide(energy_in, energy_out, out=np.ones(count), where=live))
+        _overlap_add(acc, first * hop, y * gain[:, None], hop)
+        _overlap_add(wsum, first * hop, np.broadcast_to(window, y.shape), hop)
+
+    denom = wsum[pad : pad + n]
+    out = np.where(denom > 1e-6, acc[pad : pad + n] / np.maximum(denom, 1e-6), 0.0)
     return WaveBuffer(np.clip(out, -1.0, 1.0), wav.sample_rate)
 
 

@@ -10,6 +10,7 @@ pseudo-speakers differ.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,7 +107,13 @@ def run_condition(
     runs = []
     for gender in ("F", "M"):
         subset = scores.select(genders == gender)
-        if subset.is_target.all() or not subset.is_target.any():
+        n_target = int(subset.is_target.sum())
+        if n_target == 0 or n_target == len(subset):
+            print(
+                f"note: {condition.value}: skipped gender {gender}: {n_target} target and "
+                f"{len(subset) - n_target} nontarget trials",
+                file=sys.stderr,
+            )
             continue
         provenance = {
             "dataset": dataset,

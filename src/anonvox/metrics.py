@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .embeddings import ScoreSet
 
@@ -209,6 +208,8 @@ def compute_metrics(scores: ScoreSet) -> MetricsReport:
 
 def det_points(scores: ScoreSet) -> DetCurve:
     """DET operating points at every distinct score plus ±inf sentinels."""
+    from scipy.special import ndtri  # imported here so only `det` pays for scipy
+
     tar, non = _split_scores(scores)
     thresholds = np.concatenate(
         [[-np.inf], np.unique(np.concatenate([tar, non])), [np.inf]]

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import anonvox
 from anonvox import anonymize, cli
 from anonvox.anonymize import AnonConfig
 from anonvox.cli import main
@@ -47,6 +53,15 @@ def trained(synth_dir, tmp_path_factory):
         "--out", str(trials),
     ) == 0
     return model, trials
+
+
+def test_cli_import_loads_no_scipy():
+    """Only `det` needs scipy; importing the CLI must not pay for it."""
+    code = "import anonvox.cli, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=str(Path(anonvox.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 class TestExitCodes:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from anonvox import ShiftConfig, WaveBuffer, anonymize_wav, lpc_analyze, warp_poles
+from anonvox import ShiftConfig, WaveBuffer, anonymize_wav, formant, lpc_analyze, warp_poles
 from anonvox.formant import read_wav, write_wav
 
-from conftest import dominant_peak_hz
+from conftest import dominant_peak_hz, synth_vowel
 
 WARPED_PI_THIRD = 1.037583111874431  # (pi/3) ** 0.8
 
@@ -139,6 +139,145 @@ class TestAnonymizeWav:
     def test_wave_buffer_validates_range(self):
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             WaveBuffer(np.array([2.0]), 16000)
+
+
+# ---------------------------------------------------------------------------
+# Per-frame reference: the shifter as one frame at a time, with np.roots,
+# a per-pole warp, np.poly and scipy's lfilter
+# ---------------------------------------------------------------------------
+
+
+def _reference_lpc(x, order):
+    full = np.correlate(x, x, mode="full")
+    r = full[x.size - 1 : x.size + order].copy()
+    if r[0] <= 0.0:
+        return np.zeros(order), np.zeros(x.size)
+    r[0] *= 1.0 + 1e-9
+    a = np.zeros(order + 1)
+    a[0] = 1.0
+    err = r[0]
+    for m in range(1, order + 1):
+        if err <= 0.0:
+            break
+        k = -(r[m] + a[1:m] @ r[m - 1 : 0 : -1]) / err
+        a[1:m] = a[1:m] + k * a[m - 1 : 0 : -1]
+        a[m] = k
+        err *= 1.0 - k * k
+    return -a[1:], lfilter(a, [1.0], x)
+
+
+def _reference_warp(poles, alpha):
+    out = np.empty(len(poles), dtype=np.complex128)
+    for i, pole in enumerate(np.asarray(poles, dtype=np.complex128)):
+        phase = np.angle(pole)
+        if alpha != 1.0 and abs(pole.imag) > 1e-12 * max(1.0, abs(pole.real)):
+            phase = np.sign(phase) * np.abs(phase) ** alpha
+        out[i] = min(abs(pole), 0.998) * np.exp(1j * phase)
+    return out
+
+
+def _reference_anonymize_wav(wav, cfg):
+    x, n, flen, hop = wav.samples, len(wav), cfg.frame_len, cfg.hop
+    xp = np.concatenate([np.zeros(flen), x, np.zeros(2 * flen)])
+    window = np.hanning(flen)
+    acc = np.zeros(xp.size + flen)
+    wsum = np.zeros(xp.size + flen)
+    for start in range(0, xp.size, hop):
+        seg = xp[start : start + flen]
+        windowed = np.pad(seg, (0, flen - seg.size)) * window
+        coeffs, excitation = _reference_lpc(windowed, cfg.lpc_order)
+        poles = np.roots(np.concatenate([[1.0], -coeffs]))
+        synth_filter = np.atleast_1d(np.poly(_reference_warp(poles, cfg.alpha))).real
+        synth_filter = np.pad(synth_filter, (0, cfg.lpc_order + 1 - synth_filter.size))
+        frame_out = lfilter([1.0], synth_filter, excitation)
+        energy_in = float(windowed @ windowed)
+        energy_out = float(frame_out @ frame_out)
+        if energy_in > 0.0 and energy_out > 0.0:
+            frame_out = frame_out * np.sqrt(energy_in / energy_out)
+        acc[start : start + flen] += frame_out
+        wsum[start : start + flen] += window
+    denom = wsum[flen : flen + n]
+    out = np.where(denom > 1e-6, acc[flen : flen + n] / np.maximum(denom, 1e-6), 0.0)
+    return WaveBuffer(np.clip(out, -1.0, 1.0), wav.sample_rate)
+
+
+def _samples_for_frames(n_frames, cfg):
+    """Input length n for which anonymize_wav makes n_frames = ceil((frame_len + n) / hop)."""
+    return n_frames * cfg.hop - cfg.frame_len
+
+
+def _with_zero_run(wav, start, stop):
+    samples = wav.samples.copy()
+    samples[start:stop] = 0.0
+    return WaveBuffer(samples, wav.sample_rate)
+
+
+REFERENCE_CASES = {
+    "alpha-0.7": (synth_vowel(0.3), ShiftConfig(alpha=0.7)),
+    "alpha-1.0": (synth_vowel(0.3), ShiftConfig(alpha=1.0)),
+    "alpha-1.3": (synth_vowel(0.3), ShiftConfig(alpha=1.3)),
+    "order-1": (synth_vowel(0.2), ShiftConfig(lpc_order=1)),
+    "order-8": (synth_vowel(0.2), ShiftConfig(lpc_order=8)),
+    "order-20": (synth_vowel(0.2), ShiftConfig(lpc_order=20)),
+    "hop-equals-frame": (synth_vowel(0.2), ShiftConfig(hop=400, frame_len=400)),
+    "shorter-than-frame": (synth_vowel(250 / 16000), ShiftConfig()),
+    # 2000 zeros hold dead frames between live ones
+    "interior-zeros": (_with_zero_run(synth_vowel(0.5), 3000, 5000), ShiftConfig()),
+    "length-not-hop-multiple": (synth_vowel(3237 / 16000), ShiftConfig(hop=100)),
+    **{
+        f"block{d:+d}-frames": (
+            synth_vowel(_samples_for_frames(formant._BLOCK + d, ShiftConfig()) / 16000),
+            ShiftConfig(),
+        )
+        for d in (-1, 0, 1)
+    },
+}
+
+
+class TestAgainstPerFrameReference:
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_matches_reference(self, case, tmp_path):
+        wav, cfg = REFERENCE_CASES[case]
+        out = anonymize_wav(wav, cfg)
+        expected = _reference_anonymize_wav(wav, cfg)
+        assert np.max(np.abs(out.samples - expected.samples)) <= 1e-6
+        write_wav(out, tmp_path / "out.wav")
+        write_wav(expected, tmp_path / "expected.wav")
+        pcm_out = np.rint(read_wav(tmp_path / "out.wav").samples * 32768.0)
+        pcm_expected = np.rint(read_wav(tmp_path / "expected.wav").samples * 32768.0)
+        assert np.max(np.abs(pcm_out - pcm_expected)) <= 1.0
+
+    def test_dead_frames_stay_exactly_zero(self):
+        wav, cfg = REFERENCE_CASES["interior-zeros"]
+        out = anonymize_wav(wav, cfg)
+        # samples no live frame's window reaches
+        assert np.all(out.samples[3000 + cfg.frame_len : 5000 - cfg.frame_len] == 0.0)
+
+    def test_batched_lpc_equals_per_row(self):
+        rng = np.random.default_rng(21)
+        frames = rng.standard_normal((2, 3, 120)) * np.hanning(120)
+        frames[1, 2] = 0.0
+        batched = lpc_analyze(frames, 10)
+        assert batched.coeffs.shape == (2, 3, 10)
+        assert batched.excitation.shape == (2, 3, 120)
+        for idx in np.ndindex(2, 3):
+            row = lpc_analyze(frames[idx], 10)
+            np.testing.assert_array_equal(batched.coeffs[idx], row.coeffs)
+            np.testing.assert_array_equal(batched.excitation[idx], row.excitation)
+            coeffs, excitation = _reference_lpc(frames[idx], 10)
+            np.testing.assert_allclose(row.coeffs, coeffs, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(row.excitation, excitation, rtol=0, atol=1e-12)
+        assert np.all(batched.coeffs[1, 2] == 0.0) and np.all(batched.excitation[1, 2] == 0.0)
+
+    def test_warp_poles_any_shape(self):
+        rng = np.random.default_rng(8)
+        poles = rng.uniform(0.1, 1.05, (4, 6)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (4, 6)))
+        poles[0, :2] = [0.5, -0.7]
+        for alpha in (0.7, 1.0, 1.3):
+            warped = warp_poles(poles, alpha)
+            assert warped.shape == poles.shape
+            for row, ref_row in zip(warped, poles):
+                np.testing.assert_allclose(row, _reference_warp(ref_row, alpha), rtol=0, atol=1e-15)
 
 
 class TestWavIo:

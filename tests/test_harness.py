@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from anonvox import (
     AnonConfig,
     Condition,
     ScoreSet,
+    TrialList,
     compute_eer,
     compute_metrics,
     default_spec,
@@ -103,6 +105,24 @@ class TestRunCondition:
         run = run_condition(Condition.oa, enroll, trial, pool, model, cfg, trials)[0]
         for key in ("seed", "n_farthest", "n_select", "assignment", "condition", "dataset"):
             assert key in run.provenance
+
+    def test_skipped_gender_named_on_stderr(self, pipeline, capsys):
+        model, pool, enroll, trial, trials, cfg = pipeline
+        run_condition(Condition.oa, enroll, trial, pool, model, cfg, trials)
+        assert capsys.readouterr() == ("", "")
+
+        genders = enroll.speaker_gender()
+        male = np.array([genders[s] == "M" for s in trials.enroll_spk.tolist()])
+        keep = ~male | trials.is_target
+        male_targets_only = TrialList(
+            trials.enroll_spk[keep], trials.test_utt[keep], trials.is_target[keep]
+        )
+        runs = run_condition(Condition.oa, enroll, trial, pool, model, cfg, male_targets_only)
+        assert [r.gender for r in runs] == ["F"]
+        out, err = capsys.readouterr()
+        n_male = int((male & trials.is_target).sum())
+        assert out == ""
+        assert err == f"note: oa: skipped gender M: {n_male} target and 0 nontarget trials\n"
 
     def test_reproducible_runs(self, pipeline):
         model, pool, enroll, trial, trials, cfg = pipeline

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import Corpus, Embedding
+from .embeddings import Corpus, Embedding, index_in
 from .plda import PldaModel, score_matrix
 
 ASSIGNMENTS = ("per_speaker", "per_utterance")
@@ -52,7 +52,7 @@ def derive_stream(seed: int, subset_tag: str, key: str) -> np.random.Generator:
 def _id_ranks(utt_ids) -> np.ndarray:
     """Position of each id in ascending id order (equal ids keep input order)."""
     ranks = np.empty(len(utt_ids), dtype=np.intp)
-    ranks[sorted(range(len(utt_ids)), key=utt_ids.__getitem__)] = np.arange(len(utt_ids))
+    ranks[np.argsort(np.asarray(utt_ids, dtype=np.str_), kind="stable")] = np.arange(len(utt_ids))
     return ranks
 
 
@@ -63,21 +63,20 @@ def tie_break_ranking(distances, utt_ids) -> list[int]:
         raise ValueError("distances must be finite")
     if len(utt_ids) != d.size:
         raise ValueError("distances and utt_ids must have equal length")
-    return np.lexsort((_id_ranks(list(utt_ids)), -d)).tolist()
+    return np.lexsort((_id_ranks(utt_ids), -d)).tolist()
 
 
 def _pool_view(pool: Corpus, cfg: AnonConfig, gender: str):
     """Pool matrix one source gender ranks against, and its utt_id ranks."""
-    records = pool.records
-    if cfg.same_gender_pool:
-        records = tuple(r for r in records if r.gender == gender)
-    if not records:
+    rows = np.flatnonzero(pool.gender == gender) if cfg.same_gender_pool else slice(None)
+    utt_ids = pool.utt_id[rows]
+    if not len(utt_ids):
         raise ValueError("anonymization pool is empty")
-    if cfg.n_farthest > len(records):
+    if cfg.n_farthest > len(utt_ids):
         raise ValueError(
-            f"n_farthest ({cfg.n_farthest}) exceeds pool size ({len(records)})"
+            f"n_farthest ({cfg.n_farthest}) exceeds pool size ({len(utt_ids)})"
         )
-    return np.stack([r.vector for r in records]), _id_ranks([r.utt_id for r in records])
+    return pool.matrix()[rows], _id_ranks(utt_ids)
 
 
 def _ranked_rows(sources: np.ndarray, matrix: np.ndarray, id_rank: np.ndarray,
@@ -137,29 +136,25 @@ def anonymize_corpus(
     if corpus.dim != model.dim:
         raise ValueError("corpus dimension does not match model")
 
-    per_speaker = cfg.assignment == "per_speaker"
-    if per_speaker:
-        groups = corpus.by_speaker()
-        keys = list(groups)
-        genders = [recs[0].gender for recs in groups.values()]
-        sources = np.stack([np.mean([r.vector for r in recs], axis=0) for recs in groups.values()])
+    matrix = corpus.matrix()
+    if cfg.assignment == "per_speaker":
+        speakers, groups = corpus.speaker_rows()
+        keys = speakers.tolist()
+        genders = corpus.gender[[rows[0] for rows in groups]]
+        sources = np.stack([matrix[rows].mean(axis=0) for rows in groups])
+        source_of_row = index_in(corpus.spk_id, speakers)
     else:
-        keys = [r.utt_id for r in corpus.records]
-        genders = [r.gender for r in corpus.records]
-        sources = corpus.matrix()
+        keys = corpus.utt_id.tolist()
+        genders = corpus.gender
+        sources = matrix
+        source_of_row = np.arange(len(corpus))
 
-    by_view: dict[str, list[int]] = {}
-    for i, gender in enumerate(genders):
-        by_view.setdefault(gender if cfg.same_gender_pool else "", []).append(i)
-    pseudo: dict[str, np.ndarray] = {}
-    for gender, idx in by_view.items():
+    view_of = genders if cfg.same_gender_pool else np.full(len(keys), "")
+    pseudo = np.empty_like(sources)
+    for gender in dict.fromkeys(view_of.tolist()):
+        idx = np.flatnonzero(view_of == gender)
         streams = [derive_stream(cfg.seed, cfg.subset_tag, keys[i]) for i in idx]
-        vectors = _pseudo_vectors(sources[idx], _pool_view(pool, cfg, gender), model, cfg,
-                                  streams)
-        pseudo.update(zip((keys[i] for i in idx), vectors))
-
-    out = tuple(
-        Embedding(r.utt_id, r.spk_id, r.gender, pseudo[r.spk_id if per_speaker else r.utt_id])
-        for r in corpus.records
-    )
-    return Corpus(name=corpus.name, records=out, subset=corpus.subset)
+        pseudo[idx] = _pseudo_vectors(sources[idx], _pool_view(pool, cfg, gender), model, cfg,
+                                      streams)
+    return Corpus(corpus.name, corpus.utt_id, corpus.spk_id, corpus.gender,
+                  pseudo[source_of_row], corpus.subset)

@@ -13,6 +13,8 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .anonymize import AnonConfig, anonymize_corpus
 from .embeddings import (
@@ -330,6 +332,11 @@ def _cmd_eval(opts: dict) -> int:
     enroll = load_embeddings(opts["enroll"], opts["format"])
     trial = load_embeddings(opts["trial"], opts["format"])
     pool = load_embeddings(opts["pool"], opts["format"])
+    # pseudo-speakers drawn from evaluation speakers would leak their identity
+    shared = np.intersect1d(pool.spk_id, np.union1d(enroll.spk_id, trial.spk_id)).tolist()
+    if shared:
+        raise ValueError(f"{len(shared)} pool speaker(s) also in enrollment or trial data: "
+                         + " ".join(shared[:5]) + (" ..." if len(shared) > 5 else ""))
     model = load_model(opts["model"])
     trials = load_trials(opts["trials"])
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +28,7 @@ SUBSETS = ("enrollment", "trial", "pool", "training")
 LABELS = ("target", "nontarget")
 
 _BINARY_MAGIC = b"XVC1"
-
-
-def _frozen_vector(values) -> np.ndarray:
-    vec = np.array(values, dtype=np.float64, copy=True)
-    vec.flags.writeable = False
-    return vec
+_GENDER_BYTE = {"F": b"\x00", "M": b"\x01"}
 
 
 @dataclass(frozen=True)
@@ -53,73 +48,116 @@ class Embedding:
         vec = np.asarray(self.vector, dtype=np.float64)
         if vec.ndim != 1 or vec.size == 0:
             raise ValueError(f"embedding {self.utt_id!r}: vector must be non-empty and 1-D")
-        if not np.all(np.isfinite(vec)):
+        if not np.isfinite(vec).all():
             raise ValueError(f"embedding {self.utt_id!r}: non-finite coordinate")
-        object.__setattr__(self, "vector", _frozen_vector(vec))
+        object.__setattr__(self, "vector", _read_only(vec))
 
     @property
     def dim(self) -> int:
         return int(self.vector.shape[0])
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """An immutable collection of embeddings sharing one dimension.
+def _check_rows(utt, spk, gender, matrix) -> None:
+    """Raise what ``Embedding`` raises for the first row it would reject."""
+    bad = (utt == "") | (spk == "") | ~np.isin(gender, GENDERS)
+    bad |= ~np.isfinite(matrix).all(axis=1) if matrix.shape[1] else True
+    if bad.any():
+        i = int(np.argmax(bad))
+        Embedding(str(utt[i]), str(spk[i]), str(gender[i]), matrix[i])
 
-    ``subset`` tags what the corpus is used for; the loaders leave it unset.
-    Empty corpora are representable (splits may produce them) but the file
-    loaders and all consumers that need data reject them.
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """An immutable corpus as columns, one row per utterance.
+
+    ``utt_id``, ``spk_id`` and ``gender`` are string arrays beside an (N, D)
+    float64 matrix, given as ``vectors`` and returned by ``matrix()``; all
+    are read-only. ``subset`` tags what the corpus is used for; the loaders
+    leave it unset. Empty corpora are representable (splits may produce
+    them) but the file loaders and all consumers that need data reject them.
     """
 
     name: str
-    records: tuple[Embedding, ...]
+    utt_id: np.ndarray
+    spk_id: np.ndarray
+    gender: np.ndarray
+    vectors: InitVar[np.ndarray]
     subset: str | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
+    def __post_init__(self, vectors):
         if self.subset is not None and self.subset not in SUBSETS:
             raise ValueError(f"subset must be one of {SUBSETS}, got {self.subset!r}")
-        dims = {r.dim for r in self.records}
+        utt = _column(self.utt_id, np.str_, "utt_id")
+        spk = _column(self.spk_id, np.str_, "spk_id")
+        gender = _column(self.gender, np.str_, "gender")
+        matrix = np.asarray(vectors, dtype=np.float64)
+        if matrix.ndim != 2:
+            raise ValueError(f"corpus {self.name!r}: vectors must be an (N, D) matrix")
+        _check_lengths(utt, spk, gender, matrix)
+        _check_rows(utt, spk, gender, matrix)
+        # the first row repeating an utt_id or contradicting its speaker's first gender
+        dup = _first_repeat(utt)
+        _, first, spk_code = np.unique(spk, return_index=True, return_inverse=True)
+        conflict = np.flatnonzero(gender != gender[first][spk_code])
+        if dup >= 0 and not (conflict.size and conflict[0] < dup):
+            raise ValueError(f"corpus {self.name!r}: duplicate utt_id {str(utt[dup])!r}")
+        if conflict.size:
+            raise ValueError(
+                f"corpus {self.name!r}: speaker {str(spk[conflict[0]])!r} has conflicting genders"
+            )
+        object.__setattr__(self, "utt_id", utt)
+        object.__setattr__(self, "spk_id", spk)
+        object.__setattr__(self, "gender", gender)
+        object.__setattr__(self, "_matrix", _read_only(matrix))
+
+    @classmethod
+    def from_records(cls, name: str, records, subset: str | None = None) -> "Corpus":
+        """Build from ``Embedding`` rows, which must share one dimension."""
+        records = tuple(records)
+        dims = sorted({r.dim for r in records})
         if len(dims) > 1:
-            raise ValueError(f"corpus {self.name!r}: inconsistent dimensions {sorted(dims)}")
-        seen: dict[str, str] = {}
-        spk_gender: dict[str, str] = {}
-        for rec in self.records:
-            if rec.utt_id in seen:
-                raise ValueError(f"corpus {self.name!r}: duplicate utt_id {rec.utt_id!r}")
-            seen[rec.utt_id] = rec.spk_id
-            prev = spk_gender.setdefault(rec.spk_id, rec.gender)
-            if prev != rec.gender:
-                raise ValueError(
-                    f"corpus {self.name!r}: speaker {rec.spk_id!r} has conflicting genders"
-                )
+            raise ValueError(f"corpus {name!r}: inconsistent dimensions {dims}")
+        matrix = np.stack([r.vector for r in records]) if records else np.empty((0, 0))
+        return cls(name, [r.utt_id for r in records], [r.spk_id for r in records],
+                   [r.gender for r in records], matrix, subset)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.utt_id)
+
+    @property
+    def records(self) -> tuple[Embedding, ...]:
+        """Per-utterance rows, derived from the columns on each access."""
+        return tuple(map(Embedding, self.utt_id.tolist(), self.spk_id.tolist(),
+                         self.gender.tolist(), self._matrix))
 
     @property
     def dim(self) -> int:
-        if not self.records:
+        if not len(self):
             raise ValueError(f"corpus {self.name!r} is empty, dimension undefined")
-        return self.records[0].dim
+        return int(self._matrix.shape[1])
 
     def matrix(self) -> np.ndarray:
-        """All vectors stacked as an (N, D) float64 array."""
-        if not self.records:
+        """All vectors as one read-only (N, D) float64 array."""
+        if not len(self):
             raise ValueError(f"corpus {self.name!r} is empty")
-        return np.stack([r.vector for r in self.records])
+        return self._matrix
 
-    def by_speaker(self) -> dict[str, list[Embedding]]:
-        groups: dict[str, list[Embedding]] = {}
-        for rec in self.records:
-            groups.setdefault(rec.spk_id, []).append(rec)
-        return groups
+    def speaker_rows(self, sort: bool = False) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Distinct speaker ids and, for each, its row indices in corpus order.
 
-    def by_utt(self) -> dict[str, Embedding]:
-        return {r.utt_id: r for r in self.records}
+        Speakers come in first-appearance order, or in id order with ``sort``.
+        """
+        speakers, first, code = np.unique(self.spk_id, return_index=True, return_inverse=True)
+        order = np.argsort(code, kind="stable")
+        ends = np.cumsum(np.bincount(code)).tolist()
+        rows = [order[start:end] for start, end in zip([0] + ends, ends)]
+        if sort:
+            return speakers, rows
+        appearance = np.argsort(first)
+        return speakers[appearance], [rows[i] for i in appearance]
 
     def speaker_gender(self) -> dict[str, str]:
-        return {r.spk_id: r.gender for r in self.records}
+        return dict(zip(self.spk_id.tolist(), self.gender.tolist()))
 
 
 @dataclass(frozen=True)
@@ -153,15 +191,20 @@ class ScoreEntry:
             raise ValueError(f"score label must be one of {LABELS}, got {self.label!r}")
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` itself if it is read-only, else a read-only copy."""
+    if array.flags.writeable:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
+
+
 def _column(values, dtype, what: str) -> np.ndarray:
     """A read-only 1-D column; arrays that are already read-only are shared."""
     col = np.asarray(values, dtype=dtype)
     if col.ndim != 1:
         raise ValueError(f"{what} must be a 1-D column")
-    if col.flags.writeable:
-        col = col.copy()
-        col.flags.writeable = False
-    return col
+    return _read_only(col)
 
 
 def _label_column(values) -> np.ndarray:
@@ -377,18 +420,19 @@ def load_embeddings(path, format: str = "text") -> Corpus:
     """Load a corpus from a text or binary embedding file."""
     path = Path(path)
     if format == "text":
-        records = _load_text(path)
+        columns = _load_text(path)
     elif format == "binary":
-        records = _load_binary(path)
+        columns = _load_binary(path)
     else:
         raise ValueError(f"unknown embedding format {format!r}")
-    if not records:
+    if not len(columns[0]):
         raise ValueError(f"{path}: empty corpus")
-    return Corpus(name=path.stem, records=tuple(records))
+    return Corpus(path.stem, *columns)
 
 
-def _load_text(path: Path) -> list[Embedding]:
-    records = []
+def _load_text(path: Path):
+    """The utt, spk and gender columns and the vector matrix of a text file."""
+    utts, spks, genders, vectors = [], [], [], []
     dim = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -414,44 +458,64 @@ def _load_text(path: Path) -> list[Embedding]:
                     f"{path}:{lineno}: dimension mismatch, expected {dim} coordinates, "
                     f"got {len(vector)}"
                 )
-            try:
-                records.append(Embedding(utt_id, spk_id, gender, vector))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return records
+            if not all(map(math.isfinite, vector)):
+                raise ValueError(f"{path}:{lineno}: embedding {utt_id!r}: non-finite coordinate")
+            utts.append(utt_id)
+            spks.append(spk_id)
+            genders.append(gender)
+            vectors.append(vector)
+    return _string_columns(utts, spks, genders) + (
+        np.array(vectors, dtype=np.float64).reshape(len(utts), dim or 0),
+    )
 
 
-def _load_binary(path: Path) -> list[Embedding]:
+def _load_binary(path: Path):
+    """The columns of a binary file: ids walked record by record, vectors joined at once."""
     blob = Path(path).read_bytes()
     if len(blob) < 12 or blob[:4] != _BINARY_MAGIC:
         raise ValueError(f"{path}: not a binary embedding file (bad magic)")
     dim, count = struct.unpack_from("<II", blob, 4)
-    offset = 12
-    records = []
+    u16, u8 = struct.Struct("<H").unpack_from, struct.Struct("<B").unpack_from
+    width, offset, view = 8 * dim, 12, memoryview(blob)
+    utts, spks, genders, starts = [], [], [], []
+    error = None
     try:
         for i in range(count):
-            (id_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            utt_id = blob[offset : offset + id_len].decode("utf-8")
-            offset += id_len
-            (spk_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            spk_id = blob[offset : offset + spk_len].decode("utf-8")
-            offset += spk_len
-            (gender_code,) = struct.unpack_from("<B", blob, offset)
+            (id_len,) = u16(blob, offset)
+            start, offset = offset + 2, offset + 2 + id_len
+            utt_id = blob[start:offset].decode("utf-8")
+            (spk_len,) = u16(blob, offset)
+            start, offset = offset + 2, offset + 2 + spk_len
+            spk_id = blob[start:offset].decode("utf-8")
+            (gender_code,) = u8(blob, offset)
             offset += 1
             if gender_code not in (0, 1):
                 raise ValueError(f"record {i}: bad gender byte {gender_code}")
-            vector = np.frombuffer(blob, dtype="<f8", count=dim, offset=offset)
-            if vector.size != dim:
+            if offset + width > len(blob):
                 raise ValueError(f"record {i}: truncated vector")
-            offset += 8 * dim
-            records.append(Embedding(utt_id, spk_id, GENDERS[gender_code], vector))
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: truncated or corrupt record {len(records)}: {exc}") from None
+            utts.append(utt_id)
+            spks.append(spk_id)
+            genders.append(GENDERS[gender_code])
+            starts.append(offset)
+            offset += width
+    except (ValueError, struct.error) as exc:
+        error = exc
+    vectors = b"".join([view[i : i + width] for i in starts])
+    columns = _string_columns(utts, spks, genders) + (
+        np.frombuffer(vectors, dtype="<f8").reshape(len(utts), dim),
+    )
+    _check_rows(*columns)  # an earlier record's fault is reported first
+    if isinstance(error, (struct.error, UnicodeDecodeError)):
+        raise ValueError(f"{path}: truncated or corrupt record {len(utts)}: {error}") from None
+    if error is not None:
+        raise error
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after {count} records")
-    return records
+    return columns
+
+
+def _string_columns(*lists) -> tuple[np.ndarray, ...]:
+    return tuple(np.array(values, dtype=np.str_) for values in lists)
 
 
 def save_embeddings(corpus: Corpus, path, format: str = "text") -> None:
@@ -459,27 +523,26 @@ def save_embeddings(corpus: Corpus, path, format: str = "text") -> None:
     if len(corpus) == 0:
         raise ValueError("cannot save an empty corpus")
     path = Path(path)
+    rows = zip(corpus.utt_id.tolist(), corpus.spk_id.tolist(), corpus.gender.tolist())
     if format == "text":
-        lines = []
-        for rec in corpus.records:
-            _check_id(rec.utt_id, "utt_id")
-            _check_id(rec.spk_id, "spk_id")
-            coords = " ".join(_format_coord(v) for v in rec.vector)
-            lines.append(f"{rec.utt_id} {rec.spk_id} {rec.gender} {coords}\n")
+        _check_ids(corpus.utt_id, "utt_id")
+        _check_ids(corpus.spk_id, "spk_id")
+        lines = [
+            f"{utt} {spk} {gender} {' '.join(map(_format_coord, vec))}\n"
+            for (utt, spk, gender), vec in zip(rows, corpus.matrix())
+        ]
         path.write_text("".join(lines), encoding="utf-8")
     elif format == "binary":
+        vectors = np.ascontiguousarray(corpus.matrix(), dtype="<f8").tobytes()
+        width = 8 * corpus.dim
+        u16 = struct.Struct("<H").pack
         parts = [_BINARY_MAGIC, struct.pack("<II", corpus.dim, len(corpus))]
-        for rec in corpus.records:
-            utt = rec.utt_id.encode("utf-8")
-            spk = rec.spk_id.encode("utf-8")
+        for i, (utt_id, spk_id, gender) in enumerate(rows):
+            utt, spk = utt_id.encode("utf-8"), spk_id.encode("utf-8")
             if len(utt) > 0xFFFF or len(spk) > 0xFFFF:
-                raise ValueError(f"id too long for binary format: {rec.utt_id!r}")
-            parts.append(struct.pack("<H", len(utt)))
-            parts.append(utt)
-            parts.append(struct.pack("<H", len(spk)))
-            parts.append(spk)
-            parts.append(struct.pack("<B", GENDERS.index(rec.gender)))
-            parts.append(np.ascontiguousarray(rec.vector, dtype="<f8").tobytes())
+                raise ValueError(f"id too long for binary format: {utt_id!r}")
+            parts += (u16(len(utt)), utt, u16(len(spk)), spk, _GENDER_BYTE[gender],
+                      vectors[i * width : (i + 1) * width])
         path.write_bytes(b"".join(parts))
     else:
         raise ValueError(f"unknown embedding format {format!r}")
@@ -521,14 +584,12 @@ def make_trials(enroll: Corpus, trial: Corpus, policy: TrialPolicy | None = None
             f"dimension mismatch: enrollment D={enroll.dim}, trial D={trial.dim}"
         )
 
-    enroll_gender = enroll.speaker_gender()
-    enroll_owner = {r.utt_id: r.spk_id for r in enroll.records}
-    trial_records = sorted(trial.records, key=lambda r: r.utt_id)
-    speakers = np.array(sorted(enroll_gender), dtype=np.str_)
-    utts = np.array([r.utt_id for r in trial_records], dtype=np.str_)
-    utt_spk = np.array([r.spk_id for r in trial_records], dtype=np.str_)
+    speakers, first = np.unique(enroll.spk_id, return_index=True)
+    by_utt = np.argsort(trial.utt_id, kind="stable")
+    utts, utt_spk = trial.utt_id[by_utt], trial.spk_id[by_utt]
     # a trial utterance also enrolled for its own speaker never makes a target
-    enrolled = np.array([enroll_owner.get(r.utt_id) == r.spk_id for r in trial_records])
+    owner = index_in(utts, enroll.utt_id)
+    enrolled = (owner >= 0) & (enroll.spk_id[owner] == utt_spk)
 
     # (speaker, utterance) masks; row-major nonzero keeps the enumeration order
     same = speakers[:, None] == utt_spk[None, :]
@@ -537,9 +598,7 @@ def make_trials(enroll: Corpus, trial: Corpus, policy: TrialPolicy | None = None
         warnings.warn(f"enrollment speaker {spk!r} has no trial utterances")
     impostor = ~same
     if policy.same_gender_only:
-        spk_gender = np.array([enroll_gender[s] for s in speakers.tolist()], dtype=np.str_)
-        utt_gender = np.array([r.gender for r in trial_records], dtype=np.str_)
-        impostor &= spk_gender[:, None] == utt_gender[None, :]
+        impostor &= enroll.gender[first][:, None] == trial.gender[by_utt][None, :]
 
     tar_rows, tar_cols = np.nonzero(target)
     non_rows, non_cols = np.nonzero(impostor)

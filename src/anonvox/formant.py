@@ -69,8 +69,9 @@ class ShiftConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        if self.hop < 1 or self.hop > self.frame_len:
-            raise ValueError("hop must satisfy 1 <= hop <= frame_len")
+        # the Hann window is zero at both ends, so a longer hop leaves samples no window covers
+        if not 1 <= self.hop <= self.frame_len - 2:
+            raise ValueError("hop must satisfy 1 <= hop <= frame_len - 2")
         if not 1 <= self.lpc_order < self.frame_len:
             raise ValueError("lpc_order must satisfy 1 <= lpc_order < frame_len")
 

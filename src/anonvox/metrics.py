@@ -152,9 +152,9 @@ def _pav(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     means = []
     wsum = []
     sizes = []
-    for v, w in zip(values, weights):
-        means.append(float(v))
-        wsum.append(float(w))
+    for v, w in zip(values.tolist(), weights.tolist()):
+        means.append(v)
+        wsum.append(w)
         sizes.append(1)
         while len(means) > 1 and means[-2] > means[-1]:
             w_tot = wsum[-2] + wsum[-1]
@@ -248,21 +248,20 @@ def wer(ref: list[str], hyp: list[str]) -> WerResult:
     if not ref:
         raise ValueError("reference must contain at least one token")
     n, m = len(ref), len(hyp)
-    dist = np.zeros((n + 1, m + 1), dtype=np.int64)
-    dist[:, 0] = np.arange(n + 1)
-    dist[0, :] = np.arange(m + 1)
+    dist = [list(range(m + 1))]
     for i in range(1, n + 1):
+        prev, row, word = dist[-1], [i], ref[i - 1]
         for j in range(1, m + 1):
-            sub = dist[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1])
-            dist[i, j] = min(sub, dist[i - 1, j] + 1, dist[i, j - 1] + 1)
+            row.append(min(prev[j - 1] + (word != hyp[j - 1]), prev[j] + 1, row[j - 1] + 1))
+        dist.append(row)
 
     subs = dels = ins = 0
     i, j = n, m
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i, j] == dist[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]):
+        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
             subs += ref[i - 1] != hyp[j - 1]
             i, j = i - 1, j - 1
-        elif i > 0 and dist[i, j] == dist[i - 1, j] + 1:
+        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
             dels += 1
             i -= 1
         else:

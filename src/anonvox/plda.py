@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import Corpus, Embedding, ScoreSet, TrialList, index_in
+from .embeddings import Corpus, ScoreSet, TrialList, index_in
 
 _MODEL_MAGIC = b"PLD1"
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -116,13 +116,10 @@ def preprocess(corpus: Corpus, config: PreprocessConfig) -> Corpus:
     if config.length_normalize:
         norms = np.linalg.norm(x, axis=1)
         if np.any(norms == 0.0):
-            bad = corpus.records[int(np.argmin(norms))].utt_id
+            bad = str(corpus.utt_id[int(np.argmin(norms))])
             raise ValueError(f"cannot length-normalize zero vector {bad!r}")
         x = x * (np.sqrt(x.shape[1]) / norms)[:, None]
-    records = tuple(
-        Embedding(r.utt_id, r.spk_id, r.gender, x[i]) for i, r in enumerate(corpus.records)
-    )
-    return Corpus(name=corpus.name, records=records, subset=corpus.subset)
+    return Corpus(corpus.name, corpus.utt_id, corpus.spk_id, corpus.gender, x, corpus.subset)
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +129,13 @@ def preprocess(corpus: Corpus, config: PreprocessConfig) -> Corpus:
 
 def _speaker_stats(corpus: Corpus):
     """Per-speaker counts and means plus the pooled within-speaker scatter."""
-    groups = corpus.by_speaker()
-    speakers = sorted(groups)
-    d = corpus.dim
-    counts = np.array([len(groups[s]) for s in speakers], dtype=np.int64)
-    means = np.stack([np.mean([r.vector for r in groups[s]], axis=0) for s in speakers])
-    scatter = np.zeros((d, d))
-    for i, s in enumerate(speakers):
-        dev = np.stack([r.vector for r in groups[s]]) - means[i]
+    speakers, groups = corpus.speaker_rows(sort=True)
+    x = corpus.matrix()
+    counts = np.array([len(rows) for rows in groups], dtype=np.int64)
+    means = np.stack([x[rows].mean(axis=0) for rows in groups])
+    scatter = np.zeros((corpus.dim, corpus.dim))
+    for rows, mean in zip(groups, means):
+        dev = x[rows] - mean
         scatter += dev.T @ dev
     return speakers, counts, means, scatter
 
@@ -314,9 +310,9 @@ def score_trials(
     """
     if enroll.dim != model.dim or test.dim != model.dim:
         raise ValueError("corpus dimension does not match model dimension")
-    enroll_groups = enroll.by_speaker()
-    rows = index_in(trials.enroll_spk, np.array(list(enroll_groups), dtype=np.str_))
-    cols = index_in(trials.test_utt, np.array([r.utt_id for r in test.records], dtype=np.str_))
+    speakers, groups = enroll.speaker_rows()
+    rows = index_in(trials.enroll_spk, speakers)
+    cols = index_in(trials.test_utt, test.utt_id)
     unknown = (rows < 0) | (cols < 0)
     if unknown.any():
         i = int(np.argmax(unknown))
@@ -327,15 +323,12 @@ def score_trials(
         raise ValueError(f"unknown test utterance {str(trials.test_utt[i])!r} in trial list")
 
     if aggregate_embeddings:
-        enrolled = np.stack([enroll_speaker(model, recs) for recs in enroll_groups.values()])
+        x = enroll.matrix()
+        enrolled = np.stack([x[group].mean(axis=0) for group in groups])
         matrix = score_matrix(model, enrolled, test.matrix())
     else:
         per_utt = score_matrix(model, enroll.matrix(), test.matrix())
-        utt_row = {r.utt_id: i for i, r in enumerate(enroll.records)}
-        matrix = np.stack(
-            [per_utt[[utt_row[r.utt_id] for r in recs]].mean(axis=0)
-             for recs in enroll_groups.values()]
-        )
+        matrix = np.stack([per_utt[group].mean(axis=0) for group in groups])
     return ScoreSet(trials.enroll_spk, trials.test_utt, matrix[rows, cols], trials.is_target)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import Corpus, Embedding
+from .embeddings import Corpus
 from .plda import PldaModel
 
 
@@ -89,15 +89,19 @@ def generate(spec: GenSpec) -> tuple[Corpus, PldaModel]:
     n_female = int(round(spec.female_fraction * spec.n_speakers))
     offsets = rng.standard_normal((spec.n_speakers, spec.dim)) @ factor_b.T
 
-    records = []
+    utts = spec.utts_per_speaker
+    spk_ids = [f"s{s:04d}" for s in range(spec.n_speakers)]
+    matrix = np.empty((spec.n_speakers * utts, spec.dim))
     for s in range(spec.n_speakers):
-        spk_id = f"s{s:04d}"
-        gender = "F" if s < n_female else "M"
-        noise = rng.standard_normal((spec.utts_per_speaker, spec.dim)) @ factor_w.T
-        for u in range(spec.utts_per_speaker):
-            vec = mu + offsets[s] + noise[u]
-            records.append(Embedding(f"{spk_id}_u{u:03d}", spk_id, gender, vec))
-    corpus = Corpus(name=f"synth{spec.seed}", records=tuple(records))
+        noise = rng.standard_normal((utts, spec.dim)) @ factor_w.T
+        matrix[s * utts : (s + 1) * utts] = mu + offsets[s] + noise
+    corpus = Corpus(
+        f"synth{spec.seed}",
+        [f"{spk}_u{u:03d}" for spk in spk_ids for u in range(utts)],
+        np.repeat(spk_ids, utts),
+        np.repeat(np.where(np.arange(spec.n_speakers) < n_female, "F", "M"), utts),
+        matrix,
+    )
     # the sampled corpus uses the exact covariances; the returned model needs
     # a strictly positive-definite within, so a singular one gets a tiny ridge
     within_model = spec.within_cov
@@ -122,43 +126,41 @@ def split(corpus: Corpus, fractions, seed: int = 0) -> tuple[Corpus, Corpus, Cor
         raise ValueError("cannot split an empty corpus")
     f_train, f_pool, f_enroll, f_trial = fractions
 
-    groups = corpus.by_speaker()
-    speakers = sorted(groups)
+    speakers, groups = corpus.speaker_rows(sort=True)
     rng = np.random.default_rng(seed)
-    order = [speakers[i] for i in rng.permutation(len(speakers))]
+    order = rng.permutation(len(speakers))
 
     n_train = int(round(f_train * len(speakers)))
     n_pool = int(round(f_pool * len(speakers)))
     if n_train + n_pool > len(speakers):
         n_pool = len(speakers) - n_train
-    train_spk = set(order[:n_train])
-    pool_spk = set(order[n_train : n_train + n_pool])
     eval_spk = order[n_train + n_pool :]
 
     f_eval = f_enroll + f_trial
-    enroll_records: list[Embedding] = []
-    trial_records: list[Embedding] = []
+    enroll_rows, trial_rows = [], []
     if f_eval > 0:
         for spk in eval_spk:
-            recs = sorted(groups[spk], key=lambda r: r.utt_id)
-            if len(recs) < 2:
+            rows = groups[spk][np.argsort(corpus.utt_id[groups[spk]], kind="stable")]
+            if len(rows) < 2:
                 raise ValueError(
-                    f"speaker {spk!r} has {len(recs)} utterance(s); evaluation "
+                    f"speaker {str(speakers[spk])!r} has {len(rows)} utterance(s); evaluation "
                     "speakers need at least 2 for disjoint enrollment/trial"
                 )
-            k = int(round(len(recs) * f_enroll / f_eval))
-            k = min(max(k, 1), len(recs) - 1)
-            perm = rng.permutation(len(recs))
-            enroll_records.extend(recs[i] for i in sorted(perm[:k]))
-            trial_records.extend(recs[i] for i in sorted(perm[k:]))
-    elif eval_spk:
+            k = int(round(len(rows) * f_enroll / f_eval))
+            k = min(max(k, 1), len(rows) - 1)
+            perm = rng.permutation(len(rows))
+            enroll_rows.append(rows[np.sort(perm[:k])])
+            trial_rows.append(rows[np.sort(perm[k:])])
+    elif len(eval_spk):
         raise ValueError("evaluation fractions are zero but speakers remain unassigned")
 
-    def _subset(tag: str, subset: str, records) -> Corpus:
-        return Corpus(name=f"{corpus.name}-{tag}", records=tuple(records), subset=subset)
+    def _subset(tag: str, subset: str, rows) -> Corpus:
+        rows = np.concatenate([np.empty(0, np.intp), *rows])
+        return Corpus(f"{corpus.name}-{tag}", corpus.utt_id[rows], corpus.spk_id[rows],
+                      corpus.gender[rows], corpus.matrix()[rows], subset)
 
-    train = _subset("train", "training", (r for s in speakers if s in train_spk for r in groups[s]))
-    pool = _subset("pool", "pool", (r for s in speakers if s in pool_spk for r in groups[s]))
-    enroll = _subset("enroll", "enrollment", enroll_records)
-    trial = _subset("trial", "trial", trial_records)
+    train = _subset("train", "training", [groups[i] for i in np.sort(order[:n_train])])
+    pool = _subset("pool", "pool", [groups[i] for i in np.sort(order[n_train : n_train + n_pool])])
+    enroll = _subset("enroll", "enrollment", enroll_rows)
+    trial = _subset("trial", "trial", trial_rows)
     return train, pool, enroll, trial

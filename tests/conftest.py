@@ -25,6 +25,19 @@ def synth_vowel(
     return WaveBuffer(0.3 * signal / np.max(np.abs(signal)), sample_rate)
 
 
+def by_speaker(corpus) -> dict:
+    """Each speaker's records in corpus order, speakers in first-appearance order."""
+    groups = {}
+    for rec in corpus.records:
+        groups.setdefault(rec.spk_id, []).append(rec)
+    return groups
+
+
+def by_utt(corpus) -> dict:
+    """Each record under its utt_id."""
+    return {rec.utt_id: rec for rec in corpus.records}
+
+
 @pytest.fixture(scope="session")
 def vowel() -> WaveBuffer:
     return synth_vowel()

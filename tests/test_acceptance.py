@@ -37,7 +37,7 @@ from anonvox.cli import main as cli_main
 from anonvox.formant import ShiftConfig, anonymize_wav, lpc_analyze
 from anonvox.plda import log_likelihood
 
-from conftest import dominant_peak_hz, synth_vowel
+from conftest import by_speaker, dominant_peak_hz, synth_vowel
 from test_metrics import (
     levenshtein_distance,
     partition_min_cllr_oracle,
@@ -190,7 +190,7 @@ def test_criterion_6_anonymizer_correctness():
         dim = int(rng.integers(2, 5))
         n_pool = int(rng.integers(3, 12))
         model = random_model(rng, dim)
-        pool = Corpus(
+        pool = Corpus.from_records(
             "pool",
             tuple(
                 Embedding(f"p{i}", f"q{i}", "F", rng.standard_normal(dim))
@@ -216,10 +216,10 @@ def test_criterion_6_anonymizer_correctness():
     # at least one speaker with probability 1 - 2^-20
     corpus, truth = generate(default_spec(n_speakers=25, utts_per_speaker=4, dim=6, seed=66))
     _, pool, enroll, trial = split(corpus, (0.0, 0.2, 0.4, 0.4), seed=66)
-    assert len(enroll.by_speaker()) == 20
+    assert len(by_speaker(enroll)) == 20
     cfg = AnonConfig(n_farthest=2, n_select=1, seed=9, assignment="per_speaker")
     anon_trial = anonymize_corpus(trial, pool, truth, replace(cfg, subset_tag="trial"))
-    for recs in anon_trial.by_speaker().values():
+    for recs in by_speaker(anon_trial).values():
         for rec in recs[1:]:
             assert np.array_equal(rec.vector, recs[0].vector)
 

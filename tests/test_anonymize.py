@@ -17,13 +17,15 @@ from anonvox import anonymize as anon
 from anonvox.anonymize import derive_stream
 from anonvox.synthgen import default_spec, generate, split
 
+from conftest import by_speaker, by_utt
+
 
 def identity_model(dim):
     return PldaModel(mu=np.zeros(dim), between=np.eye(dim), within=np.eye(dim))
 
 
 def small_pool():
-    return Corpus(
+    return Corpus.from_records(
         "pool",
         (
             Embedding("p1", "q1", "F", [1.0, 0.0]),
@@ -97,7 +99,7 @@ class TestAnonymizeEmbedding:
                 between=a @ a.T + 0.1 * np.eye(dim),
                 within=np.eye(dim),
             )
-            pool = Corpus(
+            pool = Corpus.from_records(
                 "pool",
                 tuple(
                     Embedding(f"p{i}", f"q{i}", "F", rng.standard_normal(dim))
@@ -125,7 +127,7 @@ class TestAnonymizeEmbedding:
     def test_empty_pool(self):
         source = Embedding("src", "s1", "F", [1.0, 0.0])
         cfg = AnonConfig(n_farthest=1, n_select=1, same_gender_pool=True)
-        pool = Corpus("pool", (Embedding("p1", "q1", "M", [0.0, 1.0]),))
+        pool = Corpus.from_records("pool", (Embedding("p1", "q1", "M", [0.0, 1.0]),))
         with pytest.raises(ValueError, match="empty"):
             anonymize_embedding(source, pool, identity_model(2), cfg,
                                 derive_stream(0, "", "src"))
@@ -147,7 +149,7 @@ class TestAnonymizeCorpus:
         model, pool, _, trial = synth_setup
         cfg = AnonConfig(n_farthest=20, n_select=10, seed=1, subset_tag="t")
         out = anonymize_corpus(trial, pool, model, cfg)
-        for recs in out.by_speaker().values():
+        for recs in by_speaker(out).values():
             for rec in recs[1:]:
                 assert np.array_equal(rec.vector, recs[0].vector)
 
@@ -157,7 +159,7 @@ class TestAnonymizeCorpus:
             n_farthest=20, n_select=10, seed=1, subset_tag="t", assignment="per_utterance"
         )
         out = anonymize_corpus(trial, pool, model, cfg)
-        multi = next(recs for recs in out.by_speaker().values() if len(recs) > 1)
+        multi = next(recs for recs in by_speaker(out).values() if len(recs) > 1)
         assert any(not np.array_equal(r.vector, multi[0].vector) for r in multi[1:])
 
     def test_deterministic(self, synth_setup):
@@ -191,7 +193,7 @@ class TestAnonymizeCorpus:
         model, pool, _, trial = synth_setup
         cfg = AnonConfig(n_farthest=20, n_select=10, seed=4, subset_tag="t")
         out = anonymize_corpus(trial, pool, model, cfg)
-        sources = trial.by_utt()
+        sources = by_utt(trial)
         anon_dists = [
             plda_distance(model, sources[r.utt_id].vector, r.vector) for r in out.records
         ]
@@ -213,7 +215,7 @@ class TestAnonymizeCorpus:
 
     def test_same_gender_pool_filter(self):
         model = identity_model(2)
-        pool = Corpus(
+        pool = Corpus.from_records(
             "pool",
             (
                 Embedding("f1", "q1", "F", [1.0, 0.0]),
@@ -222,14 +224,14 @@ class TestAnonymizeCorpus:
                 Embedding("m2", "q4", "M", [0.0, -1.0]),
             ),
         )
-        corpus = Corpus(
+        corpus = Corpus.from_records(
             "c",
             (Embedding("a", "sa", "F", [0.5, 0.5]), Embedding("b", "sb", "M", [0.5, 0.5])),
         )
         cfg = AnonConfig(
             n_farthest=2, n_select=2, seed=0, subset_tag="t", same_gender_pool=True
         )
-        out = anonymize_corpus(corpus, pool, model, cfg).by_utt()
+        out = by_utt(anonymize_corpus(corpus, pool, model, cfg))
         np.testing.assert_allclose(out["a"].vector, [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(out["b"].vector, [-0.5, -0.5], atol=1e-12)
 
@@ -243,7 +245,7 @@ class TestPoolRankingKernel:
         matrix[copies] = matrix[rng.integers(0, n_rows, size=copies.size)]
         names = [f"p{i:04d}" for i in rng.permutation(n_rows)]
         genders = rng.choice(["F", "M"], size=n_rows)
-        return Corpus("pool", tuple(
+        return Corpus.from_records("pool", tuple(
             Embedding(names[i], f"q{i}", str(genders[i]), matrix[i]) for i in range(n_rows)
         ))
 
@@ -256,7 +258,7 @@ class TestPoolRankingKernel:
         model = PldaModel(mu=rng.standard_normal(dim), between=a @ a.T + 0.1 * np.eye(dim),
                           within=np.eye(dim))
         pool = self._duplicated_pool(rng, n_rows, dim)
-        corpus = Corpus("c", tuple(
+        corpus = Corpus.from_records("c", tuple(
             Embedding(f"u{i}", f"s{i}", "F", rng.standard_normal(dim)) for i in range(16)
         ))
         cfg = AnonConfig(n_farthest=300, n_select=150, seed=3, subset_tag="t",
@@ -264,7 +266,7 @@ class TestPoolRankingKernel:
         ids = [p.utt_id for p in pool.records]
         pm = pool.matrix()
         ranked = anon._ranked_rows(corpus.matrix(), *anon._pool_view(pool, cfg, "F"), model)
-        out = anonymize_corpus(corpus, pool, model, cfg).by_utt()
+        out = by_utt(anonymize_corpus(corpus, pool, model, cfg))
         for src, order in zip(corpus.records, ranked):
             dists = [plda_distance(model, src.vector, p) for p in pm]
             want = sorted(range(len(ids)), key=lambda i: (-dists[i], ids[i]))
@@ -283,7 +285,7 @@ class TestPoolRankingKernel:
         model = PldaModel(mu=np.zeros(dim), between=a @ a.T + 0.1 * np.eye(dim),
                           within=np.eye(dim))
         pool = self._duplicated_pool(rng, 80, dim)
-        corpus = Corpus("c", tuple(
+        corpus = Corpus.from_records("c", tuple(
             Embedding(f"u{i}", f"s{i % 7}", "F" if i % 7 < 3 else "M",
                       rng.standard_normal(dim))
             for i in range(40)

@@ -3,13 +3,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import anonvox
 from anonvox import anonymize, cli
 from anonvox.anonymize import AnonConfig
 from anonvox.cli import main
-from anonvox.embeddings import load_embeddings, save_embeddings
+from anonvox.embeddings import Corpus, Embedding, load_embeddings, save_embeddings
 from anonvox.plda import load_model
 from anonvox.formant import read_wav, write_wav
 
@@ -323,3 +324,79 @@ class TestDetRejectsMalformedFiles:
                               "s1 u1 target\ns1 u2 nontarget\n")
         assert code == 2
         assert f"{tmp_path / 'scores.txt'}:2:" in err and "duplicate score pair" in err
+
+
+def _eval_args(synth_dir, trained, pool):
+    model, trials = trained
+    return ["eval", "--enroll", str(synth_dir / "enroll.xvec"),
+            "--trial", str(synth_dir / "trial.xvec"), "--pool", str(pool),
+            "--model", str(model), "--trials", str(trials),
+            "--n-farthest", "20", "--n-select", "10"]
+
+
+class TestEvalRejectsPoolOverlap:
+    def test_pool_speaker_in_enrollment_or_trial_data(self, synth_dir, trained, tmp_path, capsys):
+        pool = load_embeddings(synth_dir / "pool.xvec", "binary")
+        trial = load_embeddings(synth_dir / "trial.xvec", "binary")
+        # two trial speakers' utterances join the pool under fresh utt_ids
+        speakers = sorted(set(trial.spk_id.tolist()))[:2]
+        rows = [i for i, spk in enumerate(trial.spk_id.tolist()) if spk in speakers]
+        leaky = Corpus(
+            "leaky",
+            [*pool.utt_id.tolist(), *(f"x{i}" for i in rows)],
+            [*pool.spk_id.tolist(), *trial.spk_id[rows].tolist()],
+            [*pool.gender.tolist(), *trial.gender[rows].tolist()],
+            np.concatenate([pool.matrix(), trial.matrix()[rows]]),
+        )
+        save_embeddings(leaky, tmp_path / "leaky.xvec", "binary")
+        capsys.readouterr()
+        assert run_cli(*_eval_args(synth_dir, trained, tmp_path / "leaky.xvec")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"error: 2 pool speaker(s) also in enrollment or trial data: {' '.join(speakers)}"
+        )
+
+    def test_many_shared_speakers_are_abbreviated(self, synth_dir, trained, capsys):
+        # the enrollment file as the pool shares all of its speakers
+        enroll = load_embeddings(synth_dir / "enroll.xvec", "binary")
+        speakers = sorted(set(enroll.spk_id.tolist()))
+        assert len(speakers) > 5
+        capsys.readouterr()
+        assert run_cli(*_eval_args(synth_dir, trained, synth_dir / "enroll.xvec")) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {len(speakers)} pool speaker(s) also in enrollment or trial data: "
+            f"{' '.join(speakers[:5])} ..."
+        )
+
+
+def test_command_pipeline_builds_no_embedding(tmp_path, monkeypatch):
+    """synth to anonymize-xvec runs on columns alone: no per-record Embedding is built."""
+
+    def refuse(self):
+        raise AssertionError(f"per-record Embedding built for {self.utt_id!r}")
+
+    monkeypatch.setattr(Embedding, "__post_init__", refuse)
+    d = tmp_path
+    steps = [
+        ["synth", "--out-dir", str(d), "--n-speakers", "24", "--utts-per-speaker", "6",
+         "--dim", "8", "--seed", "4", "--fractions", "0.3,0.4,0.1,0.2"],
+        ["train-plda", "--data", str(d / "train.xvec"), "--out", str(d / "m.plda"),
+         "--iterations", "3", "--center", "true", "--length-normalize", "true"],
+        ["make-trials", "--enroll", str(d / "enroll.xvec"), "--trial", str(d / "trial.xvec"),
+         "--out", str(d / "trials.txt")],
+        ["score", "--model", str(d / "m.plda"), "--enroll", str(d / "enroll.xvec"),
+         "--test", str(d / "trial.xvec"), "--trials", str(d / "trials.txt"),
+         "--out", str(d / "scores.txt")],
+        ["eval", "--enroll", str(d / "enroll.xvec"), "--trial", str(d / "trial.xvec"),
+         "--pool", str(d / "pool.xvec"), "--model", str(d / "m.plda"),
+         "--trials", str(d / "trials.txt"), "--n-farthest", "20", "--n-select", "10",
+         "--dump-anon", str(d / "anon")],
+        ["anonymize-xvec", "--input", str(d / "enroll.xvec"), "--pool", str(d / "pool.xvec"),
+         "--model", str(d / "m.plda"), "--out", str(d / "anon.xvec"),
+         "--assignment", "per_utterance", "--same-gender-pool", "true",
+         "--n-farthest", "10", "--n-select", "5"],
+    ]
+    for argv in steps:
+        assert run_cli(*argv) == 0, argv[0]
+    assert (d / "anon" / "enroll_anon.xvec").exists() and (d / "anon.xvec").exists()

@@ -21,6 +21,8 @@ from anonvox import (
     ScoreSet,
 )
 
+from conftest import by_speaker
+
 
 def _corpus(spec, dim=2, name="c"):
     """spec: iterable of (utt, spk, gender, vector-or-None)."""
@@ -30,7 +32,7 @@ def _corpus(spec, dim=2, name="c"):
         if vec is None:
             vec = rng.standard_normal(dim)
         records.append(Embedding(utt, spk, gender, vec))
-    return Corpus(name, tuple(records))
+    return Corpus.from_records(name, tuple(records))
 
 
 class TestEmbeddingValidation:
@@ -53,7 +55,7 @@ class TestEmbeddingValidation:
 
     def test_corpus_rejects_mixed_dims(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            Corpus(
+            Corpus.from_records(
                 "c",
                 (Embedding("u1", "s1", "F", [1.0]), Embedding("u2", "s1", "F", [1.0, 2.0])),
             )
@@ -148,7 +150,7 @@ class TestBinaryFormat:
 
     def test_save_empty_corpus_errors(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
-            save_embeddings(Corpus("c", ()), tmp_path / "e.xvec", "binary")
+            save_embeddings(Corpus.from_records("c", ()), tmp_path / "e.xvec", "binary")
 
 
 class TestMakeTrials:
@@ -216,7 +218,7 @@ class TestMakeTrials:
         )
         trials = make_trials(enroll, trial)
         expected_targets = sum(
-            sum(1 for r in trial.records if r.spk_id == s) for s in enroll.by_speaker()
+            sum(1 for r in trial.records if r.spk_id == s) for s in by_speaker(enroll)
         )
         assert trials.n_target == expected_targets
 
@@ -268,7 +270,7 @@ def test_binary_round_trip_property(tmp_path_factory, vecs):
     records = tuple(
         Embedding(f"u{i}", f"s{i % 3}", "M", np.array(v)) for i, v in enumerate(vecs)
     )
-    corpus = Corpus("prop", records)
+    corpus = Corpus.from_records("prop", records)
     path = tmp_path_factory.mktemp("rt") / "c.xvec"
     save_embeddings(corpus, path, "binary")
     loaded = load_embeddings(path, "binary")
@@ -277,7 +279,7 @@ def test_binary_round_trip_property(tmp_path_factory, vecs):
 
 def _per_record_trials(enroll, trial, policy):
     """The per-record enumeration make_trials replaced, kept as its oracle."""
-    enroll_groups = enroll.by_speaker()
+    enroll_groups = by_speaker(enroll)
     enroll_gender = enroll.speaker_gender()
     trial_records = sorted(trial.records, key=lambda r: r.utt_id)
     speakers = sorted(enroll_groups)
@@ -518,3 +520,121 @@ def test_free_form_trial_file_reads_like_canonical(tmp_path, text):
     scores = tmp_path / "scores.txt"
     scores.write_bytes(text.replace("nontarget", "-1.5").replace("target", "2").encode())
     assert load_scores(scores) == ScoreSet(["s1", "s2"], ["u1", "u1"], [2.0, -1.5])
+
+
+def _per_record_corpus_error(name, rows):
+    """The first error a per-record build raises (Embedding rows, then the corpus loop), or None."""
+    try:
+        records = [Embedding(*row) for row in rows]
+    except ValueError as exc:
+        return str(exc)
+    seen, spk_gender = set(), {}
+    for rec in records:
+        if rec.utt_id in seen:
+            return f"corpus {name!r}: duplicate utt_id {rec.utt_id!r}"
+        seen.add(rec.utt_id)
+        if spk_gender.setdefault(rec.spk_id, rec.gender) != rec.gender:
+            return f"corpus {name!r}: speaker {rec.spk_id!r} has conflicting genders"
+    return None
+
+
+_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["u1", "u2", "u3", "u4", "u5", "u6", ""]),
+        st.sampled_from(["s1", "s2", "s3", ""]),
+        st.sampled_from(["F", "F", "M", "M", "X"]),
+        st.lists(st.sampled_from([0.5, -1.0, 2.0, np.nan, np.inf]), min_size=2, max_size=2),
+    ),
+    max_size=7,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=_ROWS)
+def test_corpus_validation_reports_what_the_per_record_build_reports(rows):
+    expected = _per_record_corpus_error("c", rows)
+    columns = [list(col) for col in zip(*rows)] if rows else [[], [], [], []]
+    matrix = np.array(columns[3], dtype=np.float64).reshape(len(rows), 2)
+    if expected is None:
+        corpus = Corpus("c", *columns[:3], matrix)
+        assert [(r.utt_id, r.spk_id, r.gender) for r in corpus.records] == [r[:3] for r in rows]
+    else:
+        with pytest.raises(ValueError) as info:
+            Corpus("c", *columns[:3], matrix)
+        assert str(info.value) == expected
+
+
+class TestCorpusColumns:
+    def _corpus(self):
+        return _corpus([("u2", "s2", "M", [1.0, 2.0]), ("u1", "s1", "F", [3.0, 4.0]),
+                        ("u3", "s2", "M", [5.0, 6.0])])
+
+    def test_columns_and_matrix_are_read_only_and_shared(self):
+        corpus = self._corpus()
+        for column in (corpus.utt_id, corpus.spk_id, corpus.gender, corpus.matrix()):
+            assert not column.flags.writeable
+        assert corpus.matrix() is corpus.matrix()
+        rebuilt = Corpus("c", corpus.utt_id, corpus.spk_id, corpus.gender, corpus.matrix())
+        assert rebuilt.utt_id is corpus.utt_id and rebuilt.matrix() is corpus.matrix()
+
+    def test_from_records_and_records_view_round_trip(self):
+        corpus = self._corpus()
+        assert corpus.utt_id.tolist() == ["u2", "u1", "u3"]
+        assert corpus.gender.tolist() == ["M", "F", "M"]
+        np.testing.assert_array_equal(corpus.matrix(), [[1, 2], [3, 4], [5, 6]])
+        again = Corpus.from_records("c", corpus.records)
+        for name in ("utt_id", "spk_id", "gender"):
+            assert np.array_equal(getattr(again, name), getattr(corpus, name))
+        assert np.array_equal(again.matrix(), corpus.matrix())
+
+    def test_speaker_rows_in_appearance_or_id_order(self):
+        corpus = self._corpus()
+        speakers, rows = corpus.speaker_rows()
+        assert speakers.tolist() == ["s2", "s1"]
+        assert [r.tolist() for r in rows] == [[0, 2], [1]]
+        speakers, rows = corpus.speaker_rows(sort=True)
+        assert speakers.tolist() == ["s1", "s2"]
+        assert [r.tolist() for r in rows] == [[1], [0, 2]]
+        assert corpus.speaker_gender() == {"s2": "M", "s1": "F"}
+
+    def test_empty_corpus(self):
+        empty = Corpus.from_records("e", ())
+        assert len(empty) == 0 and empty.records == ()
+        speakers, rows = empty.speaker_rows()
+        assert len(speakers) == 0 and rows == []
+        with pytest.raises(ValueError, match="empty"):
+            empty.matrix()
+
+    def test_rejects_unequal_columns_and_non_matrix(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            Corpus("c", ["u1", "u2"], ["s1", "s1"], ["F"], np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=r"\(N, D\) matrix"):
+            Corpus("c", ["u1"], ["s1"], ["F"], np.zeros(3))
+
+
+class TestBinaryLoaderErrors:
+    def _file(self, tmp_path, rows, cut=0):
+        path = tmp_path / "c.xvec"
+        save_embeddings(_corpus(rows), path, "binary")
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) - cut])
+        return path
+
+    def test_vector_cut_short_names_the_record(self, tmp_path):
+        path = self._file(tmp_path, [("u1", "s1", "F", None), ("u2", "s1", "F", None)], cut=3)
+        with pytest.raises(ValueError, match=r"^record 1: truncated vector$"):
+            load_embeddings(path, "binary")
+
+    def test_earlier_record_fault_is_reported_before_a_later_break(self, tmp_path):
+        path = tmp_path / "c.xvec"
+        good = self._file(tmp_path, [("u1", "s1", "F", None), ("u2", "s1", "F", None)])
+        blob = bytearray(good.read_bytes())
+        # the first coordinate of record 0 becomes NaN, and the file loses its last byte
+        start = 12 + 2 + 2 + 2 + 2 + 1
+        blob[start : start + 8] = np.array([np.nan], "<f8").tobytes()
+        path.write_bytes(bytes(blob[:-1]))
+        with pytest.raises(ValueError, match=r"^embedding 'u1': non-finite coordinate$"):
+            load_embeddings(path, "binary")
+        path.write_bytes(bytes(blob) + b"\0")
+        with pytest.raises(ValueError, match=r"^embedding 'u1': non-finite coordinate$"):
+            load_embeddings(path, "binary")

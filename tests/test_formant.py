@@ -82,6 +82,12 @@ class TestShiftConfig:
         with pytest.raises(ValueError, match="hop"):
             ShiftConfig(hop=500, frame_len=400)
 
+    @pytest.mark.parametrize("hop", [399, 400])
+    def test_hop_must_leave_every_sample_windowed(self, hop):
+        # the Hann window is zero at both ends, so these hops would zero frame starts
+        with pytest.raises(ValueError, match="hop must satisfy 1 <= hop <= frame_len - 2"):
+            ShiftConfig(hop=hop, frame_len=400)
+
     def test_order_bound(self):
         with pytest.raises(ValueError, match="lpc_order"):
             ShiftConfig(lpc_order=400, frame_len=400)
@@ -219,7 +225,8 @@ REFERENCE_CASES = {
     "order-1": (synth_vowel(0.2), ShiftConfig(lpc_order=1)),
     "order-8": (synth_vowel(0.2), ShiftConfig(lpc_order=8)),
     "order-20": (synth_vowel(0.2), ShiftConfig(lpc_order=20)),
-    "hop-equals-frame": (synth_vowel(0.2), ShiftConfig(hop=400, frame_len=400)),
+    # the largest hop ShiftConfig allows: the Hann window sum stays nonzero everywhere
+    "hop-frame-len-minus-2": (synth_vowel(0.2), ShiftConfig(hop=398, frame_len=400)),
     "shorter-than-frame": (synth_vowel(250 / 16000), ShiftConfig()),
     # 2000 zeros hold dead frames between live ones
     "interior-zeros": (_with_zero_run(synth_vowel(0.5), 3000, 5000), ShiftConfig()),

@@ -263,6 +263,43 @@ class TestWer:
             assert result.wer == pytest.approx(100.0 * result.errors / len(ref))
 
 
+def _wer_counts_numpy(ref, hyp):
+    """(S, D, I) from the int64 matrix DP with the same backtrace tie rule, kept as an oracle."""
+    n, m = len(ref), len(hyp)
+    dist = np.zeros((n + 1, m + 1), dtype=np.int64)
+    dist[:, 0] = np.arange(n + 1)
+    dist[0, :] = np.arange(m + 1)
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            sub = dist[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1])
+            dist[i, j] = min(sub, dist[i - 1, j] + 1, dist[i, j - 1] + 1)
+    subs = dels = ins = 0
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and dist[i, j] == dist[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]):
+            subs += ref[i - 1] != hyp[j - 1]
+            i, j = i - 1, j - 1
+        elif i > 0 and dist[i, j] == dist[i - 1, j] + 1:
+            dels += 1
+            i -= 1
+        else:
+            ins += 1
+            j -= 1
+    return int(subs), dels, ins
+
+
+_WORDS = st.lists(st.sampled_from("abcd"), max_size=12)
+
+
+@given(ref=_WORDS.filter(bool), hyp=_WORDS)
+@settings(max_examples=300, deadline=None)
+def test_wer_matches_matrix_dp_oracle(ref, hyp):
+    result = wer(ref, hyp)
+    counts = (result.substitutions, result.deletions, result.insertions)
+    assert counts == _wer_counts_numpy(ref, hyp)
+    assert result.ref_words == len(ref)
+
+
 class TestMetricsReport:
     def test_compute_metrics_consistent(self):
         rng = np.random.default_rng(13)

@@ -24,6 +24,8 @@ from anonvox import (
 )
 from anonvox.plda import log_likelihood, score_matrix
 
+from conftest import by_speaker, by_utt
+
 LN_2_OVER_SQRT3 = 0.1438410362258906
 
 
@@ -186,7 +188,7 @@ class TestDistance:
 
 class TestPreprocess:
     def test_center(self):
-        corpus = Corpus(
+        corpus = Corpus.from_records(
             "c", (Embedding("u1", "s1", "F", [1.0, 0.0]), Embedding("u2", "s2", "F", [3.0, 0.0]))
         )
         out = preprocess(corpus, PreprocessConfig(center=True))
@@ -194,7 +196,7 @@ class TestPreprocess:
         assert np.linalg.norm(out.matrix().mean(axis=0)) < 1e-10
 
     def test_length_normalize(self):
-        corpus = Corpus("c", (Embedding("u1", "s1", "F", [3.0, 4.0]),))
+        corpus = Corpus.from_records("c", (Embedding("u1", "s1", "F", [3.0, 4.0]),))
         out = preprocess(corpus, PreprocessConfig(length_normalize=True))
         expected = np.array([3.0, 4.0]) * np.sqrt(2.0) / 5.0
         np.testing.assert_allclose(out.matrix()[0], expected, atol=1e-12)
@@ -202,14 +204,14 @@ class TestPreprocess:
 
     def test_identity_when_flags_off(self):
         rng = np.random.default_rng(0)
-        corpus = Corpus(
+        corpus = Corpus.from_records(
             "c", tuple(Embedding(f"u{i}", "s1", "F", rng.standard_normal(3)) for i in range(4))
         )
         out = preprocess(corpus, PreprocessConfig())
         assert np.array_equal(out.matrix(), corpus.matrix())
 
     def test_zero_vector_rejected(self):
-        corpus = Corpus("c", (Embedding("u1", "s1", "F", [0.0, 0.0]),))
+        corpus = Corpus.from_records("c", (Embedding("u1", "s1", "F", [0.0, 0.0]),))
         with pytest.raises(ValueError, match="zero vector"):
             preprocess(corpus, PreprocessConfig(length_normalize=True))
 
@@ -244,7 +246,7 @@ class TestTraining:
             Embedding(f"u{i}", f"s{i % 3}", "F", [1.0, 2.0]) for i in range(9)
         )
         with pytest.warns(UserWarning):
-            model = train_plda(Corpus("deg", records), 3)
+            model = train_plda(Corpus.from_records("deg", records), 3)
         assert np.min(np.linalg.eigvalsh(model.within)) > 0.0
 
     def test_single_utterance_per_speaker_fixed_point(self):
@@ -255,7 +257,7 @@ class TestTraining:
         records = tuple(
             Embedding(f"u{i}", f"s{i}", "F", rng.standard_normal(3)) for i in range(50)
         )
-        corpus = Corpus("single", records)
+        corpus = Corpus.from_records("single", records)
         model = train_plda(corpus, 10)
         x = corpus.matrix()
         total = np.cov(x.T, bias=True)
@@ -268,7 +270,7 @@ class TestTraining:
     def test_requires_two_speakers(self):
         records = (Embedding("u1", "s1", "F", [1.0]), Embedding("u2", "s1", "F", [2.0]))
         with pytest.raises(ValueError, match="two speakers"):
-            train_plda(Corpus("c", records), 1)
+            train_plda(Corpus.from_records("c", records), 1)
 
     def test_model_invariants_after_training(self):
         corpus, _ = generate(default_spec(n_speakers=20, utts_per_speaker=6, dim=5, seed=3))
@@ -303,7 +305,7 @@ class TestEnrollAndTrials:
     def _setup(self):
         rng = np.random.default_rng(31)
         model = random_model(rng, 3)
-        enroll = Corpus(
+        enroll = Corpus.from_records(
             "e",
             tuple(
                 Embedding(f"e{s}{u}", f"s{s}", "F", rng.standard_normal(3))
@@ -311,7 +313,7 @@ class TestEnrollAndTrials:
                 for u in range(2)
             ),
         )
-        test = Corpus(
+        test = Corpus.from_records(
             "t",
             tuple(Embedding(f"t{i}", f"s{i % 2}", "F", rng.standard_normal(3)) for i in range(4)),
         )
@@ -329,8 +331,8 @@ class TestEnrollAndTrials:
         model, enroll, test, trials = self._setup()
         scores = score_trials(model, enroll, test, trials)
         assert len(scores) == len(trials)
-        groups = enroll.by_speaker()
-        test_by_utt = test.by_utt()
+        groups = by_speaker(enroll)
+        test_by_utt = by_utt(test)
         for entry in scores.entries:
             vec = enroll_speaker(model, groups[entry.enroll_spk])
             manual = score(model, vec, test_by_utt[entry.test_utt].vector)
@@ -359,8 +361,8 @@ class TestEnrollAndTrials:
     def test_score_averaging_alternative(self):
         model, enroll, test, trials = self._setup()
         averaged_scores = score_trials(model, enroll, test, trials, aggregate_embeddings=False)
-        groups = enroll.by_speaker()
-        test_by_utt = test.by_utt()
+        groups = by_speaker(enroll)
+        test_by_utt = by_utt(test)
         for entry in averaged_scores.entries:
             per_utt = [
                 score(model, rec.vector, test_by_utt[entry.test_utt].vector)
@@ -377,18 +379,22 @@ class TestEnrollAndTrials:
     def test_score_trials_matches_pair_loop_on_shuffled_trials(self, aggregate):
         corpus, _ = generate(default_spec(n_speakers=16, utts_per_speaker=5, dim=4, seed=41))
         model = train_plda(corpus, 3)
-        enroll = Corpus("e", tuple(r for r in corpus.records if r.utt_id.endswith(("0", "1"))))
-        test = Corpus("t", tuple(r for r in corpus.records if not r.utt_id.endswith(("0", "1"))))
+        enroll = Corpus.from_records(
+            "e", tuple(r for r in corpus.records if r.utt_id.endswith(("0", "1")))
+        )
+        test = Corpus.from_records(
+            "t", tuple(r for r in corpus.records if not r.utt_id.endswith(("0", "1")))
+        )
         entries = [
             TrialEntry(spk, r.utt_id, "target" if r.spk_id == spk else "nontarget")
-            for spk in enroll.by_speaker()
+            for spk in by_speaker(enroll)
             for r in test.records
         ]
         order = np.random.default_rng(42).permutation(len(entries))
         trials = TrialList.from_entries(tuple(entries[i] for i in order))
         got = score_trials(model, enroll, test, trials, aggregate_embeddings=aggregate)
-        groups = enroll.by_speaker()
-        test_by_utt = test.by_utt()
+        groups = by_speaker(enroll)
+        test_by_utt = by_utt(test)
         for entry, trial in zip(got.entries, trials.entries):
             assert (entry.enroll_spk, entry.test_utt, entry.label) == (
                 trial.enroll_spk, trial.test_utt, trial.label)

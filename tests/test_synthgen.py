@@ -12,6 +12,8 @@ from anonvox import (
     train_plda,
 )
 
+from conftest import by_speaker
+
 
 class TestGenerate:
     def test_deterministic_under_seed(self):
@@ -31,7 +33,7 @@ class TestGenerate:
             seed=2,
         )
         corpus, _ = generate(spec)
-        for recs in corpus.by_speaker().values():
+        for recs in by_speaker(corpus).values():
             for rec in recs[1:]:
                 assert np.array_equal(rec.vector, recs[0].vector)
 
@@ -57,7 +59,7 @@ class TestGenerate:
         spec = default_spec(n_speakers=500, utts_per_speaker=10, dim=4, seed=5)
         corpus, truth = generate(spec)
         means = np.stack(
-            [np.mean([r.vector for r in recs], axis=0) for recs in corpus.by_speaker().values()]
+            [np.mean([r.vector for r in recs], axis=0) for recs in by_speaker(corpus).values()]
         )
         observed = np.cov(means.T, bias=False)
         expected = truth.between + truth.within / spec.utts_per_speaker

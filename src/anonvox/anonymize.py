@@ -80,8 +80,8 @@ def _pool_view(pool: Corpus, cfg: AnonConfig, gender: str):
 
 
 def _ranked_rows(sources: np.ndarray, matrix: np.ndarray, id_rank: np.ndarray,
-                 model: PldaModel) -> list[np.ndarray]:
-    """Pool row order per source row, all sources scored in one matrix product.
+                 model: PldaModel, n: int) -> list[np.ndarray]:
+    """The ``n`` farthest pool rows per source row, all sources scored in one matrix product.
 
     Rows are ordered by descending distance, ties by ascending utt_id.
     """
@@ -91,15 +91,20 @@ def _ranked_rows(sources: np.ndarray, matrix: np.ndarray, id_rank: np.ndarray,
     # last bits, and the tie rule needs identical vectors at equal distance
     unique, inverse = np.unique(matrix, axis=0, return_inverse=True)
     distances = -score_matrix(model, sources, unique)[:, inverse.ravel()]
-    return [np.lexsort((id_rank, -d)) for d in distances]
+    # the n-th largest distance of each row; every row at or above it is a candidate
+    cutoff = -np.partition(-distances, n - 1, axis=1)[:, n - 1]
+    ranked = []
+    for d, floor in zip(distances, cutoff.tolist()):
+        rows = np.flatnonzero(d >= floor)
+        ranked.append(rows[np.lexsort((id_rank[rows], -d[rows]))[:n]])
+    return ranked
 
 
 def _pseudo_vectors(sources, view, model: PldaModel, cfg: AnonConfig, streams):
     """One pseudo-vector per source row, each drawing from its own stream."""
     matrix, id_rank = view
     out = []
-    for order, rng in zip(_ranked_rows(sources, matrix, id_rank, model), streams):
-        top = order[: cfg.n_farthest]
+    for top, rng in zip(_ranked_rows(sources, matrix, id_rank, model, cfg.n_farthest), streams):
         chosen = rng.choice(cfg.n_farthest, size=cfg.n_select, replace=False)
         # pool order canonicalizes summation, so the mean is selection-order free
         selected = np.sort(top[chosen])

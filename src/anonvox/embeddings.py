@@ -9,16 +9,19 @@ On-disk formats:
   the vector as 64-bit IEEE floats. Round-trips are bit exact.
 * trial list: ``<enroll_spk> <test_utt> <target|nontarget>`` per line.
 * score file: ``<enroll_spk> <test_utt> <score>`` with six decimal places.
-  In both, each (enroll_spk, test_utt) pair appears once; in memory they are
-  held as columns (``TrialList``, ``ScoreSet``).
+  In both, each (enroll_spk, test_utt) pair appears once and ids hold no
+  control character; in memory each id column is coded once against its
+  sorted vocabulary (``TrialList``, ``ScoreSet``).
 """
 
 from __future__ import annotations
 
 import math
+import re
 import struct
 import warnings
 from dataclasses import InitVar, dataclass, fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,8 @@ LABELS = ("target", "nontarget")
 
 _BINARY_MAGIC = b"XVC1"
 _GENDER_BYTE = {"F": b"\x00", "M": b"\x01"}
+# no id a saver writes, nor one in a trial or score file, holds a control character
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
 
 @dataclass(frozen=True)
@@ -229,13 +234,6 @@ def _label_names(is_target: np.ndarray) -> list[str]:
     return np.where(is_target, "target", "nontarget").tolist()
 
 
-def _pair_keys(enroll_spk: np.ndarray, test_utt: np.ndarray) -> np.ndarray:
-    """One int64 key per (enroll_spk, test_utt) pair; equal pairs get equal keys."""
-    _, spk_code = np.unique(enroll_spk, return_inverse=True)
-    utts, utt_code = np.unique(test_utt, return_inverse=True)
-    return spk_code.astype(np.int64) * len(utts) + utt_code
-
-
 def _first_repeat(keys: np.ndarray) -> int:
     """Index of the first key equal to an earlier key, or -1 if all differ."""
     order = np.argsort(keys, kind="stable")
@@ -252,29 +250,114 @@ def index_in(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.where(ids[pos] == keys, pos, -1)
 
 
-@dataclass(frozen=True, eq=False)
-class TrialList:
-    """Labeled verification trials as columns; (enroll_spk, test_utt) pairs are unique.
+def _code(tokens: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct tokens in sorted order, and each token's index among them."""
+    vocab = sorted(set(tokens))
+    index = dict(zip(vocab, range(len(vocab))))
+    return vocab, np.fromiter(map(index.__getitem__, tokens), np.intp, len(tokens))
 
-    ``enroll_spk`` and ``test_utt`` are string arrays and ``is_target`` a
-    boolean array, all read-only and of one length.
+
+def _code_column(values, what: str) -> tuple[list[str], np.ndarray]:
+    return _code(_column(values, np.str_, what).tolist())
+
+
+def _vocab_column(vocab, code, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of the sorted, distinct ``vocab`` that ``code`` uses, and the codes
+    renumbered into them; both read-only."""
+    vocab = _column(vocab, np.str_, f"{what} vocabulary")
+    if (vocab[1:] <= vocab[:-1]).any():
+        raise ValueError(f"{what} vocabulary must be sorted and distinct")
+    code = np.asarray(code)
+    if code.ndim != 1 or (code.size and code.dtype.kind not in "iu"):
+        raise ValueError(f"{what} codes must be a 1-D integer column")
+    code = code.astype(np.intp, copy=False)
+    if code.size and (code.min() < 0 or code.max() >= len(vocab)):
+        raise ValueError(f"{what} codes must index its vocabulary")
+    used = np.bincount(code, minlength=len(vocab)).astype(np.bool_)
+    if not used.all():
+        vocab, code = _read_only(vocab[used]), (np.cumsum(used) - 1)[code]
+    return vocab, _read_only(code)
+
+
+def _pair_codes(spk_code: np.ndarray, utt_code: np.ndarray, n_utts: int) -> np.ndarray:
+    """One int64 per (enroll_spk, test_utt) pair; equal pairs get equal codes."""
+    return spk_code.astype(np.int64) * n_utts + utt_code
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class _IdPairs:
+    """(enroll_spk, test_utt) id pairs, each side coded once against a vocabulary.
+
+    ``spk_vocab`` and ``utt_vocab`` hold the distinct enrollment speakers and
+    test utterances in use, sorted; ``spk_code`` and ``utt_code`` index them
+    row by row. ``enroll_spk`` and ``test_utt`` are the string columns,
+    derived from the codes on each access. All arrays are read-only.
     """
 
-    enroll_spk: np.ndarray
-    test_utt: np.ndarray
+    spk_vocab: np.ndarray
+    spk_code: np.ndarray
+    utt_vocab: np.ndarray
+    utt_code: np.ndarray
+
+    @classmethod
+    def from_codes(cls, spk_vocab, spk_code, utt_vocab, utt_code, *columns):
+        """Build from sorted, distinct id vocabularies and each row's codes into
+        them; ``columns`` are the constructor's arguments after ``test_utt``.
+        Ids no row uses are dropped."""
+        pairs = cls.__new__(cls)
+        pairs._build(spk_vocab, spk_code, utt_vocab, utt_code, *columns)
+        return pairs
+
+    def _set_ids(self, spk_vocab, spk_code, utt_vocab, utt_code, *columns) -> None:
+        """Set the id fields; ``columns`` must match them in length."""
+        spk = _vocab_column(spk_vocab, spk_code, "enroll_spk")
+        utt = _vocab_column(utt_vocab, utt_code, "test_utt")
+        _check_lengths(spk[1], utt[1], *columns)
+        for name, value in zip(("spk_vocab", "spk_code", "utt_vocab", "utt_code"), spk + utt):
+            object.__setattr__(self, name, value)
+
+    __eq__ = _columns_equal
+
+    def __len__(self) -> int:
+        return len(self.spk_code)
+
+    @property
+    def enroll_spk(self) -> np.ndarray:
+        return _read_only(self.spk_vocab[self.spk_code])
+
+    @property
+    def test_utt(self) -> np.ndarray:
+        return _read_only(self.utt_vocab[self.utt_code])
+
+    def pair(self, i: int) -> tuple[str, str]:
+        """The (enroll_spk, test_utt) ids of row ``i``."""
+        return str(self.spk_vocab[self.spk_code[i]]), str(self.utt_vocab[self.utt_code[i]])
+
+    def _pair_codes(self) -> np.ndarray:
+        return _pair_codes(self.spk_code, self.utt_code, len(self.utt_vocab))
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class TrialList(_IdPairs):
+    """Labeled verification trials; (enroll_spk, test_utt) pairs are unique.
+
+    ``TrialList(enroll_spk, test_utt, is_target)`` codes two string columns;
+    ``is_target`` is a read-only boolean array of the same length.
+    """
+
     is_target: np.ndarray
 
-    def __post_init__(self):
-        enroll = _column(self.enroll_spk, np.str_, "enroll_spk")
-        test = _column(self.test_utt, np.str_, "test_utt")
-        is_target = _label_column(self.is_target)
-        _check_lengths(enroll, test, is_target)
-        dup = _first_repeat(_pair_keys(enroll, test))
-        if dup >= 0:
-            raise ValueError(f"duplicate trial pair {(str(enroll[dup]), str(test[dup]))}")
-        object.__setattr__(self, "enroll_spk", enroll)
-        object.__setattr__(self, "test_utt", test)
+    def __init__(self, enroll_spk, test_utt, is_target):
+        self._build(*_code_column(enroll_spk, "enroll_spk"),
+                    *_code_column(test_utt, "test_utt"), is_target)
+
+    def _build(self, spk_vocab, spk_code, utt_vocab, utt_code, is_target) -> None:
+        is_target = _label_column(is_target)
+        self._set_ids(spk_vocab, spk_code, utt_vocab, utt_code, is_target)
         object.__setattr__(self, "is_target", is_target)
+        dup = _first_repeat(self._pair_codes())
+        if dup >= 0:
+            raise ValueError(f"duplicate trial pair {self.pair(dup)}")
 
     @classmethod
     def from_entries(cls, entries) -> "TrialList":
@@ -284,11 +367,6 @@ class TrialList:
             [e.test_utt for e in entries],
             np.array([e.label == "target" for e in entries], dtype=np.bool_),
         )
-
-    __eq__ = _columns_equal
-
-    def __len__(self) -> int:
-        return len(self.is_target)
 
     @property
     def entries(self) -> tuple[TrialEntry, ...]:
@@ -307,36 +385,31 @@ class TrialList:
         return len(self) - self.n_target
 
 
-@dataclass(frozen=True, eq=False)
-class ScoreSet:
-    """Verification LLR scores as columns, optionally labeled for metric computation.
+@dataclass(frozen=True, eq=False, init=False)
+class ScoreSet(_IdPairs):
+    """Verification LLR scores by (enroll_spk, test_utt), optionally labeled for metrics.
 
-    ``score`` is a finite float64 array beside the ``enroll_spk`` and
-    ``test_utt`` id arrays; ``is_target`` is a boolean array, or None for an
-    unlabeled set. Columns are read-only.
+    ``ScoreSet(enroll_spk, test_utt, score, is_target=None)`` codes two
+    string columns; ``score`` is a finite float64 array and ``is_target`` a
+    boolean array, or None for an unlabeled set; both are read-only.
     """
 
-    enroll_spk: np.ndarray
-    test_utt: np.ndarray
     score: np.ndarray
     is_target: np.ndarray | None = None
 
-    def __post_init__(self):
-        enroll = _column(self.enroll_spk, np.str_, "enroll_spk")
-        test = _column(self.test_utt, np.str_, "test_utt")
-        score = _column(self.score, np.float64, "score")
-        columns = [enroll, test, score]
-        if self.is_target is not None:
-            columns.append(_label_column(self.is_target))
-            object.__setattr__(self, "is_target", columns[-1])
-        _check_lengths(*columns)
+    def __init__(self, enroll_spk, test_utt, score, is_target=None):
+        self._build(*_code_column(enroll_spk, "enroll_spk"),
+                    *_code_column(test_utt, "test_utt"), score, is_target)
+
+    def _build(self, spk_vocab, spk_code, utt_vocab, utt_code, score, is_target=None) -> None:
+        score = _column(score, np.float64, "score")
+        columns = [score] if is_target is None else [score, _label_column(is_target)]
+        self._set_ids(spk_vocab, spk_code, utt_vocab, utt_code, *columns)
+        object.__setattr__(self, "score", score)
+        object.__setattr__(self, "is_target", None if is_target is None else columns[1])
         bad = np.flatnonzero(~np.isfinite(score))
         if bad.size:
-            i = bad[0]
-            raise ValueError(f"score for ({enroll[i]}, {test[i]}) is not finite")
-        object.__setattr__(self, "enroll_spk", enroll)
-        object.__setattr__(self, "test_utt", test)
-        object.__setattr__(self, "score", score)
+            raise ValueError("score for ({}, {}) is not finite".format(*self.pair(bad[0])))
 
     @classmethod
     def from_entries(cls, entries) -> "ScoreSet":
@@ -369,11 +442,6 @@ class ScoreSet:
             np.concatenate([np.ones(tar.size, np.bool_), np.zeros(non.size, np.bool_)]),
         )
 
-    __eq__ = _columns_equal
-
-    def __len__(self) -> int:
-        return len(self.score)
-
     @property
     def entries(self) -> tuple[ScoreEntry, ...]:
         """Per-score rows, derived from the columns on each access."""
@@ -387,25 +455,27 @@ class ScoreSet:
         """The scores where the boolean ``mask`` holds, in their order."""
         mask = np.asarray(mask, dtype=np.bool_)
         labels = None if self.is_target is None else self.is_target[mask]
-        return ScoreSet(self.enroll_spk[mask], self.test_utt[mask], self.score[mask], labels)
+        return ScoreSet.from_codes(self.spk_vocab, self.spk_code[mask], self.utt_vocab,
+                                   self.utt_code[mask], self.score[mask], labels)
 
     def with_labels_from(self, trials: TrialList) -> "ScoreSet":
         """Attach labels by joining on (enroll_spk, test_utt)."""
-        spks, trial_spk = np.unique(trials.enroll_spk, return_inverse=True)
-        utts, trial_utt = np.unique(trials.test_utt, return_inverse=True)
-        spk, utt = index_in(self.enroll_spk, spks), index_in(self.test_utt, utts)
-        keys = np.where((spk < 0) | (utt < 0), -1, spk * len(utts) + utt)
-        row = index_in(keys, trial_spk.astype(np.int64) * len(utts) + trial_utt)
+        spk = index_in(self.spk_vocab, trials.spk_vocab)[self.spk_code]
+        utt = index_in(self.utt_vocab, trials.utt_vocab)[self.utt_code]
+        keys = np.where((spk < 0) | (utt < 0), -1, _pair_codes(spk, utt, len(trials.utt_vocab)))
+        row = index_in(keys, trials._pair_codes())
         if (row < 0).any():
-            i = int(np.argmax(row < 0))
-            key = (str(self.enroll_spk[i]), str(self.test_utt[i]))
-            raise ValueError(f"score pair {key} not present in trial list")
-        return ScoreSet(self.enroll_spk, self.test_utt, self.score, trials.is_target[row])
+            pair = self.pair(int(np.argmax(row < 0)))
+            raise ValueError(f"score pair {pair} not present in trial list")
+        return ScoreSet.from_codes(self.spk_vocab, self.spk_code, self.utt_vocab,
+                                   self.utt_code, self.score, trials.is_target[row])
 
 
 def _check_id(token: str, what: str) -> str:
-    if not token or any(c.isspace() for c in token):
-        raise ValueError(f"{what} {token!r} must be non-empty and contain no whitespace")
+    if not token or any(c.isspace() for c in token) or _CONTROL.search(token):
+        raise ValueError(
+            f"{what} {token!r} must be non-empty and contain no whitespace or control character"
+        )
     return token
 
 
@@ -606,15 +676,15 @@ def make_trials(enroll: Corpus, trial: Corpus, policy: TrialPolicy | None = None
         rng = np.random.default_rng(policy.seed)
         keep = np.sort(rng.choice(len(non_rows), size=policy.max_nontargets, replace=False))
         non_rows, non_cols = non_rows[keep], non_cols[keep]
-    return TrialList(
-        speakers[np.concatenate([tar_rows, non_rows])],
-        utts[np.concatenate([tar_cols, non_cols])],
+    return TrialList.from_codes(
+        speakers, np.concatenate([tar_rows, non_rows]),
+        utts, np.concatenate([tar_cols, non_cols]),
         np.arange(len(tar_rows) + len(non_rows)) < len(tar_rows),
     )
 
 
 def _check_ids(column: np.ndarray, what: str) -> None:
-    """Reject ids that are empty or hold whitespace, checking each distinct id once."""
+    """Reject empty ids and ids holding whitespace or a control character, each distinct id once."""
     for token in dict.fromkeys(column.tolist()):
         _check_id(token, what)
 
@@ -626,35 +696,84 @@ def _write_rows(path, *columns) -> None:
         fh.write(text + "\n" if text else text)
 
 
-def _read_rows(path: Path, layout: str, parse) -> tuple[list[str], list[str], list, list[int]]:
-    """The columns of a trial or score file and each row's line number.
+# A trial or score line is three fields (split as ``str.split`` splits), blank,
+# or a comment: its first field starts with "#". One regex matches such a line,
+# so a text is well formed when it matches every line; the first line it does
+# not match is then found by a second regex built from the same pattern.
+_LINE = r"(?:[^\S\n]*\S+[^\S\n]+\S+[^\S\n]+\S+[^\S\n]*|[^\S\n]*(?:#[^\n]*)?)(?:\n|\Z)"
+_TABLE_LINE = re.compile("^" + _LINE, re.M)
+_BAD_LINE = re.compile(f"^(?!{_LINE})", re.M)
+_COMMENT_LINE = re.compile(r"^[^\S\n]*#[^\n]*", re.M)
+_DATA_LINE = re.compile(r"^[^\S\n]*[^\s#]", re.M)
+
+
+def _read_table(path: Path, layout: str, parse, parse_column):
+    """The text of a trial or score file, its coded id columns and its third column.
 
     Blank and ``#`` comment lines are skipped; any other line must have
-    exactly three fields, and ``parse(enroll_spk, test_utt, field)`` gives its
-    third column's value or raises ValueError. An error names the first bad line.
+    exactly three fields, and its ids no control character.
+    ``parse_column(fields)`` gives the third column and a mask of its bad
+    entries, and ``parse(enroll_spk, test_utt, field)`` raises ValueError
+    for one of those. An error names the first bad line.
     """
-    enroll, test, values, linenos = [], [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            row = line.split()
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected '{layout}'")
-            try:
-                values.append(parse(*row))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            enroll.append(row[0])
-            test.append(row[1])
-            linenos.append(lineno)
-    return enroll, test, values, linenos
+    text = path.read_text(encoding="utf-8")
+    stop = len(text)
+    if _TABLE_LINE.subn("", text)[1] <= text.count("\n"):
+        stop = _BAD_LINE.search(text).start()
+    body = text[:stop]
+    if "#" in body:
+        body = _COMMENT_LINE.sub("", body)
+    fields = body.split()
+    spk_vocab, spk_code = _code(fields[0::3])
+    utt_vocab, utt_code = _code(fields[1::3])
+    values, bad = parse_column(fields[2::3])
+    for vocab, code in ((spk_vocab, spk_code), (utt_vocab, utt_code)):
+        bad |= np.array([_CONTROL.search(token) is not None for token in vocab], bool)[code]
+    if bad.any():
+        stop = _row_start(text, int(np.argmax(bad)))
+    if stop < len(text):
+        raise _line_error(path, text, stop, layout, parse)
+    return text, (spk_vocab, spk_code, utt_vocab, utt_code), values
+
+
+def _line_error(path: Path, text: str, start: int, layout: str, parse) -> ValueError:
+    """The error for the line at offset ``start``, which has a fault."""
+    row = text[start:].partition("\n")[0].split()
+    try:
+        if len(row) != 3:
+            raise ValueError(f"expected '{layout}'")
+        for what, token in zip(("enroll_spk", "test_utt"), row):
+            if _CONTROL.search(token):
+                raise ValueError(f"{what} {token!r} contains a control character")
+        parse(*row)
+    except ValueError as exc:
+        return ValueError(f"{path}:{_line_number(text, start)}: {exc}")
+    raise AssertionError(f"{path}:{_line_number(text, start)} has no fault")
+
+
+def _line_number(text: str, start: int) -> int:
+    return text.count("\n", 0, start) + 1
+
+
+def _row_start(text: str, row: int) -> int:
+    """Where data row ``row`` (counted from 0) of a trial or score text starts."""
+    return next(islice(_DATA_LINE.finditer(text), row, None)).start()
+
+
+def _row_line(text: str, row: int) -> int:
+    return _line_number(text, _row_start(text, row))
 
 
 def _parse_label(enroll_spk: str, test_utt: str, label: str) -> bool:
     if label not in LABELS:
         raise ValueError(f"bad label {label!r}")
     return label == "target"
+
+
+def _parse_labels(fields: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    vocab, code = _code(fields)
+    is_target = np.array([label == "target" for label in vocab], bool)[code]
+    return is_target, np.array([label not in LABELS for label in vocab], bool)[code]
 
 
 def _parse_score(enroll_spk: str, test_utt: str, token: str) -> float:
@@ -667,29 +786,40 @@ def _parse_score(enroll_spk: str, test_utt: str, token: str) -> float:
     return score
 
 
+def _float_or_nan(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        return math.nan
+
+
+def _parse_scores(fields: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    score = np.fromiter(map(_float_or_nan, fields), np.float64, len(fields))
+    return score, ~np.isfinite(score)
+
+
 def save_trials(trials: TrialList, path) -> None:
-    _check_ids(trials.enroll_spk, "enroll_spk")
-    _check_ids(trials.test_utt, "test_utt")
+    _check_ids(trials.spk_vocab, "enroll_spk")
+    _check_ids(trials.utt_vocab, "test_utt")
     _write_rows(path, trials.enroll_spk.tolist(), trials.test_utt.tolist(),
                 _label_names(trials.is_target))
 
 
 def load_trials(path) -> TrialList:
     path = Path(path)
-    enroll, test, is_target, linenos = _read_rows(path, "spk utt label", _parse_label)
-    if not linenos:
+    text, ids, is_target = _read_table(path, "spk utt label", _parse_label, _parse_labels)
+    if not len(is_target):
         raise ValueError(f"{path}: empty trial list")
-    enroll, test = np.array(enroll, dtype=np.str_), np.array(test, dtype=np.str_)
     try:
-        return TrialList(enroll, test, np.array(is_target, dtype=np.bool_))
+        return TrialList.from_codes(*ids, is_target)
     except ValueError as exc:  # ids and labels are valid, so the pairs repeat
-        line = linenos[_first_repeat(_pair_keys(enroll, test))]
+        line = _row_line(text, _first_repeat(_pair_codes(ids[1], ids[3], len(ids[2]))))
         raise ValueError(f"{path}:{line}: {exc}") from None
 
 
 def save_scores(scores: ScoreSet, path) -> None:
-    _check_ids(scores.enroll_spk, "enroll_spk")
-    _check_ids(scores.test_utt, "test_utt")
+    _check_ids(scores.spk_vocab, "enroll_spk")
+    _check_ids(scores.utt_vocab, "test_utt")
     _write_rows(path, scores.enroll_spk.tolist(), scores.test_utt.tolist(),
                 [f"{s:.6f}" for s in scores.score.tolist()])
 
@@ -697,12 +827,11 @@ def save_scores(scores: ScoreSet, path) -> None:
 def load_scores(path) -> ScoreSet:
     """Read a score file; duplicate pairs and non-finite scores are rejected."""
     path = Path(path)
-    enroll, test, score, linenos = _read_rows(path, "spk utt score", _parse_score)
-    if not linenos:
+    text, ids, score = _read_table(path, "spk utt score", _parse_score, _parse_scores)
+    if not len(score):
         raise ValueError(f"{path}: empty score file")
-    enroll, test = np.array(enroll, dtype=np.str_), np.array(test, dtype=np.str_)
-    dup = _first_repeat(_pair_keys(enroll, test))
+    scores = ScoreSet.from_codes(*ids, score)
+    dup = _first_repeat(scores._pair_codes())
     if dup >= 0:
-        key = (str(enroll[dup]), str(test[dup]))
-        raise ValueError(f"{path}:{linenos[dup]}: duplicate score pair {key}")
-    return ScoreSet(enroll, test, np.array(score, dtype=np.float64))
+        raise ValueError(f"{path}:{_row_line(text, dup)}: duplicate score pair {scores.pair(dup)}")
+    return scores

@@ -61,8 +61,7 @@ class EvalRun:
 
 def _gender_column(scores: ScoreSet, spk_gender: dict[str, str]) -> np.ndarray:
     """The enrollment speaker's gender for every score."""
-    speakers, index = np.unique(scores.enroll_spk, return_inverse=True)
-    return np.array([spk_gender[s] for s in speakers.tolist()], dtype=np.str_)[index]
+    return np.array([spk_gender[s] for s in scores.spk_vocab.tolist()], np.str_)[scores.spk_code]
 
 
 def run_condition(

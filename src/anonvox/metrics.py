@@ -15,6 +15,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -101,18 +102,25 @@ def _split_scores(scores: ScoreSet) -> tuple[np.ndarray, np.ndarray]:
     return tar, non
 
 
-def _operating_points(tar: np.ndarray, non: np.ndarray, thresholds: np.ndarray):
-    tar_sorted = np.sort(tar)
-    non_sorted = np.sort(non)
-    p_miss = np.searchsorted(tar_sorted, thresholds, side="left") / tar.size
-    p_fa = (non.size - np.searchsorted(non_sorted, thresholds, side="left")) / non.size
+def _pooled(tar: np.ndarray, non: np.ndarray):
+    """The pooled scores sorted once: distinct scores ascending, each score's
+    index among them, and the target and nontarget counts at each."""
+    uniq, inverse = np.unique(np.concatenate([tar, non]), return_inverse=True)
+    n_tar = np.bincount(inverse[: tar.size], minlength=uniq.size)
+    n_non = np.bincount(inverse[tar.size :], minlength=uniq.size)
+    return uniq, inverse, n_tar, n_non
+
+
+def _rates(n_tar: np.ndarray, n_non: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_fa and P_miss at each distinct score as threshold, then above all scores."""
+    p_miss = np.concatenate([[0], np.cumsum(n_tar)]) / n_tar.sum()
+    p_fa = (n_non.sum() - np.concatenate([[0], np.cumsum(n_non)])) / n_non.sum()
     return p_fa, p_miss
 
 
-def _eer(tar: np.ndarray, non: np.ndarray) -> tuple[float, float]:
-    thresholds = np.unique(np.concatenate([tar, non]))
-    thresholds = np.append(thresholds, thresholds[-1] + 1.0)
-    p_fa, p_miss = _operating_points(tar, non, thresholds)
+def _eer(uniq, n_tar, n_non) -> tuple[float, float]:
+    thresholds = np.append(uniq, uniq[-1] + 1.0)
+    p_fa, p_miss = _rates(n_tar, n_non)
     diff = p_fa - p_miss
     cross = int(np.flatnonzero(diff <= 0.0)[0])
     i = cross - 1
@@ -129,7 +137,8 @@ def compute_eer(scores: ScoreSet) -> tuple[float, float]:
     targets are missed and no nontarget fires, so a sign change of
     P_fa - P_miss always exists.
     """
-    return _eer(*_split_scores(scores))
+    uniq, _, n_tar, n_non = _pooled(*_split_scores(scores))
+    return _eer(uniq, n_tar, n_non)
 
 
 def _cllr(tar: np.ndarray, non: np.ndarray) -> float:
@@ -165,20 +174,19 @@ def _pav(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.repeat(means, sizes)
 
 
-def _min_cllr(tar: np.ndarray, non: np.ndarray) -> float:
-    raw = np.concatenate([tar, non])
-    labels = np.concatenate([np.ones(tar.size), np.zeros(non.size)])
+def _min_cllr(inverse, n_tar, n_non) -> float:
+    weights = (n_tar + n_non).astype(np.float64)
+    posterior = n_tar / weights
+    # the fit keeps adjacent blocks of equal posterior pooled, so pool them first
+    starts = np.r_[True, posterior[1:] != posterior[:-1]]
+    fitted = _pav(posterior[starts], np.add.reduceat(weights, np.flatnonzero(starts)))
 
-    uniq, inverse = np.unique(raw, return_inverse=True)
-    weights = np.bincount(inverse).astype(np.float64)
-    sums = np.bincount(inverse, weights=labels)
-    posteriors = _pav(sums / weights, weights)[inverse]
-
+    n_target = int(n_tar.sum())
+    prior = n_target / (n_target + int(n_non.sum()))
     with np.errstate(divide="ignore"):
-        llrs = np.log(posteriors) - np.log1p(-posteriors)
-        prior = tar.size / (tar.size + non.size)
-        llrs = llrs - (np.log(prior) - np.log1p(-prior))
-    return _cllr(llrs[: tar.size], llrs[tar.size :])
+        llr = np.log(fitted) - np.log1p(-fitted) - (np.log(prior) - np.log1p(-prior))
+    llrs = llr[np.cumsum(starts) - 1][inverse]
+    return _cllr(llrs[:n_target], llrs[n_target:])
 
 
 def compute_min_cllr(scores: ScoreSet) -> float:
@@ -189,17 +197,19 @@ def compute_min_cllr(scores: ScoreSet) -> float:
     through the Cllr formula. Blocks at posterior 0 or 1 contribute the
     limit value 0 to their own-class term.
     """
-    return _min_cllr(*_split_scores(scores))
+    _, inverse, n_tar, n_non = _pooled(*_split_scores(scores))
+    return _min_cllr(inverse, n_tar, n_non)
 
 
 def compute_metrics(scores: ScoreSet) -> MetricsReport:
-    """EER, Cllr and min-Cllr for one labeled score set, split into classes once."""
+    """EER, Cllr and min-Cllr for one labeled score set, split and sorted once."""
     tar, non = _split_scores(scores)
-    eer, threshold = _eer(tar, non)
+    uniq, inverse, n_tar, n_non = _pooled(tar, non)
+    eer, threshold = _eer(uniq, n_tar, n_non)
     return MetricsReport(
         eer=eer,
         cllr=_cllr(tar, non),
-        min_cllr=_min_cllr(tar, non),
+        min_cllr=_min_cllr(inverse, n_tar, n_non),
         n_target=int(tar.size),
         n_nontarget=int(non.size),
         threshold_at_eer=threshold,
@@ -208,25 +218,28 @@ def compute_metrics(scores: ScoreSet) -> MetricsReport:
 
 def det_points(scores: ScoreSet) -> DetCurve:
     """DET operating points at every distinct score plus ±inf sentinels."""
-    from scipy.special import ndtri  # imported here so only `det` pays for scipy
-
     tar, non = _split_scores(scores)
-    thresholds = np.concatenate(
-        [[-np.inf], np.unique(np.concatenate([tar, non])), [np.inf]]
-    )
-    p_fa, p_miss = _operating_points(tar, non, thresholds)
-
-    fa_floor = 1.0 / (2.0 * non.size)
-    miss_floor = 1.0 / (2.0 * tar.size)
-    probit_fa = ndtri(np.clip(p_fa, fa_floor, 1.0 - fa_floor))
-    probit_miss = ndtri(np.clip(p_miss, miss_floor, 1.0 - miss_floor))
+    uniq, _, n_tar, n_non = _pooled(tar, non)
+    thresholds = np.concatenate([[-np.inf], uniq, [np.inf]])
+    # -inf misses and passes what the lowest score does
+    p_fa, p_miss = (np.concatenate([rate[:1], rate]) for rate in _rates(n_tar, n_non))
     return DetCurve(
         thresholds=thresholds,
         p_fa=p_fa,
         p_miss=p_miss,
-        probit_fa=probit_fa,
-        probit_miss=probit_miss,
+        probit_fa=_probit(p_fa, non.size),
+        probit_miss=_probit(p_miss, tar.size),
     )
+
+
+def _probit(rate: np.ndarray, n: int) -> np.ndarray:
+    """Inverse normal CDF of ``rate`` clamped to [1/(2n), 1 - 1/(2n)]."""
+    floor = 1.0 / (2.0 * n)
+    clamped = np.clip(rate, floor, 1.0 - floor)
+    # rates are monotone, so equal values are adjacent: transform each run once
+    starts = np.r_[True, clamped[1:] != clamped[:-1]]
+    probits = np.array(list(map(NormalDist().inv_cdf, clamped[starts].tolist())))
+    return probits[np.cumsum(starts) - 1]
 
 
 _DET_LINE = "%.9g %.9g %.9g %.9g %.9g\n"

@@ -311,16 +311,15 @@ def score_trials(
     if enroll.dim != model.dim or test.dim != model.dim:
         raise ValueError("corpus dimension does not match model dimension")
     speakers, groups = enroll.speaker_rows()
-    rows = index_in(trials.enroll_spk, speakers)
-    cols = index_in(trials.test_utt, test.utt_id)
+    rows = index_in(trials.spk_vocab, speakers)[trials.spk_code]
+    cols = index_in(trials.utt_vocab, test.utt_id)[trials.utt_code]
     unknown = (rows < 0) | (cols < 0)
     if unknown.any():
         i = int(np.argmax(unknown))
+        spk, utt = trials.pair(i)
         if rows[i] < 0:
-            raise ValueError(
-                f"unknown enrollment speaker {str(trials.enroll_spk[i])!r} in trial list"
-            )
-        raise ValueError(f"unknown test utterance {str(trials.test_utt[i])!r} in trial list")
+            raise ValueError(f"unknown enrollment speaker {spk!r} in trial list")
+        raise ValueError(f"unknown test utterance {utt!r} in trial list")
 
     if aggregate_embeddings:
         x = enroll.matrix()
@@ -329,7 +328,8 @@ def score_trials(
     else:
         per_utt = score_matrix(model, enroll.matrix(), test.matrix())
         matrix = np.stack([per_utt[group].mean(axis=0) for group in groups])
-    return ScoreSet(trials.enroll_spk, trials.test_utt, matrix[rows, cols], trials.is_target)
+    return ScoreSet.from_codes(trials.spk_vocab, trials.spk_code, trials.utt_vocab,
+                               trials.utt_code, matrix[rows, cols], trials.is_target)
 
 
 # ---------------------------------------------------------------------------

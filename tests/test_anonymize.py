@@ -265,12 +265,15 @@ class TestPoolRankingKernel:
                          assignment="per_utterance")
         ids = [p.utt_id for p in pool.records]
         pm = pool.matrix()
-        ranked = anon._ranked_rows(corpus.matrix(), *anon._pool_view(pool, cfg, "F"), model)
+        view = anon._pool_view(pool, cfg, "F")
+        ranked = anon._ranked_rows(corpus.matrix(), *view, model, cfg.n_farthest)
+        full = anon._ranked_rows(corpus.matrix(), *view, model, len(ids))
         out = by_utt(anonymize_corpus(corpus, pool, model, cfg))
-        for src, order in zip(corpus.records, ranked):
+        for src, order, whole in zip(corpus.records, ranked, full):
             dists = [plda_distance(model, src.vector, p) for p in pm]
             want = sorted(range(len(ids)), key=lambda i: (-dists[i], ids[i]))
-            assert order.tolist() == want
+            assert whole.tolist() == want
+            assert order.tolist() == want[: cfg.n_farthest]
             top = np.array(want[: cfg.n_farthest])
             rng_src = derive_stream(cfg.seed, cfg.subset_tag, src.utt_id)
             chosen = np.sort(top[rng_src.choice(cfg.n_farthest, size=cfg.n_select,

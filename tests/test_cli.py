@@ -56,13 +56,25 @@ def trained(synth_dir, tmp_path_factory):
     return model, trials
 
 
-def test_cli_import_loads_no_scipy():
-    """Only `det` needs scipy; importing the CLI must not pay for it."""
-    code = "import anonvox.cli, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+def test_cli_import_loads_no_scipy(tmp_path):
+    """Neither importing the CLI nor running `det` loads scipy."""
+    (tmp_path / "trials.txt").write_text("s1 u1 target\ns1 u2 nontarget\ns2 u1 nontarget\n")
+    (tmp_path / "scores.txt").write_text("s1 u1 2.0\ns1 u2 -1.0\ns2 u1 0.5\n")
+    det = ["det", "--scores", str(tmp_path / "scores.txt"), "--trials",
+           str(tmp_path / "trials.txt"), "--out", str(tmp_path / "det.txt")]
+    code = (
+        "import anonvox.cli, sys\n"
+        "def scipy(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(scipy())\n"
+        f"assert anonvox.cli.main({det!r}) == 0\n"
+        "print(scipy())\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(anonvox.__file__).resolve().parents[1]))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[]\n[]\n"
+    # a header, then one line per distinct score and one per sentinel
+    assert len((tmp_path / "det.txt").read_text().splitlines()) == 1 + 3 + 2
 
 
 class TestExitCodes:

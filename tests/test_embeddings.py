@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -638,3 +640,186 @@ class TestBinaryLoaderErrors:
         path.write_bytes(bytes(blob) + b"\0")
         with pytest.raises(ValueError, match=r"^embedding 'u1': non-finite coordinate$"):
             load_embeddings(path, "binary")
+
+
+def _read_rows(path, layout, parse):
+    """The per-line reader the trial and score loaders used before the
+    whole-file reader, kept as its reference: the columns of a trial or score
+    file and each row's line number; an error names the first bad line."""
+    enroll, test, values, linenos = [], [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            row = line.split()
+            if not row or row[0].startswith("#"):
+                continue
+            if len(row) != 3:
+                raise ValueError(f"{path}:{lineno}: expected '{layout}'")
+            try:
+                values.append(parse(*row))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            enroll.append(row[0])
+            test.append(row[1])
+            linenos.append(lineno)
+    return enroll, test, values, linenos
+
+
+def _reference_load(path, kind):
+    """What the per-line loaders gave: the three columns, or an error."""
+    layout, parse, empty, what = {
+        "trials": ("spk utt label", embeddings._parse_label, "empty trial list", "trial"),
+        "scores": ("spk utt score", embeddings._parse_score, "empty score file", "score"),
+    }[kind]
+    enroll, test, values, linenos = _read_rows(path, layout, parse)
+    if not linenos:
+        raise ValueError(f"{path}: {empty}")
+    seen = set()
+    for pair, line in zip(zip(enroll, test), linenos):
+        if pair in seen:
+            raise ValueError(f"{path}:{line}: duplicate {what} pair {pair}")
+        seen.add(pair)
+    return enroll, test, values
+
+
+def _load(path, kind):
+    if kind == "trials":
+        trials = load_trials(path)
+        return trials.enroll_spk.tolist(), trials.test_utt.tolist(), trials.is_target.tolist()
+    scores = load_scores(path)
+    return scores.enroll_spk.tolist(), scores.test_utt.tolist(), scores.score.tolist()
+
+
+def _outcome(load, path, kind):
+    try:
+        return load(path, kind)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _first_control_id(text):
+    """(line number, field name, id) of the first data line with a control character in an id."""
+    for lineno, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+        row = line.split()
+        if len(row) == 3 and not row[0].startswith("#"):
+            for what, token in zip(("enroll_spk", "test_utt"), row):
+                if any(ord(c) < 0x20 or 0x7F <= ord(c) <= 0x9F for c in token):
+                    return lineno, what, token
+    return None
+
+
+_SEPARATORS = st.sampled_from([" ", " ", "  ", "\t", "\x0c", "\x1f", "　"])
+_IDS = st.sampled_from(["s1", "s2", "u1", "u2", "u3", "s#", "é"] * 6
+                       + ["u", "u\x00", "u\x01v", "\x7f", "s\x9f"])
+_THIRD = {
+    "trials": st.sampled_from(["target", "nontarget"] * 8 + ["maybe", "Target", "target\x00"]),
+    "scores": st.sampled_from(["0.5", "-1.25", "2", "1e3", "1_0", "٣"] * 4
+                              + ["nan", "-inf", "1e999", "high"]),
+}
+
+
+@st.composite
+def _table_text(draw, kind):
+    """A trial or score file: data lines with 1-4 fields, blank and comment lines,
+    assorted whitespace and line ends, with or without a final newline."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        shape = draw(st.sampled_from(["data"] * 24 + ["blank"] * 2 + ["comment"] * 2
+                                     + ["short", "long"]))
+        lead = draw(st.sampled_from(["", "", " ", "\t"]))
+        if shape == "blank":
+            lines.append(lead)
+        elif shape == "comment":
+            lines.append(lead + "#" + draw(st.sampled_from(["", " c d e", "s1 u1 target"])))
+        else:
+            fields = [draw(_IDS), draw(_IDS), draw(_THIRD[kind])]
+            fields = {"short": fields[:draw(st.integers(1, 2))],
+                      "long": fields + [draw(_IDS)]}.get(shape, fields)
+            line = lead + "".join(f + draw(_SEPARATORS) for f in fields[:-1]) + fields[-1]
+            lines.append(line + draw(st.sampled_from(["", "", " ", "\t"])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[: -len(ends[-1])] if lines and draw(st.booleans()) else text
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["trials", "scores"]))
+def test_whole_file_reader_matches_per_line_reference(tmp_path_factory, data, kind):
+    text = data.draw(_table_text(kind))
+    path = tmp_path_factory.mktemp("table") / f"{kind}.txt"
+    path.write_bytes(text.encode("utf-8"))
+    got, want = _outcome(_load, path, kind), _outcome(_reference_load, path, kind)
+    control = _first_control_id(text)
+    if control is not None:
+        # the one new rejection: the first id holding a control character, unless
+        # the reference stops at an earlier line for another fault
+        lineno, what, token = control
+        earlier = re.match(rf"{re.escape(str(path))}:(\d+): (?!duplicate)", str(want))
+        if not (earlier and int(earlier.group(1)) < lineno):
+            want = f"{path}:{lineno}: {what} {token!r} contains a control character"
+    assert got == want
+
+
+def test_control_character_ids_are_rejected_with_their_line(tmp_path):
+    path = tmp_path / "trials.txt"
+    path.write_text("s1 u target\n# s1 u\x00 target\ns1 u\x00 nontarget\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":3: test_utt 'u\\x00' contains a control character$"):
+        load_trials(path)
+    path = tmp_path / "scores.txt"
+    path.write_text("s1 u1 0.5\ns\x01 u1 0.25\ns1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":2: enroll_spk 's\\x01' contains a control character$"):
+        load_scores(path)
+    with pytest.raises(ValueError, match="control character"):
+        save_trials(TrialList(["s1"], ["u\x01"], [True]), tmp_path / "out.txt")
+    with pytest.raises(ValueError, match="control character"):
+        save_scores(ScoreSet(["s\x7f"], ["u1"], [0.5]), tmp_path / "out.txt")
+
+
+class TestCodedIds:
+    def test_coded_and_string_built_trial_lists_are_equal(self):
+        strings = TrialList(["s2", "s1", "s2"], ["u3", "u1", "u1"], [True, False, False])
+        coded = TrialList.from_codes(["s1", "s2", "s9"], [1, 0, 1], ["u1", "u3", "u7"],
+                                     np.array([1, 0, 0], dtype=np.int32), [True, False, False])
+        assert coded == strings
+        assert coded.spk_vocab.tolist() == ["s1", "s2"]
+        assert coded.utt_vocab.tolist() == ["u1", "u3"]
+        assert coded.spk_code.tolist() == [1, 0, 1] and coded.utt_code.tolist() == [1, 0, 0]
+        assert coded.enroll_spk.tolist() == ["s2", "s1", "s2"]
+        assert coded.test_utt.tolist() == ["u3", "u1", "u1"]
+        assert coded != TrialList(["s2", "s1", "s2"], ["u3", "u1", "u1"], [True, False, True])
+
+    def test_make_trials_and_loader_agree_with_string_columns(self, tmp_path):
+        enroll = _corpus([("e1", "s1", "F", None), ("e2", "s2", "F", None),
+                          ("e3", "s3", "M", None)])
+        trial = _corpus([("t2", "s2", "F", None), ("t1", "s1", "F", None)])
+        with pytest.warns(UserWarning, match="'s3' has no trial utterances"):
+            trials = make_trials(enroll, trial)
+        assert trials.spk_vocab.tolist() == ["s1", "s2"]  # s3 has no trials at all
+        assert trials == TrialList(trials.enroll_spk, trials.test_utt, trials.is_target)
+        save_trials(trials, tmp_path / "trials.txt")
+        assert load_trials(tmp_path / "trials.txt") == trials
+
+    def test_select_keeps_only_used_ids(self):
+        scores = ScoreSet(["s1", "s2", "s1"], ["u1", "u2", "u3"], [0.5, 1.0, 2.0],
+                          [True, False, False])
+        picked = scores.select([False, True, False])
+        assert picked == ScoreSet(["s2"], ["u2"], [1.0], [False])
+        assert picked.spk_vocab.tolist() == ["s2"] and picked.utt_vocab.tolist() == ["u2"]
+
+    def test_derived_columns_are_read_only(self):
+        scores = ScoreSet(["s1"], ["u1"], [0.5])
+        for column in (scores.enroll_spk, scores.test_utt, scores.spk_vocab, scores.spk_code):
+            with pytest.raises(ValueError):
+                column[0] = column[0]
+
+    def test_from_codes_rejects_bad_codes(self):
+        with pytest.raises(ValueError, match="must index its vocabulary"):
+            TrialList.from_codes(["s1"], [1], ["u1"], [0], [True])
+        with pytest.raises(ValueError, match="integer"):
+            ScoreSet.from_codes(["s1"], [0.0], ["u1"], [0], [0.5])
+        with pytest.raises(ValueError, match="sorted and distinct"):
+            ScoreSet.from_codes(["s1", "s1"], [0, 1], ["u1", "u2"], [0, 1], [0.5, 1.0])
+        with pytest.raises(ValueError, match="sorted and distinct"):
+            ScoreSet.from_codes(["s2", "s1"], [0, 1], ["u1", "u2"], [0, 1], [0.5, 1.0])
+        with pytest.raises(ValueError, match=r"duplicate trial pair \('s1', 'u1'\)"):
+            TrialList.from_codes(["s0", "s1"], [1, 1], ["u1"], [0, 0], [True, False])

@@ -342,3 +342,57 @@ def test_format_det_matches_per_point_formatting():
     assert text == "\n".join(lines) + "\n"
     assert text.splitlines()[1].startswith("-inf 1 0 ")
     assert text.splitlines()[-1].startswith("inf 0 1 ")
+
+
+def _per_score_min_cllr(tar, non):
+    """min-Cllr with one PAV block per distinct score, as computed before
+    adjacent blocks of equal posterior were pooled; kept as a reference."""
+    raw = np.concatenate([tar, non])
+    labels = np.concatenate([np.ones(len(tar)), np.zeros(len(non))])
+    _, inverse = np.unique(raw, return_inverse=True)
+    weights = np.bincount(inverse).astype(np.float64)
+    means, wsum, sizes = [], [], []
+    for v, w in zip((np.bincount(inverse, weights=labels) / weights).tolist(), weights.tolist()):
+        means.append(v)
+        wsum.append(w)
+        sizes.append(1)
+        while len(means) > 1 and means[-2] > means[-1]:
+            w_tot = wsum[-2] + wsum[-1]
+            means[-2:] = [(means[-2] * wsum[-2] + means[-1] * wsum[-1]) / w_tot]
+            wsum[-2:] = [w_tot]
+            sizes[-2:] = [sizes[-2] + sizes[-1]]
+    posteriors = np.repeat(means, sizes)[inverse]
+    prior = len(tar) / (len(tar) + len(non))
+    with np.errstate(divide="ignore"):
+        llrs = np.log(posteriors) - np.log1p(-posteriors) - (np.log(prior) - np.log1p(-prior))
+    tar_term = np.mean(np.logaddexp(0.0, -llrs[: len(tar)])) / LOG2
+    return float(0.5 * (tar_term + np.mean(np.logaddexp(0.0, llrs[len(tar) :])) / LOG2))
+
+
+tied_scores = st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.25, 1.0, 3.0]),
+                       min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(finite_scores, tied_scores), st.one_of(finite_scores, tied_scores))
+def test_min_cllr_matches_per_score_blocks(tar, non):
+    got = compute_min_cllr(ScoreSet.from_arrays(tar, non))
+    assert got == pytest.approx(_per_score_min_cllr(np.array(tar), np.array(non)), abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(finite_scores, tied_scores), st.one_of(finite_scores, tied_scores))
+def test_det_points_match_searchsorted_rates_and_scipy_probits(tar, non):
+    from scipy.special import ndtri
+
+    tar, non = np.array(tar), np.array(non)
+    curve = det_points(ScoreSet.from_arrays(tar, non))
+    thresholds = np.concatenate([[-np.inf], np.unique(np.concatenate([tar, non])), [np.inf]])
+    assert np.array_equal(curve.thresholds, thresholds)
+    p_miss = np.searchsorted(np.sort(tar), thresholds, side="left") / tar.size
+    p_fa = (non.size - np.searchsorted(np.sort(non), thresholds, side="left")) / non.size
+    assert np.array_equal(curve.p_miss, p_miss) and np.array_equal(curve.p_fa, p_fa)
+    for got, rate, n in ((curve.probit_fa, p_fa, non.size), (curve.probit_miss, p_miss, tar.size)):
+        floor = 1.0 / (2.0 * n)
+        want = ndtri(np.clip(rate, floor, 1.0 - floor))
+        assert [f"{v:.9g}" for v in got.tolist()] == [f"{v:.9g}" for v in want.tolist()]

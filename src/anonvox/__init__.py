@@ -2,13 +2,11 @@
 
 __version__ = "0.1.0"
 
-from .anonymize import AnonConfig, anonymize_corpus, anonymize_embedding, tie_break_ranking
+from .anonymize import AnonConfig, anonymize_corpus, tie_break_ranking
 from .embeddings import (
     Corpus,
     Embedding,
-    ScoreEntry,
     ScoreSet,
-    TrialEntry,
     TrialList,
     TrialPolicy,
     load_embeddings,
@@ -19,7 +17,7 @@ from .embeddings import (
     save_scores,
     save_trials,
 )
-from .formant import LpcFrame, ShiftConfig, WaveBuffer, anonymize_wav, lpc_analyze, warp_poles
+from .formant import ShiftConfig, WaveBuffer, anonymize_wav, lpc_analyze, warp_poles
 from .harness import Condition, EvalRun, render_report, run_condition
 from .metrics import (
     DetCurve,
@@ -35,10 +33,8 @@ from .metrics import (
 from .plda import (
     PldaModel,
     PreprocessConfig,
-    enroll_speaker,
     load_model,
     log_likelihood,
-    plda_distance,
     preprocess,
     save_model,
     score,

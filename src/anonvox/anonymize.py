@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import Corpus, Embedding, index_in
+from .embeddings import Corpus, index_in
 from .plda import PldaModel, score_matrix
 
 ASSIGNMENTS = ("per_speaker", "per_utterance")
@@ -110,21 +110,6 @@ def _pseudo_vectors(sources, view, model: PldaModel, cfg: AnonConfig, streams):
         selected = np.sort(top[chosen])
         out.append(matrix[selected].mean(axis=0))
     return out
-
-
-def anonymize_embedding(
-    source: Embedding,
-    pool: Corpus,
-    model: PldaModel,
-    cfg: AnonConfig,
-    stream: np.random.Generator,
-) -> Embedding:
-    """Replace one embedding's vector; utt/speaker/gender labels are kept."""
-    view = _pool_view(pool, cfg, source.gender)
-    if source.dim != model.dim:
-        raise ValueError("pool or source dimension does not match model")
-    (vec,) = _pseudo_vectors(source.vector[None, :], view, model, cfg, [stream])
-    return Embedding(source.utt_id, source.spk_id, source.gender, vec)
 
 
 def anonymize_corpus(

@@ -9,6 +9,7 @@ rejected. Exit codes: 0 success, 1 usage error, 2 data/validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -60,12 +61,13 @@ class Opt:
     type: type
     default: object
     help: str
+    required: bool = False
 
 
 # per-subcommand option tables; names double as config-file keys
 _OPTIONS: dict[str, list[Opt]] = {
     "synth": [
-        Opt("out_dir", str, None, "directory for the generated corpora (required)"),
+        Opt("out_dir", str, None, "directory for the generated corpora", required=True),
         Opt("n_speakers", int, 200, "number of speakers"),
         Opt("utts_per_speaker", int, 10, "utterances per speaker"),
         Opt("dim", int, 32, "embedding dimension"),
@@ -76,27 +78,27 @@ _OPTIONS: dict[str, list[Opt]] = {
         Opt("model_out", str, None, "optional path for the ground-truth model"),
     ],
     "make-trials": [
-        Opt("enroll", str, None, "enrollment embedding file (required)"),
-        Opt("trial", str, None, "trial embedding file (required)"),
-        Opt("out", str, None, "output trial list (required)"),
+        Opt("enroll", str, None, "enrollment embedding file", required=True),
+        Opt("trial", str, None, "trial embedding file", required=True),
+        Opt("out", str, None, "output trial list", required=True),
         Opt("format", str, "binary", "embedding file format"),
         Opt("same_gender_only", _parse_bool, True, "restrict impostors to same gender"),
         Opt("max_nontargets", int, None, "subsample impostors to this many"),
         Opt("seed", int, 0, "impostor subsampling seed"),
     ],
     "train-plda": [
-        Opt("data", str, None, "training embedding file (required)"),
-        Opt("out", str, None, "output model path (required)"),
+        Opt("data", str, None, "training embedding file", required=True),
+        Opt("out", str, None, "output model path", required=True),
         Opt("iterations", int, 10, "EM iterations"),
         Opt("format", str, "binary", "embedding file format"),
         Opt("center", _parse_bool, False, "subtract the corpus mean first"),
         Opt("length_normalize", _parse_bool, False, "scale vectors to norm sqrt(D)"),
     ],
     "anonymize-xvec": [
-        Opt("input", str, None, "embedding file to anonymize (required)"),
-        Opt("pool", str, None, "pool embedding file (required)"),
-        Opt("model", str, None, "verification model path (required)"),
-        Opt("out", str, None, "output embedding file (required)"),
+        Opt("input", str, None, "embedding file to anonymize", required=True),
+        Opt("pool", str, None, "pool embedding file", required=True),
+        Opt("model", str, None, "verification model path", required=True),
+        Opt("out", str, None, "output embedding file", required=True),
         Opt("format", str, "binary", "embedding file format"),
         Opt("n_farthest", int, 200, "pool candidates ranked most dissimilar"),
         Opt("n_select", int, 100, "vectors averaged into the pseudo-vector"),
@@ -106,27 +108,27 @@ _OPTIONS: dict[str, list[Opt]] = {
         Opt("same_gender_pool", _parse_bool, False, "filter pool by source gender"),
     ],
     "anonymize-wav": [
-        Opt("input", str, None, "input WAV (required)"),
-        Opt("out", str, None, "output WAV (required)"),
+        Opt("input", str, None, "input WAV", required=True),
+        Opt("out", str, None, "output WAV", required=True),
         Opt("alpha", float, 0.8, "pole-angle exponent in (0, 2]"),
         Opt("lpc_order", int, 20, "LPC order"),
         Opt("frame_len", int, 400, "analysis frame length in samples"),
         Opt("hop", int, 160, "hop size in samples"),
     ],
     "score": [
-        Opt("model", str, None, "model path (required)"),
-        Opt("enroll", str, None, "enrollment embedding file (required)"),
-        Opt("test", str, None, "test embedding file (required)"),
-        Opt("trials", str, None, "trial list (required)"),
-        Opt("out", str, None, "output score file (required)"),
+        Opt("model", str, None, "model path", required=True),
+        Opt("enroll", str, None, "enrollment embedding file", required=True),
+        Opt("test", str, None, "test embedding file", required=True),
+        Opt("trials", str, None, "trial list", required=True),
+        Opt("out", str, None, "output score file", required=True),
         Opt("format", str, "binary", "embedding file format"),
     ],
     "eval": [
-        Opt("enroll", str, None, "enrollment embedding file (required)"),
-        Opt("trial", str, None, "trial embedding file (required)"),
-        Opt("pool", str, None, "pool embedding file (required)"),
-        Opt("model", str, None, "model path (required)"),
-        Opt("trials", str, None, "trial list (required)"),
+        Opt("enroll", str, None, "enrollment embedding file", required=True),
+        Opt("trial", str, None, "trial embedding file", required=True),
+        Opt("pool", str, None, "pool embedding file", required=True),
+        Opt("model", str, None, "model path", required=True),
+        Opt("trials", str, None, "trial list", required=True),
         Opt("format", str, "binary", "embedding file format"),
         Opt("conditions", str, "oo,oa,aa", "comma-separated subset of oo,oa,aa"),
         Opt("dataset", str, None, "dataset label in the report"),
@@ -140,29 +142,17 @@ _OPTIONS: dict[str, list[Opt]] = {
         Opt("dump_anon", str, None, "directory for anonymized corpora (binary)"),
     ],
     "det": [
-        Opt("scores", str, None, "score file (required)"),
-        Opt("trials", str, None, "trial list supplying labels (required)"),
+        Opt("scores", str, None, "score file", required=True),
+        Opt("trials", str, None, "trial list supplying labels", required=True),
         Opt("out", str, None, "output path (default: stdout)"),
     ],
     "wer": [
-        Opt("ref", str, None, "reference transcript file (required)"),
-        Opt("hyp", str, None, "hypothesis transcript file (required)"),
+        Opt("ref", str, None, "reference transcript file", required=True),
+        Opt("hyp", str, None, "hypothesis transcript file", required=True),
     ],
 }
 
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "synth": ("out_dir",),
-    "make-trials": ("enroll", "trial", "out"),
-    "train-plda": ("data", "out"),
-    "anonymize-xvec": ("input", "pool", "model", "out"),
-    "anonymize-wav": ("input", "out"),
-    "score": ("model", "enroll", "test", "trials", "out"),
-    "eval": ("enroll", "trial", "pool", "model", "trials"),
-    "det": ("scores", "trials"),
-    "wer": ("ref", "hyp"),
-}
-
-
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anonvox",
@@ -175,7 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="key = value option file")
         for opt in options:
             flag = "--" + opt.name.replace("_", "-")
-            p.add_argument(flag, dest=opt.name, type=opt.type, default=None, help=opt.help)
+            text = opt.help + (" (required)" if opt.required else "")
+            p.add_argument(flag, dest=opt.name, type=opt.type, default=None, help=text)
     return parser
 
 
@@ -208,7 +199,7 @@ def _resolve_options(command: str, args: argparse.Namespace) -> dict:
         flag_value = getattr(args, name)
         if flag_value is not None:
             resolved[name] = flag_value
-    missing = [n for n in _REQUIRED[command] if resolved[n] is None]
+    missing = [n for n, opt in table.items() if opt.required and resolved[n] is None]
     if missing:
         flags = ", ".join("--" + n.replace("_", "-") for n in missing)
         raise UsageError(f"{command}: missing required option(s): {flags}")

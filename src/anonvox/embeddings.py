@@ -32,8 +32,11 @@ LABELS = ("target", "nontarget")
 
 _BINARY_MAGIC = b"XVC1"
 _GENDER_BYTE = {"F": b"\x00", "M": b"\x01"}
-# no id a saver writes, nor one in a trial or score file, holds a control character
+# the id rule: an id is non-empty and holds no whitespace or control character;
+# ids read from a trial or score file are whitespace-split, so only _CONTROL applies
 _CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+_ID_FAULT = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
+_ID_RULE = "{} {!r} must be non-empty and contain no whitespace or control character"
 
 
 @dataclass(frozen=True)
@@ -57,18 +60,46 @@ class Embedding:
             raise ValueError(f"embedding {self.utt_id!r}: non-finite coordinate")
         object.__setattr__(self, "vector", _read_only(vec))
 
-    @property
-    def dim(self) -> int:
-        return int(self.vector.shape[0])
 
-
-def _check_rows(utt, spk, gender, matrix) -> None:
-    """Raise what ``Embedding`` raises for the first row it would reject."""
-    bad = (utt == "") | (spk == "") | ~np.isin(gender, GENDERS)
+def _check_rows(utt: list[str], spk: list[str], gender, matrix, where) -> None:
+    """Raise for the first row with a fault: an id the id rule rejects, with the
+    message prefixed by ``where(row)``, else what ``Embedding`` raises."""
+    bad = ~np.isin(gender, GENDERS)
     bad |= ~np.isfinite(matrix).all(axis=1) if matrix.shape[1] else True
-    if bad.any():
-        i = int(np.argmax(bad))
-        Embedding(str(utt[i]), str(spk[i]), str(gender[i]), matrix[i])
+    first = int(np.argmax(bad)) if bad.any() else len(bad)
+    fault = _id_fault(utt, spk)
+    if fault is not None and fault[0] <= first:
+        raise ValueError(where(fault[0]) + fault[1])
+    if first < len(bad):
+        Embedding(utt[first], spk[first], str(gender[first]), matrix[first])
+
+
+def _id_fault(utt: list[str], spk: list[str]) -> tuple[int, str] | None:
+    """The first row holding an id the id rule rejects (its utt_id checked first)
+    and the message for it, or None. One regex pass covers each joined column;
+    rows are walked only after a hit."""
+    if all(_clean_ids(ids) for ids in (utt, spk)):
+        return None
+    for row, ids in enumerate(zip(utt, spk)):
+        for what, token in zip(("utt_id", "spk_id"), ids):
+            if not token or _ID_FAULT.search(token):
+                return row, _ID_RULE.format(what, token)
+
+
+def _clean_ids(ids: list[str]) -> bool:
+    """Whether every id passes the id rule. Each printable character but the
+    space passes it, so ``isprintable`` clears most columns without the regex."""
+    if "" in ids:
+        return False
+    joined = "".join(ids)
+    return (joined.isprintable() and " " not in joined) or not _ID_FAULT.search(joined)
+
+
+def _id_strings(values) -> list[str]:
+    """Ids as Python strings, read before a ``str_`` column drops trailing NULs."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "U":
+        return values.tolist()
+    return list(map(str, values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +108,7 @@ class Corpus:
 
     ``utt_id``, ``spk_id`` and ``gender`` are string arrays beside an (N, D)
     float64 matrix, given as ``vectors`` and returned by ``matrix()``; all
-    are read-only. ``subset`` tags what the corpus is used for; the loaders
+    are read-only, and every id passes the id rule. ``subset`` tags what the corpus is used for; the loaders
     leave it unset. Empty corpora are representable (splits may produce
     them) but the file loaders and all consumers that need data reject them.
     """
@@ -99,7 +130,8 @@ class Corpus:
         if matrix.ndim != 2:
             raise ValueError(f"corpus {self.name!r}: vectors must be an (N, D) matrix")
         _check_lengths(utt, spk, gender, matrix)
-        _check_rows(utt, spk, gender, matrix)
+        _check_rows(_id_strings(self.utt_id), _id_strings(self.spk_id), gender, matrix,
+                    lambda row: f"corpus {self.name!r}: ")
         # the first row repeating an utt_id or contradicting its speaker's first gender
         dup = _first_repeat(utt)
         _, first, spk_code = np.unique(spk, return_index=True, return_inverse=True)
@@ -114,17 +146,6 @@ class Corpus:
         object.__setattr__(self, "spk_id", spk)
         object.__setattr__(self, "gender", gender)
         object.__setattr__(self, "_matrix", _read_only(matrix))
-
-    @classmethod
-    def from_records(cls, name: str, records, subset: str | None = None) -> "Corpus":
-        """Build from ``Embedding`` rows, which must share one dimension."""
-        records = tuple(records)
-        dims = sorted({r.dim for r in records})
-        if len(dims) > 1:
-            raise ValueError(f"corpus {name!r}: inconsistent dimensions {dims}")
-        matrix = np.stack([r.vector for r in records]) if records else np.empty((0, 0))
-        return cls(name, [r.utt_id for r in records], [r.spk_id for r in records],
-                   [r.gender for r in records], matrix, subset)
 
     def __len__(self) -> int:
         return len(self.utt_id)
@@ -165,37 +186,6 @@ class Corpus:
         return dict(zip(self.spk_id.tolist(), self.gender.tolist()))
 
 
-@dataclass(frozen=True)
-class TrialEntry:
-    """One trial; a read-only view row of a ``TrialList``."""
-
-    enroll_spk: str
-    test_utt: str
-    label: str
-
-    def __post_init__(self):
-        if self.label not in LABELS:
-            raise ValueError(f"trial label must be one of {LABELS}, got {self.label!r}")
-
-
-@dataclass(frozen=True)
-class ScoreEntry:
-    """One score; a read-only view row of a ``ScoreSet``."""
-
-    enroll_spk: str
-    test_utt: str
-    score: float
-    label: str | None = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.score):
-            raise ValueError(
-                f"score for ({self.enroll_spk}, {self.test_utt}) is not finite"
-            )
-        if self.label is not None and self.label not in LABELS:
-            raise ValueError(f"score label must be one of {LABELS}, got {self.label!r}")
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     """``array`` itself if it is read-only, else a read-only copy."""
     if array.flags.writeable:
@@ -228,10 +218,6 @@ def _columns_equal(a, b) -> bool:
     return type(a) is type(b) and all(
         np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
     )
-
-
-def _label_names(is_target: np.ndarray) -> list[str]:
-    return np.where(is_target, "target", "nontarget").tolist()
 
 
 def _first_repeat(keys: np.ndarray) -> int:
@@ -359,23 +345,6 @@ class TrialList(_IdPairs):
         if dup >= 0:
             raise ValueError(f"duplicate trial pair {self.pair(dup)}")
 
-    @classmethod
-    def from_entries(cls, entries) -> "TrialList":
-        entries = tuple(entries)
-        return cls(
-            [e.enroll_spk for e in entries],
-            [e.test_utt for e in entries],
-            np.array([e.label == "target" for e in entries], dtype=np.bool_),
-        )
-
-    @property
-    def entries(self) -> tuple[TrialEntry, ...]:
-        """Per-trial rows, derived from the columns on each access."""
-        return tuple(
-            map(TrialEntry, self.enroll_spk.tolist(), self.test_utt.tolist(),
-                _label_names(self.is_target))
-        )
-
     @property
     def n_target(self) -> int:
         return int(np.count_nonzero(self.is_target))
@@ -411,46 +380,6 @@ class ScoreSet(_IdPairs):
         if bad.size:
             raise ValueError("score for ({}, {}) is not finite".format(*self.pair(bad[0])))
 
-    @classmethod
-    def from_entries(cls, entries) -> "ScoreSet":
-        """Build from ``ScoreEntry`` rows, which must be all labeled or all unlabeled."""
-        entries = tuple(entries)
-        labels = [e.label for e in entries]
-        if all(label is None for label in labels):
-            is_target = None
-        elif any(label is None for label in labels):
-            raise ValueError("score set mixes labeled and unlabeled entries")
-        else:
-            is_target = np.array([label == "target" for label in labels], dtype=np.bool_)
-        return cls(
-            [e.enroll_spk for e in entries],
-            [e.test_utt for e in entries],
-            [e.score for e in entries],
-            is_target,
-        )
-
-    @classmethod
-    def from_arrays(cls, target_scores, nontarget_scores) -> "ScoreSet":
-        """Build a labeled score set from raw score arrays (synthetic ids)."""
-        tar = np.asarray(target_scores, dtype=np.float64)
-        non = np.asarray(nontarget_scores, dtype=np.float64)
-        spk = [f"t{i}" for i in range(tar.size)] + [f"n{i}" for i in range(non.size)]
-        return cls(
-            spk,
-            [f"{s}_u" for s in spk],
-            np.concatenate([tar, non]),
-            np.concatenate([np.ones(tar.size, np.bool_), np.zeros(non.size, np.bool_)]),
-        )
-
-    @property
-    def entries(self) -> tuple[ScoreEntry, ...]:
-        """Per-score rows, derived from the columns on each access."""
-        labels = [None] * len(self) if self.is_target is None else _label_names(self.is_target)
-        return tuple(
-            map(ScoreEntry, self.enroll_spk.tolist(), self.test_utt.tolist(),
-                self.score.tolist(), labels)
-        )
-
     def select(self, mask) -> "ScoreSet":
         """The scores where the boolean ``mask`` holds, in their order."""
         mask = np.asarray(mask, dtype=np.bool_)
@@ -471,12 +400,9 @@ class ScoreSet(_IdPairs):
                                    self.utt_code, self.score, trials.is_target[row])
 
 
-def _check_id(token: str, what: str) -> str:
-    if not token or any(c.isspace() for c in token) or _CONTROL.search(token):
-        raise ValueError(
-            f"{what} {token!r} must be non-empty and contain no whitespace or control character"
-        )
-    return token
+def _check_id(token: str, what: str) -> None:
+    if not token or _ID_FAULT.search(token):
+        raise ValueError(_ID_RULE.format(what, token))
 
 
 def _format_coord(value: float) -> str:
@@ -502,41 +428,52 @@ def load_embeddings(path, format: str = "text") -> Corpus:
 
 def _load_text(path: Path):
     """The utt, spk and gender columns and the vector matrix of a text file."""
-    utts, spks, genders, vectors = [], [], [], []
-    dim = None
+    utts, spks, genders, vectors, linenos = [], [], [], [], []
+    dim = error = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = stripped.split()
-            if len(fields) < 4:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'utt spk gender v1 ...', got {len(fields)} fields"
-                )
-            utt_id, spk_id, gender = fields[0], fields[1], fields[2]
-            if gender not in GENDERS:
-                raise ValueError(f"{path}:{lineno}: gender must be F or M, got {gender!r}")
-            try:
-                vector = [float(tok) for tok in fields[3:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad coordinate: {exc}") from None
-            if dim is None:
-                dim = len(vector)
-            elif len(vector) != dim:
-                raise ValueError(
-                    f"{path}:{lineno}: dimension mismatch, expected {dim} coordinates, "
-                    f"got {len(vector)}"
-                )
-            if not all(map(math.isfinite, vector)):
-                raise ValueError(f"{path}:{lineno}: embedding {utt_id!r}: non-finite coordinate")
-            utts.append(utt_id)
-            spks.append(spk_id)
-            genders.append(gender)
-            vectors.append(vector)
-    return _string_columns(utts, spks, genders) + (
-        np.array(vectors, dtype=np.float64).reshape(len(utts), dim or 0),
-    )
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                fields = stripped.split()
+                if len(fields) < 4:
+                    raise ValueError(
+                        f"{path}:{lineno}: expected 'utt spk gender v1 ...', "
+                        f"got {len(fields)} fields"
+                    )
+                utt_id, spk_id, gender = fields[0], fields[1], fields[2]
+                if gender not in GENDERS:
+                    raise ValueError(f"{path}:{lineno}: gender must be F or M, got {gender!r}")
+                try:
+                    vector = [float(tok) for tok in fields[3:]]
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad coordinate: {exc}") from None
+                if dim is None:
+                    dim = len(vector)
+                elif len(vector) != dim:
+                    raise ValueError(
+                        f"{path}:{lineno}: dimension mismatch, expected {dim} coordinates, "
+                        f"got {len(vector)}"
+                    )
+                if not all(map(math.isfinite, vector)):
+                    raise ValueError(
+                        f"{path}:{lineno}: embedding {utt_id!r}: non-finite coordinate"
+                    )
+                utts.append(utt_id)
+                spks.append(spk_id)
+                genders.append(gender)
+                vectors.append(vector)
+                linenos.append(lineno)
+        except ValueError as exc:
+            error = exc
+    columns = (utts, spks, genders,
+               np.array(vectors, dtype=np.float64).reshape(len(utts), dim or 0))
+    # an id fault on an earlier line is reported first
+    _check_rows(*columns, lambda row: f"{path}:{linenos[row]}: ")
+    if error is not None:
+        raise error
+    return columns
 
 
 def _load_binary(path: Path):
@@ -571,10 +508,9 @@ def _load_binary(path: Path):
     except (ValueError, struct.error) as exc:
         error = exc
     vectors = b"".join([view[i : i + width] for i in starts])
-    columns = _string_columns(utts, spks, genders) + (
-        np.frombuffer(vectors, dtype="<f8").reshape(len(utts), dim),
-    )
-    _check_rows(*columns)  # an earlier record's fault is reported first
+    columns = (utts, spks, genders, np.frombuffer(vectors, dtype="<f8").reshape(len(utts), dim))
+    # an earlier record's fault is reported first
+    _check_rows(*columns, lambda row: f"{path}: record {row}: ")
     if isinstance(error, (struct.error, UnicodeDecodeError)):
         raise ValueError(f"{path}: truncated or corrupt record {len(utts)}: {error}") from None
     if error is not None:
@@ -584,10 +520,6 @@ def _load_binary(path: Path):
     return columns
 
 
-def _string_columns(*lists) -> tuple[np.ndarray, ...]:
-    return tuple(np.array(values, dtype=np.str_) for values in lists)
-
-
 def save_embeddings(corpus: Corpus, path, format: str = "text") -> None:
     """Write a corpus; binary round-trips bit exactly, text to 9 significant digits."""
     if len(corpus) == 0:
@@ -595,8 +527,6 @@ def save_embeddings(corpus: Corpus, path, format: str = "text") -> None:
     path = Path(path)
     rows = zip(corpus.utt_id.tolist(), corpus.spk_id.tolist(), corpus.gender.tolist())
     if format == "text":
-        _check_ids(corpus.utt_id, "utt_id")
-        _check_ids(corpus.spk_id, "spk_id")
         lines = [
             f"{utt} {spk} {gender} {' '.join(map(_format_coord, vec))}\n"
             for (utt, spk, gender), vec in zip(rows, corpus.matrix())
@@ -802,7 +732,7 @@ def save_trials(trials: TrialList, path) -> None:
     _check_ids(trials.spk_vocab, "enroll_spk")
     _check_ids(trials.utt_vocab, "test_utt")
     _write_rows(path, trials.enroll_spk.tolist(), trials.test_utt.tolist(),
-                _label_names(trials.is_target))
+                np.where(trials.is_target, "target", "nontarget").tolist())
 
 
 def load_trials(path) -> TrialList:

@@ -46,14 +46,6 @@ class WaveBuffer:
 
 
 @dataclass(frozen=True)
-class LpcFrame:
-    """Predictor coefficients a1..ap of 1 - sum a_k z^-k, shape (..., p), and the residual."""
-
-    coeffs: np.ndarray
-    excitation: np.ndarray
-
-
-@dataclass(frozen=True)
 class ShiftConfig:
     """alpha is the pole-angle exponent; defaults suit 16 kHz speech.
 
@@ -76,12 +68,13 @@ class ShiftConfig:
             raise ValueError("lpc_order must satisfy 1 <= lpc_order < frame_len")
 
 
-def lpc_analyze(frames, order: int) -> LpcFrame:
+def lpc_analyze(frames, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Autocorrelation-method LPC of every frame (the last axis) of ``frames``.
 
-    The residual is the inverse-filtered frame. Levinson stops early on a
-    frame whose prediction error reaches zero, such as an all-zero frame,
-    which gets zero coefficients and a zero residual.
+    Returns the predictor coefficients a1..ap of 1 - sum a_k z^-k, shape
+    (..., p), and the residual, the inverse-filtered frame. Levinson stops
+    early on a frame whose prediction error reaches zero, such as an
+    all-zero frame, which gets zero coefficients and a zero residual.
     """
     x = np.asarray(frames, dtype=np.float64)
     n = x.shape[-1] if x.ndim else 0
@@ -104,7 +97,7 @@ def lpc_analyze(frames, order: int) -> LpcFrame:
     residual = x * a[..., :1]
     for k in range(1, order + 1):
         residual[..., k:] += a[..., k : k + 1] * x[..., : n - k]
-    return LpcFrame(-a[..., 1:], residual)
+    return -a[..., 1:], residual
 
 
 def warp_poles(poles, alpha: float) -> np.ndarray:
@@ -150,9 +143,9 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
     for first in range(0, n_frames, _BLOCK):
         windowed = frames[first : first + _BLOCK] * window
         count = len(windowed)
-        analysis = lpc_analyze(windowed, p)
+        coeffs, excitation = lpc_analyze(windowed, p)
         companion = np.repeat(np.eye(p, k=-1)[None], count, axis=0)
-        companion[:, 0] = analysis.coeffs
+        companion[:, 0] = coeffs
         warped = warp_poles(np.linalg.eigvals(companion), cfg.alpha)
         poly = np.zeros((count, p + 1), dtype=np.complex128)
         poly[:, 0] = 1.0
@@ -163,7 +156,7 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
         taps = poly.real[:, :0:-1]
         y = np.zeros((count, p + flen))
         for i in range(flen):
-            y[:, p + i] = analysis.excitation[:, i] - np.einsum("ij,ij->i", y[:, i : i + p], taps)
+            y[:, p + i] = excitation[:, i] - np.einsum("ij,ij->i", y[:, i : i + p], taps)
         y = y[:, p:]
 
         # match per-frame energy: warping redistributes all-pole gain

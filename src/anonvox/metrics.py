@@ -64,9 +64,6 @@ class DetCurve:
     def __len__(self) -> int:
         return len(self.thresholds)
 
-    def points(self):
-        return list(zip(self.p_fa, self.p_miss, self.thresholds))
-
 
 @dataclass(frozen=True)
 class WerResult:

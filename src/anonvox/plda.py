@@ -266,31 +266,13 @@ def score_matrix(model: PldaModel, x, y) -> np.ndarray:
     return const - 0.5 * (qx[:, None] + qy[None, :]) - cross
 
 
-def _as_vector(model: PldaModel, vec, what: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=np.float64)
-    if v.shape != (model.dim,):
-        raise ValueError(f"{what} has shape {v.shape}, model expects ({model.dim},)")
-    return v
-
-
 def score(model: PldaModel, enroll_vec, test_vec) -> float:
     """Log-likelihood ratio for a single pair; symmetric in its arguments."""
-    a = _as_vector(model, enroll_vec, "enrollment vector")
-    b = _as_vector(model, test_vec, "test vector")
+    a, b = np.asarray(enroll_vec, dtype=np.float64), np.asarray(test_vec, dtype=np.float64)
+    for what, v in (("enrollment vector", a), ("test vector", b)):
+        if v.shape != (model.dim,):
+            raise ValueError(f"{what} has shape {v.shape}, model expects ({model.dim},)")
     return float(score_matrix(model, a[None, :], b[None, :])[0, 0])
-
-
-def plda_distance(model: PldaModel, a, b) -> float:
-    """Dissimilarity used by the embedding anonymizer: the negated LLR."""
-    return -score(model, a, b)
-
-
-def enroll_speaker(model: PldaModel, embeddings) -> np.ndarray:
-    """Enrollment vector: arithmetic mean of the speaker's embeddings."""
-    vectors = [_as_vector(model, e.vector, f"embedding {e.utt_id!r}") for e in embeddings]
-    if not vectors:
-        raise ValueError("cannot enroll a speaker with no embeddings")
-    return np.mean(vectors, axis=0)
 
 
 def score_trials(
@@ -298,14 +280,11 @@ def score_trials(
     enroll: Corpus,
     test: Corpus,
     trials: TrialList,
-    aggregate_embeddings: bool = True,
 ) -> ScoreSet:
-    """Score every trial entry via speaker enrollment then pairwise LLR.
+    """Score every trial via speaker enrollment then pairwise LLR.
 
-    By default a speaker's enrollment embeddings are averaged into one
-    vector before scoring; with ``aggregate_embeddings=False`` each
-    enrollment utterance is scored separately and the LLRs are averaged.
-    One enrolled-speaker x test-utterance score matrix is computed and the
+    A speaker's enrollment embeddings are averaged into one vector. One
+    enrolled-speaker x test-utterance score matrix is computed and the
     trials are gathered from it by row and column index arrays.
     """
     if enroll.dim != model.dim or test.dim != model.dim:
@@ -321,13 +300,9 @@ def score_trials(
             raise ValueError(f"unknown enrollment speaker {spk!r} in trial list")
         raise ValueError(f"unknown test utterance {utt!r} in trial list")
 
-    if aggregate_embeddings:
-        x = enroll.matrix()
-        enrolled = np.stack([x[group].mean(axis=0) for group in groups])
-        matrix = score_matrix(model, enrolled, test.matrix())
-    else:
-        per_utt = score_matrix(model, enroll.matrix(), test.matrix())
-        matrix = np.stack([per_utt[group].mean(axis=0) for group in groups])
+    x = enroll.matrix()
+    enrolled = np.stack([x[group].mean(axis=0) for group in groups])
+    matrix = score_matrix(model, enrolled, test.matrix())
     return ScoreSet.from_codes(trials.spk_vocab, trials.spk_code, trials.utt_vocab,
                                trials.utt_code, matrix[rows, cols], trials.is_target)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from anonvox import WaveBuffer
+from anonvox import Corpus, ScoreSet, WaveBuffer
 
 SAMPLE_RATE = 16000
 
@@ -25,17 +25,35 @@ def synth_vowel(
     return WaveBuffer(0.3 * signal / np.max(np.abs(signal)), sample_rate)
 
 
+def corpus_of(name: str, rows, subset=None) -> Corpus:
+    """A corpus from ``(utt_id, spk_id, gender, vector)`` rows."""
+    rows = list(rows)
+    if not rows:
+        return Corpus(name, [], [], [], np.empty((0, 0)), subset)
+    utt, spk, gender, vectors = zip(*rows)
+    return Corpus(name, utt, spk, gender, np.array(vectors, dtype=np.float64), subset)
+
+
+def from_arrays(target_scores, nontarget_scores) -> ScoreSet:
+    """A labeled score set from raw target and nontarget scores, under synthetic ids."""
+    tar = np.asarray(target_scores, dtype=np.float64)
+    non = np.asarray(nontarget_scores, dtype=np.float64)
+    spk = [f"t{i}" for i in range(tar.size)] + [f"n{i}" for i in range(non.size)]
+    return ScoreSet(spk, [f"{s}_u" for s in spk], np.concatenate([tar, non]),
+                    np.arange(tar.size + non.size) < tar.size)
+
+
 def by_speaker(corpus) -> dict:
-    """Each speaker's records in corpus order, speakers in first-appearance order."""
+    """Each speaker's vectors as matrix rows in corpus order, speakers in appearance order."""
     groups = {}
-    for rec in corpus.records:
-        groups.setdefault(rec.spk_id, []).append(rec)
-    return groups
+    for spk, vec in zip(corpus.spk_id.tolist(), corpus.matrix()):
+        groups.setdefault(spk, []).append(vec)
+    return {spk: np.array(vecs) for spk, vecs in groups.items()}
 
 
 def by_utt(corpus) -> dict:
-    """Each record under its utt_id."""
-    return {rec.utt_id: rec for rec in corpus.records}
+    """Each vector under its utt_id."""
+    return dict(zip(corpus.utt_id.tolist(), corpus.matrix()))
 
 
 @pytest.fixture(scope="session")

@@ -12,11 +12,7 @@ import pytest
 from anonvox import (
     AnonConfig,
     Condition,
-    Corpus,
-    Embedding,
     PldaModel,
-    ScoreSet,
-    anonymize_embedding,
     compute_cllr,
     compute_eer,
     compute_min_cllr,
@@ -37,7 +33,7 @@ from anonvox.cli import main as cli_main
 from anonvox.formant import ShiftConfig, anonymize_wav, lpc_analyze
 from anonvox.plda import log_likelihood
 
-from conftest import by_speaker, dominant_peak_hz, synth_vowel
+from conftest import by_speaker, corpus_of, dominant_peak_hz, from_arrays, synth_vowel
 from test_metrics import (
     levenshtein_distance,
     partition_min_cllr_oracle,
@@ -140,7 +136,7 @@ def test_criterion_4_min_cllr_oracle():
             labels = rng.integers(0, 2, size=n)
         scores = rng.standard_normal(n)
         got = compute_min_cllr(
-            ScoreSet.from_arrays(scores[labels == 1], scores[labels == 0])
+            from_arrays(scores[labels == 1], scores[labels == 0])
         )
         want = partition_min_cllr_oracle(scores, labels)
         worst = max(worst, abs(got - want))
@@ -149,12 +145,12 @@ def test_criterion_4_min_cllr_oracle():
     for _ in range(1000):
         tar = rng.standard_normal(int(rng.integers(1, 20))) + rng.uniform(-1, 2)
         non = rng.standard_normal(int(rng.integers(1, 20)))
-        scores = ScoreSet.from_arrays(tar, non)
+        scores = from_arrays(tar, non)
         min_cllr = compute_min_cllr(scores)
         assert min_cllr <= compute_cllr(scores) + 1e-9
         assert -1e-12 <= min_cllr <= 1.0 + 1e-9
 
-    assert compute_cllr(ScoreSet.from_arrays(np.zeros(7), np.zeros(4))) == 1.0
+    assert compute_cllr(from_arrays(np.zeros(7), np.zeros(4))) == 1.0
     _report(4, f"200 brute-force cases (worst {worst:.2e}), 1000 bound checks, Cllr(0)=1")
 
 
@@ -166,17 +162,17 @@ def test_criterion_5_eer_properties():
     for _ in range(500):
         tar = rng.standard_normal(int(rng.integers(1, 25))) + rng.uniform(0, 2)
         non = rng.standard_normal(int(rng.integers(1, 25)))
-        eer, _ = compute_eer(ScoreSet.from_arrays(tar, non))
+        eer, _ = compute_eer(from_arrays(tar, non))
         worst = max(worst, abs(eer - sweep_eer_oracle(tar, non)))
-        cubed, _ = compute_eer(ScoreSet.from_arrays(tar**3, non**3))
+        cubed, _ = compute_eer(from_arrays(tar**3, non**3))
         assert abs(eer - cubed) < 1e-12
     assert worst < 1e-12, f"worst |err| {worst:.2e}"
 
-    assert compute_eer(ScoreSet.from_arrays([2.0, 3.0], [0.0, 1.0]))[0] == 0.0
-    assert compute_eer(ScoreSet.from_arrays([1.0, 3.0], [0.0, 2.0]))[0] == pytest.approx(
+    assert compute_eer(from_arrays([2.0, 3.0], [0.0, 1.0]))[0] == 0.0
+    assert compute_eer(from_arrays([1.0, 3.0], [0.0, 2.0]))[0] == pytest.approx(
         0.5, abs=1e-12
     )
-    assert compute_eer(ScoreSet.from_arrays([0.0, 1.0], [2.0, 3.0]))[0] == pytest.approx(
+    assert compute_eer(from_arrays([0.0, 1.0], [2.0, 3.0]))[0] == pytest.approx(
         1.0, abs=1e-12
     )
     _report(5, f"500 sweep cases (worst {worst:.2e}), invariance + 0/50/100% ok")
@@ -190,26 +186,22 @@ def test_criterion_6_anonymizer_correctness():
         dim = int(rng.integers(2, 5))
         n_pool = int(rng.integers(3, 12))
         model = random_model(rng, dim)
-        pool = Corpus.from_records(
-            "pool",
-            tuple(
-                Embedding(f"p{i}", f"q{i}", "F", rng.standard_normal(dim))
-                for i in range(n_pool)
-            ),
-        )
-        source = Embedding("src", "s", "F", rng.standard_normal(dim))
+        pool_ids = [f"p{i}" for i in range(n_pool)]
+        pool = corpus_of("pool", ((utt, f"q{i}", "F", rng.standard_normal(dim))
+                                  for i, utt in enumerate(pool_ids)))
+        source = rng.standard_normal(dim)
         n_far = int(rng.integers(1, n_pool + 1))
         n_sel = int(rng.integers(1, n_far + 1))
-        cfg = AnonConfig(n_farthest=n_far, n_select=n_sel, seed=case)
-        got = anonymize_embedding(source, pool, model, cfg,
-                                  derive_stream(case, "", "src")).vector
+        cfg = AnonConfig(n_farthest=n_far, n_select=n_sel, seed=case, assignment="per_utterance")
+        one_row = corpus_of("c", [("src", "s", "F", source)])
+        (got,) = anonymize_corpus(one_row, pool, model, cfg).matrix()
         # oracle: per-pair distances, spec tie rule, replicated selection stream
-        dists = [-score(model, source.vector, p.vector) for p in pool.records]
-        order = tie_break_ranking(dists, [p.utt_id for p in pool.records])
+        dists = [-score(model, source, p) for p in pool.matrix()]
+        order = tie_break_ranking(dists, pool_ids)
         top = np.array(order[:n_far])
         oracle_rng = derive_stream(case, "", "src")
         chosen = np.sort(top[oracle_rng.choice(n_far, size=n_sel, replace=False)])
-        want = np.mean([pool.records[i].vector for i in chosen], axis=0)
+        want = pool.matrix()[chosen].mean(axis=0)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
     # 20 evaluation speakers: with N*=1 < N=2 the keyed streams disagree on
@@ -219,23 +211,22 @@ def test_criterion_6_anonymizer_correctness():
     assert len(by_speaker(enroll)) == 20
     cfg = AnonConfig(n_farthest=2, n_select=1, seed=9, assignment="per_speaker")
     anon_trial = anonymize_corpus(trial, pool, truth, replace(cfg, subset_tag="trial"))
-    for recs in by_speaker(anon_trial).values():
-        for rec in recs[1:]:
-            assert np.array_equal(rec.vector, recs[0].vector)
+    for vectors in by_speaker(anon_trial).values():
+        assert (vectors == vectors[0]).all()
 
     anon_enroll = anonymize_corpus(enroll, pool, truth, replace(cfg, subset_tag="enroll"))
-    enroll_pseudo = {r.spk_id: r.vector for r in anon_enroll.records}
-    trial_pseudo = {r.spk_id: r.vector for r in anon_trial.records}
+    enroll_pseudo = dict(zip(anon_enroll.spk_id.tolist(), anon_enroll.matrix()))
+    trial_pseudo = dict(zip(anon_trial.spk_id.tolist(), anon_trial.matrix()))
     differing = sum(
         1 for spk in enroll_pseudo if not np.array_equal(enroll_pseudo[spk], trial_pseudo[spk])
     )
     assert differing >= 1, "subset tags produced identical pseudo-speakers everywhere"
 
-    full = AnonConfig(n_farthest=len(pool), n_select=len(pool), seed=0)
-    out = anonymize_embedding(
-        trial.records[0], pool, truth, full, derive_stream(123, "x", "y")
-    )
-    assert np.array_equal(out.vector, pool.matrix().mean(axis=0))
+    full = AnonConfig(n_farthest=len(pool), n_select=len(pool), seed=123, subset_tag="x",
+                      assignment="per_utterance")
+    (out,) = anonymize_corpus(corpus_of("c", [("y", "s", "F", trial.matrix()[0])]), pool,
+                              truth, full).matrix()
+    assert np.array_equal(out, pool.matrix().mean(axis=0))
     _report(6, f"100 oracle cases, function property, tag separation ({differing} speakers), pool-mean reduction")
 
 
@@ -261,8 +252,8 @@ def test_criterion_7_formant_shifter():
     )
     worst_mag = 0.0
     for start in range(0, padded.size - cfg.frame_len, cfg.hop):
-        frame = lpc_analyze(padded[start : start + cfg.frame_len] * window, cfg.lpc_order)
-        poles = np.roots(np.concatenate([[1.0], -frame.coeffs]))
+        coeffs, _ = lpc_analyze(padded[start : start + cfg.frame_len] * window, cfg.lpc_order)
+        poles = np.roots(np.concatenate([[1.0], -coeffs]))
         warped = warp_poles(poles, cfg.alpha)
         if warped.size:
             worst_mag = max(worst_mag, float(np.max(np.abs(warped))))

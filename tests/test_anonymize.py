@@ -3,21 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from anonvox import (
-    AnonConfig,
-    Corpus,
-    Embedding,
-    PldaModel,
-    anonymize_corpus,
-    anonymize_embedding,
-    plda_distance,
-    tie_break_ranking,
-)
+from anonvox import AnonConfig, PldaModel, anonymize_corpus, score, tie_break_ranking
 from anonvox import anonymize as anon
 from anonvox.anonymize import derive_stream
 from anonvox.synthgen import default_spec, generate, split
 
-from conftest import by_speaker, by_utt
+from conftest import by_speaker, by_utt, corpus_of
 
 
 def identity_model(dim):
@@ -25,14 +16,17 @@ def identity_model(dim):
 
 
 def small_pool():
-    return Corpus.from_records(
-        "pool",
-        (
-            Embedding("p1", "q1", "F", [1.0, 0.0]),
-            Embedding("p2", "q2", "F", [0.0, 1.0]),
-            Embedding("p3", "q3", "F", [-1.0, 0.0]),
-        ),
-    )
+    return corpus_of("pool", [("p1", "q1", "F", [1.0, 0.0]), ("p2", "q2", "F", [0.0, 1.0]),
+                              ("p3", "q3", "F", [-1.0, 0.0])])
+
+
+def anonymize_one(vector, pool, model, cfg, utt_id="src", gender="F"):
+    """The pseudo-vector of a one-row corpus, anonymized per utterance."""
+    corpus = corpus_of("c", [(utt_id, "s1", gender, vector)])
+    out = anonymize_corpus(corpus, pool, model, replace(cfg, assignment="per_utterance"))
+    assert [out.utt_id.tolist(), out.spk_id.tolist(), out.gender.tolist()] == [
+        [utt_id], ["s1"], [gender]]
+    return out.matrix()[0]
 
 
 class TestTieBreakRanking:
@@ -61,32 +55,22 @@ class TestTieBreakRanking:
 
 class TestAnonymizeEmbedding:
     def test_worked_example(self):
-        source = Embedding("src", "s1", "F", [1.0, 0.0])
         cfg = AnonConfig(n_farthest=2, n_select=2, seed=0)
-        out = anonymize_embedding(source, small_pool(), identity_model(2), cfg,
-                                  derive_stream(0, "", "src"))
-        np.testing.assert_allclose(out.vector, [-0.5, 0.5], atol=1e-12)
-        assert (out.utt_id, out.spk_id, out.gender) == ("src", "s1", "F")
+        out = anonymize_one([1.0, 0.0], small_pool(), identity_model(2), cfg)
+        np.testing.assert_allclose(out, [-0.5, 0.5], atol=1e-12)
 
     def test_single_farthest(self):
-        source = Embedding("src", "s1", "F", [1.0, 0.0])
         cfg = AnonConfig(n_farthest=1, n_select=1, seed=0)
-        out = anonymize_embedding(source, small_pool(), identity_model(2), cfg,
-                                  derive_stream(0, "", "src"))
-        np.testing.assert_allclose(out.vector, [-1.0, 0.0], atol=1e-12)
+        out = anonymize_one([1.0, 0.0], small_pool(), identity_model(2), cfg)
+        np.testing.assert_allclose(out, [-1.0, 0.0], atol=1e-12)
 
     def test_full_pool_mean_ignores_seed(self):
-        source = Embedding("src", "s1", "F", [1.0, 0.0])
         pool = small_pool()
         expected = pool.matrix().mean(axis=0)
-        cfg = AnonConfig(n_farthest=3, n_select=3, seed=0)
-        outs = [
-            anonymize_embedding(source, pool, identity_model(2), cfg,
-                                derive_stream(seed, "x", "src")).vector
-            for seed in (0, 1, 2)
-        ]
-        for vec in outs:
-            assert np.array_equal(vec, expected)
+        for seed in (0, 1, 2):
+            cfg = AnonConfig(n_farthest=3, n_select=3, seed=seed, subset_tag="x")
+            assert np.array_equal(anonymize_one([1.0, 0.0], pool, identity_model(2), cfg),
+                                  expected)
 
     def test_brute_force_ranking_oracle(self):
         rng = np.random.default_rng(55)
@@ -99,38 +83,29 @@ class TestAnonymizeEmbedding:
                 between=a @ a.T + 0.1 * np.eye(dim),
                 within=np.eye(dim),
             )
-            pool = Corpus.from_records(
-                "pool",
-                tuple(
-                    Embedding(f"p{i}", f"q{i}", "F", rng.standard_normal(dim))
-                    for i in range(n_pool)
-                ),
-            )
+            pool_ids = [f"p{i}" for i in range(n_pool)]
+            pool = corpus_of("pool", ((utt, f"q{i}", "F", rng.standard_normal(dim))
+                                      for i, utt in enumerate(pool_ids)))
             n_far = int(rng.integers(1, n_pool + 1))
-            source = Embedding("src", "s", "F", rng.standard_normal(dim))
+            source = rng.standard_normal(dim)
             cfg = AnonConfig(n_farthest=n_far, n_select=n_far, seed=int(case))
-            out = anonymize_embedding(source, pool, model, cfg,
-                                      derive_stream(case, "", "src"))
-            # oracle: rank by per-pair distance calls, average the top n_far
-            dists = [plda_distance(model, source.vector, p.vector) for p in pool.records]
-            order = sorted(range(n_pool), key=lambda i: (-dists[i], pool.records[i].utt_id))
-            expected = np.mean([pool.records[i].vector for i in order[:n_far]], axis=0)
-            np.testing.assert_allclose(out.vector, expected, rtol=1e-9, atol=1e-12)
+            out = anonymize_one(source, pool, model, cfg)
+            # oracle: rank by per-pair score calls, average the top n_far
+            dists = [-score(model, source, p) for p in pool.matrix()]
+            order = sorted(range(n_pool), key=lambda i: (-dists[i], pool_ids[i]))
+            expected = pool.matrix()[order[:n_far]].mean(axis=0)
+            np.testing.assert_allclose(out, expected, rtol=1e-9, atol=1e-12)
 
     def test_n_farthest_exceeds_pool(self):
-        source = Embedding("src", "s1", "F", [1.0, 0.0])
         cfg = AnonConfig(n_farthest=4, n_select=2)
         with pytest.raises(ValueError, match="exceeds pool size"):
-            anonymize_embedding(source, small_pool(), identity_model(2), cfg,
-                                derive_stream(0, "", "src"))
+            anonymize_one([1.0, 0.0], small_pool(), identity_model(2), cfg)
 
     def test_empty_pool(self):
-        source = Embedding("src", "s1", "F", [1.0, 0.0])
         cfg = AnonConfig(n_farthest=1, n_select=1, same_gender_pool=True)
-        pool = Corpus.from_records("pool", (Embedding("p1", "q1", "M", [0.0, 1.0]),))
+        pool = corpus_of("pool", [("p1", "q1", "M", [0.0, 1.0])])
         with pytest.raises(ValueError, match="empty"):
-            anonymize_embedding(source, pool, identity_model(2), cfg,
-                                derive_stream(0, "", "src"))
+            anonymize_one([1.0, 0.0], pool, identity_model(2), cfg)
 
     def test_config_invariant(self):
         with pytest.raises(ValueError, match="n_select"):
@@ -149,9 +124,8 @@ class TestAnonymizeCorpus:
         model, pool, _, trial = synth_setup
         cfg = AnonConfig(n_farthest=20, n_select=10, seed=1, subset_tag="t")
         out = anonymize_corpus(trial, pool, model, cfg)
-        for recs in by_speaker(out).values():
-            for rec in recs[1:]:
-                assert np.array_equal(rec.vector, recs[0].vector)
+        for vectors in by_speaker(out).values():
+            assert (vectors == vectors[0]).all()
 
     def test_per_utterance_varies_within_speaker(self, synth_setup):
         model, pool, _, trial = synth_setup
@@ -159,8 +133,8 @@ class TestAnonymizeCorpus:
             n_farthest=20, n_select=10, seed=1, subset_tag="t", assignment="per_utterance"
         )
         out = anonymize_corpus(trial, pool, model, cfg)
-        multi = next(recs for recs in by_speaker(out).values() if len(recs) > 1)
-        assert any(not np.array_equal(r.vector, multi[0].vector) for r in multi[1:])
+        multi = next(vectors for vectors in by_speaker(out).values() if len(vectors) > 1)
+        assert any(not np.array_equal(v, multi[0]) for v in multi[1:])
 
     def test_deterministic(self, synth_setup):
         model, pool, _, trial = synth_setup
@@ -174,11 +148,7 @@ class TestAnonymizeCorpus:
         base = AnonConfig(n_farthest=2, n_select=1, seed=7)
         a = anonymize_corpus(enroll, pool, model, replace(base, subset_tag="trial"))
         b = anonymize_corpus(enroll, pool, model, replace(base, subset_tag="enroll"))
-        differing = sum(
-            1
-            for r1, r2 in zip(a.records, b.records)
-            if not np.array_equal(r1.vector, r2.vector)
-        )
+        differing = sum(not np.array_equal(v1, v2) for v1, v2 in zip(a.matrix(), b.matrix()))
         assert differing >= 1
 
     def test_output_in_pool_convex_hull(self, synth_setup):
@@ -194,46 +164,31 @@ class TestAnonymizeCorpus:
         cfg = AnonConfig(n_farthest=20, n_select=10, seed=4, subset_tag="t")
         out = anonymize_corpus(trial, pool, model, cfg)
         sources = by_utt(trial)
-        anon_dists = [
-            plda_distance(model, sources[r.utt_id].vector, r.vector) for r in out.records
-        ]
+        anon_dists = [-score(model, sources[utt], v) for utt, v in by_utt(out).items()]
         pm = pool.matrix()
         rng = np.random.default_rng(0)
         pairs = rng.integers(0, len(pm), size=(200, 2))
-        pool_dists = [
-            plda_distance(model, pm[i], pm[j]) for i, j in pairs if i != j
-        ]
+        pool_dists = [-score(model, pm[i], pm[j]) for i, j in pairs if i != j]
         assert np.mean(anon_dists) > np.median(pool_dists)
 
     def test_labels_preserved(self, synth_setup):
         model, pool, _, trial = synth_setup
         cfg = AnonConfig(n_farthest=20, n_select=10, seed=1, subset_tag="t")
         out = anonymize_corpus(trial, pool, model, cfg)
-        assert [(r.utt_id, r.spk_id, r.gender) for r in out.records] == [
-            (r.utt_id, r.spk_id, r.gender) for r in trial.records
-        ]
+        for column in ("utt_id", "spk_id", "gender"):
+            assert np.array_equal(getattr(out, column), getattr(trial, column))
 
     def test_same_gender_pool_filter(self):
         model = identity_model(2)
-        pool = Corpus.from_records(
-            "pool",
-            (
-                Embedding("f1", "q1", "F", [1.0, 0.0]),
-                Embedding("f2", "q2", "F", [0.0, 1.0]),
-                Embedding("m1", "q3", "M", [-1.0, 0.0]),
-                Embedding("m2", "q4", "M", [0.0, -1.0]),
-            ),
-        )
-        corpus = Corpus.from_records(
-            "c",
-            (Embedding("a", "sa", "F", [0.5, 0.5]), Embedding("b", "sb", "M", [0.5, 0.5])),
-        )
+        pool = corpus_of("pool", [("f1", "q1", "F", [1.0, 0.0]), ("f2", "q2", "F", [0.0, 1.0]),
+                                  ("m1", "q3", "M", [-1.0, 0.0]), ("m2", "q4", "M", [0.0, -1.0])])
+        corpus = corpus_of("c", [("a", "sa", "F", [0.5, 0.5]), ("b", "sb", "M", [0.5, 0.5])])
         cfg = AnonConfig(
             n_farthest=2, n_select=2, seed=0, subset_tag="t", same_gender_pool=True
         )
         out = by_utt(anonymize_corpus(corpus, pool, model, cfg))
-        np.testing.assert_allclose(out["a"].vector, [0.5, 0.5], atol=1e-12)
-        np.testing.assert_allclose(out["b"].vector, [-0.5, -0.5], atol=1e-12)
+        np.testing.assert_allclose(out["a"], [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(out["b"], [-0.5, -0.5], atol=1e-12)
 
 
 class TestPoolRankingKernel:
@@ -245,9 +200,8 @@ class TestPoolRankingKernel:
         matrix[copies] = matrix[rng.integers(0, n_rows, size=copies.size)]
         names = [f"p{i:04d}" for i in rng.permutation(n_rows)]
         genders = rng.choice(["F", "M"], size=n_rows)
-        return Corpus.from_records("pool", tuple(
-            Embedding(names[i], f"q{i}", str(genders[i]), matrix[i]) for i in range(n_rows)
-        ))
+        return corpus_of("pool", ((names[i], f"q{i}", str(genders[i]), matrix[i])
+                                  for i in range(n_rows)))
 
     # GEMM tiling can give identical rows different last bits; at these sizes
     # it does with OpenBLAS 0.3 on x86-64, one or two threads
@@ -258,47 +212,49 @@ class TestPoolRankingKernel:
         model = PldaModel(mu=rng.standard_normal(dim), between=a @ a.T + 0.1 * np.eye(dim),
                           within=np.eye(dim))
         pool = self._duplicated_pool(rng, n_rows, dim)
-        corpus = Corpus.from_records("c", tuple(
-            Embedding(f"u{i}", f"s{i}", "F", rng.standard_normal(dim)) for i in range(16)
-        ))
+        corpus = corpus_of("c", ((f"u{i}", f"s{i}", "F", rng.standard_normal(dim))
+                                 for i in range(16)))
         cfg = AnonConfig(n_farthest=300, n_select=150, seed=3, subset_tag="t",
                          assignment="per_utterance")
-        ids = [p.utt_id for p in pool.records]
+        ids = pool.utt_id.tolist()
         pm = pool.matrix()
         view = anon._pool_view(pool, cfg, "F")
         ranked = anon._ranked_rows(corpus.matrix(), *view, model, cfg.n_farthest)
         full = anon._ranked_rows(corpus.matrix(), *view, model, len(ids))
         out = by_utt(anonymize_corpus(corpus, pool, model, cfg))
-        for src, order, whole in zip(corpus.records, ranked, full):
-            dists = [plda_distance(model, src.vector, p) for p in pm]
+        for utt, src, order, whole in zip(corpus.utt_id.tolist(), corpus.matrix(), ranked, full):
+            dists = [-score(model, src, p) for p in pm]
             want = sorted(range(len(ids)), key=lambda i: (-dists[i], ids[i]))
             assert whole.tolist() == want
             assert order.tolist() == want[: cfg.n_farthest]
             top = np.array(want[: cfg.n_farthest])
-            rng_src = derive_stream(cfg.seed, cfg.subset_tag, src.utt_id)
+            rng_src = derive_stream(cfg.seed, cfg.subset_tag, utt)
             chosen = np.sort(top[rng_src.choice(cfg.n_farthest, size=cfg.n_select,
                                                 replace=False)])
             expected = np.mean([pm[i] for i in chosen], axis=0)
-            assert np.array_equal(out[src.utt_id].vector, expected)
+            assert np.array_equal(out[utt], expected)
 
-    def test_per_utterance_gender_pool_matches_single_embedding(self):
+    def test_per_utterance_gender_pool_follows_pair_oracle(self):
         rng = np.random.default_rng(11)
         dim = 5
         a = rng.standard_normal((dim, dim))
         model = PldaModel(mu=np.zeros(dim), between=a @ a.T + 0.1 * np.eye(dim),
                           within=np.eye(dim))
         pool = self._duplicated_pool(rng, 80, dim)
-        corpus = Corpus.from_records("c", tuple(
-            Embedding(f"u{i}", f"s{i % 7}", "F" if i % 7 < 3 else "M",
-                      rng.standard_normal(dim))
-            for i in range(40)
-        ))
+        corpus = corpus_of("c", ((f"u{i}", f"s{i % 7}", "F" if i % 7 < 3 else "M",
+                                  rng.standard_normal(dim)) for i in range(40)))
         cfg = AnonConfig(n_farthest=20, n_select=8, seed=9, subset_tag="trial",
                          assignment="per_utterance", same_gender_pool=True)
         out = anonymize_corpus(corpus, pool, model, cfg)
-        assert {r.gender for r in out.records} == {"F", "M"}
-        for src, got in zip(corpus.records, out.records):
-            one = anonymize_embedding(src, pool, model, cfg,
-                                      derive_stream(cfg.seed, cfg.subset_tag, src.utt_id))
-            assert (got.utt_id, got.spk_id, got.gender) == (one.utt_id, one.spk_id, one.gender)
-            assert np.array_equal(got.vector, one.vector)
+        assert set(out.gender.tolist()) == {"F", "M"}
+        pm, ids, pool_gender = pool.matrix(), pool.utt_id.tolist(), pool.gender.tolist()
+        rows = zip(corpus.utt_id.tolist(), corpus.gender.tolist(), corpus.matrix(), out.matrix())
+        for utt, gender, src, got in rows:
+            # oracle: per-pair scores over the source gender's pool rows only
+            view = [i for i, g in enumerate(pool_gender) if g == gender]
+            dists = {i: -score(model, src, pm[i]) for i in view}
+            top = np.array(sorted(view, key=lambda i: (-dists[i], ids[i]))[: cfg.n_farthest])
+            rng_src = derive_stream(cfg.seed, cfg.subset_tag, utt)
+            chosen = np.sort(top[rng_src.choice(cfg.n_farthest, size=cfg.n_select,
+                                                replace=False)])
+            assert np.array_equal(got, pm[chosen].mean(axis=0))

@@ -106,6 +106,41 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert run_cli("--help") == 0
 
+    def test_required_options_come_from_the_option_table(self, capsys):
+        assert run_cli("score") == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "usage error: score: missing required option(s): "
+            "--model, --enroll, --test, --trials, --out"
+        )
+        assert run_cli("make-trials", "--help") == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        for flag in ("--enroll ENROLL enrollment embedding file (required)",
+                     "--trial TRIAL trial embedding file (required)",
+                     "--out OUT output trial list (required)",
+                     "--format FORMAT embedding file format --"):
+            assert flag in help_text
+
+    def test_parser_is_built_once(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        for _ in range(2):
+            assert run_cli("wer") == 1
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                "usage error: wer: missing required option(s): --ref, --hyp"
+            )
+
+    def test_whitespace_id_in_binary_input_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "enroll.xvec"
+        blob = b"XVC1" + np.array([1, 1], "<u4").tobytes()
+        blob += b"\x02\x00u1\x03\x00s 1\x00" + np.zeros(1, "<f8").tobytes()
+        path.write_bytes(blob)
+        assert run_cli("make-trials", "--enroll", str(path), "--trial", str(path),
+                       "--out", str(tmp_path / "trials.txt")) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {path}: record 0: spk_id 's 1' must be non-empty and contain no "
+            "whitespace or control character"
+        )
+        assert not (tmp_path / "trials.txt").exists()
+
 
 class TestConfigFile:
     def test_config_supplies_values_and_flags_override(self, tmp_path, capsys):

@@ -1,8 +1,10 @@
 import re
+import struct
+import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from anonvox import embeddings
@@ -10,7 +12,6 @@ from anonvox import (
     Corpus,
     Embedding,
     TrialList,
-    TrialEntry,
     TrialPolicy,
     load_embeddings,
     load_scores,
@@ -19,22 +20,19 @@ from anonvox import (
     save_embeddings,
     save_scores,
     save_trials,
-    ScoreEntry,
     ScoreSet,
 )
 
-from conftest import by_speaker
+from conftest import corpus_of
+
+_RULE = "must be non-empty and contain no whitespace or control character"
 
 
 def _corpus(spec, dim=2, name="c"):
     """spec: iterable of (utt, spk, gender, vector-or-None)."""
     rng = np.random.default_rng(0)
-    records = []
-    for utt, spk, gender, vec in spec:
-        if vec is None:
-            vec = rng.standard_normal(dim)
-        records.append(Embedding(utt, spk, gender, vec))
-    return Corpus.from_records(name, tuple(records))
+    return corpus_of(name, ((utt, spk, gender, rng.standard_normal(dim) if vec is None else vec)
+                            for utt, spk, gender, vec in spec))
 
 
 class TestEmbeddingValidation:
@@ -56,11 +54,8 @@ class TestEmbeddingValidation:
             _corpus([("u1", "s1", "F", None), ("u1", "s2", "F", None)])
 
     def test_corpus_rejects_mixed_dims(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            Corpus.from_records(
-                "c",
-                (Embedding("u1", "s1", "F", [1.0]), Embedding("u2", "s1", "F", [1.0, 2.0])),
-            )
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            Corpus("c", ["u1", "u2"], ["s1", "s1"], ["F", "F"], [[1.0], [1.0, 2.0]])
 
     def test_corpus_rejects_conflicting_speaker_gender(self):
         with pytest.raises(ValueError, match="conflicting genders"):
@@ -73,9 +68,9 @@ class TestTextFormat:
         path.write_text("u1 s1 F 0.0 1.0\n")
         corpus = load_embeddings(path, "text")
         assert len(corpus) == 1 and corpus.dim == 2
-        rec = corpus.records[0]
-        assert (rec.utt_id, rec.spk_id, rec.gender) == ("u1", "s1", "F")
-        np.testing.assert_array_equal(rec.vector, [0.0, 1.0])
+        assert (corpus.utt_id.tolist(), corpus.spk_id.tolist(), corpus.gender.tolist()) == (
+            ["u1"], ["s1"], ["F"])
+        np.testing.assert_array_equal(corpus.matrix(), [[0.0, 1.0]])
 
     def test_empty_file_errors(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -131,9 +126,8 @@ class TestBinaryFormat:
         path = tmp_path / "c.xvec"
         save_embeddings(corpus, path, "binary")
         loaded = load_embeddings(path, "binary")
-        assert [r.utt_id for r in loaded.records] == [r.utt_id for r in corpus.records]
-        assert [r.spk_id for r in loaded.records] == [r.spk_id for r in corpus.records]
-        assert [r.gender for r in loaded.records] == [r.gender for r in corpus.records]
+        for column in ("utt_id", "spk_id", "gender"):
+            assert np.array_equal(getattr(loaded, column), getattr(corpus, column))
         assert np.array_equal(loaded.matrix(), corpus.matrix())  # bit exact
 
     def test_bad_magic(self, tmp_path):
@@ -152,7 +146,7 @@ class TestBinaryFormat:
 
     def test_save_empty_corpus_errors(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
-            save_embeddings(Corpus.from_records("c", ()), tmp_path / "e.xvec", "binary")
+            save_embeddings(corpus_of("c", []), tmp_path / "e.xvec", "binary")
 
 
 class TestMakeTrials:
@@ -187,7 +181,7 @@ class TestMakeTrials:
         trial = _corpus([("x1", "s1", "F", None), ("t2", "s2", "F", None)])
         with pytest.warns(UserWarning, match="no trial utterances"):
             trials = make_trials(enroll, trial)
-        assert all(e.test_utt != "x1" or e.label != "target" for e in trials.entries)
+        assert not (trials.is_target & (trials.test_utt == "x1")).any()
         assert trials.n_target == 1
 
     def test_subsample_deterministic(self):
@@ -203,7 +197,7 @@ class TestMakeTrials:
         enroll = _corpus([("e1", "s1", "F", None), ("e2", "s2", "F", None)])
         trial = _corpus([("t1", "s1", "F", None), ("t2", "s2", "F", None)])
         trials = make_trials(enroll, trial)
-        pairs = [(e.enroll_spk, e.test_utt) for e in trials.entries]
+        pairs = list(zip(trials.enroll_spk.tolist(), trials.test_utt.tolist()))
         assert len(set(pairs)) == len(pairs)
         assert trials.n_target + trials.n_nontarget == len(trials)
 
@@ -219,40 +213,33 @@ class TestMakeTrials:
             dim=3,
         )
         trials = make_trials(enroll, trial)
-        expected_targets = sum(
-            sum(1 for r in trial.records if r.spk_id == s) for s in by_speaker(enroll)
-        )
+        expected_targets = sum(trial.spk_id.tolist().count(s) for s in set(enroll.spk_id.tolist()))
         assert trials.n_target == expected_targets
 
 
 class TestTrialAndScoreFiles:
     def test_trial_round_trip(self, tmp_path):
-        trials = TrialList.from_entries(
-            (TrialEntry("s1", "t1", "target"), TrialEntry("s1", "t2", "nontarget"))
-        )
+        trials = TrialList(["s1", "s1"], ["t1", "t2"], [True, False])
         path = tmp_path / "trials.txt"
         save_trials(trials, path)
         assert load_trials(path) == trials
 
     def test_score_round_trip_six_decimals(self, tmp_path):
-        scores = ScoreSet.from_entries(
-            (ScoreEntry("s1", "t1", 1.23456789), ScoreEntry("s2", "t2", -0.5))
-        )
+        scores = ScoreSet(["s1", "s2"], ["t1", "t2"], [1.23456789, -0.5])
         path = tmp_path / "scores.txt"
         save_scores(scores, path)
         loaded = load_scores(path)
-        assert loaded.entries[0].score == pytest.approx(1.234568, abs=5e-7)
+        assert loaded.score[0] == pytest.approx(1.234568, abs=5e-7)
         assert "1.234568" in path.read_text()
 
     def test_with_labels_from(self):
-        trials = TrialList.from_entries((TrialEntry("s1", "t1", "target"),))
-        scores = ScoreSet.from_entries((ScoreEntry("s1", "t1", 0.25),))
-        labeled = scores.with_labels_from(trials)
-        assert labeled.entries[0].label == "target"
+        trials = TrialList(["s1"], ["t1"], [True])
+        labeled = ScoreSet(["s1"], ["t1"], [0.25]).with_labels_from(trials)
+        assert labeled.is_target.tolist() == [True]
 
     def test_with_labels_missing_pair(self):
-        trials = TrialList.from_entries((TrialEntry("s1", "t1", "target"),))
-        scores = ScoreSet.from_entries((ScoreEntry("s9", "t9", 0.25),))
+        trials = TrialList(["s1"], ["t1"], [True])
+        scores = ScoreSet(["s9"], ["t9"], [0.25])
         with pytest.raises(ValueError, match="not present"):
             scores.with_labels_from(trials)
 
@@ -269,10 +256,7 @@ class TestTrialAndScoreFiles:
     )
 )
 def test_binary_round_trip_property(tmp_path_factory, vecs):
-    records = tuple(
-        Embedding(f"u{i}", f"s{i % 3}", "M", np.array(v)) for i, v in enumerate(vecs)
-    )
-    corpus = Corpus.from_records("prop", records)
+    corpus = corpus_of("prop", ((f"u{i}", f"s{i % 3}", "M", v) for i, v in enumerate(vecs)))
     path = tmp_path_factory.mktemp("rt") / "c.xvec"
     save_embeddings(corpus, path, "binary")
     loaded = load_embeddings(path, "binary")
@@ -281,26 +265,27 @@ def test_binary_round_trip_property(tmp_path_factory, vecs):
 
 def _per_record_trials(enroll, trial, policy):
     """The per-record enumeration make_trials replaced, kept as its oracle."""
-    enroll_groups = by_speaker(enroll)
+    own_utts = {}
+    for utt, spk in zip(enroll.utt_id.tolist(), enroll.spk_id.tolist()):
+        own_utts.setdefault(spk, set()).add(utt)
     enroll_gender = enroll.speaker_gender()
-    trial_records = sorted(trial.records, key=lambda r: r.utt_id)
-    speakers = sorted(enroll_groups)
+    trial_rows = sorted(zip(trial.utt_id.tolist(), trial.spk_id.tolist(), trial.gender.tolist()))
+    speakers = sorted(own_utts)
     rows = []
     for spk in speakers:
-        own_utts = {r.utt_id for r in enroll_groups[spk]}
         rows.extend(
-            (spk, r.utt_id, "target")
-            for r in trial_records
-            if r.spk_id == spk and r.utt_id not in own_utts
+            (spk, utt, "target")
+            for utt, utt_spk, _ in trial_rows
+            if utt_spk == spk and utt not in own_utts[spk]
         )
     candidates = []
     for spk in speakers:
-        for rec in trial_records:
-            if rec.spk_id == spk:
+        for utt, utt_spk, gender in trial_rows:
+            if utt_spk == spk:
                 continue
-            if policy.same_gender_only and rec.gender != enroll_gender[spk]:
+            if policy.same_gender_only and gender != enroll_gender[spk]:
                 continue
-            candidates.append((spk, rec.utt_id, "nontarget"))
+            candidates.append((spk, utt, "nontarget"))
     if policy.max_nontargets is not None and policy.max_nontargets < len(candidates):
         rng = np.random.default_rng(policy.seed)
         keep = rng.choice(len(candidates), size=policy.max_nontargets, replace=False)
@@ -339,18 +324,13 @@ class TestMakeTrialsMatchesPerRecordOracle:
         with pytest.warns(UserWarning, match="no trial utterances"):
             got = make_trials(enroll, trial, policy)
         want = _per_record_trials(enroll, trial, policy)
-        assert [(e.enroll_spk, e.test_utt, e.label) for e in got.entries] == want
+        labels = np.where(got.is_target, "target", "nontarget").tolist()
+        assert list(zip(got.enroll_spk.tolist(), got.test_utt.tolist(), labels)) == want
         assert ("s4", "x_own", "target") not in want
         assert ("s3", "x_other", "target") in want
 
 
 class TestColumns:
-    def test_from_entries_equals_columns(self):
-        entries = (TrialEntry("s1", "t1", "target"), TrialEntry("s2", "t1", "nontarget"))
-        columns = TrialList(["s1", "s2"], ["t1", "t1"], [True, False])
-        assert TrialList.from_entries(entries) == columns
-        assert columns.entries == entries
-
     def test_columns_are_read_only(self):
         trials = TrialList(np.array(["s1"]), np.array(["t1"]), np.array([True]))
         scores = ScoreSet(["s1"], ["t1"], [0.5], [True])
@@ -376,51 +356,46 @@ class TestColumns:
 
     def test_score_entries_keep_labels_or_none(self):
         labeled = ScoreSet(["s1", "s2"], ["t1", "t2"], [0.5, -1.0], [False, True])
-        assert [e.label for e in labeled.entries] == ["nontarget", "target"]
-        assert [e.label for e in ScoreSet(["s1"], ["t1"], [0.5]).entries] == [None]
-
-    def test_from_entries_rejects_partial_labels(self):
-        with pytest.raises(ValueError, match="mixes"):
-            ScoreSet.from_entries(
-                (ScoreEntry("s1", "t1", 0.5, "target"), ScoreEntry("s2", "t2", 0.5))
-            )
+        assert labeled.is_target.tolist() == [False, True]
+        assert ScoreSet(["s1"], ["t1"], [0.5]).is_target is None
 
 
 class TestWithLabelsJoin:
     def _trials(self):
+        """(enroll_spk, test_utt, is_target) rows in shuffled order."""
         rng = np.random.default_rng(4)
-        entries = [
-            TrialEntry(f"s{s}", f"u{u}", "target" if (s + u) % 5 == 0 else "nontarget")
-            for s in range(7)
-            for u in range(11)
-        ]
-        return [entries[i] for i in rng.permutation(len(entries))]
+        rows = [(f"s{s}", f"u{u}", (s + u) % 5 == 0) for s in range(7) for u in range(11)]
+        return [rows[i] for i in rng.permutation(len(rows))]
+
+    @staticmethod
+    def _trial_list(rows):
+        spk, utt, is_target = zip(*rows)
+        return TrialList(spk, utt, np.array(is_target))
 
     def test_labels_follow_pairs_against_shuffled_trial_list(self):
-        entries = self._trials()
-        trials = TrialList.from_entries(entries)
+        rows = self._trials()
+        trials = self._trial_list(rows)
         rng = np.random.default_rng(5)
-        picked = [entries[i] for i in rng.permutation(len(entries))[:50]]
-        scores = ScoreSet.from_entries(
-            ScoreEntry(e.enroll_spk, e.test_utt, float(i)) for i, e in enumerate(picked)
-        )
+        picked = [rows[i] for i in rng.permutation(len(rows))[:50]]
+        scores = ScoreSet([r[0] for r in picked], [r[1] for r in picked],
+                          np.arange(len(picked), dtype=float))
         labeled = scores.with_labels_from(trials)
-        assert [(e.enroll_spk, e.test_utt, e.score, e.label) for e in labeled.entries] == [
-            (e.enroll_spk, e.test_utt, float(i), e.label) for i, e in enumerate(picked)
-        ]
+        got = zip(labeled.enroll_spk.tolist(), labeled.test_utt.tolist(),
+                  labeled.score.tolist(), labeled.is_target.tolist())
+        assert list(got) == [(spk, utt, float(i), t) for i, (spk, utt, t) in enumerate(picked)]
 
     def test_aligned_scores_take_trial_labels(self):
-        trials = TrialList.from_entries(self._trials())
+        trials = self._trial_list(self._trials())
         scores = ScoreSet(trials.enroll_spk, trials.test_utt, np.arange(len(trials)))
         assert np.array_equal(scores.with_labels_from(trials).is_target, trials.is_target)
 
     def test_rejects_pair_missing_from_shuffled_trial_list(self):
-        trials = TrialList.from_entries(self._trials())
+        trials = self._trial_list(self._trials())
         # both ids occur in the trial list, but never together
         scores = ScoreSet(["s1", "s2", "s99"], ["u1", "u3", "u1"], [0.0, 1.0, 2.0])
         with pytest.raises(ValueError, match=r"score pair \('s99', 'u1'\) not present"):
             scores.with_labels_from(trials)
-        trials = TrialList.from_entries(e for e in self._trials() if e.test_utt != "u3")
+        trials = self._trial_list(r for r in self._trials() if r[1] != "u3")
         with pytest.raises(ValueError, match=r"score pair \('s2', 'u3'\) not present"):
             scores.with_labels_from(trials)
 
@@ -525,11 +500,17 @@ def test_free_form_trial_file_reads_like_canonical(tmp_path, text):
 
 
 def _per_record_corpus_error(name, rows):
-    """The first error a per-record build raises (Embedding rows, then the corpus loop), or None."""
-    try:
-        records = [Embedding(*row) for row in rows]
-    except ValueError as exc:
-        return str(exc)
+    """The first error a per-record build raises (the id rule and Embedding, row by
+    row, then the corpus loop), or None."""
+    records = []
+    for row in rows:
+        for what, token in zip(("utt_id", "spk_id"), row):
+            if not token or any(c.isspace() or unicodedata.category(c) == "Cc" for c in token):
+                return f"corpus {name!r}: {what} {token!r} {_RULE}"
+        try:
+            records.append(Embedding(*row))
+        except ValueError as exc:
+            return str(exc)
     seen, spk_gender = set(), {}
     for rec in records:
         if rec.utt_id in seen:
@@ -542,8 +523,8 @@ def _per_record_corpus_error(name, rows):
 
 _ROWS = st.lists(
     st.tuples(
-        st.sampled_from(["u1", "u2", "u3", "u4", "u5", "u6", ""]),
-        st.sampled_from(["s1", "s2", "s3", ""]),
+        st.sampled_from(["u1", "u2", "u3", "u4", "u5", "u6", "", "u1\x00", "u 7"]),
+        st.sampled_from(["s1", "s2", "s3", "", "s\x85", "s\t1"]),
         st.sampled_from(["F", "F", "M", "M", "X"]),
         st.lists(st.sampled_from([0.5, -1.0, 2.0, np.nan, np.inf]), min_size=2, max_size=2),
     ),
@@ -559,7 +540,8 @@ def test_corpus_validation_reports_what_the_per_record_build_reports(rows):
     matrix = np.array(columns[3], dtype=np.float64).reshape(len(rows), 2)
     if expected is None:
         corpus = Corpus("c", *columns[:3], matrix)
-        assert [(r.utt_id, r.spk_id, r.gender) for r in corpus.records] == [r[:3] for r in rows]
+        got = zip(corpus.utt_id.tolist(), corpus.spk_id.tolist(), corpus.gender.tolist())
+        assert list(got) == [r[:3] for r in rows]
     else:
         with pytest.raises(ValueError) as info:
             Corpus("c", *columns[:3], matrix)
@@ -579,15 +561,12 @@ class TestCorpusColumns:
         rebuilt = Corpus("c", corpus.utt_id, corpus.spk_id, corpus.gender, corpus.matrix())
         assert rebuilt.utt_id is corpus.utt_id and rebuilt.matrix() is corpus.matrix()
 
-    def test_from_records_and_records_view_round_trip(self):
+    def test_columns_keep_row_order(self):
         corpus = self._corpus()
         assert corpus.utt_id.tolist() == ["u2", "u1", "u3"]
+        assert corpus.spk_id.tolist() == ["s2", "s1", "s2"]
         assert corpus.gender.tolist() == ["M", "F", "M"]
         np.testing.assert_array_equal(corpus.matrix(), [[1, 2], [3, 4], [5, 6]])
-        again = Corpus.from_records("c", corpus.records)
-        for name in ("utt_id", "spk_id", "gender"):
-            assert np.array_equal(getattr(again, name), getattr(corpus, name))
-        assert np.array_equal(again.matrix(), corpus.matrix())
 
     def test_speaker_rows_in_appearance_or_id_order(self):
         corpus = self._corpus()
@@ -600,7 +579,7 @@ class TestCorpusColumns:
         assert corpus.speaker_gender() == {"s2": "M", "s1": "F"}
 
     def test_empty_corpus(self):
-        empty = Corpus.from_records("e", ())
+        empty = corpus_of("e", [])
         assert len(empty) == 0 and empty.records == ()
         speakers, rows = empty.speaker_rows()
         assert len(speakers) == 0 and rows == []
@@ -612,6 +591,80 @@ class TestCorpusColumns:
             Corpus("c", ["u1", "u2"], ["s1", "s1"], ["F"], np.zeros((2, 3)))
         with pytest.raises(ValueError, match=r"\(N, D\) matrix"):
             Corpus("c", ["u1"], ["s1"], ["F"], np.zeros(3))
+
+
+def _binary_blob(rows, dim=2) -> bytes:
+    """A binary embedding file written field by field, ids unchecked."""
+    parts = [b"XVC1", struct.pack("<II", dim, len(rows))]
+    for utt, spk, gender, vector in rows:
+        for token in (utt.encode("utf-8"), spk.encode("utf-8")):
+            parts += [struct.pack("<H", len(token)), token]
+        parts += [bytes([gender == "M"]), np.asarray(vector, "<f8").tobytes()]
+    return b"".join(parts)
+
+
+class TestIdRule:
+    @pytest.mark.parametrize("ids", [["a\x00", "b"], ["a\x00", "a"]])
+    def test_constructor_rejects_nul_before_str_columns_drop_it(self, ids):
+        # stored as str_, "a\x00" would become "a": a changed id, or a false duplicate
+        with pytest.raises(ValueError, match=rf"^corpus 'c': utt_id 'a\\x00' {_RULE}$"):
+            Corpus("c", ids, ["s1", "s1"], ["F", "F"], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=rf"^corpus 'c': utt_id 'a\\x00' {_RULE}$"):
+            Corpus("c", np.array(ids, dtype=object), ["s1", "s1"], ["F", "F"], np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", ["s 1", "s\t1", "", "s\x7f", "s\u3000"])
+    def test_constructor_rejects_spk_id(self, bad):
+        message = f"^corpus 'c': spk_id {re.escape(repr(bad))} {_RULE}$"
+        with pytest.raises(ValueError, match=message):
+            Corpus("c", ["u1", "u2"], ["s0", bad], ["F", "F"], np.zeros((2, 2)))
+
+    def test_text_loader_names_the_line(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("# u\x00 s1 F 1.0\nu1 s1 F 1.0\n\nu\x002 s1 F 2.0\nu3 s1 X 1.0\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"c\.txt:4: utt_id 'u\\x002' {_RULE}$"):
+            load_embeddings(path, "text")
+
+    def test_binary_loader_names_the_record(self, tmp_path):
+        path = tmp_path / "c.xvec"
+        path.write_bytes(_binary_blob([("u1", "s1", "F", [1, 2]), ("u2", "s 1", "F", [1, 2])]))
+        with pytest.raises(ValueError, match=rf"c\.xvec: record 1: spk_id 's 1' {_RULE}$"):
+            load_embeddings(path, "binary")
+        path.write_bytes(_binary_blob([("u1\x00", "s1", "F", [1, 2])]))
+        with pytest.raises(ValueError, match=rf"c\.xvec: record 0: utt_id 'u1\\x00' {_RULE}$"):
+            load_embeddings(path, "binary")
+
+    def test_earlier_record_fault_is_reported_first(self, tmp_path):
+        path = tmp_path / "c.xvec"
+        path.write_bytes(_binary_blob([("u1", "s1", "F", [np.nan, 2]), ("u 2", "s1", "F", [1, 1])]))
+        with pytest.raises(ValueError, match=r"^embedding 'u1': non-finite coordinate$"):
+            load_embeddings(path, "binary")
+        path.write_bytes(_binary_blob([("u 1", "s1", "F", [1, 1]), ("u2", "s1", "F", [np.nan, 2])]))
+        with pytest.raises(ValueError, match=rf"record 0: utt_id 'u 1' {_RULE}$"):
+            load_embeddings(path, "binary")
+
+
+_VALID_ID = st.text(st.characters(blacklist_categories=("Cc", "Cs")), min_size=1,
+                    max_size=6).filter(lambda token: not any(c.isspace() for c in token))
+
+
+@settings(max_examples=80, deadline=None)
+@given(utts=st.lists(_VALID_ID, min_size=1, max_size=8, unique=True),
+       speakers=st.lists(_VALID_ID, min_size=1, max_size=3, unique=True),
+       data=st.data(), fmt=st.sampled_from(["text", "binary"]))
+def test_valid_ids_round_trip(tmp_path_factory, utts, speakers, data, fmt):
+    # a text line whose first field starts with "#" is a comment
+    assume(fmt == "binary" or not any(utt.startswith("#") for utt in utts))
+    spk = [data.draw(st.sampled_from(speakers)) for _ in utts]
+    gender = ["FM"[speakers.index(s) % 2] for s in spk]
+    vectors = np.arange(2.0 * len(utts)).reshape(len(utts), 2)
+    corpus = Corpus("c", utts, spk, gender, vectors)
+    path = tmp_path_factory.mktemp("ids") / "c.emb"
+    save_embeddings(corpus, path, fmt)
+    loaded = load_embeddings(path, fmt)
+    assert (loaded.utt_id.tolist(), loaded.spk_id.tolist(), loaded.gender.tolist()) == (
+        utts, spk, gender)
+    assert np.array_equal(loaded.matrix(), vectors)
 
 
 class TestBinaryLoaderErrors:

@@ -21,20 +21,20 @@ class TestLpcAnalyze:
         x = np.zeros(2000)
         for i in range(1, len(x)):
             x[i] = 0.9 * x[i - 1] + 0.01 * rng.standard_normal()
-        frame = lpc_analyze(x[500:900], 1)
-        assert frame.coeffs[0] == pytest.approx(0.9, abs=0.02)
+        coeffs, _ = lpc_analyze(x[500:900], 1)
+        assert coeffs[0] == pytest.approx(0.9, abs=0.02)
 
     def test_all_zero_frame(self):
-        frame = lpc_analyze(np.zeros(200), 8)
-        assert np.all(frame.coeffs == 0.0)
-        assert np.all(frame.excitation == 0.0)
+        coeffs, excitation = lpc_analyze(np.zeros(200), 8)
+        assert np.all(coeffs == 0.0)
+        assert np.all(excitation == 0.0)
 
     def test_inverse_then_forward_reconstructs(self):
         rng = np.random.default_rng(5)
         signal = rng.standard_normal(400)
-        frame = lpc_analyze(signal, 12)
-        error_filter = np.concatenate([[1.0], -frame.coeffs])
-        reconstructed = lfilter([1.0], error_filter, frame.excitation)
+        coeffs, excitation = lpc_analyze(signal, 12)
+        error_filter = np.concatenate([[1.0], -coeffs])
+        reconstructed = lfilter([1.0], error_filter, excitation)
         assert np.max(np.abs(reconstructed - signal)) < 1e-9
 
     def test_order_must_be_below_frame_length(self):
@@ -44,8 +44,8 @@ class TestLpcAnalyze:
     def test_predictor_is_stable(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            frame = lpc_analyze(rng.standard_normal(300) * np.hanning(300), 16)
-            roots = np.roots(np.concatenate([[1.0], -frame.coeffs]))
+            coeffs, _ = lpc_analyze(rng.standard_normal(300) * np.hanning(300), 16)
+            roots = np.roots(np.concatenate([[1.0], -coeffs]))
             assert np.all(np.abs(roots) < 1.0)
 
 
@@ -132,8 +132,8 @@ class TestAnonymizeWav:
         window = np.hanning(cfg.frame_len)
         x = np.concatenate([np.zeros(cfg.frame_len), vowel.samples, np.zeros(cfg.frame_len)])
         for start in range(0, x.size - cfg.frame_len, cfg.hop):
-            frame = lpc_analyze(x[start : start + cfg.frame_len] * window, cfg.lpc_order)
-            poles = np.roots(np.concatenate([[1.0], -frame.coeffs]))
+            coeffs, _ = lpc_analyze(x[start : start + cfg.frame_len] * window, cfg.lpc_order)
+            poles = np.roots(np.concatenate([[1.0], -coeffs]))
             warped = warp_poles(poles, cfg.alpha)
             if warped.size:
                 assert np.max(np.abs(warped)) < 1.0
@@ -264,17 +264,17 @@ class TestAgainstPerFrameReference:
         rng = np.random.default_rng(21)
         frames = rng.standard_normal((2, 3, 120)) * np.hanning(120)
         frames[1, 2] = 0.0
-        batched = lpc_analyze(frames, 10)
-        assert batched.coeffs.shape == (2, 3, 10)
-        assert batched.excitation.shape == (2, 3, 120)
+        batch_coeffs, batch_excitation = lpc_analyze(frames, 10)
+        assert batch_coeffs.shape == (2, 3, 10)
+        assert batch_excitation.shape == (2, 3, 120)
         for idx in np.ndindex(2, 3):
-            row = lpc_analyze(frames[idx], 10)
-            np.testing.assert_array_equal(batched.coeffs[idx], row.coeffs)
-            np.testing.assert_array_equal(batched.excitation[idx], row.excitation)
+            row_coeffs, row_excitation = lpc_analyze(frames[idx], 10)
+            np.testing.assert_array_equal(batch_coeffs[idx], row_coeffs)
+            np.testing.assert_array_equal(batch_excitation[idx], row_excitation)
             coeffs, excitation = _reference_lpc(frames[idx], 10)
-            np.testing.assert_allclose(row.coeffs, coeffs, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(row.excitation, excitation, rtol=0, atol=1e-12)
-        assert np.all(batched.coeffs[1, 2] == 0.0) and np.all(batched.excitation[1, 2] == 0.0)
+            np.testing.assert_allclose(row_coeffs, coeffs, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(row_excitation, excitation, rtol=0, atol=1e-12)
+        assert np.all(batch_coeffs[1, 2] == 0.0) and np.all(batch_excitation[1, 2] == 0.0)
 
     def test_warp_poles_any_shape(self):
         rng = np.random.default_rng(8)

@@ -19,6 +19,8 @@ from anonvox import (
 )
 from anonvox import anonymize as anonymize_module
 
+from conftest import from_arrays
+
 
 @pytest.fixture(scope="module")
 def pipeline():
@@ -37,9 +39,9 @@ class TestRunCondition:
         scores = score_trials(model, enroll, trial, trials)
         genders = enroll.speaker_gender()
         for run in runs:
-            subset = ScoreSet.from_entries(
-                tuple(e for e in scores.entries if genders[e.enroll_spk] == run.gender)
-            )
+            keep = [genders[spk] == run.gender for spk in scores.enroll_spk.tolist()]
+            subset = ScoreSet(scores.enroll_spk[keep], scores.test_utt[keep],
+                              scores.score[keep], scores.is_target[keep])
             direct = compute_metrics(subset)
             assert run.metrics == direct
 
@@ -81,9 +83,9 @@ class TestRunCondition:
         total_targets = sum(r.metrics.n_target for r in runs)
         assert total_targets == trials.n_target
         # constructed counterexample at the metric level
-        female = ScoreSet.from_arrays([3.0, 4.0], [1.0, 2.0])
-        male = ScoreSet.from_arrays([13.0, 14.0], [11.0, 12.0])
-        pooled = ScoreSet.from_arrays([3.0, 4.0, 13.0, 14.0], [1.0, 2.0, 11.0, 12.0])
+        female = from_arrays([3.0, 4.0], [1.0, 2.0])
+        male = from_arrays([13.0, 14.0], [11.0, 12.0])
+        pooled = from_arrays([3.0, 4.0, 13.0, 14.0], [1.0, 2.0, 11.0, 12.0])
         assert compute_eer(female)[0] == 0.0
         assert compute_eer(male)[0] == 0.0
         assert compute_eer(pooled)[0] == pytest.approx(0.5)

@@ -5,26 +5,22 @@ from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from anonvox import (
-    Corpus,
-    Embedding,
     PldaModel,
     PreprocessConfig,
-    TrialEntry,
     TrialList,
     default_spec,
-    enroll_speaker,
     generate,
     load_model,
-    plda_distance,
     preprocess,
     save_model,
     score,
     score_trials,
     train_plda,
 )
+from anonvox.anonymize import _ranked_rows
 from anonvox.plda import log_likelihood, score_matrix
 
-from conftest import by_speaker, by_utt
+from conftest import by_speaker, by_utt, corpus_of
 
 LN_2_OVER_SQRT3 = 0.1438410362258906
 
@@ -138,7 +134,7 @@ class TestScoreMatrix:
         forms = model._scoring_forms
         monkeypatch.setattr(np.linalg, "solve", None)  # deriving the forms again would fail
         assert score(model, a, b) == before
-        assert plda_distance(model, b, a) == -before
+        assert score(model, b, a) == before
         assert model._scoring_forms is forms
 
     def test_model_arrays_are_read_only(self):
@@ -156,19 +152,22 @@ class TestScoreMatrix:
 
 
 class TestDistance:
+    """The anonymizer's dissimilarity is the negated LLR."""
+
     def test_negated_score(self):
         rng = np.random.default_rng(2)
         model = random_model(rng, 3)
-        a, b = rng.standard_normal(3), rng.standard_normal(3)
-        assert plda_distance(model, a, b) == -score(model, a, b)
+        a, pool = rng.standard_normal(3), rng.standard_normal((8, 3))
+        (farthest,) = _ranked_rows(a[None, :], pool, np.arange(8), model, 1)
+        assert farthest.tolist() == [int(np.argmin([score(model, a, p) for p in pool]))]
 
     def test_self_distance_minimal_over_pool(self):
         rng = np.random.default_rng(21)
         model = random_model(rng, 4)
         pool = rng.standard_normal((30, 4)) + model.mu
         for i in range(10):
-            self_d = plda_distance(model, pool[i], pool[i])
-            others = [plda_distance(model, pool[i], pool[j]) for j in range(30) if j != i]
+            self_d = -score(model, pool[i], pool[i])
+            others = [-score(model, pool[i], pool[j]) for j in range(30) if j != i]
             assert self_d <= min(others)
 
     def test_ordering_is_reverse_of_score(self):
@@ -176,27 +175,25 @@ class TestDistance:
         model = random_model(rng, 3)
         x = rng.standard_normal(3)
         ys = rng.standard_normal((10, 3))
-        by_dist = sorted(range(10), key=lambda i: plda_distance(model, x, ys[i]))
-        by_score = sorted(range(10), key=lambda i: -score(model, x, ys[i]))
-        assert by_dist == by_score
+        (by_dist,) = _ranked_rows(x[None, :], ys, np.arange(10), model, 10)
+        by_score = sorted(range(10), key=lambda i: score(model, x, ys[i]))
+        assert by_dist.tolist() == by_score
 
     def test_zero_between_all_distances_zero(self):
         model = PldaModel(mu=np.zeros(2), between=np.zeros((2, 2)), within=np.eye(2))
         rng = np.random.default_rng(1)
-        assert plda_distance(model, rng.standard_normal(2), rng.standard_normal(2)) == 0.0
+        assert -score(model, rng.standard_normal(2), rng.standard_normal(2)) == 0.0
 
 
 class TestPreprocess:
     def test_center(self):
-        corpus = Corpus.from_records(
-            "c", (Embedding("u1", "s1", "F", [1.0, 0.0]), Embedding("u2", "s2", "F", [3.0, 0.0]))
-        )
+        corpus = corpus_of("c", [("u1", "s1", "F", [1.0, 0.0]), ("u2", "s2", "F", [3.0, 0.0])])
         out = preprocess(corpus, PreprocessConfig(center=True))
         np.testing.assert_allclose(out.matrix(), [[-1.0, 0.0], [1.0, 0.0]], atol=1e-12)
         assert np.linalg.norm(out.matrix().mean(axis=0)) < 1e-10
 
     def test_length_normalize(self):
-        corpus = Corpus.from_records("c", (Embedding("u1", "s1", "F", [3.0, 4.0]),))
+        corpus = corpus_of("c", [("u1", "s1", "F", [3.0, 4.0])])
         out = preprocess(corpus, PreprocessConfig(length_normalize=True))
         expected = np.array([3.0, 4.0]) * np.sqrt(2.0) / 5.0
         np.testing.assert_allclose(out.matrix()[0], expected, atol=1e-12)
@@ -204,14 +201,12 @@ class TestPreprocess:
 
     def test_identity_when_flags_off(self):
         rng = np.random.default_rng(0)
-        corpus = Corpus.from_records(
-            "c", tuple(Embedding(f"u{i}", "s1", "F", rng.standard_normal(3)) for i in range(4))
-        )
+        corpus = corpus_of("c", ((f"u{i}", "s1", "F", rng.standard_normal(3)) for i in range(4)))
         out = preprocess(corpus, PreprocessConfig())
         assert np.array_equal(out.matrix(), corpus.matrix())
 
     def test_zero_vector_rejected(self):
-        corpus = Corpus.from_records("c", (Embedding("u1", "s1", "F", [0.0, 0.0]),))
+        corpus = corpus_of("c", [("u1", "s1", "F", [0.0, 0.0])])
         with pytest.raises(ValueError, match="zero vector"):
             preprocess(corpus, PreprocessConfig(length_normalize=True))
 
@@ -242,11 +237,9 @@ class TestTraining:
         assert rel_w < 0.15
 
     def test_degenerate_corpus_floors_within(self):
-        records = tuple(
-            Embedding(f"u{i}", f"s{i % 3}", "F", [1.0, 2.0]) for i in range(9)
-        )
+        rows = ((f"u{i}", f"s{i % 3}", "F", [1.0, 2.0]) for i in range(9))
         with pytest.warns(UserWarning):
-            model = train_plda(Corpus.from_records("deg", records), 3)
+            model = train_plda(corpus_of("deg", rows), 3)
         assert np.min(np.linalg.eigvalsh(model.within)) > 0.0
 
     def test_single_utterance_per_speaker_fixed_point(self):
@@ -254,10 +247,8 @@ class TestTraining:
         training must complete, keep between + within at the total covariance,
         and align between's principal axis with the data's."""
         rng = np.random.default_rng(9)
-        records = tuple(
-            Embedding(f"u{i}", f"s{i}", "F", rng.standard_normal(3)) for i in range(50)
-        )
-        corpus = Corpus.from_records("single", records)
+        corpus = corpus_of("single", ((f"u{i}", f"s{i}", "F", rng.standard_normal(3))
+                                      for i in range(50)))
         model = train_plda(corpus, 10)
         x = corpus.matrix()
         total = np.cov(x.T, bias=True)
@@ -268,9 +259,9 @@ class TestTraining:
         assert abs(top_data @ top_between) > 0.99
 
     def test_requires_two_speakers(self):
-        records = (Embedding("u1", "s1", "F", [1.0]), Embedding("u2", "s1", "F", [2.0]))
+        corpus = corpus_of("c", [("u1", "s1", "F", [1.0]), ("u2", "s1", "F", [2.0])])
         with pytest.raises(ValueError, match="two speakers"):
-            train_plda(Corpus.from_records("c", records), 1)
+            train_plda(corpus, 1)
 
     def test_model_invariants_after_training(self):
         corpus, _ = generate(default_spec(n_speakers=20, utts_per_speaker=6, dim=5, seed=3))
@@ -281,50 +272,47 @@ class TestTraining:
         np.testing.assert_allclose(model.within, model.within.T)
 
 
+def _enrolled_score(model, enroll_vectors, test_vector):
+    """The score_trials score of one speaker enrolled from ``enroll_vectors``
+    against one test utterance."""
+    enroll = corpus_of("e", ((f"e{i}", "s1", "F", v) for i, v in enumerate(enroll_vectors)))
+    test = corpus_of("t", [("t1", "s2", "F", test_vector)])
+    (got,) = score_trials(model, enroll, test, TrialList(["s1"], ["t1"], [False])).score
+    return got
+
+
 class TestEnrollAndTrials:
     def test_enroll_single_vector(self):
         model = random_model(np.random.default_rng(0), 2)
-        e = Embedding("u1", "s1", "F", [1.0, 2.0])
-        np.testing.assert_array_equal(enroll_speaker(model, [e]), [1.0, 2.0])
+        y = [0.3, -0.7]
+        assert _enrolled_score(model, [[1.0, 2.0]], y) == score(model, [1.0, 2.0], y)
 
     def test_enroll_mean(self):
         model = random_model(np.random.default_rng(0), 2)
-        es = [Embedding("u1", "s1", "F", [0.0, 0.0]), Embedding("u2", "s1", "F", [2.0, 0.0])]
-        np.testing.assert_array_equal(enroll_speaker(model, es), [1.0, 0.0])
+        y = [0.3, -0.7]
+        assert _enrolled_score(model, [[0.0, 0.0], [2.0, 0.0]], y) == score(model, [1.0, 0.0], y)
 
     def test_enroll_k_copies(self):
         model = random_model(np.random.default_rng(0), 2)
-        es = [Embedding(f"u{i}", "s1", "F", [0.5, -1.5]) for i in range(5)]
-        np.testing.assert_allclose(enroll_speaker(model, es), [0.5, -1.5], atol=1e-15)
+        y = [0.3, -0.7]
+        got = _enrolled_score(model, [[0.5, -1.5]] * 5, y)
+        assert got == pytest.approx(score(model, [0.5, -1.5], y), rel=1e-12, abs=1e-12)
 
     def test_enroll_empty_errors(self):
         model = random_model(np.random.default_rng(0), 2)
-        with pytest.raises(ValueError, match="no embeddings"):
-            enroll_speaker(model, [])
+        test = corpus_of("t", [("t1", "s2", "F", [0.3, -0.7])])
+        with pytest.raises(ValueError, match="empty"):
+            score_trials(model, corpus_of("e", []), test, TrialList(["s1"], ["t1"], [False]))
 
     def _setup(self):
         rng = np.random.default_rng(31)
         model = random_model(rng, 3)
-        enroll = Corpus.from_records(
-            "e",
-            tuple(
-                Embedding(f"e{s}{u}", f"s{s}", "F", rng.standard_normal(3))
-                for s in range(2)
-                for u in range(2)
-            ),
-        )
-        test = Corpus.from_records(
-            "t",
-            tuple(Embedding(f"t{i}", f"s{i % 2}", "F", rng.standard_normal(3)) for i in range(4)),
-        )
-        trials = TrialList.from_entries(
-            (
-                TrialEntry("s0", "t0", "target"),
-                TrialEntry("s0", "t1", "nontarget"),
-                TrialEntry("s1", "t1", "target"),
-                TrialEntry("s1", "t2", "nontarget"),
-            )
-        )
+        enroll = corpus_of("e", ((f"e{s}{u}", f"s{s}", "F", rng.standard_normal(3))
+                                 for s in range(2) for u in range(2)))
+        test = corpus_of("t", ((f"t{i}", f"s{i % 2}", "F", rng.standard_normal(3))
+                               for i in range(4)))
+        trials = TrialList(["s0", "s0", "s1", "s1"], ["t0", "t1", "t1", "t2"],
+                           [True, False, True, False])
         return model, enroll, test, trials
 
     def test_score_trials_matches_manual_loop(self):
@@ -333,77 +321,53 @@ class TestEnrollAndTrials:
         assert len(scores) == len(trials)
         groups = by_speaker(enroll)
         test_by_utt = by_utt(test)
-        for entry in scores.entries:
-            vec = enroll_speaker(model, groups[entry.enroll_spk])
-            manual = score(model, vec, test_by_utt[entry.test_utt].vector)
-            assert entry.score == pytest.approx(manual, rel=1e-12, abs=1e-12)
+        rows = zip(scores.enroll_spk.tolist(), scores.test_utt.tolist(), scores.score.tolist())
+        for spk, utt, got in rows:
+            manual = score(model, groups[spk].mean(axis=0), test_by_utt[utt])
+            assert got == pytest.approx(manual, rel=1e-12, abs=1e-12)
 
     def test_score_trials_order_invariant(self):
         model, enroll, test, trials = self._setup()
-        reordered = TrialList.from_entries(tuple(reversed(trials.entries)))
-        first = {(e.enroll_spk, e.test_utt): e.score
-                 for e in score_trials(model, enroll, test, trials).entries}
-        second = {(e.enroll_spk, e.test_utt): e.score
-                  for e in score_trials(model, enroll, test, reordered).entries}
+        reordered = TrialList(trials.enroll_spk[::-1], trials.test_utt[::-1],
+                              trials.is_target[::-1])
+        first, second = (
+            dict(zip(zip(s.enroll_spk.tolist(), s.test_utt.tolist()), s.score.tolist()))
+            for s in (score_trials(model, enroll, test, t) for t in (trials, reordered))
+        )
         assert first == second
 
     def test_score_trials_unknown_id(self):
         model, enroll, test, trials = self._setup()
-        bad = TrialList.from_entries(trials.entries + (TrialEntry("ghost", "t0", "target"),))
+        bad = TrialList([*trials.enroll_spk, "ghost"], [*trials.test_utt, "t0"],
+                        [*trials.is_target, True])
         with pytest.raises(ValueError, match="ghost"):
             score_trials(model, enroll, test, bad)
 
     def test_labels_carried_through(self):
         model, enroll, test, trials = self._setup()
         scores = score_trials(model, enroll, test, trials)
-        assert [e.label for e in scores.entries] == [e.label for e in trials.entries]
+        assert scores.is_target.tolist() == trials.is_target.tolist()
 
-    def test_score_averaging_alternative(self):
-        model, enroll, test, trials = self._setup()
-        averaged_scores = score_trials(model, enroll, test, trials, aggregate_embeddings=False)
-        groups = by_speaker(enroll)
-        test_by_utt = by_utt(test)
-        for entry in averaged_scores.entries:
-            per_utt = [
-                score(model, rec.vector, test_by_utt[entry.test_utt].vector)
-                for rec in groups[entry.enroll_spk]
-            ]
-            assert entry.score == pytest.approx(np.mean(per_utt), rel=1e-12)
-        default = score_trials(model, enroll, test, trials)
-        assert any(
-            a.score != b.score for a, b in zip(default.entries, averaged_scores.entries)
-        )
-
-
-    @pytest.mark.parametrize("aggregate", [True, False])
-    def test_score_trials_matches_pair_loop_on_shuffled_trials(self, aggregate):
+    def test_score_trials_matches_pair_loop_on_shuffled_trials(self):
         corpus, _ = generate(default_spec(n_speakers=16, utts_per_speaker=5, dim=4, seed=41))
         model = train_plda(corpus, 3)
-        enroll = Corpus.from_records(
-            "e", tuple(r for r in corpus.records if r.utt_id.endswith(("0", "1")))
-        )
-        test = Corpus.from_records(
-            "t", tuple(r for r in corpus.records if not r.utt_id.endswith(("0", "1")))
-        )
-        entries = [
-            TrialEntry(spk, r.utt_id, "target" if r.spk_id == spk else "nontarget")
-            for spk in by_speaker(enroll)
-            for r in test.records
-        ]
-        order = np.random.default_rng(42).permutation(len(entries))
-        trials = TrialList.from_entries(tuple(entries[i] for i in order))
-        got = score_trials(model, enroll, test, trials, aggregate_embeddings=aggregate)
+        rows = list(zip(corpus.utt_id.tolist(), corpus.spk_id.tolist(),
+                        corpus.gender.tolist(), corpus.matrix()))
+        enroll = corpus_of("e", (r for r in rows if r[0].endswith(("0", "1"))))
+        test = corpus_of("t", (r for r in rows if not r[0].endswith(("0", "1"))))
+        pairs = [(spk, utt, spk == utt_spk) for spk in by_speaker(enroll)
+                 for utt, utt_spk in zip(test.utt_id.tolist(), test.spk_id.tolist())]
+        order = np.random.default_rng(42).permutation(len(pairs))
+        trials = TrialList(*(list(col) for col in zip(*(pairs[i] for i in order))))
+        got = score_trials(model, enroll, test, trials)
+        for name in ("enroll_spk", "test_utt", "is_target"):
+            assert np.array_equal(getattr(got, name), getattr(trials, name))
         groups = by_speaker(enroll)
         test_by_utt = by_utt(test)
-        for entry, trial in zip(got.entries, trials.entries):
-            assert (entry.enroll_spk, entry.test_utt, entry.label) == (
-                trial.enroll_spk, trial.test_utt, trial.label)
-            y = test_by_utt[entry.test_utt].vector
-            if aggregate:
-                want = score(model, enroll_speaker(model, groups[entry.enroll_spk]), y)
-            else:
-                want = np.mean([score(model, r.vector, y) for r in groups[entry.enroll_spk]])
-            assert entry.score == pytest.approx(want, rel=1e-12, abs=1e-12)
+        rows = zip(got.enroll_spk.tolist(), got.test_utt.tolist(), got.score.tolist())
+        for spk, utt, value in rows:
+            want = score(model, groups[spk].mean(axis=0), test_by_utt[utt])
+            assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestModelIO:

@@ -21,7 +21,7 @@ class TestGenerate:
         first, _ = generate(spec)
         second, _ = generate(spec)
         assert np.array_equal(first.matrix(), second.matrix())
-        assert [r.utt_id for r in first.records] == [r.utt_id for r in second.records]
+        assert np.array_equal(first.utt_id, second.utt_id)
 
     def test_zero_within_gives_identical_utterances(self):
         spec = GenSpec(
@@ -33,9 +33,8 @@ class TestGenerate:
             seed=2,
         )
         corpus, _ = generate(spec)
-        for recs in by_speaker(corpus).values():
-            for rec in recs[1:]:
-                assert np.array_equal(rec.vector, recs[0].vector)
+        for vectors in by_speaker(corpus).values():
+            assert (vectors == vectors[0]).all()
 
     def test_zero_between_gives_chance_eer(self):
         dim = 8
@@ -58,9 +57,7 @@ class TestGenerate:
     def test_speaker_mean_covariance_matches_law_of_large_numbers(self):
         spec = default_spec(n_speakers=500, utts_per_speaker=10, dim=4, seed=5)
         corpus, truth = generate(spec)
-        means = np.stack(
-            [np.mean([r.vector for r in recs], axis=0) for recs in by_speaker(corpus).values()]
-        )
+        means = np.stack([vectors.mean(axis=0) for vectors in by_speaker(corpus).values()])
         observed = np.cov(means.T, bias=False)
         expected = truth.between + truth.within / spec.utts_per_speaker
         rel = np.linalg.norm(observed - expected) / np.linalg.norm(expected)
@@ -94,8 +91,8 @@ class TestSplit:
         assert pool_spk.isdisjoint(eval_spk)
         # enrollment and trial share speakers but not utterances
         assert set(trial.speaker_gender()) == eval_spk
-        enroll_utts = {r.utt_id for r in enroll.records}
-        trial_utts = {r.utt_id for r in trial.records}
+        enroll_utts = set(enroll.utt_id.tolist())
+        trial_utts = set(trial.utt_id.tolist())
         assert enroll_utts.isdisjoint(trial_utts)
         total = len(train) + len(pool) + len(enroll) + len(trial)
         assert total == len(corpus)
@@ -113,7 +110,7 @@ class TestSplit:
         a = split(corpus, (0.5, 0.2, 0.1, 0.2), seed=4)
         b = split(corpus, (0.5, 0.2, 0.1, 0.2), seed=4)
         for first, second in zip(a, b):
-            assert [r.utt_id for r in first.records] == [r.utt_id for r in second.records]
+            assert np.array_equal(first.utt_id, second.utt_id)
 
     def test_too_few_utterances_errors(self):
         spec = default_spec(n_speakers=4, utts_per_speaker=1, dim=2, seed=0)

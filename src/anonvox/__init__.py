@@ -23,10 +23,7 @@ from .metrics import (
     DetCurve,
     MetricsReport,
     WerResult,
-    compute_cllr,
-    compute_eer,
     compute_metrics,
-    compute_min_cllr,
     det_points,
     wer,
 )

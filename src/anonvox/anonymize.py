@@ -146,5 +146,4 @@ def anonymize_corpus(
         streams = [derive_stream(cfg.seed, cfg.subset_tag, keys[i]) for i in idx]
         pseudo[idx] = _pseudo_vectors(sources[idx], _pool_view(pool, cfg, gender), model, cfg,
                                       streams)
-    return Corpus(corpus.name, corpus.utt_id, corpus.spk_id, corpus.gender,
-                  pseudo[source_of_row], corpus.subset)
+    return Corpus(corpus.name, corpus.utt_id, corpus.spk_id, corpus.gender, pseudo[source_of_row])

@@ -30,7 +30,7 @@ from .embeddings import (
 )
 from .formant import ShiftConfig, anonymize_wav, read_wav, write_wav
 from .harness import Condition, render_report, run_condition, trial_tag
-from .metrics import det_points, format_det, wer
+from .metrics import WerResult, det_points, format_det, wer
 from .plda import (
     PreprocessConfig,
     load_model,
@@ -378,8 +378,8 @@ def _cmd_eval(opts: dict) -> int:
 
 
 def _cmd_det(opts: dict) -> int:
-    scores = load_scores(opts["scores"]).with_labels_from(load_trials(opts["trials"]))
-    text = format_det(det_points(scores))
+    scores = load_scores(opts["scores"], load_trials(opts["trials"]))
+    text = format_det(det_points(scores.score, scores.trials.is_target))
     if opts["out"]:
         Path(opts["out"]).write_text(text, encoding="utf-8")
     else:
@@ -396,16 +396,12 @@ def _cmd_wer(opts: dict) -> int:
         raise ValueError(
             f"line count mismatch: {len(ref_lines)} reference vs {len(hyp_lines)} hypothesis"
         )
-    subs = dels = ins = ref_words = 0
-    for ref_line, hyp_line in zip(ref_lines, hyp_lines):
-        result = wer(ref_line.split(), hyp_line.split())
-        subs += result.substitutions
-        dels += result.deletions
-        ins += result.insertions
-        ref_words += result.ref_words
-    rate = 100.0 * (subs + dels + ins) / ref_words
-    print(f"S={subs} D={dels} I={ins} ref={ref_words}", file=sys.stderr)
-    print(f"WER {rate:.3f}%")
+    results = [wer(ref.split(), hyp.split()) for ref, hyp in zip(ref_lines, hyp_lines)]
+    total = WerResult(sum(r.substitutions for r in results), sum(r.deletions for r in results),
+                      sum(r.insertions for r in results), sum(r.ref_words for r in results))
+    print(f"S={total.substitutions} D={total.deletions} I={total.insertions} "
+          f"ref={total.ref_words}", file=sys.stderr)
+    print(f"WER {total.wer:.3f}%")
     return 0
 
 

@@ -10,8 +10,11 @@ On-disk formats:
 * trial list: ``<enroll_spk> <test_utt> <target|nontarget>`` per line.
 * score file: ``<enroll_spk> <test_utt> <score>`` with six decimal places.
   In both, each (enroll_spk, test_utt) pair appears once and ids hold no
-  control character; in memory each id column is coded once against its
-  sorted vocabulary (``TrialList``, ``ScoreSet``).
+  control character and do not start with ``#``. A score file is read
+  against a trial list, which must hold each of its pairs.
+
+In memory a ``TrialList`` codes each id column once against its sorted
+vocabulary, and a ``ScoreSet`` is a score column over a ``TrialList``.
 """
 
 from __future__ import annotations
@@ -27,16 +30,17 @@ from pathlib import Path
 import numpy as np
 
 GENDERS = ("F", "M")
-SUBSETS = ("enrollment", "trial", "pool", "training")
 LABELS = ("target", "nontarget")
 
 _BINARY_MAGIC = b"XVC1"
 _GENDER_BYTE = {"F": b"\x00", "M": b"\x01"}
-# the id rule: an id is non-empty and holds no whitespace or control character;
-# ids read from a trial or score file are whitespace-split, so only _CONTROL applies
+# the id rule: an id is non-empty, holds no whitespace or control character and
+# does not start with "#" (a text line starting with it is a comment); ids read
+# from a trial or score file are whitespace-split, so only the rest applies
 _CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 _ID_FAULT = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
 _ID_RULE = "{} {!r} must be non-empty and contain no whitespace or control character"
+_ID_HASH = "{} {!r} must not start with '#'"
 
 
 @dataclass(frozen=True)
@@ -62,37 +66,36 @@ class Embedding:
 
 
 def _check_rows(utt: list[str], spk: list[str], gender, matrix, where) -> None:
-    """Raise for the first row with a fault: an id the id rule rejects, with the
-    message prefixed by ``where(row)``, else what ``Embedding`` raises."""
+    """Raise for the first row with a fault: an id the id rule rejects (its
+    utt_id first), with the message prefixed by ``where(row)``, else what
+    ``Embedding`` raises."""
     bad = ~np.isin(gender, GENDERS)
     bad |= ~np.isfinite(matrix).all(axis=1) if matrix.shape[1] else True
     first = int(np.argmax(bad)) if bad.any() else len(bad)
-    fault = _id_fault(utt, spk)
+    faults = [f for f in (_id_fault(utt, "utt_id"), _id_fault(spk, "spk_id")) if f]
+    fault = min(faults, key=lambda f: f[0], default=None)
     if fault is not None and fault[0] <= first:
         raise ValueError(where(fault[0]) + fault[1])
     if first < len(bad):
         Embedding(utt[first], spk[first], str(gender[first]), matrix[first])
 
 
-def _id_fault(utt: list[str], spk: list[str]) -> tuple[int, str] | None:
-    """The first row holding an id the id rule rejects (its utt_id checked first)
-    and the message for it, or None. One regex pass covers each joined column;
-    rows are walked only after a hit."""
-    if all(_clean_ids(ids) for ids in (utt, spk)):
-        return None
-    for row, ids in enumerate(zip(utt, spk)):
-        for what, token in zip(("utt_id", "spk_id"), ids):
-            if not token or _ID_FAULT.search(token):
-                return row, _ID_RULE.format(what, token)
-
-
-def _clean_ids(ids: list[str]) -> bool:
-    """Whether every id passes the id rule. Each printable character but the
-    space passes it, so ``isprintable`` clears most columns without the regex."""
-    if "" in ids:
-        return False
+def _id_fault(ids: list[str], what: str) -> tuple[int, str] | None:
+    """The first of ``ids`` the id rule rejects and the message for it, or None.
+    One pass over the joined column clears most columns: each printable
+    character but the space passes the rule. Ids are walked one by one only
+    after a hit, or when the column holds a "#"."""
     joined = "".join(ids)
-    return (joined.isprintable() and " " not in joined) or not _ID_FAULT.search(joined)
+    if "" not in ids and "#" not in joined and (
+        (joined.isprintable() and " " not in joined) or not _ID_FAULT.search(joined)
+    ):
+        return None
+    for i, token in enumerate(ids):
+        if not token or _ID_FAULT.search(token):
+            return i, _ID_RULE.format(what, token)
+        if token.startswith("#"):
+            return i, _ID_HASH.format(what, token)
+    return None
 
 
 def _id_strings(values) -> list[str]:
@@ -108,9 +111,9 @@ class Corpus:
 
     ``utt_id``, ``spk_id`` and ``gender`` are string arrays beside an (N, D)
     float64 matrix, given as ``vectors`` and returned by ``matrix()``; all
-    are read-only, and every id passes the id rule. ``subset`` tags what the corpus is used for; the loaders
-    leave it unset. Empty corpora are representable (splits may produce
-    them) but the file loaders and all consumers that need data reject them.
+    are read-only, and every id passes the id rule. Empty corpora are
+    representable (splits may produce them) but the file loaders and all
+    consumers that need data reject them.
     """
 
     name: str
@@ -118,11 +121,8 @@ class Corpus:
     spk_id: np.ndarray
     gender: np.ndarray
     vectors: InitVar[np.ndarray]
-    subset: str | None = None
 
     def __post_init__(self, vectors):
-        if self.subset is not None and self.subset not in SUBSETS:
-            raise ValueError(f"subset must be one of {SUBSETS}, got {self.subset!r}")
         utt = _column(self.utt_id, np.str_, "utt_id")
         spk = _column(self.spk_id, np.str_, "spk_id")
         gender = _column(self.gender, np.str_, "gender")
@@ -202,22 +202,9 @@ def _column(values, dtype, what: str) -> np.ndarray:
     return _read_only(col)
 
 
-def _label_column(values) -> np.ndarray:
-    labels = np.asarray(values)
-    if labels.size and labels.dtype != np.bool_:
-        raise ValueError(f"is_target must be boolean, got dtype {labels.dtype}")
-    return _column(labels, np.bool_, "is_target")
-
-
 def _check_lengths(*columns) -> None:
     if len({len(c) for c in columns}) > 1:
         raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
-
-
-def _columns_equal(a, b) -> bool:
-    return type(a) is type(b) and all(
-        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
-    )
 
 
 def _first_repeat(keys: np.ndarray) -> int:
@@ -244,13 +231,18 @@ def _code(tokens: list[str]) -> tuple[list[str], np.ndarray]:
 
 
 def _code_column(values, what: str) -> tuple[list[str], np.ndarray]:
-    return _code(_column(values, np.str_, what).tolist())
+    _column(values, np.str_, what)  # checks the shape; the codes come from the Python strings
+    return _code(_id_strings(values))
 
 
 def _vocab_column(vocab, code, what: str) -> tuple[np.ndarray, np.ndarray]:
     """The ids of the sorted, distinct ``vocab`` that ``code`` uses, and the codes
-    renumbered into them; both read-only."""
+    renumbered into them; both read-only. Every id must pass the id rule."""
+    ids = _id_strings(vocab)
     vocab = _column(vocab, np.str_, f"{what} vocabulary")
+    fault = _id_fault(ids, what)
+    if fault is not None:
+        raise ValueError(fault[1])
     if (vocab[1:] <= vocab[:-1]).any():
         raise ValueError(f"{what} vocabulary must be sorted and distinct")
     code = np.asarray(code)
@@ -271,38 +263,55 @@ def _pair_codes(spk_code: np.ndarray, utt_code: np.ndarray, n_utts: int) -> np.n
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class _IdPairs:
-    """(enroll_spk, test_utt) id pairs, each side coded once against a vocabulary.
+class TrialList:
+    """Labeled verification trials; (enroll_spk, test_utt) pairs are unique.
 
-    ``spk_vocab`` and ``utt_vocab`` hold the distinct enrollment speakers and
-    test utterances in use, sorted; ``spk_code`` and ``utt_code`` index them
-    row by row. ``enroll_spk`` and ``test_utt`` are the string columns,
-    derived from the codes on each access. All arrays are read-only.
+    ``TrialList(enroll_spk, test_utt, is_target)`` codes two string columns,
+    and ``from_codes`` builds from codes. ``spk_vocab`` and ``utt_vocab``
+    hold the distinct enrollment speakers and test utterances in use,
+    sorted, and every id passes the id rule; ``spk_code`` and ``utt_code``
+    index them row by row, beside the boolean ``is_target``. ``enroll_spk``
+    and ``test_utt`` are the string columns, derived from the codes on each
+    access. All arrays are read-only.
     """
 
     spk_vocab: np.ndarray
     spk_code: np.ndarray
     utt_vocab: np.ndarray
     utt_code: np.ndarray
+    is_target: np.ndarray
+
+    def __init__(self, enroll_spk, test_utt, is_target):
+        self._build(*_code_column(enroll_spk, "enroll_spk"),
+                    *_code_column(test_utt, "test_utt"), is_target)
 
     @classmethod
-    def from_codes(cls, spk_vocab, spk_code, utt_vocab, utt_code, *columns):
+    def from_codes(cls, spk_vocab, spk_code, utt_vocab, utt_code, is_target) -> "TrialList":
         """Build from sorted, distinct id vocabularies and each row's codes into
-        them; ``columns`` are the constructor's arguments after ``test_utt``.
-        Ids no row uses are dropped."""
-        pairs = cls.__new__(cls)
-        pairs._build(spk_vocab, spk_code, utt_vocab, utt_code, *columns)
-        return pairs
+        them. Ids no row uses are dropped."""
+        trials = cls.__new__(cls)
+        trials._build(spk_vocab, spk_code, utt_vocab, utt_code, is_target)
+        return trials
 
-    def _set_ids(self, spk_vocab, spk_code, utt_vocab, utt_code, *columns) -> None:
-        """Set the id fields; ``columns`` must match them in length."""
+    def _build(self, spk_vocab, spk_code, utt_vocab, utt_code, is_target) -> None:
+        labels = np.asarray(is_target)
+        if labels.size and labels.dtype != np.bool_:
+            raise ValueError(f"is_target must be boolean, got dtype {labels.dtype}")
+        is_target = _column(labels, np.bool_, "is_target")
         spk = _vocab_column(spk_vocab, spk_code, "enroll_spk")
         utt = _vocab_column(utt_vocab, utt_code, "test_utt")
-        _check_lengths(spk[1], utt[1], *columns)
-        for name, value in zip(("spk_vocab", "spk_code", "utt_vocab", "utt_code"), spk + utt):
+        _check_lengths(spk[1], utt[1], is_target)
+        for name, value in zip(("spk_vocab", "spk_code", "utt_vocab", "utt_code", "is_target"),
+                               (*spk, *utt, is_target)):
             object.__setattr__(self, name, value)
+        dup = _first_repeat(self._pair_codes())
+        if dup >= 0:
+            raise ValueError(f"duplicate trial pair {self.pair(dup)}")
 
-    __eq__ = _columns_equal
+    def __eq__(self, other) -> bool:
+        return type(other) is TrialList and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
     def __len__(self) -> int:
         return len(self.spk_code)
@@ -322,29 +331,6 @@ class _IdPairs:
     def _pair_codes(self) -> np.ndarray:
         return _pair_codes(self.spk_code, self.utt_code, len(self.utt_vocab))
 
-
-@dataclass(frozen=True, eq=False, init=False)
-class TrialList(_IdPairs):
-    """Labeled verification trials; (enroll_spk, test_utt) pairs are unique.
-
-    ``TrialList(enroll_spk, test_utt, is_target)`` codes two string columns;
-    ``is_target`` is a read-only boolean array of the same length.
-    """
-
-    is_target: np.ndarray
-
-    def __init__(self, enroll_spk, test_utt, is_target):
-        self._build(*_code_column(enroll_spk, "enroll_spk"),
-                    *_code_column(test_utt, "test_utt"), is_target)
-
-    def _build(self, spk_vocab, spk_code, utt_vocab, utt_code, is_target) -> None:
-        is_target = _label_column(is_target)
-        self._set_ids(spk_vocab, spk_code, utt_vocab, utt_code, is_target)
-        object.__setattr__(self, "is_target", is_target)
-        dup = _first_repeat(self._pair_codes())
-        if dup >= 0:
-            raise ValueError(f"duplicate trial pair {self.pair(dup)}")
-
     @property
     def n_target(self) -> int:
         return int(np.count_nonzero(self.is_target))
@@ -354,55 +340,28 @@ class TrialList(_IdPairs):
         return len(self) - self.n_target
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class ScoreSet(_IdPairs):
-    """Verification LLR scores by (enroll_spk, test_utt), optionally labeled for metrics.
+@dataclass(frozen=True, eq=False)
+class ScoreSet:
+    """Verification LLR scores: ``score`` holds one finite float64 per trial of
+    ``trials``, in its order, and is read-only."""
 
-    ``ScoreSet(enroll_spk, test_utt, score, is_target=None)`` codes two
-    string columns; ``score`` is a finite float64 array and ``is_target`` a
-    boolean array, or None for an unlabeled set; both are read-only.
-    """
-
+    trials: TrialList
     score: np.ndarray
-    is_target: np.ndarray | None = None
 
-    def __init__(self, enroll_spk, test_utt, score, is_target=None):
-        self._build(*_code_column(enroll_spk, "enroll_spk"),
-                    *_code_column(test_utt, "test_utt"), score, is_target)
-
-    def _build(self, spk_vocab, spk_code, utt_vocab, utt_code, score, is_target=None) -> None:
-        score = _column(score, np.float64, "score")
-        columns = [score] if is_target is None else [score, _label_column(is_target)]
-        self._set_ids(spk_vocab, spk_code, utt_vocab, utt_code, *columns)
-        object.__setattr__(self, "score", score)
-        object.__setattr__(self, "is_target", None if is_target is None else columns[1])
+    def __post_init__(self):
+        score = _column(self.score, np.float64, "score")
+        _check_lengths(self.trials.spk_code, score)
         bad = np.flatnonzero(~np.isfinite(score))
         if bad.size:
-            raise ValueError("score for ({}, {}) is not finite".format(*self.pair(bad[0])))
+            raise ValueError("score for ({}, {}) is not finite".format(*self.trials.pair(bad[0])))
+        object.__setattr__(self, "score", score)
 
-    def select(self, mask) -> "ScoreSet":
-        """The scores where the boolean ``mask`` holds, in their order."""
-        mask = np.asarray(mask, dtype=np.bool_)
-        labels = None if self.is_target is None else self.is_target[mask]
-        return ScoreSet.from_codes(self.spk_vocab, self.spk_code[mask], self.utt_vocab,
-                                   self.utt_code[mask], self.score[mask], labels)
+    def __eq__(self, other) -> bool:
+        return (type(other) is ScoreSet and self.trials == other.trials
+                and np.array_equal(self.score, other.score))
 
-    def with_labels_from(self, trials: TrialList) -> "ScoreSet":
-        """Attach labels by joining on (enroll_spk, test_utt)."""
-        spk = index_in(self.spk_vocab, trials.spk_vocab)[self.spk_code]
-        utt = index_in(self.utt_vocab, trials.utt_vocab)[self.utt_code]
-        keys = np.where((spk < 0) | (utt < 0), -1, _pair_codes(spk, utt, len(trials.utt_vocab)))
-        row = index_in(keys, trials._pair_codes())
-        if (row < 0).any():
-            pair = self.pair(int(np.argmax(row < 0)))
-            raise ValueError(f"score pair {pair} not present in trial list")
-        return ScoreSet.from_codes(self.spk_vocab, self.spk_code, self.utt_vocab,
-                                   self.utt_code, self.score, trials.is_target[row])
-
-
-def _check_id(token: str, what: str) -> None:
-    if not token or _ID_FAULT.search(token):
-        raise ValueError(_ID_RULE.format(what, token))
+    def __len__(self) -> int:
+        return len(self.score)
 
 
 def _format_coord(value: float) -> str:
@@ -613,12 +572,6 @@ def make_trials(enroll: Corpus, trial: Corpus, policy: TrialPolicy | None = None
     )
 
 
-def _check_ids(column: np.ndarray, what: str) -> None:
-    """Reject empty ids and ids holding whitespace or a control character, each distinct id once."""
-    for token in dict.fromkeys(column.tolist()):
-        _check_id(token, what)
-
-
 def _write_rows(path, *columns) -> None:
     """Write rows as fields joined by one space, one row per line."""
     text = "\n".join(map(" ".join, zip(*columns)))
@@ -641,7 +594,8 @@ def _read_table(path: Path, layout: str, parse, parse_column):
     """The text of a trial or score file, its coded id columns and its third column.
 
     Blank and ``#`` comment lines are skipped; any other line must have
-    exactly three fields, and its ids no control character.
+    exactly three fields, and its ids no control character and no leading
+    ``#``.
     ``parse_column(fields)`` gives the third column and a mask of its bad
     entries, and ``parse(enroll_spk, test_utt, field)`` raises ValueError
     for one of those. An error names the first bad line.
@@ -658,7 +612,8 @@ def _read_table(path: Path, layout: str, parse, parse_column):
     utt_vocab, utt_code = _code(fields[1::3])
     values, bad = parse_column(fields[2::3])
     for vocab, code in ((spk_vocab, spk_code), (utt_vocab, utt_code)):
-        bad |= np.array([_CONTROL.search(token) is not None for token in vocab], bool)[code]
+        faulty = [token.startswith("#") or _CONTROL.search(token) is not None for token in vocab]
+        bad |= np.array(faulty, bool)[code]
     if bad.any():
         stop = _row_start(text, int(np.argmax(bad)))
     if stop < len(text):
@@ -675,6 +630,8 @@ def _line_error(path: Path, text: str, start: int, layout: str, parse) -> ValueE
         for what, token in zip(("enroll_spk", "test_utt"), row):
             if _CONTROL.search(token):
                 raise ValueError(f"{what} {token!r} contains a control character")
+            if token.startswith("#"):
+                raise ValueError(_ID_HASH.format(what, token))
         parse(*row)
     except ValueError as exc:
         return ValueError(f"{path}:{_line_number(text, start)}: {exc}")
@@ -729,8 +686,6 @@ def _parse_scores(fields: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_trials(trials: TrialList, path) -> None:
-    _check_ids(trials.spk_vocab, "enroll_spk")
-    _check_ids(trials.utt_vocab, "test_utt")
     _write_rows(path, trials.enroll_spk.tolist(), trials.test_utt.tolist(),
                 np.where(trials.is_target, "target", "nontarget").tolist())
 
@@ -748,20 +703,32 @@ def load_trials(path) -> TrialList:
 
 
 def save_scores(scores: ScoreSet, path) -> None:
-    _check_ids(scores.spk_vocab, "enroll_spk")
-    _check_ids(scores.utt_vocab, "test_utt")
-    _write_rows(path, scores.enroll_spk.tolist(), scores.test_utt.tolist(),
+    trials = scores.trials
+    _write_rows(path, trials.enroll_spk.tolist(), trials.test_utt.tolist(),
                 [f"{s:.6f}" for s in scores.score.tolist()])
 
 
-def load_scores(path) -> ScoreSet:
-    """Read a score file; duplicate pairs and non-finite scores are rejected."""
+def load_scores(path, trials: TrialList) -> ScoreSet:
+    """Read a score file, joining each score to its (enroll_spk, test_utt) pair
+    in ``trials``; the result keeps file order. A pair absent from ``trials``,
+    a duplicate pair or a non-finite score is rejected at its line."""
     path = Path(path)
-    text, ids, score = _read_table(path, "spk utt score", _parse_score, _parse_scores)
+    text, (spk_vocab, spk_code, utt_vocab, utt_code), score = _read_table(
+        path, "spk utt score", _parse_score, _parse_scores)
     if not len(score):
         raise ValueError(f"{path}: empty score file")
-    scores = ScoreSet.from_codes(*ids, score)
-    dup = _first_repeat(scores._pair_codes())
-    if dup >= 0:
-        raise ValueError(f"{path}:{_row_line(text, dup)}: duplicate score pair {scores.pair(dup)}")
-    return scores
+    spk = index_in(np.array(spk_vocab, np.str_), trials.spk_vocab)[spk_code]
+    utt = index_in(np.array(utt_vocab, np.str_), trials.utt_vocab)[utt_code]
+    keys = np.where((spk < 0) | (utt < 0), -1, _pair_codes(spk, utt, len(trials.utt_vocab)))
+    row = index_in(keys, trials._pair_codes())
+    absent = np.flatnonzero(row < 0)[:1].tolist()
+    # a repeated pair repeats its row; a repeated -1 comes after the first absent pair
+    dup = _first_repeat(row)
+    if absent or dup >= 0:
+        first = min(absent + [dup] * (dup >= 0))
+        pair = spk_vocab[spk_code[first]], utt_vocab[utt_code[first]]
+        fault = (f"score pair {pair} not present in trial list" if row[first] < 0
+                 else f"duplicate score pair {pair}")
+        raise ValueError(f"{path}:{_row_line(text, first)}: {fault}")
+    labeled = TrialList.from_codes(spk_vocab, spk_code, utt_vocab, utt_code, trials.is_target[row])
+    return ScoreSet(labeled, score)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import anonymize as anon
 from .anonymize import AnonConfig
-from .embeddings import Corpus, ScoreSet, TrialList
+from .embeddings import Corpus, TrialList
 from .metrics import MetricsReport, compute_metrics
 from .plda import PldaModel, score_trials
 
@@ -59,9 +59,9 @@ class EvalRun:
     provenance: dict
 
 
-def _gender_column(scores: ScoreSet, spk_gender: dict[str, str]) -> np.ndarray:
-    """The enrollment speaker's gender for every score."""
-    return np.array([spk_gender[s] for s in scores.spk_vocab.tolist()], np.str_)[scores.spk_code]
+def _gender_column(trials: TrialList, spk_gender: dict[str, str]) -> np.ndarray:
+    """The enrollment speaker's gender for every trial."""
+    return np.array([spk_gender[s] for s in trials.spk_vocab.tolist()], np.str_)[trials.spk_code]
 
 
 def run_condition(
@@ -100,17 +100,18 @@ def run_condition(
         enroll_c = anonymize("enroll", enroll, "enroll")
 
     scores = score_trials(model, enroll_c, trial_c, trial_list)
-    genders = _gender_column(scores, enroll.speaker_gender())
+    genders = _gender_column(trial_list, enroll.speaker_gender())
     dataset = dataset if dataset is not None else trial.name
 
     runs = []
     for gender in ("F", "M"):
-        subset = scores.select(genders == gender)
-        n_target = int(subset.is_target.sum())
-        if n_target == 0 or n_target == len(subset):
+        keep = genders == gender
+        score, is_target = scores.score[keep], trial_list.is_target[keep]
+        n_target = int(is_target.sum())
+        if n_target == 0 or n_target == len(is_target):
             print(
                 f"note: {condition.value}: skipped gender {gender}: {n_target} target and "
-                f"{len(subset) - n_target} nontarget trials",
+                f"{len(is_target) - n_target} nontarget trials",
                 file=sys.stderr,
             )
             continue
@@ -135,7 +136,7 @@ def run_condition(
                 dataset=dataset,
                 condition=condition,
                 gender=gender,
-                metrics=compute_metrics(subset),
+                metrics=compute_metrics(score, is_target),
                 provenance=provenance,
             )
         )

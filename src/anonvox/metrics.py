@@ -19,8 +19,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .embeddings import ScoreSet
-
 LOG2 = float(np.log(2.0))
 
 
@@ -86,12 +84,13 @@ class WerResult:
         return 100.0 * self.errors / self.ref_words
 
 
-def _split_scores(scores: ScoreSet) -> tuple[np.ndarray, np.ndarray]:
-    """Target and nontarget score arrays, each in the set's order."""
-    if scores.is_target is None:
-        raise ValueError("score set has unlabeled entries; labels are required")
-    tar = scores.score[scores.is_target]
-    non = scores.score[~scores.is_target]
+def _split_scores(scores, is_target) -> tuple[np.ndarray, np.ndarray]:
+    """Target and nontarget score arrays, each in the given order."""
+    scores = np.asarray(scores, dtype=np.float64)
+    is_target = np.asarray(is_target, dtype=np.bool_)
+    if scores.ndim != 1 or scores.shape != is_target.shape:
+        raise ValueError("scores and is_target must be 1-D arrays of one length")
+    tar, non = scores[is_target], scores[~is_target]
     if tar.size == 0:
         raise ValueError("score set has no target trials")
     if non.size == 0:
@@ -116,6 +115,9 @@ def _rates(n_tar: np.ndarray, n_non: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _eer(uniq, n_tar, n_non) -> tuple[float, float]:
+    """Equal error rate and its threshold, swept over every distinct score plus
+    a high sentinel: at the sentinel all targets are missed and no nontarget
+    fires, so a sign change of P_fa - P_miss always exists."""
     thresholds = np.append(uniq, uniq[-1] + 1.0)
     p_fa, p_miss = _rates(n_tar, n_non)
     diff = p_fa - p_miss
@@ -127,27 +129,11 @@ def _eer(uniq, n_tar, n_non) -> tuple[float, float]:
     return float(eer), float(threshold)
 
 
-def compute_eer(scores: ScoreSet) -> tuple[float, float]:
-    """Equal error rate and its threshold.
-
-    Sweeps every distinct score plus a high sentinel; at the sentinel all
-    targets are missed and no nontarget fires, so a sign change of
-    P_fa - P_miss always exists.
-    """
-    uniq, _, n_tar, n_non = _pooled(*_split_scores(scores))
-    return _eer(uniq, n_tar, n_non)
-
-
 def _cllr(tar: np.ndarray, non: np.ndarray) -> float:
     # logaddexp handles +-inf llrs: a certainty on the correct side costs 0
     tar_term = np.mean(np.logaddexp(0.0, -tar)) / LOG2
     non_term = np.mean(np.logaddexp(0.0, non)) / LOG2
     return float(0.5 * (tar_term + non_term))
-
-
-def compute_cllr(scores: ScoreSet) -> float:
-    """Calibration-sensitive log-likelihood-ratio cost in bits."""
-    return _cllr(*_split_scores(scores))
 
 
 def _pav(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -172,6 +158,10 @@ def _pav(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _min_cllr(inverse, n_tar, n_non) -> float:
+    """Cllr after optimal monotone recalibration: scores map to empirical
+    posteriors by PAV (ties merged first), then to LLRs against the empirical
+    target proportion. Blocks at posterior 0 or 1 contribute the limit value 0
+    to their own-class term."""
     weights = (n_tar + n_non).astype(np.float64)
     posterior = n_tar / weights
     # the fit keeps adjacent blocks of equal posterior pooled, so pool them first
@@ -186,21 +176,10 @@ def _min_cllr(inverse, n_tar, n_non) -> float:
     return _cllr(llrs[:n_target], llrs[n_target:])
 
 
-def compute_min_cllr(scores: ScoreSet) -> float:
-    """Discrimination loss: Cllr after optimal monotone recalibration.
-
-    Scores are mapped to empirical posteriors by PAV (ties merged first),
-    converted to LLRs against the empirical target proportion, and fed
-    through the Cllr formula. Blocks at posterior 0 or 1 contribute the
-    limit value 0 to their own-class term.
-    """
-    _, inverse, n_tar, n_non = _pooled(*_split_scores(scores))
-    return _min_cllr(inverse, n_tar, n_non)
-
-
-def compute_metrics(scores: ScoreSet) -> MetricsReport:
-    """EER, Cllr and min-Cllr for one labeled score set, split and sorted once."""
-    tar, non = _split_scores(scores)
+def compute_metrics(scores, is_target) -> MetricsReport:
+    """EER, Cllr and min-Cllr of a score array and its boolean ``is_target``
+    mask, split and sorted once."""
+    tar, non = _split_scores(scores, is_target)
     uniq, inverse, n_tar, n_non = _pooled(tar, non)
     eer, threshold = _eer(uniq, n_tar, n_non)
     return MetricsReport(
@@ -213,9 +192,10 @@ def compute_metrics(scores: ScoreSet) -> MetricsReport:
     )
 
 
-def det_points(scores: ScoreSet) -> DetCurve:
-    """DET operating points at every distinct score plus ±inf sentinels."""
-    tar, non = _split_scores(scores)
+def det_points(scores, is_target) -> DetCurve:
+    """DET operating points of a score array and its boolean ``is_target``
+    mask, at every distinct score plus ±inf sentinels."""
+    tar, non = _split_scores(scores, is_target)
     uniq, _, n_tar, n_non = _pooled(tar, non)
     thresholds = np.concatenate([[-np.inf], uniq, [np.inf]])
     # -inf misses and passes what the lowest score does

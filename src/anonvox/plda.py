@@ -119,7 +119,7 @@ def preprocess(corpus: Corpus, config: PreprocessConfig) -> Corpus:
             bad = str(corpus.utt_id[int(np.argmin(norms))])
             raise ValueError(f"cannot length-normalize zero vector {bad!r}")
         x = x * (np.sqrt(x.shape[1]) / norms)[:, None]
-    return Corpus(corpus.name, corpus.utt_id, corpus.spk_id, corpus.gender, x, corpus.subset)
+    return Corpus(corpus.name, corpus.utt_id, corpus.spk_id, corpus.gender, x)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +303,7 @@ def score_trials(
     x = enroll.matrix()
     enrolled = np.stack([x[group].mean(axis=0) for group in groups])
     matrix = score_matrix(model, enrolled, test.matrix())
-    return ScoreSet.from_codes(trials.spk_vocab, trials.spk_code, trials.utt_vocab,
-                               trials.utt_code, matrix[rows, cols], trials.is_target)
+    return ScoreSet(trials, matrix[rows, cols])
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ class GenSpec:
     within_cov: np.ndarray
     female_fraction: float = 0.5
     seed: int = 0
-    mu: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_speakers < 1 or self.utts_per_speaker < 1 or self.dim < 1:
@@ -42,11 +41,6 @@ class GenSpec:
                 raise ValueError(f"{name} must be finite and symmetric")
         object.__setattr__(self, "between_cov", b)
         object.__setattr__(self, "within_cov", w)
-        if self.mu is not None:
-            mu = np.asarray(self.mu, dtype=np.float64)
-            if mu.shape != (d,):
-                raise ValueError(f"mu must have shape ({d},)")
-            object.__setattr__(self, "mu", mu)
 
 
 def default_spec(
@@ -83,7 +77,6 @@ def generate(spec: GenSpec) -> tuple[Corpus, PldaModel]:
     """Sample a corpus and return it with the ground-truth model."""
     factor_b = _psd_factor(spec.between_cov, "between_cov")
     factor_w = _psd_factor(spec.within_cov, "within_cov")
-    mu = spec.mu if spec.mu is not None else np.zeros(spec.dim)
 
     rng = np.random.default_rng(spec.seed)
     n_female = int(round(spec.female_fraction * spec.n_speakers))
@@ -94,7 +87,7 @@ def generate(spec: GenSpec) -> tuple[Corpus, PldaModel]:
     matrix = np.empty((spec.n_speakers * utts, spec.dim))
     for s in range(spec.n_speakers):
         noise = rng.standard_normal((utts, spec.dim)) @ factor_w.T
-        matrix[s * utts : (s + 1) * utts] = mu + offsets[s] + noise
+        matrix[s * utts : (s + 1) * utts] = offsets[s] + noise
     corpus = Corpus(
         f"synth{spec.seed}",
         [f"{spk}_u{u:03d}" for spk in spk_ids for u in range(utts)],
@@ -107,7 +100,7 @@ def generate(spec: GenSpec) -> tuple[Corpus, PldaModel]:
     within_model = spec.within_cov
     if float(np.min(np.linalg.eigvalsh(within_model))) <= 0.0:
         within_model = within_model + 1e-12 * np.eye(spec.dim)
-    truth = PldaModel(mu=mu, between=spec.between_cov, within=within_model)
+    truth = PldaModel(mu=np.zeros(spec.dim), between=spec.between_cov, within=within_model)
     return corpus, truth
 
 
@@ -154,13 +147,13 @@ def split(corpus: Corpus, fractions, seed: int = 0) -> tuple[Corpus, Corpus, Cor
     elif len(eval_spk):
         raise ValueError("evaluation fractions are zero but speakers remain unassigned")
 
-    def _subset(tag: str, subset: str, rows) -> Corpus:
+    def _subset(tag: str, rows) -> Corpus:
         rows = np.concatenate([np.empty(0, np.intp), *rows])
         return Corpus(f"{corpus.name}-{tag}", corpus.utt_id[rows], corpus.spk_id[rows],
-                      corpus.gender[rows], corpus.matrix()[rows], subset)
+                      corpus.gender[rows], corpus.matrix()[rows])
 
-    train = _subset("train", "training", [groups[i] for i in np.sort(order[:n_train])])
-    pool = _subset("pool", "pool", [groups[i] for i in np.sort(order[n_train : n_train + n_pool])])
-    enroll = _subset("enroll", "enrollment", enroll_rows)
-    trial = _subset("trial", "trial", trial_rows)
+    train = _subset("train", [groups[i] for i in np.sort(order[:n_train])])
+    pool = _subset("pool", [groups[i] for i in np.sort(order[n_train : n_train + n_pool])])
+    enroll = _subset("enroll", enroll_rows)
+    trial = _subset("trial", trial_rows)
     return train, pool, enroll, trial

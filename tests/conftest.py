@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from anonvox import Corpus, ScoreSet, WaveBuffer
+from anonvox import Corpus, WaveBuffer
 
 SAMPLE_RATE = 16000
 
@@ -25,22 +25,20 @@ def synth_vowel(
     return WaveBuffer(0.3 * signal / np.max(np.abs(signal)), sample_rate)
 
 
-def corpus_of(name: str, rows, subset=None) -> Corpus:
+def corpus_of(name: str, rows) -> Corpus:
     """A corpus from ``(utt_id, spk_id, gender, vector)`` rows."""
     rows = list(rows)
     if not rows:
-        return Corpus(name, [], [], [], np.empty((0, 0)), subset)
+        return Corpus(name, [], [], [], np.empty((0, 0)))
     utt, spk, gender, vectors = zip(*rows)
-    return Corpus(name, utt, spk, gender, np.array(vectors, dtype=np.float64), subset)
+    return Corpus(name, utt, spk, gender, np.array(vectors, dtype=np.float64))
 
 
-def from_arrays(target_scores, nontarget_scores) -> ScoreSet:
-    """A labeled score set from raw target and nontarget scores, under synthetic ids."""
+def from_arrays(target_scores, nontarget_scores) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(scores, is_target)`` arrays of raw target and nontarget scores."""
     tar = np.asarray(target_scores, dtype=np.float64)
     non = np.asarray(nontarget_scores, dtype=np.float64)
-    spk = [f"t{i}" for i in range(tar.size)] + [f"n{i}" for i in range(non.size)]
-    return ScoreSet(spk, [f"{s}_u" for s in spk], np.concatenate([tar, non]),
-                    np.arange(tar.size + non.size) < tar.size)
+    return np.concatenate([tar, non]), np.arange(tar.size + non.size) < tar.size
 
 
 def by_speaker(corpus) -> dict:

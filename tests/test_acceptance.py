@@ -13,9 +13,7 @@ from anonvox import (
     AnonConfig,
     Condition,
     PldaModel,
-    compute_cllr,
-    compute_eer,
-    compute_min_cllr,
+    compute_metrics,
     default_spec,
     generate,
     make_trials,
@@ -57,7 +55,8 @@ def test_criterion_1_table_directionality():
     trials = make_trials(enroll, trial)
     cfg = AnonConfig(seed=0)  # defaults: n_farthest=200, n_select=100
 
-    eer_oo, _ = compute_eer(score_trials(model, enroll, trial, trials))
+    scores = score_trials(model, enroll, trial, trials)
+    eer_oo = compute_metrics(scores.score, trials.is_target).eer
     oa_runs = run_condition(Condition.oa, enroll, trial, pool, model, cfg, trials)
     oa_eers = [run.metrics.eer for run in oa_runs]
     elapsed = time.monotonic() - start
@@ -135,9 +134,9 @@ def test_criterion_4_min_cllr_oracle():
         while not 0 < labels.sum() < n:
             labels = rng.integers(0, 2, size=n)
         scores = rng.standard_normal(n)
-        got = compute_min_cllr(
-            from_arrays(scores[labels == 1], scores[labels == 0])
-        )
+        got = compute_metrics(
+            *from_arrays(scores[labels == 1], scores[labels == 0])
+        ).min_cllr
         want = partition_min_cllr_oracle(scores, labels)
         worst = max(worst, abs(got - want))
     assert worst < 1e-10, f"worst |err| {worst:.2e}"
@@ -145,12 +144,12 @@ def test_criterion_4_min_cllr_oracle():
     for _ in range(1000):
         tar = rng.standard_normal(int(rng.integers(1, 20))) + rng.uniform(-1, 2)
         non = rng.standard_normal(int(rng.integers(1, 20)))
-        scores = from_arrays(tar, non)
-        min_cllr = compute_min_cllr(scores)
-        assert min_cllr <= compute_cllr(scores) + 1e-9
+        report = compute_metrics(*from_arrays(tar, non))
+        min_cllr = report.min_cllr
+        assert min_cllr <= report.cllr + 1e-9
         assert -1e-12 <= min_cllr <= 1.0 + 1e-9
 
-    assert compute_cllr(from_arrays(np.zeros(7), np.zeros(4))) == 1.0
+    assert compute_metrics(*from_arrays(np.zeros(7), np.zeros(4))).cllr == 1.0
     _report(4, f"200 brute-force cases (worst {worst:.2e}), 1000 bound checks, Cllr(0)=1")
 
 
@@ -162,17 +161,17 @@ def test_criterion_5_eer_properties():
     for _ in range(500):
         tar = rng.standard_normal(int(rng.integers(1, 25))) + rng.uniform(0, 2)
         non = rng.standard_normal(int(rng.integers(1, 25)))
-        eer, _ = compute_eer(from_arrays(tar, non))
+        eer = compute_metrics(*from_arrays(tar, non)).eer
         worst = max(worst, abs(eer - sweep_eer_oracle(tar, non)))
-        cubed, _ = compute_eer(from_arrays(tar**3, non**3))
+        cubed = compute_metrics(*from_arrays(tar**3, non**3)).eer
         assert abs(eer - cubed) < 1e-12
     assert worst < 1e-12, f"worst |err| {worst:.2e}"
 
-    assert compute_eer(from_arrays([2.0, 3.0], [0.0, 1.0]))[0] == 0.0
-    assert compute_eer(from_arrays([1.0, 3.0], [0.0, 2.0]))[0] == pytest.approx(
+    assert compute_metrics(*from_arrays([2.0, 3.0], [0.0, 1.0])).eer == 0.0
+    assert compute_metrics(*from_arrays([1.0, 3.0], [0.0, 2.0])).eer == pytest.approx(
         0.5, abs=1e-12
     )
-    assert compute_eer(from_arrays([0.0, 1.0], [2.0, 3.0]))[0] == pytest.approx(
+    assert compute_metrics(*from_arrays([0.0, 1.0], [2.0, 3.0])).eer == pytest.approx(
         1.0, abs=1e-12
     )
     _report(5, f"500 sweep cases (worst {worst:.2e}), invariance + 0/50/100% ok")

@@ -189,6 +189,16 @@ class TestWerCommand:
         hyp.write_text("a\n")
         assert run_cli("wer", "--ref", str(ref), "--hyp", str(hyp)) == 2
 
+    def test_blank_transcripts_are_a_data_error(self, tmp_path, capsys):
+        ref = tmp_path / "r.txt"
+        hyp = tmp_path / "h.txt"
+        ref.write_text("\n  \n")
+        hyp.write_text("\n\n")
+        assert run_cli("wer", "--ref", str(ref), "--hyp", str(hyp)) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: reference word count must be positive"
+        )
+
 
 class TestPipelineCommands:
     def test_synth_writes_corpora(self, synth_dir):
@@ -371,6 +381,18 @@ class TestDetRejectsMalformedFiles:
                               "s1 u1 target\ns1 u2 nontarget\n")
         assert code == 2
         assert f"{tmp_path / 'scores.txt'}:2:" in err and "duplicate score pair" in err
+
+    def test_score_pair_missing_from_trials(self, tmp_path, capsys):
+        code, err = self._det(tmp_path, capsys, "s1 u1 0.5\ns1 u9 0.1\n",
+                              "s1 u1 target\ns1 u2 nontarget\n")
+        assert code == 2
+        assert err.splitlines()[-1] == (f"error: {tmp_path / 'scores.txt'}:2: score pair "
+                                        "('s1', 'u9') not present in trial list")
+
+    def test_trial_file_is_read_first(self, tmp_path, capsys):
+        code, err = self._det(tmp_path, capsys, "s1 u1 nan\n", "s1 u1 maybe\n")
+        assert code == 2
+        assert err.splitlines()[-1] == f"error: {tmp_path / 'trials.txt'}:1: bad label 'maybe'"
 
 
 def _eval_args(synth_dir, trained, pool):

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anonvox import (
-    ScoreSet,
-    compute_cllr,
-    compute_eer,
-    compute_metrics,
-    compute_min_cllr,
-    det_points,
-    wer,
-)
+from anonvox import compute_metrics, det_points, wer
 from anonvox.metrics import LOG2, format_det
 
 from conftest import from_arrays
@@ -43,16 +35,16 @@ def sweep_eer_oracle(tar, non):
 
 class TestEer:
     def test_perfect_separation(self):
-        eer, _ = compute_eer(from_arrays([2.0, 3.0], [0.0, 1.0]))
+        eer = compute_metrics(*from_arrays([2.0, 3.0], [0.0, 1.0])).eer
         assert eer == 0.0
 
     def test_half(self):
-        eer, threshold = compute_eer(from_arrays([1.0, 3.0], [0.0, 2.0]))
-        assert eer == pytest.approx(0.5, abs=1e-12)
-        assert threshold == pytest.approx(2.0)
+        report = compute_metrics(*from_arrays([1.0, 3.0], [0.0, 2.0]))
+        assert report.eer == pytest.approx(0.5, abs=1e-12)
+        assert report.threshold_at_eer == pytest.approx(2.0)
 
     def test_fully_inverted(self):
-        eer, _ = compute_eer(from_arrays([0.0, 1.0], [2.0, 3.0]))
+        eer = compute_metrics(*from_arrays([0.0, 1.0], [2.0, 3.0])).eer
         assert eer == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_sweep_oracle(self):
@@ -60,28 +52,28 @@ class TestEer:
         for _ in range(300):
             tar = rng.standard_normal(int(rng.integers(1, 25))) + rng.uniform(0, 2)
             non = rng.standard_normal(int(rng.integers(1, 25)))
-            eer, _ = compute_eer(from_arrays(tar, non))
+            eer = compute_metrics(*from_arrays(tar, non)).eer
             assert eer == pytest.approx(sweep_eer_oracle(tar, non), abs=1e-12)
 
     def test_missing_class_errors(self):
         with pytest.raises(ValueError, match="no nontarget"):
-            compute_eer(from_arrays([1.0], []))
+            compute_metrics(*from_arrays([1.0], []))
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(3)
         tar = rng.standard_normal(20) + 0.5
         non = rng.standard_normal(20)
-        base, _ = compute_eer(from_arrays(tar, non))
-        cubed, _ = compute_eer(from_arrays(tar**3, non**3))
+        base = compute_metrics(*from_arrays(tar, non)).eer
+        cubed = compute_metrics(*from_arrays(tar**3, non**3)).eer
         assert base == pytest.approx(cubed, abs=1e-12)
 
 
 class TestCllr:
     def test_all_zero_scores_exactly_one(self):
-        assert compute_cllr(from_arrays(np.zeros(5), np.zeros(3))) == 1.0
+        assert compute_metrics(*from_arrays(np.zeros(5), np.zeros(3))).cllr == 1.0
 
     def test_well_calibrated_extremes_near_zero(self):
-        cllr = compute_cllr(from_arrays([20.0], [-20.0]))
+        cllr = compute_metrics(*from_arrays([20.0], [-20.0])).cllr
         assert cllr == pytest.approx(np.log1p(np.exp(-20.0)) / LOG2, rel=1e-9)
         assert cllr < 1e-8
 
@@ -89,8 +81,8 @@ class TestCllr:
         rng = np.random.default_rng(6)
         tar = rng.standard_normal(12)
         non = rng.standard_normal(9)
-        forward = compute_cllr(from_arrays(tar, non))
-        swapped = compute_cllr(from_arrays(-non, -tar))
+        forward = compute_metrics(*from_arrays(tar, non)).cllr
+        swapped = compute_metrics(*from_arrays(-non, -tar)).cllr
         assert forward == pytest.approx(swapped, rel=1e-12)
 
 
@@ -136,7 +128,7 @@ def partition_min_cllr_oracle(scores, labels):
 
 class TestMinCllr:
     def test_perfect_separation_zero(self):
-        assert compute_min_cllr(from_arrays([2.0, 3.0], [0.0, 1.0])) == 0.0
+        assert compute_metrics(*from_arrays([2.0, 3.0], [0.0, 1.0])).min_cllr == 0.0
 
     def test_matches_partition_oracle(self):
         rng = np.random.default_rng(42)
@@ -146,9 +138,9 @@ class TestMinCllr:
             while not 0 < labels.sum() < n:
                 labels = rng.integers(0, 2, size=n)
             scores = rng.standard_normal(n)
-            got = compute_min_cllr(
-                from_arrays(scores[labels == 1], scores[labels == 0])
-            )
+            got = compute_metrics(
+                *from_arrays(scores[labels == 1], scores[labels == 0])
+            ).min_cllr
             assert got == pytest.approx(
                 partition_min_cllr_oracle(scores, labels), abs=1e-10
             )
@@ -157,14 +149,14 @@ class TestMinCllr:
         rng = np.random.default_rng(9)
         tar = rng.standard_normal(15) + 0.3
         non = rng.standard_normal(15)
-        base = compute_min_cllr(from_arrays(tar, non))
-        cubed = compute_min_cllr(from_arrays(tar**3, non**3))
+        base = compute_metrics(*from_arrays(tar, non)).min_cllr
+        cubed = compute_metrics(*from_arrays(tar**3, non**3)).min_cllr
         assert base == pytest.approx(cubed, abs=1e-10)
 
     def test_tied_scores_merge_into_one_block(self):
         # a target and a nontarget at the same score share one posterior
         scores = from_arrays([0.0, 1.0], [0.0, -1.0])
-        got = compute_min_cllr(scores)
+        got = compute_metrics(*scores).min_cllr
         oracle = partition_min_cllr_oracle([0.0, 1.0, 0.0, -1.0], [1, 1, 0, 0])
         assert got == pytest.approx(oracle, abs=1e-10)
 
@@ -174,43 +166,44 @@ class TestMinCllr:
         non = rng.standard_normal(30)
         scaled = from_arrays(5.0 * tar, 5.0 * non)
         plain = from_arrays(tar, non)
-        assert compute_min_cllr(plain) == pytest.approx(compute_min_cllr(scaled), abs=1e-10)
-        assert abs(compute_cllr(plain) - compute_cllr(scaled)) > 1e-3
+        plain, scaled = compute_metrics(*plain), compute_metrics(*scaled)
+        assert plain.min_cllr == pytest.approx(scaled.min_cllr, abs=1e-10)
+        assert abs(plain.cllr - scaled.cllr) > 1e-3
 
 
 @settings(max_examples=60, deadline=None)
 @given(finite_scores, finite_scores)
 def test_min_cllr_bounds_property(tar, non):
-    scores = from_arrays(tar, non)
-    min_cllr = compute_min_cllr(scores)
-    assert min_cllr <= compute_cllr(scores) + 1e-9
+    report = compute_metrics(*from_arrays(tar, non))
+    min_cllr = report.min_cllr
+    assert min_cllr <= report.cllr + 1e-9
     assert -1e-12 <= min_cllr <= 1.0 + 1e-9
 
 
 class TestDetCurve:
     def test_point_count(self):
-        curve = det_points(from_arrays([1.0, 2.0], [0.5, 1.0]))
+        curve = det_points(*from_arrays([1.0, 2.0], [0.5, 1.0]))
         assert len(curve) == 3 + 2  # distinct scores + sentinels
 
     def test_monotonicity(self):
         rng = np.random.default_rng(8)
         curve = det_points(
-            from_arrays(rng.standard_normal(40) + 1, rng.standard_normal(40))
+            *from_arrays(rng.standard_normal(40) + 1, rng.standard_normal(40))
         )
         assert np.all(np.diff(curve.p_fa) <= 0)
         assert np.all(np.diff(curve.p_miss) >= 0)
 
     def test_separated_scores_reach_axes(self):
-        curve = det_points(from_arrays([2.0, 3.0], [0.0, 1.0]))
+        curve = det_points(*from_arrays([2.0, 3.0], [0.0, 1.0]))
         assert 0.0 in curve.p_fa and 0.0 in curve.p_miss
 
     def test_probit_columns_finite(self):
-        curve = det_points(from_arrays([1.0, 2.0], [0.0, 3.0]))
+        curve = det_points(*from_arrays([1.0, 2.0], [0.0, 3.0]))
         assert np.all(np.isfinite(curve.probit_fa))
         assert np.all(np.isfinite(curve.probit_miss))
 
     def test_format_header(self):
-        curve = det_points(from_arrays([1.0], [0.0]))
+        curve = det_points(*from_arrays([1.0], [0.0]))
         text = format_det(curve)
         assert text.startswith("# threshold p_fa p_miss probit_fa probit_miss\n")
         assert len(text.strip().splitlines()) == len(curve) + 1
@@ -304,36 +297,20 @@ def test_wer_matches_matrix_dp_oracle(ref, hyp):
 class TestMetricsReport:
     def test_compute_metrics_consistent(self):
         rng = np.random.default_rng(13)
-        scores = from_arrays(rng.standard_normal(30) + 2, rng.standard_normal(40))
-        report = compute_metrics(scores)
+        tar, non = rng.standard_normal(30) + 2, rng.standard_normal(40)
+        report = compute_metrics(*from_arrays(tar, non))
         assert report.n_target == 30 and report.n_nontarget == 40
-        assert report.eer == compute_eer(scores)[0]
-        assert report.cllr == compute_cllr(scores)
-        assert report.min_cllr == compute_min_cllr(scores)
+        assert report.eer == pytest.approx(sweep_eer_oracle(tar, non), abs=1e-12)
+        assert report.cllr == pytest.approx(_cllr_from_llrs(tar, non), rel=1e-12)
+        assert report.min_cllr == pytest.approx(_per_score_min_cllr(tar, non), abs=1e-12)
         assert report.min_cllr <= report.cllr + 1e-9
-
-
-@settings(max_examples=60, deadline=None)
-@given(finite_scores, finite_scores, st.randoms(use_true_random=False))
-def test_compute_metrics_same_from_codes_and_columns(tar, non, rnd):
-    rows = [(f"s{i}", f"u{i}", s, True) for i, s in enumerate(tar)]
-    rows += [(f"s{i}", f"v{i}", s, False) for i, s in enumerate(non)]
-    rnd.shuffle(rows)
-    spk, utt, score, is_target = zip(*rows)
-    from_columns = ScoreSet(spk, utt, score, np.array(is_target))
-    spk_vocab, utt_vocab = sorted(set(spk)), sorted(set(utt))
-    from_codes = ScoreSet.from_codes(spk_vocab, [spk_vocab.index(s) for s in spk],
-                                     utt_vocab, [utt_vocab.index(u) for u in utt],
-                                     score, np.array(is_target))
-    assert from_codes == from_columns
-    assert compute_metrics(from_codes) == compute_metrics(from_columns)
 
 
 def test_format_det_matches_per_point_formatting():
     rng = np.random.default_rng(21)
     tar = np.round(rng.standard_normal(60) + 1.5, 2)  # rounding makes ties
     non = np.round(rng.standard_normal(90), 2)
-    curve = det_points(from_arrays(tar, non))
+    curve = det_points(*from_arrays(tar, non))
     lines = ["# threshold p_fa p_miss probit_fa probit_miss"]
     for i in range(len(curve)):
         lines.append(
@@ -378,7 +355,7 @@ tied_scores = st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.25, 1.0, 3.0]),
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(finite_scores, tied_scores), st.one_of(finite_scores, tied_scores))
 def test_min_cllr_matches_per_score_blocks(tar, non):
-    got = compute_min_cllr(from_arrays(tar, non))
+    got = compute_metrics(*from_arrays(tar, non)).min_cllr
     assert got == pytest.approx(_per_score_min_cllr(np.array(tar), np.array(non)), abs=1e-12)
 
 
@@ -388,7 +365,7 @@ def test_det_points_match_searchsorted_rates_and_scipy_probits(tar, non):
     from scipy.special import ndtri
 
     tar, non = np.array(tar), np.array(non)
-    curve = det_points(from_arrays(tar, non))
+    curve = det_points(*from_arrays(tar, non))
     thresholds = np.concatenate([[-np.inf], np.unique(np.concatenate([tar, non])), [np.inf]])
     assert np.array_equal(curve.thresholds, thresholds)
     p_miss = np.searchsorted(np.sort(tar), thresholds, side="left") / tar.size

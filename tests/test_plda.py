@@ -321,7 +321,7 @@ class TestEnrollAndTrials:
         assert len(scores) == len(trials)
         groups = by_speaker(enroll)
         test_by_utt = by_utt(test)
-        rows = zip(scores.enroll_spk.tolist(), scores.test_utt.tolist(), scores.score.tolist())
+        rows = zip(trials.enroll_spk.tolist(), trials.test_utt.tolist(), scores.score.tolist())
         for spk, utt, got in rows:
             manual = score(model, groups[spk].mean(axis=0), test_by_utt[utt])
             assert got == pytest.approx(manual, rel=1e-12, abs=1e-12)
@@ -331,7 +331,8 @@ class TestEnrollAndTrials:
         reordered = TrialList(trials.enroll_spk[::-1], trials.test_utt[::-1],
                               trials.is_target[::-1])
         first, second = (
-            dict(zip(zip(s.enroll_spk.tolist(), s.test_utt.tolist()), s.score.tolist()))
+            dict(zip(zip(s.trials.enroll_spk.tolist(), s.trials.test_utt.tolist()),
+                     s.score.tolist()))
             for s in (score_trials(model, enroll, test, t) for t in (trials, reordered))
         )
         assert first == second
@@ -346,7 +347,7 @@ class TestEnrollAndTrials:
     def test_labels_carried_through(self):
         model, enroll, test, trials = self._setup()
         scores = score_trials(model, enroll, test, trials)
-        assert scores.is_target.tolist() == trials.is_target.tolist()
+        assert scores.trials is trials
 
     def test_score_trials_matches_pair_loop_on_shuffled_trials(self):
         corpus, _ = generate(default_spec(n_speakers=16, utts_per_speaker=5, dim=4, seed=41))
@@ -361,10 +362,11 @@ class TestEnrollAndTrials:
         trials = TrialList(*(list(col) for col in zip(*(pairs[i] for i in order))))
         got = score_trials(model, enroll, test, trials)
         for name in ("enroll_spk", "test_utt", "is_target"):
-            assert np.array_equal(getattr(got, name), getattr(trials, name))
+            assert np.array_equal(getattr(got.trials, name), getattr(trials, name))
         groups = by_speaker(enroll)
         test_by_utt = by_utt(test)
-        rows = zip(got.enroll_spk.tolist(), got.test_utt.tolist(), got.score.tolist())
+        rows = zip(got.trials.enroll_spk.tolist(), got.trials.test_utt.tolist(),
+                   got.score.tolist())
         for spk, utt, value in rows:
             want = score(model, groups[spk].mean(axis=0), test_by_utt[utt])
             assert value == pytest.approx(want, rel=1e-12, abs=1e-12)

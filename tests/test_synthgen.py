@@ -3,7 +3,7 @@ import pytest
 
 from anonvox import (
     GenSpec,
-    compute_eer,
+    compute_metrics,
     default_spec,
     generate,
     make_trials,
@@ -51,7 +51,8 @@ class TestGenerate:
         model = train_plda(train, 8)
         trials = make_trials(enroll, trial)
         assert len(trials) >= 1000
-        eer, _ = compute_eer(score_trials(model, enroll, trial, trials))
+        scores = score_trials(model, enroll, trial, trials)
+        eer = compute_metrics(scores.score, trials.is_target).eer
         assert 0.45 <= eer <= 0.55
 
     def test_speaker_mean_covariance_matches_law_of_large_numbers(self):
@@ -123,12 +124,3 @@ class TestSplit:
         corpus, _ = generate(spec)
         with pytest.raises(ValueError, match="sum to 1"):
             split(corpus, (0.5, 0.5, 0.5, 0.5), seed=0)
-
-    def test_subset_tags(self):
-        spec = default_spec(n_speakers=10, utts_per_speaker=4, dim=3, seed=5)
-        corpus, _ = generate(spec)
-        train, pool, enroll, trial = split(corpus, (0.5, 0.2, 0.1, 0.2), seed=5)
-        assert train.subset == "training"
-        assert pool.subset == "pool"
-        assert enroll.subset == "enrollment"
-        assert trial.subset == "trial"

@@ -208,7 +208,7 @@ def _resolve_options(command: str, args: argparse.Namespace) -> dict:
 
 def _print_provenance(command: str, opts: dict) -> None:
     rendered = " ".join(f"{k}={opts[k]}" for k in sorted(opts))
-    print(f"# provenance: command={command} {rendered}", file=sys.stderr)
+    print(f"# provenance: command={command} version={__version__} {rendered}", file=sys.stderr)
 
 
 def _parse_fractions(text: str) -> tuple[float, ...]:

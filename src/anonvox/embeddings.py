@@ -15,16 +15,20 @@ On-disk formats:
 
 In memory a ``TrialList`` codes each id column once against its sorted
 vocabulary, and a ``ScoreSet`` is a score column over a ``TrialList``.
+
+A well-formed trial or score file is read whole, by one regex and one ``str.split``;
+on any fault, a walk over its lines names the first malformed line, else the
+first pair that repeats or is absent from the trial list.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 import struct
 import warnings
 from dataclasses import InitVar, dataclass, fields
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +41,6 @@ _GENDER_BYTE = {"F": b"\x00", "M": b"\x01"}
 # the id rule: an id is non-empty, holds no whitespace or control character and
 # does not start with "#" (a text line starting with it is a comment); ids read
 # from a trial or score file are whitespace-split, so only the rest applies
-_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 _ID_FAULT = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
 _ID_RULE = "{} {!r} must be non-empty and contain no whitespace or control character"
 _ID_HASH = "{} {!r} must not start with '#'"
@@ -581,74 +584,69 @@ def _write_rows(path, *columns) -> None:
 
 # A trial or score line is three fields (split as ``str.split`` splits), blank,
 # or a comment: its first field starts with "#". One regex matches such a line,
-# so a text is well formed when it matches every line; the first line it does
-# not match is then found by a second regex built from the same pattern.
+# so a text is well formed when it matches every line.
 _LINE = r"(?:[^\S\n]*\S+[^\S\n]+\S+[^\S\n]+\S+[^\S\n]*|[^\S\n]*(?:#[^\n]*)?)(?:\n|\Z)"
 _TABLE_LINE = re.compile("^" + _LINE, re.M)
-_BAD_LINE = re.compile(f"^(?!{_LINE})", re.M)
 _COMMENT_LINE = re.compile(r"^[^\S\n]*#[^\n]*", re.M)
-_DATA_LINE = re.compile(r"^[^\S\n]*[^\s#]", re.M)
 
 
-def _read_table(path: Path, layout: str, parse, parse_column):
-    """The text of a trial or score file, its coded id columns and its third column.
+def _read_table(text: str, parse_column):
+    """The coded id columns and the third column of a trial or score text, or
+    None if any line has a fault.
 
     Blank and ``#`` comment lines are skipped; any other line must have
     exactly three fields, and its ids no control character and no leading
-    ``#``.
-    ``parse_column(fields)`` gives the third column and a mask of its bad
-    entries, and ``parse(enroll_spk, test_utt, field)`` raises ValueError
-    for one of those. An error names the first bad line.
+    ``#``. ``parse_column(fields)`` gives the third column, or None if an
+    entry is bad.
     """
-    text = path.read_text(encoding="utf-8")
-    stop = len(text)
     if _TABLE_LINE.subn("", text)[1] <= text.count("\n"):
-        stop = _BAD_LINE.search(text).start()
-    body = text[:stop]
-    if "#" in body:
-        body = _COMMENT_LINE.sub("", body)
-    fields = body.split()
+        return None
+    if "#" in text:
+        text = _COMMENT_LINE.sub("", text)
+    fields = text.split()
     spk_vocab, spk_code = _code(fields[0::3])
     utt_vocab, utt_code = _code(fields[1::3])
-    values, bad = parse_column(fields[2::3])
-    for vocab, code in ((spk_vocab, spk_code), (utt_vocab, utt_code)):
-        faulty = [token.startswith("#") or _CONTROL.search(token) is not None for token in vocab]
-        bad |= np.array(faulty, bool)[code]
-    if bad.any():
-        stop = _row_start(text, int(np.argmax(bad)))
-    if stop < len(text):
-        raise _line_error(path, text, stop, layout, parse)
-    return text, (spk_vocab, spk_code, utt_vocab, utt_code), values
+    values = parse_column(fields[2::3])
+    # the id rule is checked here, before load_scores makes string arrays of the
+    # vocabularies: those drop trailing NULs, so "u\0" would join the score of "u"
+    if values is None or _id_fault(spk_vocab + utt_vocab, "id") is not None:
+        return None
+    return (spk_vocab, spk_code, utt_vocab, utt_code), values
 
 
-def _line_error(path: Path, text: str, start: int, layout: str, parse) -> ValueError:
-    """The error for the line at offset ``start``, which has a fault."""
-    row = text[start:].partition("\n")[0].split()
-    try:
-        if len(row) != 3:
-            raise ValueError(f"expected '{layout}'")
-        for what, token in zip(("enroll_spk", "test_utt"), row):
-            if _CONTROL.search(token):
-                raise ValueError(f"{what} {token!r} contains a control character")
-            if token.startswith("#"):
-                raise ValueError(_ID_HASH.format(what, token))
-        parse(*row)
-    except ValueError as exc:
-        return ValueError(f"{path}:{_line_number(text, start)}: {exc}")
-    raise AssertionError(f"{path}:{_line_number(text, start)} has no fault")
-
-
-def _line_number(text: str, start: int) -> int:
-    return text.count("\n", 0, start) + 1
-
-
-def _row_start(text: str, row: int) -> int:
-    """Where data row ``row`` (counted from 0) of a trial or score text starts."""
-    return next(islice(_DATA_LINE.finditer(text), row, None)).start()
-
-
-def _row_line(text: str, row: int) -> int:
-    return _line_number(text, _row_start(text, row))
+def _table_error(path: Path, text: str, layout: str, parse, what: str,
+                 trials: TrialList | None = None) -> ValueError:
+    """The error for a trial or score text that ``_read_table`` or its loader
+    rejected: the first malformed line, else the first pair that repeats an
+    earlier one or is absent from ``trials``. ``parse(enroll_spk, test_utt,
+    field)`` raises ValueError for a bad third field."""
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        row = line.split()
+        if not row or row[0].startswith("#"):
+            continue
+        try:
+            if len(row) != 3:
+                raise ValueError(f"expected '{layout}'")
+            for name, token in zip(("enroll_spk", "test_utt"), row):
+                if _ID_FAULT.search(token):
+                    raise ValueError(f"{name} {token!r} contains a control character")
+                if token.startswith("#"):
+                    raise ValueError(_ID_HASH.format(name, token))
+            parse(*row)
+        except ValueError as exc:
+            return ValueError(f"{path}:{lineno}: {exc}")
+        rows.append((tuple(row[:2]), lineno))
+    known = None if trials is None else set(zip(trials.enroll_spk.tolist(),
+                                                trials.test_utt.tolist()))
+    seen = set()
+    for pair, lineno in rows:
+        if known is not None and pair not in known:
+            return ValueError(f"{path}:{lineno}: score pair {pair} not present in trial list")
+        if pair in seen:
+            return ValueError(f"{path}:{lineno}: duplicate {what} pair {pair}")
+        seen.add(pair)
+    raise AssertionError(f"{path} has no fault")
 
 
 def _parse_label(enroll_spk: str, test_utt: str, label: str) -> bool:
@@ -657,10 +655,11 @@ def _parse_label(enroll_spk: str, test_utt: str, label: str) -> bool:
     return label == "target"
 
 
-def _parse_labels(fields: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def _parse_labels(fields: list[str]) -> np.ndarray | None:
     vocab, code = _code(fields)
-    is_target = np.array([label == "target" for label in vocab], bool)[code]
-    return is_target, np.array([label not in LABELS for label in vocab], bool)[code]
+    if not set(vocab) <= set(LABELS):
+        return None
+    return np.array([label == "target" for label in vocab], bool)[code]
 
 
 def _parse_score(enroll_spk: str, test_utt: str, token: str) -> float:
@@ -680,9 +679,9 @@ def _float_or_nan(token: str) -> float:
         return math.nan
 
 
-def _parse_scores(fields: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def _parse_scores(fields: list[str]) -> np.ndarray | None:
     score = np.fromiter(map(_float_or_nan, fields), np.float64, len(fields))
-    return score, ~np.isfinite(score)
+    return score if np.isfinite(score).all() else None
 
 
 def save_trials(trials: TrialList, path) -> None:
@@ -692,14 +691,15 @@ def save_trials(trials: TrialList, path) -> None:
 
 def load_trials(path) -> TrialList:
     path = Path(path)
-    text, ids, is_target = _read_table(path, "spk utt label", _parse_label, _parse_labels)
-    if not len(is_target):
-        raise ValueError(f"{path}: empty trial list")
-    try:
-        return TrialList.from_codes(*ids, is_target)
-    except ValueError as exc:  # ids and labels are valid, so the pairs repeat
-        line = _row_line(text, _first_repeat(_pair_codes(ids[1], ids[3], len(ids[2]))))
-        raise ValueError(f"{path}:{line}: {exc}") from None
+    text = path.read_text(encoding="utf-8")
+    table = _read_table(text, _parse_labels)
+    if table is not None:
+        ids, is_target = table
+        if not len(is_target):
+            raise ValueError(f"{path}: empty trial list")
+        with contextlib.suppress(ValueError):  # only a repeated pair fails here
+            return TrialList.from_codes(*ids, is_target)
+    raise _table_error(path, text, "spk utt label", _parse_label, "trial")
 
 
 def save_scores(scores: ScoreSet, path) -> None:
@@ -710,25 +710,23 @@ def save_scores(scores: ScoreSet, path) -> None:
 
 def load_scores(path, trials: TrialList) -> ScoreSet:
     """Read a score file, joining each score to its (enroll_spk, test_utt) pair
-    in ``trials``; the result keeps file order. A pair absent from ``trials``,
-    a duplicate pair or a non-finite score is rejected at its line."""
+    in ``trials``; the result keeps file order. A malformed line (a non-finite
+    score included) is reported first, wherever it is; only a file with none
+    is rejected at its first pair that repeats an earlier one or is absent
+    from ``trials``."""
     path = Path(path)
-    text, (spk_vocab, spk_code, utt_vocab, utt_code), score = _read_table(
-        path, "spk utt score", _parse_score, _parse_scores)
-    if not len(score):
-        raise ValueError(f"{path}: empty score file")
-    spk = index_in(np.array(spk_vocab, np.str_), trials.spk_vocab)[spk_code]
-    utt = index_in(np.array(utt_vocab, np.str_), trials.utt_vocab)[utt_code]
-    keys = np.where((spk < 0) | (utt < 0), -1, _pair_codes(spk, utt, len(trials.utt_vocab)))
-    row = index_in(keys, trials._pair_codes())
-    absent = np.flatnonzero(row < 0)[:1].tolist()
-    # a repeated pair repeats its row; a repeated -1 comes after the first absent pair
-    dup = _first_repeat(row)
-    if absent or dup >= 0:
-        first = min(absent + [dup] * (dup >= 0))
-        pair = spk_vocab[spk_code[first]], utt_vocab[utt_code[first]]
-        fault = (f"score pair {pair} not present in trial list" if row[first] < 0
-                 else f"duplicate score pair {pair}")
-        raise ValueError(f"{path}:{_row_line(text, first)}: {fault}")
-    labeled = TrialList.from_codes(spk_vocab, spk_code, utt_vocab, utt_code, trials.is_target[row])
-    return ScoreSet(labeled, score)
+    text = path.read_text(encoding="utf-8")
+    table = _read_table(text, _parse_scores)
+    if table is not None:
+        ids, score = table
+        spk_vocab, spk_code, utt_vocab, utt_code = ids
+        if not len(score):
+            raise ValueError(f"{path}: empty score file")
+        spk = index_in(np.array(spk_vocab, np.str_), trials.spk_vocab)[spk_code]
+        utt = index_in(np.array(utt_vocab, np.str_), trials.utt_vocab)[utt_code]
+        keys = np.where((spk < 0) | (utt < 0), -1, _pair_codes(spk, utt, len(trials.utt_vocab)))
+        row = index_in(keys, trials._pair_codes())
+        if (row >= 0).all():
+            with contextlib.suppress(ValueError):  # only a repeated pair fails here
+                return ScoreSet(TrialList.from_codes(*ids, trials.is_target[row]), score)
+    raise _table_error(path, text, "spk utt score", _parse_score, "score", trials)

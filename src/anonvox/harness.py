@@ -23,8 +23,7 @@ from .plda import PldaModel, score_trials
 
 _AA_NOTE = (
     "note: aa anonymizes embeddings only, and enrollment/trial pseudo-speakers are "
-    "drawn from separate streams, so aa scores behave near chance; systems whose "
-    "synthesis leaks source traits will sit well below chance on real audio."
+    "drawn from separate streams."
 )
 
 

@@ -169,7 +169,7 @@ class TestConfigFile:
         ref.write_text("a\n")
         assert run_cli("wer", "--ref", str(ref), "--hyp", str(ref)) == 0
         err = capsys.readouterr().err
-        assert "# provenance: command=wer" in err
+        assert f"# provenance: command=wer version={anonvox.__version__} " in err
         assert "ref=" in err and "hyp=" in err
 
 

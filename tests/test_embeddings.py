@@ -413,6 +413,20 @@ class TestWithLabelsJoin:
                            r"pair \('s1', 'u1'\)$"):
             load_scores(path, trials)
 
+    def test_malformed_line_is_reported_before_an_earlier_pair_fault(self, tmp_path):
+        trials = self._trial_list(self._trials())
+        path = tmp_path / "scores.txt"
+        path.write_text("s9 u1 0.5\ns1 u1 0.5\ns1 u2 high\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: bad score 'high'$"):
+            load_scores(path, trials)
+        path.write_text("s1 u1 0.5\ns1 u1 0.5\ns1 u2 high\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: bad score 'high'$"):
+            load_scores(path, trials)
+        path = tmp_path / "trials.txt"
+        path.write_text("s1 u1 target\ns1 u1 target\ns1 u2 maybe\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: bad label 'maybe'$"):
+            load_trials(path)
+
 
 # an id the id rule accepts
 _VALID_ID = st.text(st.characters(blacklist_categories=("Cc", "Cs")), min_size=1, max_size=6

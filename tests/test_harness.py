@@ -175,6 +175,14 @@ class TestRenderReport:
         assert "note:" not in oo.table
         assert "note:" in aa.table
 
+    def test_aa_note_states_what_the_code_does(self, pipeline):
+        model, pool, enroll, trial, trials, cfg = pipeline
+        aa = render_report(run_condition(Condition.aa, enroll, trial, pool, model, cfg, trials))
+        note = aa.table.splitlines()[-1]
+        assert note.startswith("note: aa anonymizes embeddings only")
+        assert "separate streams" in note
+        assert "chance" not in aa.table
+
     def test_empty_runs_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             render_report([])

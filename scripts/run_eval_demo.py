@@ -13,10 +13,10 @@ from anonvox import (
     AnonConfig,
     Condition,
     default_spec,
+    evaluate,
     generate,
     make_trials,
     render_report,
-    run_condition,
     split,
     train_plda,
 )
@@ -55,12 +55,8 @@ def main() -> None:
     n_farthest = min(200, len(pool)) if args.n_farthest is None else args.n_farthest
     n_select = min(100, max(1, n_farthest // 2)) if args.n_select is None else args.n_select
     cfg = AnonConfig(n_farthest=n_farthest, n_select=n_select, seed=args.seed)
-    runs = []
-    for condition in Condition:
-        runs.extend(
-            run_condition(condition, enroll, trial, pool, model, cfg, trials,
+    runs, _, _ = evaluate(list(Condition), enroll, trial, pool, model, cfg, trials,
                           dataset=f"synth{args.seed}")
-        )
     print()
     print(render_report(runs).table)
     print(f"elapsed: {time.monotonic() - start:.1f}s")

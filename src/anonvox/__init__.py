@@ -18,7 +18,7 @@ from .embeddings import (
     save_trials,
 )
 from .formant import ShiftConfig, WaveBuffer, anonymize_wav, lpc_analyze, warp_poles
-from .harness import Condition, EvalRun, render_report, run_condition
+from .harness import Condition, EvalRun, evaluate, render_report, run_condition
 from .metrics import (
     DetCurve,
     MetricsReport,

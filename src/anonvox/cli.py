@@ -14,8 +14,6 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .anonymize import AnonConfig, anonymize_corpus
 from .embeddings import (
@@ -29,7 +27,7 @@ from .embeddings import (
     save_trials,
 )
 from .formant import ShiftConfig, anonymize_wav, read_wav, write_wav
-from .harness import Condition, render_report, run_condition, trial_tag
+from .harness import Condition, evaluate, render_report
 from .metrics import WerResult, det_points, format_det, wer
 from .plda import (
     PreprocessConfig,
@@ -323,11 +321,6 @@ def _cmd_eval(opts: dict) -> int:
     enroll = load_embeddings(opts["enroll"], opts["format"])
     trial = load_embeddings(opts["trial"], opts["format"])
     pool = load_embeddings(opts["pool"], opts["format"])
-    # pseudo-speakers drawn from evaluation speakers would leak their identity
-    shared = np.intersect1d(pool.spk_id, np.union1d(enroll.spk_id, trial.spk_id)).tolist()
-    if shared:
-        raise ValueError(f"{len(shared)} pool speaker(s) also in enrollment or trial data: "
-                         + " ".join(shared[:5]) + (" ..." if len(shared) > 5 else ""))
     model = load_model(opts["model"])
     trials = load_trials(opts["trials"])
 
@@ -342,24 +335,10 @@ def _cmd_eval(opts: dict) -> int:
     if not conditions:
         raise UsageError("no conditions requested")
 
-    cfg = _anon_config(opts)
-    anonymized: dict = {}  # (side, subset_tag) -> anonymized corpus, shared by the conditions
-    runs = []
-    for condition in conditions:
-        runs.extend(
-            run_condition(
-                condition,
-                enroll,
-                trial,
-                pool,
-                model,
-                cfg,
-                trials,
-                dataset=opts["dataset"],
-                same_tags=opts["same_tags"],
-                anonymized=anonymized,
-            )
-        )
+    runs, trial_anon, enroll_anon = evaluate(
+        conditions, enroll, trial, pool, model, _anon_config(opts), trials,
+        dataset=opts["dataset"], same_tags=opts["same_tags"],
+    )
     report = render_report(runs)
     sys.stdout.write(report.table)
     if opts["records"]:
@@ -367,13 +346,9 @@ def _cmd_eval(opts: dict) -> int:
     if opts["dump_anon"]:
         dump = Path(opts["dump_anon"])
         dump.mkdir(parents=True, exist_ok=True)
-        # the dump holds corpora that were scored; aa's trial side takes precedence over oa's
-        anon_conditions = [c for c in (Condition.oa, Condition.aa) if c in conditions]
-        if anon_conditions:
-            key = ("trial", trial_tag(anon_conditions[-1], opts["same_tags"]))
-            save_embeddings(anonymized[key], dump / "trial_anon.xvec", "binary")
-        if Condition.aa in conditions:
-            save_embeddings(anonymized["enroll", "enroll"], dump / "enroll_anon.xvec", "binary")
+        for name, corpus in (("trial_anon.xvec", trial_anon), ("enroll_anon.xvec", enroll_anon)):
+            if corpus is not None:
+                save_embeddings(corpus, dump / name, "binary")
     return 0
 
 

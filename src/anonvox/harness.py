@@ -4,7 +4,10 @@ Three conditions describe what the attacker sees: ``oo`` scores original
 enrollment against original trial data, ``oa`` anonymizes only the trial
 side, ``aa`` anonymizes both sides. In ``aa`` the two sides use different
 random-stream subset tags by default, so a speaker's enrollment and trial
-pseudo-speakers differ.
+pseudo-speakers differ. ``evaluate`` is the one entry point: it runs each
+requested condition once, anonymizes each side once per subset tag, and
+hands each condition's corpora to ``run_condition``, which scores them and
+splits the metrics per gender.
 """
 
 from __future__ import annotations
@@ -44,18 +47,13 @@ class Condition(enum.Enum):
 _CONDITION_ORDER = {c: i for i, c in enumerate(Condition)}
 
 
-def trial_tag(condition: Condition, same_tags: bool) -> str:
-    """Subset tag of the anonymized trial side; ``aa`` with ``same_tags`` uses "enroll"."""
-    return "enroll" if (same_tags and condition is Condition.aa) else "trial"
-
-
 @dataclass(frozen=True)
 class EvalRun:
     dataset: str
     condition: Condition
     gender: str
     metrics: MetricsReport
-    provenance: dict
+    seed: int
 
 
 def _gender_column(trials: TrialList, spk_gender: dict[str, str]) -> np.ndarray:
@@ -63,49 +61,58 @@ def _gender_column(trials: TrialList, spk_gender: dict[str, str]) -> np.ndarray:
     return np.array([spk_gender[s] for s in trials.spk_vocab.tolist()], np.str_)[trials.spk_code]
 
 
-def run_condition(
-    condition: Condition,
-    enroll: Corpus,
-    trial: Corpus,
-    pool: Corpus,
-    model: PldaModel,
-    anon_cfg: AnonConfig,
-    trial_list: TrialList,
-    dataset: str | None = None,
-    same_tags: bool = False,
-    anonymized: dict[tuple[str, str], Corpus] | None = None,
-) -> list[EvalRun]:
-    """Score one condition and return per-gender metric runs.
+def evaluate(conditions: list[Condition], enroll: Corpus, trial: Corpus, pool: Corpus,
+             model: PldaModel, cfg: AnonConfig, trials: TrialList, dataset: str | None = None,
+             same_tags: bool = False) -> tuple[list[EvalRun], Corpus | None, Corpus | None]:
+    """Score ``trials`` under each distinct condition, in the order given.
 
-    Anonymization subset tags are fixed to "enroll"/"trial" (or shared when
-    ``same_tags``), overriding whatever tag the config carries. Anonymized
-    corpora are stored in ``anonymized`` under ``(side, subset_tag)``, with
-    side "enroll" or "trial", and reused from it: pass one dict to every
-    condition of a run that shares the same corpora, pool, model and config.
+    Each side is anonymized once per subset tag: the trial side with tag
+    "trial" (``aa`` with ``same_tags`` uses "enroll"), the enrollment side
+    with "enroll", whatever tag ``cfg`` carries. Returns the per-gender runs,
+    the anonymized trial corpus that was scored (``aa``'s when ``aa`` ran,
+    else ``oa``'s, else None) and the anonymized enrollment corpus (``aa``'s,
+    else None). ``dataset`` defaults to the trial corpus name.
     """
-    memo = {} if anonymized is None else anonymized
+    # pseudo-speakers drawn from evaluation speakers would leak their identity
+    shared = np.intersect1d(pool.spk_id, np.union1d(enroll.spk_id, trial.spk_id)).tolist()
+    if shared:
+        raise ValueError(f"{len(shared)} pool speaker(s) also in enrollment or trial data: "
+                         + " ".join(shared[:5]) + (" ..." if len(shared) > 5 else ""))
+    dataset = trial.name if dataset is None else dataset
+    anonymized = {}  # (side, subset_tag) -> anonymized corpus
 
     def anonymize(side: str, corpus: Corpus, tag: str) -> Corpus:
-        if (side, tag) not in memo:
-            memo[side, tag] = anon.anonymize_corpus(
-                corpus, pool, model, replace(anon_cfg, subset_tag=tag)
+        if (side, tag) not in anonymized:
+            anonymized[side, tag] = anon.anonymize_corpus(
+                corpus, pool, model, replace(cfg, subset_tag=tag)
             )
-        return memo[side, tag]
+        return anonymized[side, tag]
 
-    enroll_c, trial_c = enroll, trial
-    if condition in (Condition.oa, Condition.aa):
-        trial_c = anonymize("trial", trial, trial_tag(condition, same_tags))
-    if condition is Condition.aa:
-        enroll_c = anonymize("enroll", enroll, "enroll")
+    runs, scored = [], {}
+    for condition in dict.fromkeys(conditions):
+        enroll_c, trial_c = enroll, trial
+        if condition is not Condition.oo:
+            tag = "enroll" if same_tags and condition is Condition.aa else "trial"
+            trial_c = anonymize("trial", trial, tag)
+        if condition is Condition.aa:
+            enroll_c = anonymize("enroll", enroll, "enroll")
+        scored[condition] = enroll_c, trial_c
+        runs.extend(run_condition(condition, enroll_c, trial_c, model, trials, dataset, cfg.seed))
+    # aa's trial side takes precedence over oa's
+    trial_anon = next((scored[c][1] for c in (Condition.aa, Condition.oa) if c in scored), None)
+    enroll_anon = scored[Condition.aa][0] if Condition.aa in scored else None
+    return runs, trial_anon, enroll_anon
 
-    scores = score_trials(model, enroll_c, trial_c, trial_list)
-    genders = _gender_column(trial_list, enroll.speaker_gender())
-    dataset = dataset if dataset is not None else trial.name
 
+def run_condition(condition: Condition, enroll: Corpus, trial: Corpus, model: PldaModel,
+                  trials: TrialList, dataset: str, seed: int) -> list[EvalRun]:
+    """Score the given (original or anonymized) corpora; return per-gender runs."""
+    scores = score_trials(model, enroll, trial, trials)
+    genders = _gender_column(trials, enroll.speaker_gender())
     runs = []
     for gender in ("F", "M"):
         keep = genders == gender
-        score, is_target = scores.score[keep], trial_list.is_target[keep]
+        score, is_target = scores.score[keep], trials.is_target[keep]
         n_target = int(is_target.sum())
         if n_target == 0 or n_target == len(is_target):
             print(
@@ -114,31 +121,7 @@ def run_condition(
                 file=sys.stderr,
             )
             continue
-        provenance = {
-            "dataset": dataset,
-            "condition": condition.value,
-            "gender": gender,
-            "enroll_corpus": enroll.name,
-            "trial_corpus": trial.name,
-            "pool_corpus": pool.name,
-            "dim": model.dim,
-            "seed": anon_cfg.seed,
-            "n_farthest": anon_cfg.n_farthest,
-            "n_select": anon_cfg.n_select,
-            "assignment": anon_cfg.assignment,
-            "same_gender_pool": anon_cfg.same_gender_pool,
-            "same_tags": same_tags,
-            "n_trials": len(trial_list),
-        }
-        runs.append(
-            EvalRun(
-                dataset=dataset,
-                condition=condition,
-                gender=gender,
-                metrics=compute_metrics(score, is_target),
-                provenance=provenance,
-            )
-        )
+        runs.append(EvalRun(dataset, condition, gender, compute_metrics(score, is_target), seed))
     if not runs:
         raise ValueError("no gender subset had both target and nontarget trials")
     return runs
@@ -178,7 +161,7 @@ def render_report(runs) -> Report:
         records.append(
             f"{r.dataset} {r.gender} {r.condition.enroll_status} "
             f"{r.condition.trial_status} {m.eer:.6f} {m.min_cllr:.6f} {m.cllr:.6f} "
-            f"{m.n_target} {m.n_nontarget} {r.provenance['seed']}"
+            f"{m.n_target} {m.n_nontarget} {r.seed}"
         )
 
     widths = [

@@ -15,9 +15,9 @@ from anonvox import (
     PldaModel,
     compute_metrics,
     default_spec,
+    evaluate,
     generate,
     make_trials,
-    run_condition,
     score,
     score_trials,
     split,
@@ -57,7 +57,7 @@ def test_criterion_1_table_directionality():
 
     scores = score_trials(model, enroll, trial, trials)
     eer_oo = compute_metrics(scores.score, trials.is_target).eer
-    oa_runs = run_condition(Condition.oa, enroll, trial, pool, model, cfg, trials)
+    oa_runs = evaluate([Condition.oa], enroll, trial, pool, model, cfg, trials)[0]
     oa_eers = [run.metrics.eer for run in oa_runs]
     elapsed = time.monotonic() - start
 

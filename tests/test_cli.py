@@ -302,9 +302,10 @@ class TestPipelineCommands:
             "--pool", str(synth_dir / "pool.xvec"),
             "--model", str(model),
             "--trials", str(trials),
-            "--conditions", "zz",
+            "--conditions", "oo,zz",
         ) == 1
-        assert "unknown condition" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "usage error: unknown condition 'zz'; pick from oo,oa,aa"
 
 
 class TestEvalAnonymizesOncePerTag:
@@ -349,6 +350,21 @@ class TestEvalAnonymizesOncePerTag:
             cfg = AnonConfig(n_farthest=20, n_select=10, seed=5, subset_tag=tag)
             save_embeddings(real(corpus, pool, model, cfg), tmp_path / name, "binary")
             assert (dump / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_repeated_and_reordered_conditions_run_once(self, synth_dir, trained, tmp_path,
+                                                         capsys):
+        outputs = []
+        for name, conditions in (("default", "oo,oa,aa"), ("mixed", "aa,oo,oa,oo,aa")):
+            out = tmp_path / name
+            out.mkdir()
+            capsys.readouterr()
+            assert run_cli(*_eval_args(synth_dir, trained, synth_dir / "pool.xvec"),
+                           "--conditions", conditions, "--records", str(out / "records.txt"),
+                           "--dump-anon", str(out / "anon")) == 0
+            files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            outputs.append((capsys.readouterr().out, files))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1]) == 3
 
 
 class TestDetRejectsMalformedFiles:

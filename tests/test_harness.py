@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anonvox import (
     AnonConfig,
@@ -7,10 +9,10 @@ from anonvox import (
     TrialList,
     compute_metrics,
     default_spec,
+    evaluate,
     generate,
     make_trials,
     render_report,
-    run_condition,
     score_trials,
     split,
     train_plda,
@@ -33,7 +35,7 @@ def pipeline():
 class TestRunCondition:
     def test_oo_matches_direct_path(self, pipeline):
         model, pool, enroll, trial, trials, cfg = pipeline
-        runs = run_condition(Condition.oo, enroll, trial, pool, model, cfg, trials)
+        runs = evaluate([Condition.oo], enroll, trial, pool, model, cfg, trials)[0]
         scores = score_trials(model, enroll, trial, trials)
         genders = enroll.speaker_gender()
         for run in runs:
@@ -51,11 +53,11 @@ class TestRunCondition:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(anonymize_module, "anonymize_corpus", counting)
-        run_condition(Condition.oo, enroll, trial, pool, model, cfg, trials)
+        evaluate([Condition.oo], enroll, trial, pool, model, cfg, trials)
         assert calls == []
-        run_condition(Condition.oa, enroll, trial, pool, model, cfg, trials)
+        evaluate([Condition.oa], enroll, trial, pool, model, cfg, trials)
         assert len(calls) == 1
-        run_condition(Condition.aa, enroll, trial, pool, model, cfg, trials)
+        evaluate([Condition.aa], enroll, trial, pool, model, cfg, trials)
         assert len(calls) == 3
 
     def test_oa_with_full_selection_ignores_seed(self, pipeline):
@@ -64,7 +66,7 @@ class TestRunCondition:
         runs = []
         for seed in (1, 2):
             cfg = AnonConfig(n_farthest=full, n_select=full, seed=seed)
-            runs.append(run_condition(Condition.oa, enroll, trial, pool, model, cfg, trials))
+            runs.append(evaluate([Condition.oa], enroll, trial, pool, model, cfg, trials)[0])
         for a, b in zip(*runs):
             assert a.metrics.eer == b.metrics.eer
             assert a.metrics.cllr == b.metrics.cllr
@@ -73,7 +75,7 @@ class TestRunCondition:
         """The runs carry per-gender counts; pooling genders generally gives
         a different EER than either per-gender value."""
         model, pool, enroll, trial, trials, cfg = pipeline
-        runs = run_condition(Condition.oo, enroll, trial, pool, model, cfg, trials)
+        runs = evaluate([Condition.oo], enroll, trial, pool, model, cfg, trials)[0]
         genders = {r.gender for r in runs}
         assert genders == {"F", "M"}
         total_targets = sum(r.metrics.n_target for r in runs)
@@ -89,24 +91,18 @@ class TestRunCondition:
     def test_aa_uses_distinct_tags_by_default(self, pipeline):
         model, pool, enroll, trial, trials, _ = pipeline
         cfg = AnonConfig(n_farthest=2, n_select=1, seed=3)
-        default = run_condition(Condition.aa, enroll, trial, pool, model, cfg, trials)
-        shared = run_condition(
-            Condition.aa, enroll, trial, pool, model, cfg, trials, same_tags=True
-        )
+        default = evaluate([Condition.aa], enroll, trial, pool, model, cfg, trials)[0]
+        shared = evaluate(
+            [Condition.aa], enroll, trial, pool, model, cfg, trials, same_tags=True
+        )[0]
         assert any(
             d.metrics.eer != s.metrics.eer or d.metrics.cllr != s.metrics.cllr
             for d, s in zip(default, shared)
         )
 
-    def test_provenance_fields(self, pipeline):
-        model, pool, enroll, trial, trials, cfg = pipeline
-        run = run_condition(Condition.oa, enroll, trial, pool, model, cfg, trials)[0]
-        for key in ("seed", "n_farthest", "n_select", "assignment", "condition", "dataset"):
-            assert key in run.provenance
-
     def test_skipped_gender_named_on_stderr(self, pipeline, capsys):
         model, pool, enroll, trial, trials, cfg = pipeline
-        run_condition(Condition.oa, enroll, trial, pool, model, cfg, trials)
+        evaluate([Condition.oa], enroll, trial, pool, model, cfg, trials)
         assert capsys.readouterr() == ("", "")
 
         genders = enroll.speaker_gender()
@@ -115,7 +111,7 @@ class TestRunCondition:
         male_targets_only = TrialList(
             trials.enroll_spk[keep], trials.test_utt[keep], trials.is_target[keep]
         )
-        runs = run_condition(Condition.oa, enroll, trial, pool, model, cfg, male_targets_only)
+        runs = evaluate([Condition.oa], enroll, trial, pool, model, cfg, male_targets_only)[0]
         assert [r.gender for r in runs] == ["F"]
         out, err = capsys.readouterr()
         n_male = int((male & trials.is_target).sum())
@@ -124,15 +120,60 @@ class TestRunCondition:
 
     def test_reproducible_runs(self, pipeline):
         model, pool, enroll, trial, trials, cfg = pipeline
-        first = run_condition(Condition.oa, enroll, trial, pool, model, cfg, trials)
-        second = run_condition(Condition.oa, enroll, trial, pool, model, cfg, trials)
+        first = evaluate([Condition.oa], enroll, trial, pool, model, cfg, trials)[0]
+        second = evaluate([Condition.oa], enroll, trial, pool, model, cfg, trials)[0]
         assert render_report(first) == render_report(second)
+
+
+def _columns(corpus):
+    return None if corpus is None else (corpus.utt_id.tolist(), corpus.matrix().tobytes())
+
+
+class TestEvaluate:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        conditions=st.lists(st.sampled_from(list(Condition)), min_size=1, max_size=6),
+        same_tags=st.booleans(),
+    )
+    def test_order_and_repeats_change_nothing(self, pipeline, conditions, same_tags):
+        """Each distinct condition runs once; each (side, tag) is anonymized once,
+        aa's trial side before its enrollment side; the report and the scored
+        anonymized corpora do not depend on order or repetition."""
+        model, pool, enroll, trial, trials, cfg = pipeline
+        original = anonymize_module.anonymize_corpus
+        calls = []
+
+        def counting(corpus, pool, model, cfg):
+            calls.append(("trial" if corpus is trial else "enroll", cfg.subset_tag))
+            return original(corpus, pool, model, cfg)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(anonymize_module, "anonymize_corpus", counting)
+            got = evaluate(conditions, enroll, trial, pool, model, cfg, trials,
+                           same_tags=same_tags)
+        expected = []
+        for condition in dict.fromkeys(conditions):
+            wanted = {
+                Condition.oo: [],
+                Condition.oa: [("trial", "trial")],
+                Condition.aa: [("trial", "enroll" if same_tags else "trial"),
+                               ("enroll", "enroll")],
+            }[condition]
+            expected += [key for key in wanted if key not in expected]
+        assert calls == expected
+
+        canonical = [c for c in Condition if c in conditions]
+        want = evaluate(canonical, enroll, trial, pool, model, cfg, trials, same_tags=same_tags)
+        assert render_report(got[0]) == render_report(want[0])
+        assert [_columns(c) for c in got[1:]] == [_columns(c) for c in want[1:]]
+        assert (got[1] is None) == (set(conditions) == {Condition.oo})
+        assert (got[2] is None) == (Condition.aa not in conditions)
 
 
 class TestRenderReport:
     def test_single_run_single_row(self, pipeline):
         model, pool, enroll, trial, trials, cfg = pipeline
-        runs = run_condition(Condition.oo, enroll, trial, pool, model, cfg, trials)
+        runs = evaluate([Condition.oo], enroll, trial, pool, model, cfg, trials)[0]
         report = render_report(runs[:1])
         body = [l for l in report.table.splitlines() if l and not l.startswith(("dataset", "-"))]
         assert len(body) == 1
@@ -140,12 +181,8 @@ class TestRenderReport:
 
     def test_rows_sorted_and_formatted(self, pipeline):
         model, pool, enroll, trial, trials, cfg = pipeline
-        runs = []
-        for condition in (Condition.aa, Condition.oo, Condition.oa):
-            runs.extend(
-                run_condition(condition, enroll, trial, pool, model, cfg, trials)
-            )
-        report = render_report(runs)
+        conditions = [Condition.aa, Condition.oo, Condition.oa]
+        report = render_report(evaluate(conditions, enroll, trial, pool, model, cfg, trials)[0])
         records = [line.split() for line in report.records]
         keys = [(r[0], r[1], (r[2], r[3])) for r in records]
         order = {("original", "original"): 0, ("original", "anonymized"): 1,
@@ -161,23 +198,24 @@ class TestRenderReport:
 
     def test_machine_record_shape(self, pipeline):
         model, pool, enroll, trial, trials, cfg = pipeline
-        runs = run_condition(Condition.oa, enroll, trial, pool, model, cfg, trials)
+        runs = evaluate([Condition.oa], enroll, trial, pool, model, cfg, trials)[0]
         for line in render_report(runs).records:
             fields = line.split()
             assert len(fields) == 10
             float(fields[4]), float(fields[5]), float(fields[6])
-            int(fields[7]), int(fields[8]), int(fields[9])
+            int(fields[7]), int(fields[8])
+            assert int(fields[9]) == cfg.seed
 
     def test_aa_note_present_only_with_aa(self, pipeline):
         model, pool, enroll, trial, trials, cfg = pipeline
-        oo = render_report(run_condition(Condition.oo, enroll, trial, pool, model, cfg, trials))
-        aa = render_report(run_condition(Condition.aa, enroll, trial, pool, model, cfg, trials))
+        oo = render_report(evaluate([Condition.oo], enroll, trial, pool, model, cfg, trials)[0])
+        aa = render_report(evaluate([Condition.aa], enroll, trial, pool, model, cfg, trials)[0])
         assert "note:" not in oo.table
         assert "note:" in aa.table
 
     def test_aa_note_states_what_the_code_does(self, pipeline):
         model, pool, enroll, trial, trials, cfg = pipeline
-        aa = render_report(run_condition(Condition.aa, enroll, trial, pool, model, cfg, trials))
+        aa = render_report(evaluate([Condition.aa], enroll, trial, pool, model, cfg, trials)[0])
         note = aa.table.splitlines()[-1]
         assert note.startswith("note: aa anonymizes embeddings only")
         assert "separate streams" in note

@@ -6,6 +6,11 @@ spectrum's complex poles get their phases raised to the power ``alpha``
 refiltered through the warped envelope and frames are overlap-added with
 window-sum compensation. alpha = 1 reconstructs the input. Frames are
 processed in fixed-size blocks, every step vectorized over the block's frames.
+The blocks run one deep in a pipeline: while the calling thread warps,
+synthesizes and overlap-adds block k, one worker thread solves block k+1's
+poles (a batched LAPACK eigen-solve, which releases the GIL). Analysis, warp
+and WAV I/O stay on the calling thread; the output is bit for bit the serial
+loop's.
 """
 
 from __future__ import annotations
@@ -128,6 +133,8 @@ def _overlap_add(out: np.ndarray, start: int, frames: np.ndarray, hop: int) -> N
 
 def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
     """Shift formants block by block; output matches input length and rate."""
+    from concurrent.futures import ThreadPoolExecutor
+
     n, p, flen, hop = len(wav), cfg.lpc_order, cfg.frame_len, cfg.hop
 
     # pad the front so every original sample gets full window coverage; a
@@ -139,36 +146,54 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
     frames = np.lib.stride_tricks.sliding_window_view(xp, flen)[::hop]
     window = np.hanning(flen)
 
-    acc, wsum = np.zeros(xp.size + flen), np.zeros(xp.size + flen)
-    for first in range(0, n_frames, _BLOCK):
+    def analyze(first):
+        """LPC of the block at ``first`` here; its eigen-solve starts on the worker."""
         windowed = frames[first : first + _BLOCK] * window
-        count = len(windowed)
         coeffs, excitation = lpc_analyze(windowed, p)
-        companion = np.repeat(np.eye(p, k=-1)[None], count, axis=0)
+        # column-major matrices reach LAPACK by a straight copy, not a transposing one
+        companion = np.zeros((p, p, len(windowed)), order="F").transpose(2, 0, 1)
         companion[:, 0] = coeffs
-        warped = warp_poles(np.linalg.eigvals(companion), cfg.alpha)
-        poly = np.zeros((count, p + 1), dtype=np.complex128)
-        poly[:, 0] = 1.0
-        for j in range(p):
-            poly[:, 1 : j + 2] -= warped[:, j : j + 1] * poly[:, : j + 1]
+        companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
+        return windowed, excitation, worker.submit(np.linalg.eigvals, companion)
 
-        # all-pole synthesis through 1 / poly, one sample of every frame per step
-        taps = poly.real[:, :0:-1]
-        y = np.zeros((count, p + flen))
-        for i in range(flen):
-            y[:, p + i] = excitation[:, i] - np.einsum("ij,ij->i", y[:, i : i + p], taps)
-        y = y[:, p:]
+    acc, wsum = np.zeros(xp.size + flen), np.zeros(xp.size + flen)
+    # one block deep: block k+1's LPC and poles are under way while block k
+    # is warped, rebuilt, synthesized and overlap-added
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = analyze(0)
+        for first in range(0, n_frames, _BLOCK):
+            windowed, excitation, poles = ahead
+            if first + _BLOCK < n_frames:
+                ahead = analyze(first + _BLOCK)
+            count = len(windowed)
+            warped = warp_poles(poles.result(), cfg.alpha)
+            poly = np.zeros((count, p + 1), dtype=np.complex128)
+            poly[:, 0] = 1.0
+            for j in range(p):
+                poly[:, 1 : j + 2] -= warped[:, j : j + 1] * poly[:, : j + 1]
 
-        # match per-frame energy: warping redistributes all-pole gain
-        energy_in, energy_out = (windowed**2).sum(1), (y**2).sum(1)
-        live = (energy_in > 0.0) & (energy_out > 0.0)
-        gain = np.sqrt(np.divide(energy_in, energy_out, out=np.ones(count), where=live))
-        _overlap_add(acc, first * hop, y * gain[:, None], hop)
-        _overlap_add(wsum, first * hop, np.broadcast_to(window, y.shape), hop)
+            # all-pole synthesis through 1 / poly, one sample of every frame per step
+            taps = poly.real[:, :0:-1]
+            y = np.zeros((count, p + flen))
+            for i in range(flen):
+                y[:, p + i] = excitation[:, i] - np.einsum("ij,ij->i", y[:, i : i + p], taps)
+            y = y[:, p:]
 
-    denom = wsum[pad : pad + n]
-    out = np.where(denom > 1e-6, acc[pad : pad + n] / np.maximum(denom, 1e-6), 0.0)
-    return WaveBuffer(np.clip(out, -1.0, 1.0), wav.sample_rate)
+            # match per-frame energy: warping redistributes all-pole gain
+            energy_in, energy_out = (windowed**2).sum(1), (y**2).sum(1)
+            live = (energy_in > 0.0) & (energy_out > 0.0)
+            gain = np.sqrt(np.divide(energy_in, energy_out, out=np.ones(count), where=live))
+            _overlap_add(acc, first * hop, y * gain[:, None], hop)
+            _overlap_add(wsum, first * hop, np.broadcast_to(window, y.shape), hop)
+
+    # the output pass is the call's memory peak: free the padded input and the
+    # last block first, and normalize in place in acc's output slice
+    del xp, frames, ahead, windowed, excitation, y
+    out, denom = acc[pad : pad + n], wsum[pad : pad + n]
+    covered = denom > 1e-6
+    np.divide(out, denom, out=out, where=covered)
+    out[~covered] = 0.0
+    return WaveBuffer(np.clip(out, -1.0, 1.0, out=out), wav.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +202,25 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
 
 
 def read_wav(path) -> WaveBuffer:
+    """Read a mono 16-bit PCM WAV file; any malformed file raises ValueError naming ``path``."""
     path = Path(path)
-    with _wavefile.open(str(path), "rb") as fh:
-        if fh.getnchannels() != 1:
-            raise ValueError(f"{path}: expected mono audio, got {fh.getnchannels()} channels")
-        if fh.getsampwidth() != 2:
-            raise ValueError(f"{path}: expected 16-bit PCM, got {8 * fh.getsampwidth()}-bit")
-        rate = fh.getframerate()
-        raw = fh.readframes(fh.getnframes())
+    try:
+        with _wavefile.open(str(path), "rb") as fh:
+            if fh.getnchannels() != 1:
+                raise ValueError(f"{path}: expected mono audio, got {fh.getnchannels()} channels")
+            if fh.getsampwidth() != 2:
+                raise ValueError(f"{path}: expected 16-bit PCM, got {8 * fh.getsampwidth()}-bit")
+            rate = fh.getframerate()
+            raw = fh.readframes(fh.getnframes())
+    # the wave module raises EOFError on a cut header and a bare RuntimeError
+    # on a chunk that overruns its parent
+    except (_wavefile.Error, EOFError, RuntimeError) as exc:
+        detail = str(exc) or "truncated RIFF chunk"
+        raise ValueError(f"{path}: not a PCM WAV file: {detail}") from None
+    if len(raw) % 2:
+        raise ValueError(f"{path}: data chunk ends mid-sample")
+    if rate <= 0:
+        raise ValueError(f"{path}: sample rate must be positive, got {rate}")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if samples.size == 0:
         raise ValueError(f"{path}: empty audio file")

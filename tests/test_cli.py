@@ -141,6 +141,15 @@ class TestExitCodes:
         )
         assert not (tmp_path / "trials.txt").exists()
 
+    @pytest.mark.parametrize("blob", [b"not a wav file", b"RIFF"], ids=["non-riff", "riff-only"])
+    def test_malformed_wav_is_data_error(self, tmp_path, capsys, blob):
+        path = tmp_path / "in.wav"
+        path.write_bytes(blob)
+        assert run_cli("anonymize-wav", "--input", str(path),
+                       "--out", str(tmp_path / "out.wav")) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {path}: ")
+        assert not (tmp_path / "out.wav").exists()
+
 
 class TestConfigFile:
     def test_config_supplies_values_and_flags_override(self, tmp_path, capsys):

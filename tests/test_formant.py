@@ -1,3 +1,6 @@
+import struct
+import threading
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -287,6 +290,94 @@ class TestAgainstPerFrameReference:
                 np.testing.assert_allclose(row, _reference_warp(ref_row, alpha), rtol=0, atol=1e-15)
 
 
+# ---------------------------------------------------------------------------
+# Serial block reference: the block loop without a worker thread, with the
+# module's own kernels, so the pipelined shifter must match it bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _serial_anonymize_wav(wav, cfg):
+    n, p, flen, hop = len(wav), cfg.lpc_order, cfg.frame_len, cfg.hop
+    pad = flen
+    n_frames = -(-(pad + n) // hop)
+    xp = np.zeros((n_frames - 1) * hop + flen)
+    xp[pad : pad + n] = wav.samples
+    frames = np.lib.stride_tricks.sliding_window_view(xp, flen)[::hop]
+    window = np.hanning(flen)
+
+    acc, wsum = np.zeros(xp.size + flen), np.zeros(xp.size + flen)
+    for first in range(0, n_frames, formant._BLOCK):
+        windowed = frames[first : first + formant._BLOCK] * window
+        count = len(windowed)
+        coeffs, excitation = lpc_analyze(windowed, p)
+        companion = np.repeat(np.eye(p, k=-1)[None], count, axis=0)
+        companion[:, 0] = coeffs
+        warped = warp_poles(np.linalg.eigvals(companion), cfg.alpha)
+        poly = np.zeros((count, p + 1), dtype=np.complex128)
+        poly[:, 0] = 1.0
+        for j in range(p):
+            poly[:, 1 : j + 2] -= warped[:, j : j + 1] * poly[:, : j + 1]
+
+        taps = poly.real[:, :0:-1]
+        y = np.zeros((count, p + flen))
+        for i in range(flen):
+            y[:, p + i] = excitation[:, i] - np.einsum("ij,ij->i", y[:, i : i + p], taps)
+        y = y[:, p:]
+
+        energy_in, energy_out = (windowed**2).sum(1), (y**2).sum(1)
+        live = (energy_in > 0.0) & (energy_out > 0.0)
+        gain = np.sqrt(np.divide(energy_in, energy_out, out=np.ones(count), where=live))
+        formant._overlap_add(acc, first * hop, y * gain[:, None], hop)
+        formant._overlap_add(wsum, first * hop, np.broadcast_to(window, y.shape), hop)
+
+    denom = wsum[pad : pad + n]
+    out = np.where(denom > 1e-6, acc[pad : pad + n] / np.maximum(denom, 1e-6), 0.0)
+    return WaveBuffer(np.clip(out, -1.0, 1.0), wav.sample_rate)
+
+
+THREE_BLOCKS = synth_vowel(_samples_for_frames(3 * formant._BLOCK, ShiftConfig()) / 16000)
+
+
+class TestPipelinedBlocks:
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_reference_cases_match_serial_bit_for_bit(self, case):
+        wav, cfg = REFERENCE_CASES[case]
+        out = anonymize_wav(wav, cfg)
+        assert np.array_equal(out.samples, _serial_anonymize_wav(wav, cfg).samples)
+
+    @pytest.mark.parametrize("alpha", [0.7, 0.8, 1.0, 1.3])
+    def test_three_blocks_match_serial_bit_for_bit(self, alpha):
+        cfg = ShiftConfig(alpha=alpha)
+        out = anonymize_wav(THREE_BLOCKS, cfg)
+        assert np.array_equal(out.samples, _serial_anonymize_wav(THREE_BLOCKS, cfg).samples)
+
+    def test_worker_error_is_reraised_and_no_thread_is_left(self, monkeypatch):
+        threads = threading.active_count()
+        anonymize_wav(THREE_BLOCKS, ShiftConfig())
+        assert threading.active_count() == threads
+
+        eigvals, calls = np.linalg.eigvals, []
+
+        def fail_on_second_block(matrices):
+            calls.append(len(matrices))
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("eigenvalues did not converge")
+            return eigvals(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail_on_second_block)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            anonymize_wav(THREE_BLOCKS, ShiftConfig())
+        assert len(calls) >= 2
+        assert threading.active_count() == threads
+
+
+def _wav_header(fmt_tag, bits, data_bytes, rate=16000):
+    """A mono RIFF/WAVE header whose data chunk declares ``data_bytes``."""
+    fmt = struct.pack("<HHIIHH", fmt_tag, 1, rate, rate * bits // 8, bits // 8, bits)
+    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", data_bytes)
+    return b"RIFF" + struct.pack("<I", len(body) + data_bytes) + body
+
+
 class TestWavIo:
     def test_round_trip(self, tmp_path, vowel):
         path = tmp_path / "v.wav"
@@ -303,6 +394,25 @@ class TestWavIo:
         write_wav(vowel, first)
         write_wav(read_wav(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "blob, detail",
+        [
+            (b"not a wav file at all", "not a PCM WAV file: file does not start with RIFF id"),
+            (b"RIFF", "not a PCM WAV file: truncated RIFF chunk"),
+            (_wav_header(3, 32, 8) + np.zeros(2, "<f4").tobytes(),
+             "not a PCM WAV file: unknown format: 3"),
+            (_wav_header(1, 16, 8) + b"\x01\x00\x02\x00\x03", "data chunk ends mid-sample"),
+            (_wav_header(1, 16, 2, rate=0) + b"\x01\x00", "sample rate must be positive, got 0"),
+        ],
+        ids=["non-riff", "riff-only", "float", "cut-mid-sample", "zero-rate"],
+    )
+    def test_malformed_file_names_its_path(self, tmp_path, blob, detail):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError) as info:
+            read_wav(path)
+        assert str(info.value) == f"{path}: {detail}"
 
     def test_rejects_stereo(self, tmp_path):
         import wave

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .anonymize import AnonConfig, anonymize_corpus, tie_break_ranking
+from .anonymize import AnonConfig, anonymize_corpus
 from .embeddings import (
     Corpus,
     Embedding,
@@ -29,10 +29,8 @@ from .metrics import (
 )
 from .plda import (
     PldaModel,
-    PreprocessConfig,
     load_model,
     log_likelihood,
-    preprocess,
     save_model,
     score,
     score_trials,

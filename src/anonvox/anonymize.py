@@ -56,16 +56,6 @@ def _id_ranks(utt_ids) -> np.ndarray:
     return ranks
 
 
-def tie_break_ranking(distances, utt_ids) -> list[int]:
-    """Indices ordered by descending distance, ties by ascending utt_id."""
-    d = np.asarray(distances, dtype=np.float64)
-    if not np.all(np.isfinite(d)):
-        raise ValueError("distances must be finite")
-    if len(utt_ids) != d.size:
-        raise ValueError("distances and utt_ids must have equal length")
-    return np.lexsort((_id_ranks(utt_ids), -d)).tolist()
-
-
 def _pool_view(pool: Corpus, cfg: AnonConfig, gender: str):
     """Pool matrix one source gender ranks against, and its utt_id ranks."""
     rows = np.flatnonzero(pool.gender == gender) if cfg.same_gender_pool else slice(None)

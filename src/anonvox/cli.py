@@ -29,14 +29,7 @@ from .embeddings import (
 from .formant import ShiftConfig, anonymize_wav, read_wav, write_wav
 from .harness import Condition, evaluate, render_report
 from .metrics import WerResult, det_points, format_det, wer
-from .plda import (
-    PreprocessConfig,
-    load_model,
-    preprocess,
-    save_model,
-    score_trials,
-    train_plda,
-)
+from .plda import load_model, save_model, score_trials, train_plda
 from .synthgen import default_spec, generate, split
 
 
@@ -89,8 +82,6 @@ _OPTIONS: dict[str, list[Opt]] = {
         Opt("out", str, None, "output model path", required=True),
         Opt("iterations", int, 10, "EM iterations"),
         Opt("format", str, "binary", "embedding file format"),
-        Opt("center", _parse_bool, False, "subtract the corpus mean first"),
-        Opt("length_normalize", _parse_bool, False, "scale vectors to norm sqrt(D)"),
     ],
     "anonymize-xvec": [
         Opt("input", str, None, "embedding file to anonymize", required=True),
@@ -226,9 +217,7 @@ def _cmd_synth(opts: dict) -> int:
         dim=opts["dim"],
         seed=opts["seed"],
     )
-    if opts["female_fraction"] != 0.5:
-        spec = replace(spec, female_fraction=opts["female_fraction"])
-    corpus, truth = generate(spec)
+    corpus, truth = generate(replace(spec, female_fraction=opts["female_fraction"]))
     train, pool, enroll, trial = split(corpus, _parse_fractions(opts["fractions"]), opts["seed"])
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -263,9 +252,6 @@ def _cmd_make_trials(opts: dict) -> int:
 
 def _cmd_train_plda(opts: dict) -> int:
     corpus = load_embeddings(opts["data"], opts["format"])
-    cfg = PreprocessConfig(center=opts["center"], length_normalize=opts["length_normalize"])
-    if cfg.center or cfg.length_normalize:
-        corpus = preprocess(corpus, cfg)
     model = train_plda(corpus, opts["iterations"])
     save_model(model, opts["out"])
     print(f"trained D={model.dim} model on {len(corpus)} embeddings", file=sys.stderr)

@@ -210,8 +210,8 @@ def read_wav(path) -> WaveBuffer:
                 raise ValueError(f"{path}: expected mono audio, got {fh.getnchannels()} channels")
             if fh.getsampwidth() != 2:
                 raise ValueError(f"{path}: expected 16-bit PCM, got {8 * fh.getsampwidth()}-bit")
-            rate = fh.getframerate()
-            raw = fh.readframes(fh.getnframes())
+            rate, declared = fh.getframerate(), fh.getnframes()
+            raw = fh.readframes(declared)
     # the wave module raises EOFError on a cut header and a bare RuntimeError
     # on a chunk that overruns its parent
     except (_wavefile.Error, EOFError, RuntimeError) as exc:
@@ -219,6 +219,8 @@ def read_wav(path) -> WaveBuffer:
         raise ValueError(f"{path}: not a PCM WAV file: {detail}") from None
     if len(raw) % 2:
         raise ValueError(f"{path}: data chunk ends mid-sample")
+    if len(raw) < 2 * declared:
+        raise ValueError(f"{path}: data chunk holds {len(raw) // 2} of {declared} declared samples")
     if rate <= 0:
         raise ValueError(f"{path}: sample rate must be positive, got {rate}")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0

@@ -95,33 +95,6 @@ class PldaModel:
         return q, g, -0.5 * (logdet_s - logdet_t)
 
 
-@dataclass(frozen=True)
-class PreprocessConfig:
-    center: bool = False
-    length_normalize: bool = False
-
-
-def preprocess(corpus: Corpus, config: PreprocessConfig) -> Corpus:
-    """Apply mean centering and/or length normalization.
-
-    Centering subtracts the corpus's own mean. Length normalization scales
-    every vector to Euclidean norm sqrt(D). With both flags set, centering
-    runs first.
-    """
-    if len(corpus) == 0:
-        raise ValueError("cannot preprocess an empty corpus")
-    x = corpus.matrix()
-    if config.center:
-        x = x - x.mean(axis=0)
-    if config.length_normalize:
-        norms = np.linalg.norm(x, axis=1)
-        if np.any(norms == 0.0):
-            bad = str(corpus.utt_id[int(np.argmin(norms))])
-            raise ValueError(f"cannot length-normalize zero vector {bad!r}")
-        x = x * (np.sqrt(x.shape[1]) / norms)[:, None]
-    return Corpus(corpus.name, corpus.utt_id, corpus.spk_id, corpus.gender, x)
-
-
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -285,7 +258,9 @@ def score_trials(
 
     A speaker's enrollment embeddings are averaged into one vector. One
     enrolled-speaker x test-utterance score matrix is computed and the
-    trials are gathered from it by row and column index arrays.
+    trials are gathered from it by row and column index arrays. A trial is a
+    target exactly when its enrollment speaker owns the test utterance; a
+    label that says otherwise is refused.
     """
     if enroll.dim != model.dim or test.dim != model.dim:
         raise ValueError("corpus dimension does not match model dimension")
@@ -299,6 +274,12 @@ def score_trials(
         if rows[i] < 0:
             raise ValueError(f"unknown enrollment speaker {spk!r} in trial list")
         raise ValueError(f"unknown test utterance {utt!r} in trial list")
+    wrong = (index_in(test.spk_id, speakers)[cols] == rows) != trials.is_target
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        pair = trials.pair(i)
+        label, owns = ("target", "does not own") if trials.is_target[i] else ("nontarget", "owns")
+        raise ValueError(f"trial {pair} is labeled {label} but {pair[0]} {owns} the utterance")
 
     x = enroll.matrix()
     enrolled = np.stack([x[group].mean(axis=0) for group in groups])

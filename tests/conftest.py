@@ -41,6 +41,17 @@ def from_arrays(target_scores, nontarget_scores) -> tuple[np.ndarray, np.ndarray
     return np.concatenate([tar, non]), np.arange(tar.size + non.size) < tar.size
 
 
+def tie_break_ranking(distances, utt_ids) -> list[int]:
+    """The anonymizer's tie rule as an oracle: indices by descending distance,
+    ties by ascending utt_id, equal ids in input order."""
+    d = [float(x) for x in distances]
+    if not np.all(np.isfinite(d)):
+        raise ValueError("distances must be finite")
+    if len(utt_ids) != len(d):
+        raise ValueError("distances and utt_ids must have equal length")
+    return sorted(range(len(d)), key=lambda i: (-d[i], str(utt_ids[i])))
+
+
 def by_speaker(corpus) -> dict:
     """Each speaker's vectors as matrix rows in corpus order, speakers in appearance order."""
     groups = {}

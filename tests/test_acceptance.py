@@ -25,13 +25,15 @@ from anonvox import (
     warp_poles,
     wer,
 )
-from anonvox.anonymize import derive_stream, tie_break_ranking
+from anonvox.anonymize import derive_stream
 from anonvox.anonymize import anonymize_corpus
 from anonvox.cli import main as cli_main
 from anonvox.formant import ShiftConfig, anonymize_wav, lpc_analyze
 from anonvox.plda import log_likelihood
 
-from conftest import by_speaker, corpus_of, dominant_peak_hz, from_arrays, synth_vowel
+from conftest import (
+    by_speaker, corpus_of, dominant_peak_hz, from_arrays, synth_vowel, tie_break_ranking,
+)
 from test_metrics import (
     levenshtein_distance,
     partition_min_cllr_oracle,

@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from anonvox import AnonConfig, PldaModel, anonymize_corpus, score, tie_break_ranking
+from anonvox import AnonConfig, PldaModel, anonymize_corpus, score
 from anonvox import anonymize as anon
 from anonvox.anonymize import derive_stream
 from anonvox.synthgen import default_spec, generate, split
 
-from conftest import by_speaker, by_utt, corpus_of
+from conftest import by_speaker, by_utt, corpus_of, tie_break_ranking
 
 
 def identity_model(dim):

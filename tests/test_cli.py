@@ -15,6 +15,7 @@ from anonvox.plda import load_model
 from anonvox.formant import read_wav, write_wav
 
 from conftest import synth_vowel
+from test_formant import _wav_header
 
 
 def run_cli(*argv):
@@ -141,7 +142,9 @@ class TestExitCodes:
         )
         assert not (tmp_path / "trials.txt").exists()
 
-    @pytest.mark.parametrize("blob", [b"not a wav file", b"RIFF"], ids=["non-riff", "riff-only"])
+    @pytest.mark.parametrize(
+        "blob", [b"not a wav file", b"RIFF", _wav_header(1, 16, 100) + bytes(20)],
+        ids=["non-riff", "riff-only", "cut-on-sample"])
     def test_malformed_wav_is_data_error(self, tmp_path, capsys, blob):
         path = tmp_path / "in.wav"
         path.write_bytes(blob)
@@ -149,6 +152,12 @@ class TestExitCodes:
                        "--out", str(tmp_path / "out.wav")) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {path}: ")
         assert not (tmp_path / "out.wav").exists()
+
+    @pytest.mark.parametrize("flag", ["--center", "--length-normalize"])
+    def test_removed_preprocessing_flags_are_usage_errors(self, tmp_path, flag):
+        assert run_cli("train-plda", "--data", str(tmp_path / "train.xvec"),
+                       "--out", str(tmp_path / "m.plda"), flag, "true") == 1
+        assert not (tmp_path / "m.plda").exists()
 
 
 class TestConfigFile:
@@ -172,6 +181,16 @@ class TestConfigFile:
         config.write_text("bogus_key = 1\n")
         assert run_cli("wer", "--config", str(config)) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["center", "length_normalize"])
+    def test_removed_preprocessing_keys_rejected(self, tmp_path, capsys, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = true\n")
+        assert run_cli("train-plda", "--config", str(config), "--data", "t.xvec",
+                       "--out", str(tmp_path / "m.plda")) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"usage error: unknown config key {key!r} for train-plda"
+        )
 
     def test_provenance_line_on_stderr(self, tmp_path, capsys):
         ref = tmp_path / "r.txt"
@@ -420,6 +439,55 @@ class TestDetRejectsMalformedFiles:
         assert err.splitlines()[-1] == f"error: {tmp_path / 'trials.txt'}:1: bad label 'maybe'"
 
 
+class TestTrialLabelsMustMatchCorpora:
+    @pytest.fixture
+    def swapped(self, trained, tmp_path):
+        """The trial list with every target and nontarget label exchanged."""
+        _, trials = trained
+        lines = [line.split() for line in trials.read_text().splitlines()]
+        flip = {"target": "nontarget", "nontarget": "target"}
+        path = tmp_path / "swapped.txt"
+        path.write_text("".join(f"{spk} {utt} {flip[label]}\n" for spk, utt, label in lines))
+        spk, utt, label = lines[0]
+        owns = "owns" if label == "target" else "does not own"
+        return path, (f"error: trial {(spk, utt)} is labeled {flip[label]} but {spk} {owns} "
+                      "the utterance")
+
+    def test_eval_refuses(self, synth_dir, trained, swapped, tmp_path, capsys):
+        path, message = swapped
+        records = tmp_path / "records.txt"
+        argv = _eval_args(synth_dir, (trained[0], path), synth_dir / "pool.xvec")
+        capsys.readouterr()
+        assert run_cli(*argv, "--records", str(records)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == message
+        assert not records.exists()
+
+    def test_score_refuses(self, synth_dir, trained, swapped, tmp_path, capsys):
+        path, message = swapped
+        out = tmp_path / "scores.txt"
+        capsys.readouterr()
+        assert run_cli("score", "--model", str(trained[0]),
+                       "--enroll", str(synth_dir / "enroll.xvec"),
+                       "--test", str(synth_dir / "trial.xvec"),
+                       "--trials", str(path), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == message
+        assert not out.exists()
+
+    def test_det_has_no_corpora_and_trusts_the_file(self, synth_dir, trained, swapped, tmp_path):
+        model, trials = trained
+        scores = tmp_path / "scores.txt"
+        assert run_cli("score", "--model", str(model),
+                       "--enroll", str(synth_dir / "enroll.xvec"),
+                       "--test", str(synth_dir / "trial.xvec"),
+                       "--trials", str(trials), "--out", str(scores)) == 0
+        assert run_cli("det", "--scores", str(scores), "--trials", str(swapped[0]),
+                       "--out", str(tmp_path / "det.txt")) == 0
+
+
 def _eval_args(synth_dir, trained, pool):
     model, trials = trained
     return ["eval", "--enroll", str(synth_dir / "enroll.xvec"),
@@ -476,7 +544,7 @@ def test_command_pipeline_builds_no_embedding(tmp_path, monkeypatch):
         ["synth", "--out-dir", str(d), "--n-speakers", "24", "--utts-per-speaker", "6",
          "--dim", "8", "--seed", "4", "--fractions", "0.3,0.4,0.1,0.2"],
         ["train-plda", "--data", str(d / "train.xvec"), "--out", str(d / "m.plda"),
-         "--iterations", "3", "--center", "true", "--length-normalize", "true"],
+         "--iterations", "3"],
         ["make-trials", "--enroll", str(d / "enroll.xvec"), "--trial", str(d / "trial.xvec"),
          "--out", str(d / "trials.txt")],
         ["score", "--model", str(d / "m.plda"), "--enroll", str(d / "enroll.xvec"),

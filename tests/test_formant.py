@@ -404,8 +404,9 @@ class TestWavIo:
              "not a PCM WAV file: unknown format: 3"),
             (_wav_header(1, 16, 8) + b"\x01\x00\x02\x00\x03", "data chunk ends mid-sample"),
             (_wav_header(1, 16, 2, rate=0) + b"\x01\x00", "sample rate must be positive, got 0"),
+            (_wav_header(1, 16, 100) + bytes(20), "data chunk holds 10 of 50 declared samples"),
         ],
-        ids=["non-riff", "riff-only", "float", "cut-mid-sample", "zero-rate"],
+        ids=["non-riff", "riff-only", "float", "cut-mid-sample", "zero-rate", "cut-on-sample"],
     )
     def test_malformed_file_names_its_path(self, tmp_path, blob, detail):
         path = tmp_path / "bad.wav"

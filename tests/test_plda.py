@@ -6,12 +6,10 @@ from scipy.stats import multivariate_normal
 
 from anonvox import (
     PldaModel,
-    PreprocessConfig,
     TrialList,
     default_spec,
     generate,
     load_model,
-    preprocess,
     save_model,
     score,
     score_trials,
@@ -185,32 +183,6 @@ class TestDistance:
         assert -score(model, rng.standard_normal(2), rng.standard_normal(2)) == 0.0
 
 
-class TestPreprocess:
-    def test_center(self):
-        corpus = corpus_of("c", [("u1", "s1", "F", [1.0, 0.0]), ("u2", "s2", "F", [3.0, 0.0])])
-        out = preprocess(corpus, PreprocessConfig(center=True))
-        np.testing.assert_allclose(out.matrix(), [[-1.0, 0.0], [1.0, 0.0]], atol=1e-12)
-        assert np.linalg.norm(out.matrix().mean(axis=0)) < 1e-10
-
-    def test_length_normalize(self):
-        corpus = corpus_of("c", [("u1", "s1", "F", [3.0, 4.0])])
-        out = preprocess(corpus, PreprocessConfig(length_normalize=True))
-        expected = np.array([3.0, 4.0]) * np.sqrt(2.0) / 5.0
-        np.testing.assert_allclose(out.matrix()[0], expected, atol=1e-12)
-        assert np.linalg.norm(out.matrix()[0]) == pytest.approx(np.sqrt(2.0), abs=1e-10)
-
-    def test_identity_when_flags_off(self):
-        rng = np.random.default_rng(0)
-        corpus = corpus_of("c", ((f"u{i}", "s1", "F", rng.standard_normal(3)) for i in range(4)))
-        out = preprocess(corpus, PreprocessConfig())
-        assert np.array_equal(out.matrix(), corpus.matrix())
-
-    def test_zero_vector_rejected(self):
-        corpus = corpus_of("c", [("u1", "s1", "F", [0.0, 0.0])])
-        with pytest.raises(ValueError, match="zero vector"):
-            preprocess(corpus, PreprocessConfig(length_normalize=True))
-
-
 class TestTraining:
     def test_zero_iterations_returns_initialization(self):
         corpus, _ = generate(default_spec(n_speakers=10, utts_per_speaker=4, dim=3, seed=1))
@@ -343,6 +315,19 @@ class TestEnrollAndTrials:
                         [*trials.is_target, True])
         with pytest.raises(ValueError, match="ghost"):
             score_trials(model, enroll, test, bad)
+
+    @pytest.mark.parametrize("row, message", [
+        (1, "trial ('s0', 't1') is labeled target but s0 does not own the utterance"),
+        (2, "trial ('s1', 't1') is labeled nontarget but s1 owns the utterance"),
+    ], ids=["labeled-target", "labeled-nontarget"])
+    def test_score_trials_refuses_labels_the_corpora_contradict(self, row, message):
+        model, enroll, test, trials = self._setup()
+        labels = trials.is_target.copy()
+        labels[row] = not labels[row]
+        flipped = TrialList(trials.enroll_spk, trials.test_utt, labels)
+        with pytest.raises(ValueError) as info:
+            score_trials(model, enroll, test, flipped)
+        assert str(info.value) == message
 
     def test_labels_carried_through(self):
         model, enroll, test, trials = self._setup()

@@ -2,9 +2,10 @@
 
 Each source vector is replaced by the mean of ``n_select`` pool vectors drawn
 uniformly without replacement from the ``n_farthest`` pool entries ranked
-most dissimilar under the verification model. Random streams are derived
-from (seed, subset_tag, speaker-or-utterance id), so corpora anonymized with
-different subset tags carry different pseudo-speakers without shared state.
+most dissimilar under the verification model; entries at equal distance rank
+by utt_id. Random streams are derived from (seed, subset_tag,
+speaker-or-utterance id), so corpora anonymized with different subset tags
+carry different pseudo-speakers without shared state.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import Corpus, index_in
+from .embeddings import Corpus, group_means, index_in
 from .plda import PldaModel, score_matrix
 
 ASSIGNMENTS = ("per_speaker", "per_utterance")
@@ -49,15 +50,8 @@ def derive_stream(seed: int, subset_tag: str, key: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, entropy]))
 
 
-def _id_ranks(utt_ids) -> np.ndarray:
-    """Position of each id in ascending id order (equal ids keep input order)."""
-    ranks = np.empty(len(utt_ids), dtype=np.intp)
-    ranks[np.argsort(np.asarray(utt_ids, dtype=np.str_), kind="stable")] = np.arange(len(utt_ids))
-    return ranks
-
-
 def _pool_view(pool: Corpus, cfg: AnonConfig, gender: str):
-    """Pool matrix one source gender ranks against, and its utt_id ranks."""
+    """Pool matrix one source gender ranks against, and its rows in utt_id order."""
     rows = np.flatnonzero(pool.gender == gender) if cfg.same_gender_pool else slice(None)
     utt_ids = pool.utt_id[rows]
     if not len(utt_ids):
@@ -66,40 +60,40 @@ def _pool_view(pool: Corpus, cfg: AnonConfig, gender: str):
         raise ValueError(
             f"n_farthest ({cfg.n_farthest}) exceeds pool size ({len(utt_ids)})"
         )
-    return pool.matrix()[rows], _id_ranks(utt_ids)
+    return pool.matrix()[rows], np.argsort(utt_ids, kind="stable")
 
 
-def _ranked_rows(sources: np.ndarray, matrix: np.ndarray, id_rank: np.ndarray,
-                 model: PldaModel, n: int) -> list[np.ndarray]:
-    """The ``n`` farthest pool rows per source row, all sources scored in one matrix product.
+def _ranked_rows(sources: np.ndarray, matrix: np.ndarray, id_order: np.ndarray,
+                 model: PldaModel, n: int) -> np.ndarray:
+    """The ``n`` farthest pool rows of each source row, as an (S, n) array.
 
-    Rows are ordered by descending distance, ties by ascending utt_id.
+    Rows are ordered by descending distance, ties by ascending utt_id
+    (``id_order`` lists the pool rows in utt_id order). All sources are
+    scored in one matrix product, cut at their n-th distance by one
+    partition, and their candidates ranked by one stable sort.
     """
     if matrix.shape[1] != model.dim:
         raise ValueError("pool or source dimension does not match model")
     # score distinct rows only: GEMM tiling can give identical rows different
     # last bits, and the tie rule needs identical vectors at equal distance
     unique, inverse = np.unique(matrix, axis=0, return_inverse=True)
-    distances = -score_matrix(model, sources, unique)[:, inverse.ravel()]
-    # the n-th largest distance of each row; every row at or above it is a candidate
+    # columns in utt_id order, so a stable sort breaks distance ties by utt_id
+    distances = -score_matrix(model, sources, unique)[:, inverse.ravel()[id_order]]
+    # the n-th largest distance of each row; every row at or above it is a
+    # candidate, and the rest sort last
     cutoff = -np.partition(-distances, n - 1, axis=1)[:, n - 1]
-    ranked = []
-    for d, floor in zip(distances, cutoff.tolist()):
-        rows = np.flatnonzero(d >= floor)
-        ranked.append(rows[np.lexsort((id_rank[rows], -d[rows]))[:n]])
-    return ranked
+    key = np.where(distances >= cutoff[:, None], -distances, np.inf)
+    return id_order[np.argsort(key, axis=1, kind="stable")[:, :n]]
 
 
-def _pseudo_vectors(sources, view, model: PldaModel, cfg: AnonConfig, streams):
+def _pseudo_vectors(sources, view, model: PldaModel, cfg: AnonConfig, streams) -> np.ndarray:
     """One pseudo-vector per source row, each drawing from its own stream."""
-    matrix, id_rank = view
-    out = []
-    for top, rng in zip(_ranked_rows(sources, matrix, id_rank, model, cfg.n_farthest), streams):
-        chosen = rng.choice(cfg.n_farthest, size=cfg.n_select, replace=False)
-        # pool order canonicalizes summation, so the mean is selection-order free
-        selected = np.sort(top[chosen])
-        out.append(matrix[selected].mean(axis=0))
-    return out
+    matrix, id_order = view
+    top = _ranked_rows(sources, matrix, id_order, model, cfg.n_farthest)
+    chosen = np.stack([rng.choice(cfg.n_farthest, size=cfg.n_select, replace=False)
+                       for rng in streams])
+    # pool order canonicalizes summation, so the mean is selection-order free
+    return group_means(matrix, np.sort(np.take_along_axis(top, chosen, axis=1), axis=1))
 
 
 def anonymize_corpus(
@@ -109,7 +103,9 @@ def anonymize_corpus(
 
     per_speaker ranks against the speaker's mean embedding and assigns the
     identical pseudo-vector to all of that speaker's utterances. Each pool
-    view is built once and ranked against all of its sources together.
+    view is built once and ranked against all of its sources together, and
+    every pseudo-vector of a view is averaged in one ``group_means`` pass;
+    only the random draws are made per source, each from its own stream.
     """
     if len(corpus) == 0:
         raise ValueError("cannot anonymize an empty corpus")
@@ -121,7 +117,7 @@ def anonymize_corpus(
         speakers, groups = corpus.speaker_rows()
         keys = speakers.tolist()
         genders = corpus.gender[[rows[0] for rows in groups]]
-        sources = np.stack([matrix[rows].mean(axis=0) for rows in groups])
+        sources = group_means(matrix, groups)
         source_of_row = index_in(corpus.spk_id, speakers)
     else:
         keys = corpus.utt_id.tolist()

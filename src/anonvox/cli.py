@@ -28,7 +28,7 @@ from .embeddings import (
 )
 from .formant import ShiftConfig, anonymize_wav, read_wav, write_wav
 from .harness import Condition, evaluate, render_report
-from .metrics import WerResult, det_points, format_det, wer
+from .metrics import WerResult, det_points, format_det, wer_counts
 from .plda import load_model, save_model, score_trials, train_plda
 from .synthgen import default_spec, generate, split
 
@@ -269,11 +269,28 @@ def _anon_config(opts: dict) -> AnonConfig:
     )
 
 
+def _note_pool_regime(pool, cfg: AnonConfig, *anonymized) -> None:
+    """One stderr note per pool view the anonymized corpora ranked against
+    whose rows ``n_farthest`` covers at least half of."""
+    genders = sorted(set().union(*(c.gender.tolist() for c in anonymized if c is not None)))
+    if not genders:
+        return
+    views = ([(f" {g}", pool.gender.tolist().count(g)) for g in genders]
+             if cfg.same_gender_pool else [("", len(pool))])
+    for name, rows in views:
+        if 2 * cfg.n_farthest >= rows:
+            print(f"note: n_farthest {cfg.n_farthest} is {100 * cfg.n_farthest / rows:.0f}% of "
+                  f"the {rows}-row{name} pool view; pseudo-speakers converge on the pool mean",
+                  file=sys.stderr)
+
+
 def _cmd_anonymize_xvec(opts: dict) -> int:
     corpus = load_embeddings(opts["input"], opts["format"])
     pool = load_embeddings(opts["pool"], opts["format"])
     model = load_model(opts["model"])
-    out = anonymize_corpus(corpus, pool, model, _anon_config(opts))
+    cfg = _anon_config(opts)
+    out = anonymize_corpus(corpus, pool, model, cfg)
+    _note_pool_regime(pool, cfg, out)
     save_embeddings(out, opts["out"], opts["format"])
     print(f"anonymized {len(out)} embeddings", file=sys.stderr)
     return 0
@@ -321,10 +338,12 @@ def _cmd_eval(opts: dict) -> int:
     if not conditions:
         raise UsageError("no conditions requested")
 
+    cfg = _anon_config(opts)
     runs, trial_anon, enroll_anon = evaluate(
-        conditions, enroll, trial, pool, model, _anon_config(opts), trials,
+        conditions, enroll, trial, pool, model, cfg, trials,
         dataset=opts["dataset"], same_tags=opts["same_tags"],
     )
+    _note_pool_regime(pool, cfg, trial_anon, enroll_anon)
     report = render_report(runs)
     sys.stdout.write(report.table)
     if opts["records"]:
@@ -348,18 +367,20 @@ def _cmd_det(opts: dict) -> int:
     return 0
 
 
+def _transcript_lines(path) -> list[list[str]]:
+    """The words of each ``\n``-separated line, without the trailing blank lines."""
+    lines = [line.split() for line in Path(path).read_text(encoding="utf-8").split("\n")]
+    while lines and not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def _cmd_wer(opts: dict) -> int:
-    ref_lines = Path(opts["ref"]).read_text(encoding="utf-8").splitlines()
-    hyp_lines = Path(opts["hyp"]).read_text(encoding="utf-8").splitlines()
-    ref_lines = [l for l in ref_lines if l.strip()]
-    hyp_lines = [l for l in hyp_lines if l.strip()]
-    if len(ref_lines) != len(hyp_lines):
-        raise ValueError(
-            f"line count mismatch: {len(ref_lines)} reference vs {len(hyp_lines)} hypothesis"
-        )
-    results = [wer(ref.split(), hyp.split()) for ref, hyp in zip(ref_lines, hyp_lines)]
-    total = WerResult(sum(r.substitutions for r in results), sum(r.deletions for r in results),
-                      sum(r.insertions for r in results), sum(r.ref_words for r in results))
+    refs, hyps = _transcript_lines(opts["ref"]), _transcript_lines(opts["hyp"])
+    if len(refs) != len(hyps):
+        raise ValueError(f"line count mismatch: {len(refs)} reference vs {len(hyps)} hypothesis")
+    subs, dels, ins = wer_counts(refs, hyps).sum(axis=0).tolist()
+    total = WerResult(subs, dels, ins, sum(map(len, refs)))
     print(f"S={total.substitutions} D={total.deletions} I={total.insertions} "
           f"ref={total.ref_words}", file=sys.stderr)
     print(f"WER {total.wer:.3f}%")

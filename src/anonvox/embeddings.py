@@ -16,9 +16,10 @@ On-disk formats:
 In memory a ``TrialList`` codes each id column once against its sorted
 vocabulary, and a ``ScoreSet`` is a score column over a ``TrialList``.
 
-A well-formed trial or score file is read whole, by one regex and one ``str.split``;
-on any fault, a walk over its lines names the first malformed line, else the
-first pair that repeats or is absent from the trial list.
+A trial or score file passes its line check as a text in the layout the
+savers write, or else by one regex over every line, and is read whole by one
+``str.split``; on any fault, a walk over its lines names the first malformed
+line, else the first pair that repeats or is absent from the trial list.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import re
 import struct
 import warnings
 from dataclasses import InitVar, dataclass, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +226,32 @@ def index_in(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
     order = np.argsort(ids, kind="stable")
     pos = order[np.searchsorted(ids, keys, sorter=order).clip(max=len(ids) - 1)]
     return np.where(ids[pos] == keys, pos, -1)
+
+
+# values gathered at a time by group_means; a larger group is gathered alone
+_GROUP_BLOCK = 1 << 15
+
+
+def group_means(x: np.ndarray, groups) -> np.ndarray:
+    """The mean of ``x``'s rows in each non-empty group of row indices, one row per group.
+
+    Each group's rows are added in the given order and the sum divided once,
+    as numpy reduces ``x[rows].mean(axis=0)``, so for two or more columns the
+    two agree bit for bit; a one-column mean is summed pairwise by numpy.
+    """
+    sizes = np.fromiter(map(len, groups), np.intp, len(groups))
+    width = int(sizes.max())
+    pad = np.arange(width) >= sizes[:, None]
+    rows = np.zeros(pad.shape, np.intp)
+    rows[~pad] = np.concatenate(groups)
+    step = max(1, _GROUP_BLOCK // (width * x.shape[1]))
+    total = np.empty((len(groups), x.shape[1]))
+    for start in range(0, len(groups), step):
+        block = x[rows[start : start + step]]
+        # padding adds -0.0 after a group's rows, which changes no sum, not even a -0.0
+        block[pad[start : start + step]] = -0.0
+        total[start : start + step] = block.sum(axis=1)
+    return total / sizes[:, None]
 
 
 def _code(tokens: list[str]) -> tuple[list[str], np.ndarray]:
@@ -587,6 +615,13 @@ def _write_rows(path, *columns) -> None:
 # so a text is well formed when it matches every line.
 _LINE = r"(?:[^\S\n]*\S+[^\S\n]+\S+[^\S\n]+\S+[^\S\n]*|[^\S\n]*(?:#[^\n]*)?)(?:\n|\Z)"
 _TABLE_LINE = re.compile("^" + _LINE, re.M)
+# The layout the savers write: three fields joined by single spaces, each line
+# ended. A text is in it when it starts with such a line (or is empty) and every
+# newline is followed by another or by the end; one regex repeating the line
+# over the whole text would keep a backtracking entry per line.
+_SAVED_LINE = r"(?:\S+ \S+ \S+\n|\Z)"
+_SAVED_START = re.compile(_SAVED_LINE)
+_SAVED_BREAK = re.compile(r"\n(?!" + _SAVED_LINE + ")")
 _COMMENT_LINE = re.compile(r"^[^\S\n]*#[^\n]*", re.M)
 
 
@@ -599,7 +634,8 @@ def _read_table(text: str, parse_column):
     ``#``. ``parse_column(fields)`` gives the third column, or None if an
     entry is bad.
     """
-    if _TABLE_LINE.subn("", text)[1] <= text.count("\n"):
+    saved = _SAVED_START.match(text) and not _SAVED_BREAK.search(text)
+    if not saved and _TABLE_LINE.subn("", text)[1] <= text.count("\n"):
         return None
     if "#" in text:
         text = _COMMENT_LINE.sub("", text)
@@ -704,8 +740,10 @@ def load_trials(path) -> TrialList:
 
 def save_scores(scores: ScoreSet, path) -> None:
     trials = scores.trials
-    _write_rows(path, trials.enroll_spk.tolist(), trials.test_utt.tolist(),
-                [f"{s:.6f}" for s in scores.score.tolist()])
+    rows = zip(trials.enroll_spk.tolist(), trials.test_utt.tolist(), scores.score.tolist())
+    text = ("%s %s %.6f\n" * len(scores)) % tuple(chain.from_iterable(rows))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def load_scores(path, trials: TrialList) -> ScoreSet:

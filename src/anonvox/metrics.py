@@ -15,6 +15,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from statistics import NormalDist
 
 import numpy as np
@@ -223,38 +224,103 @@ _DET_LINE = "%.9g %.9g %.9g %.9g %.9g\n"
 
 
 def format_det(curve: DetCurve) -> str:
+    """The DET points as text, one line per point under a header line."""
     columns = (curve.thresholds, curve.p_fa, curve.p_miss, curve.probit_fa, curve.probit_miss)
-    points = zip(*(c.tolist() for c in columns))
-    return "# threshold p_fa p_miss probit_fa probit_miss\n" + "".join(
-        map(_DET_LINE.__mod__, points)
-    )
+    points = tuple(np.column_stack(columns).ravel().tolist())
+    return "# threshold p_fa p_miss probit_fa probit_miss\n" + (_DET_LINE * len(curve)) % points
 
 
 def wer(ref: list[str], hyp: list[str]) -> WerResult:
-    """Minimal-edit word error rate with unit costs.
+    """Minimal-edit word error rate with unit costs: the one-pair case of
+    ``wer_counts``.
 
     Backtrace ties prefer substitution over deletion over insertion.
     """
     if not ref:
         raise ValueError("reference must contain at least one token")
-    n, m = len(ref), len(hyp)
-    dist = [list(range(m + 1))]
-    for i in range(1, n + 1):
-        prev, row, word = dist[-1], [i], ref[i - 1]
-        for j in range(1, m + 1):
-            row.append(min(prev[j - 1] + (word != hyp[j - 1]), prev[j] + 1, row[j - 1] + 1))
-        dist.append(row)
+    subs, dels, ins = wer_counts([ref], [hyp])[0].tolist()
+    return WerResult(substitutions=subs, deletions=dels, insertions=ins, ref_words=len(ref))
 
-    subs = dels = ins = 0
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
-            subs += ref[i - 1] != hyp[j - 1]
-            i, j = i - 1, j - 1
-        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
-            dels += 1
-            i -= 1
-        else:
-            ins += 1
-            j -= 1
-    return WerResult(substitutions=int(subs), deletions=dels, insertions=ins, ref_words=n)
+
+# cells of one batch's edit-distance table; a pair larger than that gets a table of its own
+_WER_CELLS = 1 << 20
+
+
+def wer_counts(refs: list[list[str]], hyps: list[list[str]]) -> np.ndarray:
+    """Substitutions, deletions and insertions of every (reference, hypothesis)
+    token-list pair, as an (L, 3) int64 array; either side of a pair may be empty.
+
+    Pairs of similar length share one unit-cost edit-distance table, filled a
+    row at a time for all of them and backtraced in lockstep; ties prefer
+    substitution over deletion over insertion, as in ``wer``.
+    """
+    if len(refs) != len(hyps):
+        raise ValueError("refs and hyps must hold the same number of lines")
+    vocab: dict[str, int] = {}
+    ref_codes = [[vocab.setdefault(w, len(vocab)) for w in words] for words in refs]
+    hyp_codes = [[vocab.setdefault(w, len(vocab)) for w in words] for words in hyps]
+    counts = np.zeros((len(refs), 3), np.int64)
+    for batch in _length_batches(list(map(len, refs)), list(map(len, hyps))):
+        counts[batch] = _edit_counts([ref_codes[k] for k in batch], [hyp_codes[k] for k in batch])
+    return counts
+
+
+def _length_batches(n: list[int], m: list[int]):
+    """Pair indices in order of length, cut into batches whose padded table
+    stays within ``_WER_CELLS`` cells."""
+    batch, width = [], 0
+    for k in sorted(range(len(n)), key=lambda k: (n[k], m[k])):
+        grown = max(width, m[k])
+        if batch and (len(batch) + 1) * (n[k] + 1) * (grown + 1) > _WER_CELLS:
+            yield batch
+            batch, grown = [], m[k]
+        batch.append(k)
+        width = grown
+    if batch:
+        yield batch
+
+
+def _padded(codes: list[list[int]], lengths: np.ndarray, fill: int) -> np.ndarray:
+    """The code lists as rows of one array, at least one column wide, padded with ``fill``."""
+    out = np.full((len(codes), max(int(lengths.max()), 1)), fill, np.intp)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(codes), np.intp, int(lengths.sum()))
+    return out
+
+
+def _edit_counts(refs: list[list[int]], hyps: list[list[int]]) -> np.ndarray:
+    """(S, D, I) of each pair of token-code lists, from one table over all pairs."""
+    n = np.fromiter(map(len, refs), np.intp, len(refs))
+    m = np.fromiter(map(len, hyps), np.intp, len(hyps))
+    # padding codes differ from each other and from every word; the cells of a
+    # pair's own table never read a padded cell
+    ref, hyp = _padded(refs, n, -1), _padded(hyps, m, -2)
+    miss = ref[:, :, None] != hyp[:, None, :]
+    cols = np.arange(hyp.shape[1] + 1, dtype=np.int32)
+    dist = np.empty((len(n), ref.shape[1] + 1, len(cols)), np.int32)
+    dist[:, 0] = cols
+    for i in range(1, ref.shape[1] + 1):
+        prev, row = dist[:, i - 1], dist[:, i]
+        row[:, 0] = i
+        np.minimum(prev[:, :-1] + miss[:, i - 1], prev[:, 1:] + 1, out=row[:, 1:])
+        # insertions: row[j] = min over k <= j of row[k] + (j - k)
+        row[:] = np.minimum.accumulate(row - cols, axis=1) + cols
+
+    lines = np.arange(len(n))
+    i, j = n.copy(), m.copy()
+    counts = np.zeros((len(n), 3), np.int64)
+    while True:
+        has_ref, has_hyp = i > 0, j > 0
+        active = has_ref | has_hyp
+        if not active.any():
+            return counts
+        up, back = np.maximum(i - 1, 0), np.maximum(j - 1, 0)
+        here, sub = dist[lines, i, j], miss[lines, up, back]
+        diag = has_ref & has_hyp & (here == dist[lines, up, back] + sub)
+        dele = ~diag & has_ref & (here == dist[lines, up, j] + 1)
+        ins = active & ~diag & ~dele
+        counts[:, 0] += diag & sub
+        counts[:, 1] += dele
+        counts[:, 2] += ins
+        i -= diag | dele
+        j -= diag | ins

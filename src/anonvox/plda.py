@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import Corpus, ScoreSet, TrialList, index_in
+from .embeddings import Corpus, ScoreSet, TrialList, group_means, index_in
 
 _MODEL_MAGIC = b"PLD1"
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -105,7 +105,7 @@ def _speaker_stats(corpus: Corpus):
     speakers, groups = corpus.speaker_rows(sort=True)
     x = corpus.matrix()
     counts = np.array([len(rows) for rows in groups], dtype=np.int64)
-    means = np.stack([x[rows].mean(axis=0) for rows in groups])
+    means = group_means(x, groups)
     scatter = np.zeros((corpus.dim, corpus.dim))
     for rows, mean in zip(groups, means):
         dev = x[rows] - mean
@@ -281,9 +281,7 @@ def score_trials(
         label, owns = ("target", "does not own") if trials.is_target[i] else ("nontarget", "owns")
         raise ValueError(f"trial {pair} is labeled {label} but {pair[0]} {owns} the utterance")
 
-    x = enroll.matrix()
-    enrolled = np.stack([x[group].mean(axis=0) for group in groups])
-    matrix = score_matrix(model, enrolled, test.matrix())
+    matrix = score_matrix(model, group_means(enroll.matrix(), groups), test.matrix())
     return ScoreSet(trials, matrix[rows, cols])
 
 

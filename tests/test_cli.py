@@ -217,6 +217,24 @@ class TestWerCommand:
         hyp.write_text("a\n")
         assert run_cli("wer", "--ref", str(ref), "--hyp", str(hyp)) == 2
 
+    @pytest.mark.parametrize("ref_text,hyp_text,counts,rate", [
+        # lines pair by position: a blank line pairs with the line beside it
+        ("a b\n\nc d\ne f\n", "a b\nx\n\ne f\n", "S=0 D=2 I=1 ref=6", "WER 50.000%"),
+        # a blank hypothesis deletes every reference word of its line
+        ("a b\nc d\ne f\n", "a b\n\ne f\n", "S=0 D=2 I=0 ref=6", "WER 33.333%"),
+        # only "\n" ends a line, and trailing blank lines are not counted
+        ("a\x0cb\r\nc\n\n\n", "a b\nc\n", "S=0 D=0 I=0 ref=3", "WER 0.000%"),
+    ])
+    def test_lines_pair_by_position(self, tmp_path, capsys, ref_text, hyp_text, counts, rate):
+        ref = tmp_path / "r.txt"
+        hyp = tmp_path / "h.txt"
+        ref.write_bytes(ref_text.encode())
+        hyp.write_bytes(hyp_text.encode())
+        assert run_cli("wer", "--ref", str(ref), "--hyp", str(hyp)) == 0
+        captured = capsys.readouterr()
+        assert captured.out == rate + "\n"
+        assert captured.err.splitlines()[-1] == counts
+
     def test_blank_transcripts_are_a_data_error(self, tmp_path, capsys):
         ref = tmp_path / "r.txt"
         hyp = tmp_path / "h.txt"
@@ -334,6 +352,41 @@ class TestPipelineCommands:
         ) == 1
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == "usage error: unknown condition 'zz'; pick from oo,oa,aa"
+
+
+class TestPoolRegimeNote:
+    """The fixture's pool holds 60 rows: 42 F and 18 M."""
+
+    def _eval(self, synth_dir, trained, *extra):
+        model, trials = trained
+        return run_cli("eval", "--enroll", str(synth_dir / "enroll.xvec"),
+                       "--trial", str(synth_dir / "trial.xvec"),
+                       "--pool", str(synth_dir / "pool.xvec"), "--model", str(model),
+                       "--trials", str(trials), "--n-select", "10", *extra)
+
+    @staticmethod
+    def _notes(capsys):
+        return [l for l in capsys.readouterr().err.splitlines() if l.startswith("note: n_farthest")]
+
+    def test_eval_notes_a_view_n_farthest_covers_half_of(self, synth_dir, trained, capsys):
+        assert self._eval(synth_dir, trained, "--n-farthest", "30") == 0
+        assert self._notes(capsys) == ["note: n_farthest 30 is 50% of the 60-row pool view; "
+                         "pseudo-speakers converge on the pool mean"]
+
+    @pytest.mark.parametrize("extra", [["--n-farthest", "29"],
+                                       ["--n-farthest", "60", "--conditions", "oo"]])
+    def test_eval_without_the_regime_prints_no_note(self, synth_dir, trained, capsys, extra):
+        assert self._eval(synth_dir, trained, *extra) == 0
+        assert self._notes(capsys) == []
+
+    def test_anonymize_xvec_notes_each_gender_view(self, synth_dir, trained, tmp_path, capsys):
+        model, _ = trained
+        assert run_cli("anonymize-xvec", "--input", str(synth_dir / "trial.xvec"),
+                       "--pool", str(synth_dir / "pool.xvec"), "--model", str(model),
+                       "--out", str(tmp_path / "anon.xvec"), "--n-farthest", "10",
+                       "--n-select", "5", "--same-gender-pool", "true") == 0
+        assert self._notes(capsys) == ["note: n_farthest 10 is 56% of the 18-row M pool view; "
+                         "pseudo-speakers converge on the pool mean"]
 
 
 class TestEvalAnonymizesOncePerTag:

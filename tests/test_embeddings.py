@@ -23,6 +23,8 @@ from anonvox import (
     ScoreSet,
 )
 
+from anonvox.cli import main
+
 from conftest import corpus_of
 
 _RULE = "must be non-empty and contain no whitespace or control character"
@@ -552,9 +554,10 @@ class TestTrialAndScoreFileErrors:
         "  s1 u1 target  \n# s9 u9 target\ns2 u1 nontarget\n\n",
         "# a b\ns1 u1 target\ns2 u1 nontarget\n",  # three-token comments
         "s1 u1 target\n# c d\ns2 u1 nontarget\n",
+        "# trials\r\n\ts1\t u1  target\r\n\r\n  # s9 u9 target\r\ns2   u1\tnontarget \r\n",
     ],
 )
-def test_free_form_trial_file_reads_like_canonical(tmp_path, text):
+def test_free_form_trial_file_reads_like_canonical(tmp_path, text, capsys):
     canonical = tmp_path / "canonical.txt"
     canonical.write_text("s1 u1 target\ns2 u1 nontarget\n")
     free = tmp_path / "free.txt"
@@ -564,6 +567,14 @@ def test_free_form_trial_file_reads_like_canonical(tmp_path, text):
     scores.write_bytes(text.replace("nontarget", "-1.5").replace("target", "2").encode())
     trials = load_trials(canonical)
     assert load_scores(scores, trials) == ScoreSet(trials, [2.0, -1.5])
+    # det prints the same bytes from the free-form files as from the canonical ones
+    canonical_scores = tmp_path / "canonical_scores.txt"
+    save_scores(ScoreSet(trials, [2.0, -1.5]), canonical_scores)
+    printed = []
+    for score_file, trial_file in ((canonical_scores, canonical), (scores, free)):
+        assert main(["det", "--scores", str(score_file), "--trials", str(trial_file)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
 
 
 def _per_record_corpus_error(name, rows):
@@ -646,6 +657,22 @@ class TestCorpusColumns:
         assert speakers.tolist() == ["s1", "s2"]
         assert [r.tolist() for r in rows] == [[1], [0, 2]]
         assert corpus.speaker_gender() == {"s2": "M", "s1": "F"}
+
+    @pytest.mark.parametrize("block", [1, 1 << 15])
+    @pytest.mark.parametrize("dim", [2, 3, 32])
+    def test_group_means_equal_per_group_mean_bit_for_bit(self, dim, block, monkeypatch):
+        monkeypatch.setattr(embeddings, "_GROUP_BLOCK", block)
+        rng = np.random.default_rng(dim)
+        x = rng.standard_normal((300, dim)) * 10.0 ** rng.uniform(-3, 3, (300, 1))
+        x[rng.random(x.shape) < 0.05] = -0.0
+        x[:, 0] = -0.0  # a column of negative zeros: the signs must agree as well
+        sizes = [1, 7, 1, 120, 3, 1, 64, 2]  # singletons among unequal groups
+        unequal = [rng.choice(300, size, replace=False) for size in sizes]
+        equal = rng.integers(0, 300, (9, 100))  # the anonymizer's equal-size selections
+        for groups in (unequal, equal):
+            got = embeddings.group_means(x, groups)
+            want = np.stack([x[rows].mean(axis=0) for rows in groups])
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_empty_corpus(self):
         empty = corpus_of("e", [])

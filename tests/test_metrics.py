@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonvox import compute_metrics, det_points, wer
-from anonvox.metrics import LOG2, format_det
+from anonvox.metrics import LOG2, format_det, wer_counts
 
 from conftest import from_arrays
 
@@ -292,6 +292,30 @@ def test_wer_matches_matrix_dp_oracle(ref, hyp):
     counts = (result.substitutions, result.deletions, result.insertions)
     assert counts == _wer_counts_numpy(ref, hyp)
     assert result.ref_words == len(ref)
+
+
+_PAIRS = st.lists(st.tuples(_WORDS, _WORDS), max_size=12)
+
+
+@given(pairs=_PAIRS)
+@settings(max_examples=200, deadline=None)
+def test_batched_wer_matches_matrix_dp_oracle_line_by_line(pairs):
+    # lines of different lengths share one table; either side may be empty
+    refs, hyps = [list(r) for r, _ in pairs], [list(h) for _, h in pairs]
+    counts = wer_counts(refs, hyps)
+    assert counts.shape == (len(pairs), 3)
+    assert [tuple(row) for row in counts.tolist()] == [_wer_counts_numpy(r, h) for r, h in pairs]
+
+
+def test_batched_wer_splits_tables_it_cannot_hold(monkeypatch):
+    rng = np.random.default_rng(5)
+    refs = [list(rng.choice(list("abc"), rng.integers(0, 40))) for _ in range(30)]
+    hyps = [list(rng.choice(list("abc"), rng.integers(0, 40))) for _ in range(30)]
+    whole = wer_counts(refs, hyps)
+    monkeypatch.setattr("anonvox.metrics._WER_CELLS", 1)  # one pair per table
+    assert np.array_equal(wer_counts(refs, hyps), whole)
+    assert [tuple(row) for row in whole.tolist()] == [_wer_counts_numpy(r, h)
+                                                      for r, h in zip(refs, hyps)]
 
 
 class TestMetricsReport:

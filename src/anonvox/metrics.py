@@ -221,13 +221,19 @@ def _probit(rate: np.ndarray, n: int) -> np.ndarray:
 
 
 _DET_LINE = "%.9g %.9g %.9g %.9g %.9g\n"
+# points formatted per % pass; one pass over a whole curve's argument tuple
+# raised the desk benchmark's peak RSS by 0.8 MiB
+_DET_BLOCK = 1024
 
 
 def format_det(curve: DetCurve) -> str:
     """The DET points as text, one line per point under a header line."""
     columns = (curve.thresholds, curve.p_fa, curve.p_miss, curve.probit_fa, curve.probit_miss)
-    points = tuple(np.column_stack(columns).ravel().tolist())
-    return "# threshold p_fa p_miss probit_fa probit_miss\n" + (_DET_LINE * len(curve)) % points
+    text = ["# threshold p_fa p_miss probit_fa probit_miss\n"]
+    for start in range(0, len(curve), _DET_BLOCK):
+        block = [c[start : start + _DET_BLOCK].tolist() for c in columns]
+        text.append((_DET_LINE * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
+    return "".join(text)
 
 
 def wer(ref: list[str], hyp: list[str]) -> WerResult:

@@ -370,8 +370,9 @@ class TestPoolRegimeNote:
 
     def test_eval_notes_a_view_n_farthest_covers_half_of(self, synth_dir, trained, capsys):
         assert self._eval(synth_dir, trained, "--n-farthest", "30") == 0
-        assert self._notes(capsys) == ["note: n_farthest 30 is 50% of the 60-row pool view; "
-                         "pseudo-speakers converge on the pool mean"]
+        assert self._notes(capsys) == [
+            "note: n_farthest 30 is 50% of the 60-row pool view; "
+            "pseudo-speakers converge on the pool mean"]
 
     @pytest.mark.parametrize("extra", [["--n-farthest", "29"],
                                        ["--n-farthest", "60", "--conditions", "oo"]])
@@ -379,14 +380,15 @@ class TestPoolRegimeNote:
         assert self._eval(synth_dir, trained, *extra) == 0
         assert self._notes(capsys) == []
 
-    def test_anonymize_xvec_notes_each_gender_view(self, synth_dir, trained, tmp_path, capsys):
+    def test_anonymize_xvec_notes_only_the_gender_view_it_covers_half_of(self, synth_dir, trained, tmp_path, capsys):
         model, _ = trained
         assert run_cli("anonymize-xvec", "--input", str(synth_dir / "trial.xvec"),
                        "--pool", str(synth_dir / "pool.xvec"), "--model", str(model),
                        "--out", str(tmp_path / "anon.xvec"), "--n-farthest", "10",
                        "--n-select", "5", "--same-gender-pool", "true") == 0
-        assert self._notes(capsys) == ["note: n_farthest 10 is 56% of the 18-row M pool view; "
-                         "pseudo-speakers converge on the pool mean"]
+        assert self._notes(capsys) == [
+            "note: n_farthest 10 is 56% of the 18-row M pool view; "
+            "pseudo-speakers converge on the pool mean"]
 
 
 class TestEvalAnonymizesOncePerTag:

@@ -330,7 +330,7 @@ class TestMetricsReport:
         assert report.min_cllr <= report.cllr + 1e-9
 
 
-def test_format_det_matches_per_point_formatting():
+def test_format_det_matches_per_point_formatting(monkeypatch):
     rng = np.random.default_rng(21)
     tar = np.round(rng.standard_normal(60) + 1.5, 2)  # rounding makes ties
     non = np.round(rng.standard_normal(90), 2)
@@ -343,6 +343,9 @@ def test_format_det_matches_per_point_formatting():
         )
     text = format_det(curve)
     assert text == "\n".join(lines) + "\n"
+    for block in (1, 7):  # points formatted per % pass
+        monkeypatch.setattr("anonvox.metrics._DET_BLOCK", block)
+        assert format_det(curve) == text
     assert text.splitlines()[1].startswith("-inf 1 0 ")
     assert text.splitlines()[-1].startswith("inf 0 1 ")
 

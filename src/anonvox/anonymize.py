@@ -63,6 +63,23 @@ def _pool_view(pool: Corpus, cfg: AnonConfig, gender: str):
     return pool.matrix()[rows], np.argsort(utt_ids, kind="stable")
 
 
+def _distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(matrix, axis=0, return_inverse=True)``, rows in the same order.
+
+    When no value of the first column repeats, no two rows are equal and a
+    stable sort of that column is already the lexicographic row order, so the
+    full row sort is needed only when one does.
+    """
+    order = np.argsort(matrix[:, 0], kind="stable")
+    first = matrix[order, 0]
+    if np.all(first[1:] != first[:-1]):
+        inverse = np.empty(len(order), dtype=np.intp)
+        inverse[order] = np.arange(len(order))
+        return matrix[order], inverse
+    unique, inverse = np.unique(matrix, axis=0, return_inverse=True)
+    return unique, inverse.ravel()
+
+
 def _ranked_rows(sources: np.ndarray, matrix: np.ndarray, id_order: np.ndarray,
                  model: PldaModel, n: int) -> np.ndarray:
     """The ``n`` farthest pool rows of each source row, as an (S, n) array.
@@ -76,9 +93,9 @@ def _ranked_rows(sources: np.ndarray, matrix: np.ndarray, id_order: np.ndarray,
         raise ValueError("pool or source dimension does not match model")
     # score distinct rows only: GEMM tiling can give identical rows different
     # last bits, and the tie rule needs identical vectors at equal distance
-    unique, inverse = np.unique(matrix, axis=0, return_inverse=True)
+    unique, inverse = _distinct_rows(matrix)
     # columns in utt_id order, so a stable sort breaks distance ties by utt_id
-    distances = -score_matrix(model, sources, unique)[:, inverse.ravel()[id_order]]
+    distances = -score_matrix(model, sources, unique)[:, inverse[id_order]]
     # the n-th largest distance of each row; every row at or above it is a
     # candidate, and the rest sort last
     cutoff = -np.partition(-distances, n - 1, axis=1)[:, n - 1]

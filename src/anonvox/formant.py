@@ -5,12 +5,17 @@ spectrum's complex poles get their phases raised to the power ``alpha``
 (magnitudes kept, then clamped inside the unit circle). The residual is
 refiltered through the warped envelope and frames are overlap-added with
 window-sum compensation. alpha = 1 reconstructs the input. Frames are
-processed in fixed-size blocks, every step vectorized over the block's frames.
-The blocks run one deep in a pipeline: while the calling thread warps,
-synthesizes and overlap-adds block k, one worker thread solves block k+1's
-poles (a batched LAPACK eigen-solve, which releases the GIL). Analysis, warp
-and WAV I/O stay on the calling thread; the output is bit for bit the serial
-loop's.
+processed in fixed-size blocks, every step vectorized over the block's frames;
+the autocorrelation and the residual are one contraction each.
+The blocks run two deep in a pipeline: while the calling thread warps,
+synthesizes and overlap-adds block k, one worker thread solves the poles of
+blocks k+1 and k+2 in turn (a batched LAPACK eigen-solve, which releases the
+GIL). While block k's poles are not ready, the calling thread takes queued
+solves the worker has not started, latest first, and runs them itself instead
+of waiting. A block in flight holds only its error filter and companion
+matrices; its windowed frames and residual are made when it is synthesized.
+Analysis, warp and WAV I/O stay on the calling thread; the output is bit for
+bit the serial loop's.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 
 _MAG_CLAMP = 0.998
 _BLOCK = 128  # frames per block: bounds the working arrays, not the result
+_AHEAD = 2  # blocks whose poles are under way while one block is synthesized
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,23 @@ def lpc_analyze(frames, order: int) -> tuple[np.ndarray, np.ndarray]:
     n = x.shape[-1] if x.ndim else 0
     if order >= n:
         raise ValueError(f"lpc order {order} must be below frame length {n}")
-    r = np.stack([(x[..., : n - k] * x[..., k:]).sum(-1) for k in range(order + 1)], -1)
+    error = _error_filter(x, order)
+    return -error[..., 1:], _residual(x, error)
+
+
+def _lags(x: np.ndarray, before: int, after: int) -> np.ndarray:
+    """Every run of ``before + after + 1`` samples of the zero-padded frames, one per sample."""
+    pad = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(before, after)])
+    return np.lib.stride_tricks.sliding_window_view(pad, before + after + 1, axis=-1)
+
+
+def _error_filter(x: np.ndarray, order: int) -> np.ndarray:
+    """The prediction-error filter 1, -a1..-ap of every frame, shape (..., p + 1).
+
+    The autocorrelation is one contraction of the frames with their next
+    ``order`` samples; Levinson's recursion then runs over all frames at once.
+    """
+    r = np.einsum("...i,...ik->...k", x, _lags(x, 0, order))
     r[..., 0] *= 1.0 + 1e-9  # white-noise ridge keeps the predictor strictly stable
 
     a = np.zeros(r.shape)
@@ -98,11 +120,16 @@ def lpc_analyze(frames, order: int) -> tuple[np.ndarray, np.ndarray]:
         a[..., 1:m] += k[..., None] * a[..., m - 1 : 0 : -1]
         a[..., m] = k
         err *= 1.0 - k * k
+    return a
 
-    residual = x * a[..., :1]
-    for k in range(1, order + 1):
-        residual[..., k:] += a[..., k : k + 1] * x[..., : n - k]
-    return -a[..., 1:], residual
+
+def _residual(x: np.ndarray, error: np.ndarray) -> np.ndarray:
+    """The frames inverse-filtered through ``error``: one contraction with their last p samples.
+
+    Sample i sums error[k] * x[i - k] in the order k = 0..p.
+    """
+    p = error.shape[-1] - 1
+    return np.einsum("...ik,...k->...i", _lags(x, p, 0)[..., ::-1], error)
 
 
 def warp_poles(poles, alpha: float) -> np.ndarray:
@@ -133,7 +160,7 @@ def _overlap_add(out: np.ndarray, start: int, frames: np.ndarray, hop: int) -> N
 
 def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
     """Shift formants block by block; output matches input length and rate."""
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import Future, ThreadPoolExecutor
 
     n, p, flen, hop = len(wav), cfg.lpc_order, cfg.frame_len, cfg.hop
 
@@ -147,24 +174,37 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
     window = np.hanning(flen)
 
     def analyze(first):
-        """LPC of the block at ``first`` here; its eigen-solve starts on the worker."""
-        windowed = frames[first : first + _BLOCK] * window
-        coeffs, excitation = lpc_analyze(windowed, p)
+        """Block ``first``'s error filter and companion matrices; its eigen-solve is queued."""
+        error = _error_filter(frames[first : first + _BLOCK] * window, p)
         # column-major matrices reach LAPACK by a straight copy, not a transposing one
-        companion = np.zeros((p, p, len(windowed)), order="F").transpose(2, 0, 1)
-        companion[:, 0] = coeffs
+        companion = np.zeros((p, p, len(error)), order="F").transpose(2, 0, 1)
+        companion[:, 0] = -error[:, 1:]
         companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
-        return windowed, excitation, worker.submit(np.linalg.eigvals, companion)
+        return [error, companion, worker.submit(np.linalg.eigvals, companion)]
 
     acc, wsum = np.zeros(xp.size + flen), np.zeros(xp.size + flen)
-    # one block deep: block k+1's LPC and poles are under way while block k
-    # is warped, rebuilt, synthesized and overlap-added
+    starts = range(0, n_frames, _BLOCK)
+    # two blocks deep: the poles of blocks k+1 and k+2 are under way while
+    # block k is warped, rebuilt, synthesized and overlap-added
     with ThreadPoolExecutor(max_workers=1) as worker:
-        ahead = analyze(0)
-        for first in range(0, n_frames, _BLOCK):
-            windowed, excitation, poles = ahead
-            if first + _BLOCK < n_frames:
-                ahead = analyze(first + _BLOCK)
+        queued = [analyze(first) for first in starts[:_AHEAD]]
+        for first in starts:
+            if first + _AHEAD * _BLOCK < n_frames:
+                queued.append(analyze(first + _AHEAD * _BLOCK))
+            error, companion, poles = queued.pop(0)
+            # while the worker is still on this block, solve queued blocks here,
+            # latest first, instead of waiting; LAPACK solves each matrix alone,
+            # so the poles do not depend on the thread that solves them
+            for later in reversed(queued):
+                if poles.done():
+                    break
+                if later[2].cancel():
+                    later[2] = Future()
+                    later[2].set_result(np.linalg.eigvals(later[1]))
+            # frames and residual are made only now, so blocks in flight hold
+            # no more than their filters and companion matrices
+            windowed = frames[first : first + _BLOCK] * window
+            excitation = _residual(windowed, error)
             count = len(windowed)
             warped = warp_poles(poles.result(), cfg.alpha)
             poly = np.zeros((count, p + 1), dtype=np.complex128)
@@ -188,7 +228,7 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
 
     # the output pass is the call's memory peak: free the padded input and the
     # last block first, and normalize in place in acc's output slice
-    del xp, frames, ahead, windowed, excitation, y
+    del xp, frames, error, companion, poles, windowed, excitation, y
     out, denom = acc[pad : pad + n], wsum[pad : pad + n]
     covered = denom > 1e-6
     np.divide(out, denom, out=out, where=covered)
@@ -230,7 +270,8 @@ def read_wav(path) -> WaveBuffer:
 
 
 def write_wav(wav: WaveBuffer, path) -> None:
-    scaled = np.clip(np.rint(wav.samples * 32767.0), -32768, 32767).astype("<i2")
+    """Write 16-bit PCM at ``read_wav``'s scale, 32768 per unit, so a read and write keep every sample."""
+    scaled = np.clip(np.rint(wav.samples * 32768.0), -32768, 32767).astype("<i2")
     with _wavefile.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)

@@ -334,3 +334,27 @@ def test_criterion_9_end_to_end_determinism(tmp_path, capsys):
     assert artifacts[0] == artifacts[1]
     with capsys.disabled():
         _report(9, "two eval runs byte-identical (stdout, records, anonymized corpora)")
+
+
+def test_criterion_10_paper_pool_ratio():
+    """200 farthest of a 1250-row pool, near the paper's 200 of about 1,160:
+    pseudo-speakers sit opposite their sources, so EER(oa) is far above 50%,
+    and both sides of aa share that mapping, so EER(aa) is far below it."""
+    start = time.monotonic()
+    corpus, _ = generate(default_spec(n_speakers=500, dim=32, seed=0))
+    train, pool, enroll, trial = split(corpus, (0.5, 0.25, 0.1, 0.15), seed=0)
+    model = train_plda(train, 15)
+    trials = make_trials(enroll, trial)
+    runs = evaluate([Condition.oo, Condition.oa, Condition.aa], enroll, trial, pool, model,
+                    AnonConfig(seed=0), trials)[0]
+    eers = {(run.condition.value, run.gender): run.metrics.eer for run in runs}
+    elapsed = time.monotonic() - start
+
+    assert len(pool) == 1250
+    # seeds 1-20 give EER(oo) 0.4-1.7%, EER(oa) 80.0-88.7% and EER(aa) 0.5-3.3%
+    for (condition, gender), eer in eers.items():
+        low, high = {"oo": (0.0, 0.05), "oa": (0.70, 1.0), "aa": (0.0, 0.10)}[condition]
+        assert low <= eer <= high, f"EER({condition}, {gender})={eer:.4f}"
+    assert elapsed < 30.0, f"runtime {elapsed:.1f}s"
+    _report(10, " ".join(f"eer_{c}_{g}={100 * e:.1f}%" for (c, g), e in eers.items())
+            + f" runtime={elapsed:.1f}s")

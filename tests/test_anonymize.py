@@ -203,6 +203,25 @@ class TestPoolRankingKernel:
         return corpus_of("pool", ((names[i], f"q{i}", str(genders[i]), matrix[i])
                                   for i in range(n_rows)))
 
+    @pytest.mark.parametrize("case", ["distinct", "first-column-ties", "duplicate-rows",
+                                      "signed-zeros", "one-row"])
+    def test_distinct_rows_equal_np_unique(self, case):
+        rng = np.random.default_rng(17)
+        matrix = rng.standard_normal((300, 4))
+        if case == "first-column-ties":
+            matrix[::7, 0] = matrix[3, 0]
+        elif case == "duplicate-rows":
+            matrix[rng.choice(300, 60, replace=False)] = matrix[rng.integers(0, 300, 60)]
+        elif case == "signed-zeros":
+            matrix[[5, 9], 0] = [0.0, -0.0]
+        elif case == "one-row":
+            matrix = matrix[:1]
+        unique, inverse = anon._distinct_rows(matrix)
+        want, want_inverse = np.unique(matrix, axis=0, return_inverse=True)
+        np.testing.assert_array_equal(unique, want)
+        assert np.array_equal(np.signbit(unique), np.signbit(want))
+        np.testing.assert_array_equal(inverse, want_inverse.ravel())
+
     # GEMM tiling can give identical rows different last bits; at these sizes
     # it does with OpenBLAS 0.3 on x86-64, one or two threads
     @pytest.mark.parametrize("dim,n_rows", [(5, 513), (5, 559), (13, 517)])

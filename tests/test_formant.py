@@ -241,6 +241,9 @@ REFERENCE_CASES = {
         )
         for d in (-1, 0, 1)
     },
+    # as many blocks as the pipeline keeps ahead; THREE_BLOCKS below has one more
+    "two-blocks": (synth_vowel(_samples_for_frames(2 * formant._BLOCK, ShiftConfig()) / 16000),
+                   ShiftConfig()),
 }
 
 
@@ -335,7 +338,11 @@ def _serial_anonymize_wav(wav, cfg):
     return WaveBuffer(np.clip(out, -1.0, 1.0), wav.sample_rate)
 
 
-THREE_BLOCKS = synth_vowel(_samples_for_frames(3 * formant._BLOCK, ShiftConfig()) / 16000)
+def _whole_blocks(blocks):
+    return synth_vowel(_samples_for_frames(blocks * formant._BLOCK, ShiftConfig()) / 16000)
+
+
+THREE_BLOCKS = _whole_blocks(3)
 
 
 class TestPipelinedBlocks:
@@ -350,6 +357,48 @@ class TestPipelinedBlocks:
         cfg = ShiftConfig(alpha=alpha)
         out = anonymize_wav(THREE_BLOCKS, cfg)
         assert np.array_equal(out.samples, _serial_anonymize_wav(THREE_BLOCKS, cfg).samples)
+
+    @pytest.mark.parametrize("blocks", [2, 3, 5])
+    def test_calling_thread_solves_queued_blocks_while_the_worker_is_held(self, monkeypatch,
+                                                                          blocks):
+        wav, cfg = _whole_blocks(blocks), ShiftConfig()
+        expected = _serial_anonymize_wav(wav, cfg)
+        threads = threading.active_count()
+        eigvals, caller = np.linalg.eigvals, threading.current_thread()
+        release, solved_here = threading.Event(), []
+
+        def hold_the_first_worker_solve(matrices):
+            if threading.current_thread() is caller:
+                solved_here.append(len(matrices))
+                release.set()
+            else:
+                # the worker's first solve waits until the calling thread has solved one
+                assert release.wait(10), "the calling thread waited instead of solving"
+            return eigvals(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvals", hold_the_first_worker_solve)
+        out = anonymize_wav(wav, cfg)
+        assert solved_here
+        assert np.array_equal(out.samples, expected.samples)
+        assert threading.active_count() == threads
+
+    def test_error_in_a_block_the_calling_thread_solves_is_reraised(self, monkeypatch):
+        threads = threading.active_count()
+        eigvals, caller = np.linalg.eigvals, threading.current_thread()
+        release = threading.Event()
+
+        def fail_on_the_calling_thread(matrices):
+            if threading.current_thread() is caller:
+                release.set()
+                raise np.linalg.LinAlgError("eigenvalues did not converge")
+            assert release.wait(10), "the calling thread waited instead of solving"
+            return eigvals(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail_on_the_calling_thread)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            anonymize_wav(THREE_BLOCKS, ShiftConfig())
+        assert release.is_set()
+        assert threading.active_count() == threads
 
     def test_worker_error_is_reraised_and_no_thread_is_left(self, monkeypatch):
         threads = threading.active_count()
@@ -387,6 +436,24 @@ class TestWavIo:
         assert len(loaded) == len(vowel)
         # 16-bit quantization bound
         assert np.max(np.abs(loaded.samples - vowel.samples)) <= 1.0 / 32768.0
+
+    def test_loud_samples_survive_a_read_write_round_trip(self, tmp_path):
+        import wave
+
+        pcm = np.array([16385, 30000, 32767, -32768, -20000], dtype="<i2")
+        first, second = tmp_path / "f.wav", tmp_path / "g.wav"
+        with wave.open(str(first), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(16000)
+            fh.writeframes(pcm.tobytes())
+        write_wav(read_wav(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_full_scale_is_clipped_to_the_int16_range(self, tmp_path):
+        path = tmp_path / "full.wav"
+        write_wav(WaveBuffer(np.array([1.0, -1.0, 0.5]), 16000), path)
+        assert np.array_equal(np.rint(read_wav(path).samples * 32768.0), [32767, -32768, 16384])
 
     def test_write_read_write_is_stable(self, tmp_path, vowel):
         first = tmp_path / "a.wav"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -410,9 +411,12 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        opts = _resolve_options(args.command, args)
-        _print_provenance(args.command, opts)
-        return _HANDLERS[args.command](opts)
+        with warnings.catch_warnings():
+            # a library warning is one stderr note, free of the install path
+            warnings.showwarning = lambda message, *_: print(f"note: {message}", file=sys.stderr)
+            opts = _resolve_options(args.command, args)
+            _print_provenance(args.command, opts)
+            return _HANDLERS[args.command](opts)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

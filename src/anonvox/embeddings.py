@@ -16,15 +16,15 @@ On-disk formats:
 In memory a ``TrialList`` codes each id column once against its sorted
 vocabulary, and a ``ScoreSet`` is a score column over a ``TrialList``.
 
-A trial or score file passes its line check as a text in the layout the
-savers write, or else by one regex over every line, and is read whole by one
-``str.split``; on any fault, a walk over its lines names the first malformed
-line, else the first pair that repeats or is absent from the trial list.
+A trial or score file in the layout the savers write is read whole by one
+``str.split``; any other file, or a saved one whose columns fail their checks,
+by one walk over its lines, which names the first malformed line. A file with
+none is rejected at its first pair that repeats or is absent from the trial
+list, named by the line of its row.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import re
 import struct
@@ -70,10 +70,14 @@ class Embedding:
         object.__setattr__(self, "vector", _read_only(vec))
 
 
-def _check_rows(utt: list[str], spk: list[str], gender, matrix, where) -> None:
-    """Raise for the first row with a fault: an id the id rule rejects (its
-    utt_id first), with the message prefixed by ``where(row)``, else what
-    ``Embedding`` raises."""
+def _check_rows(utt_id, spk_id, gender, matrix, where, error=None):
+    """The utt, spk and gender columns as string arrays. Raises for the first
+    row with a fault: an id the id rule rejects (its utt_id first), else what
+    ``Embedding`` raises; then ``error``, a loader's fault past the last row,
+    if given; then for the first row that repeats an utt_id or, strictly
+    earlier, contradicts its speaker's first gender. Each message but
+    ``error``'s is prefixed by ``where(row)``."""
+    utt, spk, gender = _id_strings(utt_id), _id_strings(spk_id), np.asarray(gender, np.str_)
     bad = ~np.isin(gender, GENDERS)
     bad |= ~np.isfinite(matrix).all(axis=1) if matrix.shape[1] else True
     first = int(np.argmax(bad)) if bad.any() else len(bad)
@@ -82,7 +86,23 @@ def _check_rows(utt: list[str], spk: list[str], gender, matrix, where) -> None:
     if fault is not None and fault[0] <= first:
         raise ValueError(where(fault[0]) + fault[1])
     if first < len(bad):
-        Embedding(utt[first], spk[first], str(gender[first]), matrix[first])
+        try:
+            Embedding(utt[first], spk[first], str(gender[first]), matrix[first])
+        except ValueError as exc:
+            raise ValueError(where(first) + str(exc)) from None
+    if error is not None:
+        raise error
+    # ids that pass the id rule keep every character in a string array
+    utt_col, spk_col = np.asarray(utt_id, np.str_), np.asarray(spk_id, np.str_)
+    dup = _first_repeat(utt_col)
+    _, first, spk_code = np.unique(spk_col, return_index=True, return_inverse=True)
+    conflict = np.flatnonzero(gender != gender[first][spk_code])
+    if dup >= 0 and not (conflict.size and conflict[0] < dup):
+        raise ValueError(f"{where(dup)}duplicate utt_id {utt[dup]!r}")
+    if conflict.size:
+        row = conflict[0]
+        raise ValueError(f"{where(row)}speaker {spk[row]!r} has conflicting genders")
+    return utt_col, spk_col, gender
 
 
 def _id_fault(ids: list[str], what: str) -> tuple[int, str] | None:
@@ -135,18 +155,7 @@ class Corpus:
         if matrix.ndim != 2:
             raise ValueError(f"corpus {self.name!r}: vectors must be an (N, D) matrix")
         _check_lengths(utt, spk, gender, matrix)
-        _check_rows(_id_strings(self.utt_id), _id_strings(self.spk_id), gender, matrix,
-                    lambda row: f"corpus {self.name!r}: ")
-        # the first row repeating an utt_id or contradicting its speaker's first gender
-        dup = _first_repeat(utt)
-        _, first, spk_code = np.unique(spk, return_index=True, return_inverse=True)
-        conflict = np.flatnonzero(gender != gender[first][spk_code])
-        if dup >= 0 and not (conflict.size and conflict[0] < dup):
-            raise ValueError(f"corpus {self.name!r}: duplicate utt_id {str(utt[dup])!r}")
-        if conflict.size:
-            raise ValueError(
-                f"corpus {self.name!r}: speaker {str(spk[conflict[0]])!r} has conflicting genders"
-            )
+        _check_rows(self.utt_id, self.spk_id, gender, matrix, lambda row: f"corpus {self.name!r}: ")
         object.__setattr__(self, "utt_id", utt)
         object.__setattr__(self, "spk_id", spk)
         object.__setattr__(self, "gender", gender)
@@ -457,13 +466,10 @@ def _load_text(path: Path):
                 linenos.append(lineno)
         except ValueError as exc:
             error = exc
-    columns = (utts, spks, genders,
-               np.array(vectors, dtype=np.float64).reshape(len(utts), dim or 0))
-    # an id fault on an earlier line is reported first
-    _check_rows(*columns, lambda row: f"{path}:{linenos[row]}: ")
-    if error is not None:
-        raise error
-    return columns
+    matrix = np.array(vectors, dtype=np.float64).reshape(len(utts), dim or 0)
+    # an id fault on an earlier line is reported before the walk's fault, a repeat after it
+    labels = _check_rows(utts, spks, genders, matrix, lambda row: f"{path}:{linenos[row]}: ", error)
+    return *labels, matrix
 
 
 def _load_binary(path: Path):
@@ -487,9 +493,9 @@ def _load_binary(path: Path):
             (gender_code,) = u8(blob, offset)
             offset += 1
             if gender_code not in (0, 1):
-                raise ValueError(f"record {i}: bad gender byte {gender_code}")
+                raise ValueError(f"{path}: record {i}: bad gender byte {gender_code}")
             if offset + width > len(blob):
-                raise ValueError(f"record {i}: truncated vector")
+                raise ValueError(f"{path}: record {i}: truncated vector")
             utts.append(utt_id)
             spks.append(spk_id)
             genders.append(GENDERS[gender_code])
@@ -498,16 +504,14 @@ def _load_binary(path: Path):
     except (ValueError, struct.error) as exc:
         error = exc
     vectors = b"".join([view[i : i + width] for i in starts])
-    columns = (utts, spks, genders, np.frombuffer(vectors, dtype="<f8").reshape(len(utts), dim))
-    # an earlier record's fault is reported first
-    _check_rows(*columns, lambda row: f"{path}: record {row}: ")
+    matrix = np.frombuffer(vectors, dtype="<f8").reshape(len(utts), dim)
     if isinstance(error, (struct.error, UnicodeDecodeError)):
-        raise ValueError(f"{path}: truncated or corrupt record {len(utts)}: {error}") from None
-    if error is not None:
-        raise error
-    if offset != len(blob):
-        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after {count} records")
-    return columns
+        error = ValueError(f"{path}: truncated or corrupt record {len(utts)}: {error}")
+    elif error is None and offset != len(blob):
+        error = ValueError(f"{path}: {len(blob) - offset} trailing bytes after {count} records")
+    # an earlier record's fault is reported before the walk's fault, a repeat after it
+    labels = _check_rows(utts, spks, genders, matrix, lambda row: f"{path}: record {row}: ", error)
+    return *labels, matrix
 
 
 def save_embeddings(corpus: Corpus, path, format: str = "text") -> None:
@@ -610,85 +614,83 @@ def _write_rows(path, *columns) -> None:
         fh.write(text + "\n" if text else text)
 
 
-# A trial or score line is three fields (split as ``str.split`` splits), blank,
-# or a comment: its first field starts with "#". One regex matches such a line,
-# so a text is well formed when it matches every line.
-_LINE = r"(?:[^\S\n]*\S+[^\S\n]+\S+[^\S\n]+\S+[^\S\n]*|[^\S\n]*(?:#[^\n]*)?)(?:\n|\Z)"
-_TABLE_LINE = re.compile("^" + _LINE, re.M)
 # The layout the savers write: three fields joined by single spaces, each line
-# ended. A text is in it when it starts with such a line (or is empty) and every
-# newline is followed by another or by the end; one regex repeating the line
-# over the whole text would keep a backtracking entry per line.
-_SAVED_LINE = r"(?:\S+ \S+ \S+\n|\Z)"
+# ended, the first field not starting with "#". A text is in it when it starts
+# with such a line (or is empty) and every newline is followed by another or by
+# the end; one regex repeating the line over the whole text would keep a
+# backtracking entry per line.
+_SAVED_LINE = r"(?:[^\s#]\S* \S+ \S+\n|\Z)"
 _SAVED_START = re.compile(_SAVED_LINE)
 _SAVED_BREAK = re.compile(r"\n(?!" + _SAVED_LINE + ")")
-_COMMENT_LINE = re.compile(r"^[^\S\n]*#[^\n]*", re.M)
 
 
-def _read_table(text: str, parse_column):
-    """The coded id columns and the third column of a trial or score text, or
-    None if any line has a fault.
-
-    Blank and ``#`` comment lines are skipped; any other line must have
-    exactly three fields, and its ids no control character and no leading
-    ``#``. ``parse_column(fields)`` gives the third column, or None if an
-    entry is bad.
+def _read_table(path: Path, layout: str, parse_column, row_fault):
+    """The coded id columns of a trial or score file, its third column and the
+    line of each row. A text in the saved layout is split whole (row i is on
+    line i + 1); any other text, or a saved one whose columns fail their
+    checks, goes to ``_walk_lines``. ``parse_column(fields)`` gives the third
+    column, or None if an entry is bad; ``row_fault`` is its per-row message.
     """
-    saved = _SAVED_START.match(text) and not _SAVED_BREAK.search(text)
-    if not saved and _TABLE_LINE.subn("", text)[1] <= text.count("\n"):
-        return None
-    if "#" in text:
-        text = _COMMENT_LINE.sub("", text)
-    fields = text.split()
+    text = path.read_text(encoding="utf-8")
+    if _SAVED_START.match(text) and not _SAVED_BREAK.search(text):
+        fields = text.split()
+        linenos = range(1, len(fields) // 3 + 1)
+    else:
+        fields, linenos = _walk_lines(path, text, layout, row_fault)
     spk_vocab, spk_code = _code(fields[0::3])
     utt_vocab, utt_code = _code(fields[1::3])
     values = parse_column(fields[2::3])
     # the id rule is checked here, before load_scores makes string arrays of the
     # vocabularies: those drop trailing NULs, so "u\0" would join the score of "u"
     if values is None or _id_fault(spk_vocab + utt_vocab, "id") is not None:
-        return None
-    return (spk_vocab, spk_code, utt_vocab, utt_code), values
+        _walk_lines(path, text, layout, row_fault)
+        raise AssertionError(f"{path}: the line walk passed a text its columns reject")
+    return (spk_vocab, spk_code, utt_vocab, utt_code), values, linenos
 
 
-def _table_error(path: Path, text: str, layout: str, parse, what: str,
-                 trials: TrialList | None = None) -> ValueError:
-    """The error for a trial or score text that ``_read_table`` or its loader
-    rejected: the first malformed line, else the first pair that repeats an
-    earlier one or is absent from ``trials``. ``parse(enroll_spk, test_utt,
-    field)`` raises ValueError for a bad third field."""
-    rows = []
+def _walk_lines(path: Path, text: str, layout: str, row_fault):
+    """The fields of every row of a trial or score text and the line of each
+    row; raises for the first malformed line. Blank lines and ``#`` comment
+    lines (their first field starts with "#") are skipped; any other line must
+    have three fields, ids with no control character and no leading "#", and
+    no ``row_fault(enroll_spk, test_utt, third)``.
+    """
+    fields, linenos = [], []
     for lineno, line in enumerate(text.split("\n"), start=1):
         row = line.split()
         if not row or row[0].startswith("#"):
             continue
-        try:
-            if len(row) != 3:
-                raise ValueError(f"expected '{layout}'")
-            for name, token in zip(("enroll_spk", "test_utt"), row):
-                if _ID_FAULT.search(token):
-                    raise ValueError(f"{name} {token!r} contains a control character")
-                if token.startswith("#"):
-                    raise ValueError(_ID_HASH.format(name, token))
-            parse(*row)
-        except ValueError as exc:
-            return ValueError(f"{path}:{lineno}: {exc}")
-        rows.append((tuple(row[:2]), lineno))
-    known = None if trials is None else set(zip(trials.enroll_spk.tolist(),
-                                                trials.test_utt.tolist()))
-    seen = set()
-    for pair, lineno in rows:
-        if known is not None and pair not in known:
-            return ValueError(f"{path}:{lineno}: score pair {pair} not present in trial list")
-        if pair in seen:
-            return ValueError(f"{path}:{lineno}: duplicate {what} pair {pair}")
-        seen.add(pair)
-    raise AssertionError(f"{path} has no fault")
+        fault = (f"expected '{layout}'" if len(row) != 3 else
+                 _token_fault("enroll_spk", row[0]) or _token_fault("test_utt", row[1])
+                 or row_fault(*row))
+        if fault:
+            raise ValueError(f"{path}:{lineno}: {fault}")
+        fields += row
+        linenos.append(lineno)
+    return fields, linenos
 
 
-def _parse_label(enroll_spk: str, test_utt: str, label: str) -> bool:
-    if label not in LABELS:
-        raise ValueError(f"bad label {label!r}")
-    return label == "target"
+def _token_fault(what: str, token: str) -> str | None:
+    if _ID_FAULT.search(token):
+        return f"{what} {token!r} contains a control character"
+    return _ID_HASH.format(what, token) if token.startswith("#") else None
+
+
+def _pair_error(path: Path, ids, linenos, what: str, absent=()) -> ValueError:
+    """The error for the first row whose (enroll_spk, test_utt) pair repeats an
+    earlier row's or is one of the ``absent`` rows (ascending), those a score
+    file holds but its trial list does not; absent wins on the same row."""
+    spk_vocab, spk_code, utt_vocab, utt_code = ids
+    row = _first_repeat(_pair_codes(spk_code, utt_code, len(utt_vocab)))
+    fault = f"duplicate {what} pair {{}}"
+    if len(absent) and (row < 0 or absent[0] <= row):
+        row, fault = absent[0], "score pair {} not present in trial list"
+    pair = (spk_vocab[spk_code[row]], utt_vocab[utt_code[row]])
+    return ValueError(f"{path}:{linenos[row]}: " + fault.format(pair))
+
+
+def _label_fault(enroll_spk: str, test_utt: str, label: str) -> str | None:
+    return None if label in LABELS else f"bad label {label!r}"
 
 
 def _parse_labels(fields: list[str]) -> np.ndarray | None:
@@ -698,25 +700,19 @@ def _parse_labels(fields: list[str]) -> np.ndarray | None:
     return np.array([label == "target" for label in vocab], bool)[code]
 
 
-def _parse_score(enroll_spk: str, test_utt: str, token: str) -> float:
+def _score_fault(enroll_spk: str, test_utt: str, token: str) -> str | None:
     try:
         score = float(token)
     except ValueError:
-        raise ValueError(f"bad score {token!r}") from None
-    if not math.isfinite(score):
-        raise ValueError(f"score for ({enroll_spk}, {test_utt}) is not finite")
-    return score
-
-
-def _float_or_nan(token: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        return math.nan
+        return f"bad score {token!r}"
+    return None if math.isfinite(score) else f"score for ({enroll_spk}, {test_utt}) is not finite"
 
 
 def _parse_scores(fields: list[str]) -> np.ndarray | None:
-    score = np.fromiter(map(_float_or_nan, fields), np.float64, len(fields))
+    try:
+        score = np.fromiter(map(float, fields), np.float64, len(fields))
+    except ValueError:
+        return None
     return score if np.isfinite(score).all() else None
 
 
@@ -727,15 +723,13 @@ def save_trials(trials: TrialList, path) -> None:
 
 def load_trials(path) -> TrialList:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    table = _read_table(text, _parse_labels)
-    if table is not None:
-        ids, is_target = table
-        if not len(is_target):
-            raise ValueError(f"{path}: empty trial list")
-        with contextlib.suppress(ValueError):  # only a repeated pair fails here
-            return TrialList.from_codes(*ids, is_target)
-    raise _table_error(path, text, "spk utt label", _parse_label, "trial")
+    ids, is_target, linenos = _read_table(path, "spk utt label", _parse_labels, _label_fault)
+    if not len(is_target):
+        raise ValueError(f"{path}: empty trial list")
+    try:
+        return TrialList.from_codes(*ids, is_target)
+    except ValueError:  # a repeated pair: every other fault is a malformed line
+        raise _pair_error(path, ids, linenos, "trial") from None
 
 
 def save_scores(scores: ScoreSet, path) -> None:
@@ -753,18 +747,18 @@ def load_scores(path, trials: TrialList) -> ScoreSet:
     is rejected at its first pair that repeats an earlier one or is absent
     from ``trials``."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    table = _read_table(text, _parse_scores)
-    if table is not None:
-        ids, score = table
-        spk_vocab, spk_code, utt_vocab, utt_code = ids
-        if not len(score):
-            raise ValueError(f"{path}: empty score file")
-        spk = index_in(np.array(spk_vocab, np.str_), trials.spk_vocab)[spk_code]
-        utt = index_in(np.array(utt_vocab, np.str_), trials.utt_vocab)[utt_code]
-        keys = np.where((spk < 0) | (utt < 0), -1, _pair_codes(spk, utt, len(trials.utt_vocab)))
-        row = index_in(keys, trials._pair_codes())
-        if (row >= 0).all():
-            with contextlib.suppress(ValueError):  # only a repeated pair fails here
-                return ScoreSet(TrialList.from_codes(*ids, trials.is_target[row]), score)
-    raise _table_error(path, text, "spk utt score", _parse_score, "score", trials)
+    ids, score, linenos = _read_table(path, "spk utt score", _parse_scores, _score_fault)
+    spk_vocab, spk_code, utt_vocab, utt_code = ids
+    if not len(score):
+        raise ValueError(f"{path}: empty score file")
+    spk = index_in(np.array(spk_vocab, np.str_), trials.spk_vocab)[spk_code]
+    utt = index_in(np.array(utt_vocab, np.str_), trials.utt_vocab)[utt_code]
+    keys = np.where((spk < 0) | (utt < 0), -1, _pair_codes(spk, utt, len(trials.utt_vocab)))
+    row = index_in(keys, trials._pair_codes())
+    absent = np.flatnonzero(row < 0)
+    if not absent.size:
+        try:
+            return ScoreSet(TrialList.from_codes(*ids, trials.is_target[row]), score)
+        except ValueError:  # a repeated pair: every other fault is a malformed line
+            pass
+    raise _pair_error(path, ids, linenos, "score", absent)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -389,6 +390,39 @@ class TestPoolRegimeNote:
         assert self._notes(capsys) == [
             "note: n_farthest 10 is 56% of the 18-row M pool view; "
             "pseudo-speakers converge on the pool mean"]
+
+
+class TestLibraryWarningsAreNotes:
+    """A warning the library raises prints as one ``note:`` line, without the
+    source path and line that the default warning display adds."""
+
+    def _stderr(self, capsys, *argv):
+        assert run_cli(*argv) == 0
+        return capsys.readouterr().err.splitlines()[1:]  # after the provenance line
+
+    def test_make_trials_names_the_speaker_without_trials(self, tmp_path, capsys):
+        shown = warnings.showwarning
+        rows = [("e1", "s1", "F"), ("e3", "s3", "F"), ("e2", "s2", "M")]
+        save_embeddings(Corpus("enroll", *zip(*rows), np.eye(3)), tmp_path / "enroll.xvec",
+                        "binary")
+        save_embeddings(Corpus("trial", ["t1", "t2"], ["s1", "s2"], ["F", "M"], np.eye(3)[:2]),
+                        tmp_path / "trial.xvec", "binary")
+        assert self._stderr(capsys, "make-trials", "--enroll", str(tmp_path / "enroll.xvec"),
+                            "--trial", str(tmp_path / "trial.xvec"),
+                            "--out", str(tmp_path / "trials.txt")) == [
+            "note: enrollment speaker 's3' has no trial utterances",
+            "wrote 3 trials (2 target, 1 nontarget)"]
+        assert warnings.showwarning is shown
+
+    def test_train_plda_notes_a_degenerate_corpus(self, tmp_path, capsys):
+        corpus = Corpus("train", [f"u{i}" for i in range(6)], [f"s{i % 2}" for i in range(6)],
+                        ["F"] * 6, np.ones((6, 2)))
+        save_embeddings(corpus, tmp_path / "train.xvec", "binary")
+        err = self._stderr(capsys, "train-plda", "--data", str(tmp_path / "train.xvec"),
+                           "--out", str(tmp_path / "model.plda"), "--iterations", "1")
+        assert err[0] == "note: degenerate corpus (all vectors identical); covariances floored"
+        assert all(line.startswith("note: ") for line in err[:-1])
+        assert err[-1] == "trained D=2 model on 6 embeddings"
 
 
 class TestEvalAnonymizesOncePerTag:

@@ -1,3 +1,4 @@
+import math
 import re
 import struct
 import unicodedata
@@ -498,6 +499,14 @@ class TestTrialAndScoreFileErrors:
         with pytest.raises(ValueError, match=r":4: duplicate trial pair \('s1', 'u1'\)"):
             load_trials(path)
 
+    def test_hash_line_in_the_saved_layout_is_a_comment(self, tmp_path):
+        path = tmp_path / "trials.txt"
+        path.write_text("s1 u1 target\n#s1 u2 target\n")
+        assert load_trials(path) == TrialList(["s1"], ["u1"], [True])
+        path.write_text("s1 u1 target\n#s1 u2 target\ns1 u1 nontarget\n")
+        with pytest.raises(ValueError, match=r":3: duplicate trial pair \('s1', 'u1'\)$"):
+            load_trials(path)
+
     def test_duplicate_score_pair_names_line(self, tmp_path):
         path = tmp_path / "scores.txt"
         path.write_text("s1 u1 0.5\n\ns1 u1 0.25\n")
@@ -590,7 +599,7 @@ def _per_record_corpus_error(name, rows):
         try:
             records.append(Embedding(*row))
         except ValueError as exc:
-            return str(exc)
+            return f"corpus {name!r}: {exc}"
     seen, spk_gender = set(), {}
     for rec in records:
         if rec.utt_id in seen:
@@ -746,7 +755,8 @@ class TestIdRule:
     def test_earlier_record_fault_is_reported_first(self, tmp_path):
         path = tmp_path / "c.xvec"
         path.write_bytes(_binary_blob([("u1", "s1", "F", [np.nan, 2]), ("u 2", "s1", "F", [1, 1])]))
-        with pytest.raises(ValueError, match=r"^embedding 'u1': non-finite coordinate$"):
+        message = rf"^{re.escape(str(path))}: record 0: embedding 'u1': non-finite coordinate$"
+        with pytest.raises(ValueError, match=message):
             load_embeddings(path, "binary")
         path.write_bytes(_binary_blob([("u 1", "s1", "F", [1, 1]), ("u2", "s1", "F", [np.nan, 2])]))
         with pytest.raises(ValueError, match=rf"record 0: utt_id 'u 1' {_RULE}$"):
@@ -780,7 +790,8 @@ class TestBinaryLoaderErrors:
 
     def test_vector_cut_short_names_the_record(self, tmp_path):
         path = self._file(tmp_path, [("u1", "s1", "F", None), ("u2", "s1", "F", None)], cut=3)
-        with pytest.raises(ValueError, match=r"^record 1: truncated vector$"):
+        message = rf"^{re.escape(str(path))}: record 1: truncated vector$"
+        with pytest.raises(ValueError, match=message):
             load_embeddings(path, "binary")
 
     def test_earlier_record_fault_is_reported_before_a_later_break(self, tmp_path):
@@ -790,12 +801,55 @@ class TestBinaryLoaderErrors:
         # the first coordinate of record 0 becomes NaN, and the file loses its last byte
         start = 12 + 2 + 2 + 2 + 2 + 1
         blob[start : start + 8] = np.array([np.nan], "<f8").tobytes()
+        message = rf"^{re.escape(str(path))}: record 0: embedding 'u1': non-finite coordinate$"
         path.write_bytes(bytes(blob[:-1]))
-        with pytest.raises(ValueError, match=r"^embedding 'u1': non-finite coordinate$"):
+        with pytest.raises(ValueError, match=message):
             load_embeddings(path, "binary")
         path.write_bytes(bytes(blob) + b"\0")
-        with pytest.raises(ValueError, match=r"^embedding 'u1': non-finite coordinate$"):
+        with pytest.raises(ValueError, match=message):
             load_embeddings(path, "binary")
+
+
+class TestRepeatedRows:
+    """A repeated utt_id or a speaker's second gender names its file and row."""
+
+    def _fault(self, path, fmt):
+        with pytest.raises(ValueError) as info:
+            load_embeddings(path, fmt)
+        return str(info.value).replace(str(path), "<path>")
+
+    def test_text_file_names_the_line(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("u1 s1 F 1.0\n# u1 s1 F 1.0\nu2 s2 M 1.0\n\nu1 s1 F 2.0\n",
+                        encoding="utf-8")
+        assert self._fault(path, "text") == "<path>:5: duplicate utt_id 'u1'"
+        path.write_text("u1 s1 F 1.0\nu2 s1 M 1.0\nu1 s1 F 2.0\n", encoding="utf-8")
+        assert self._fault(path, "text") == "<path>:2: speaker 's1' has conflicting genders"
+
+    def test_binary_file_names_the_record(self, tmp_path):
+        path = tmp_path / "c.xvec"
+        rows = [("u1", "s1", "F", [1, 2]), ("u2", "s2", "M", [1, 2]), ("u1", "s1", "F", [3, 4])]
+        path.write_bytes(_binary_blob(rows))
+        assert self._fault(path, "binary") == "<path>: record 2: duplicate utt_id 'u1'"
+        # on the same row the repeat is reported, not the conflict
+        path.write_bytes(_binary_blob(rows[:2] + [("u1", "s2", "F", [3, 4])]))
+        assert self._fault(path, "binary") == "<path>: record 2: duplicate utt_id 'u1'"
+
+    def test_a_later_malformed_row_is_reported_first(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("u1 s1 F 1.0\nu1 s1 F 1.0\nu2 s1 X 1.0\n", encoding="utf-8")
+        assert self._fault(path, "text") == "<path>:3: gender must be F or M, got 'X'"
+        path = tmp_path / "c.xvec"
+        blob = _binary_blob([("u1", "s1", "F", [1, 2]), ("u1", "s1", "F", [1, 2]),
+                             ("u2", "s1", "F", [1, 2])])
+        path.write_bytes(blob[:-1])
+        assert self._fault(path, "binary") == "<path>: record 2: truncated vector"
+
+    def test_corpus_names_itself(self):
+        with pytest.raises(ValueError, match=r"^corpus 'c': duplicate utt_id 'u1'$"):
+            Corpus("c", ["u1", "u1"], ["s1", "s1"], ["F", "F"], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="^corpus 'c': embedding 'u1': non-finite coordinate$"):
+            Corpus("c", ["u1"], ["s1"], ["F"], [[np.nan, 0.0]])
 
 
 def _read_rows(path, layout, parse):
@@ -820,11 +874,27 @@ def _read_rows(path, layout, parse):
     return enroll, test, values, linenos
 
 
+def _reference_label(enroll_spk, test_utt, label):
+    if label not in ("target", "nontarget"):
+        raise ValueError(f"bad label {label!r}")
+    return label == "target"
+
+
+def _reference_score(enroll_spk, test_utt, token):
+    try:
+        score = float(token)
+    except ValueError:
+        raise ValueError(f"bad score {token!r}") from None
+    if not math.isfinite(score):
+        raise ValueError(f"score for ({enroll_spk}, {test_utt}) is not finite")
+    return score
+
+
 def _reference_load(path, kind):
     """What the per-line loaders gave: the three columns, or an error."""
     layout, parse, empty, what = {
-        "trials": ("spk utt label", embeddings._parse_label, "empty trial list", "trial"),
-        "scores": ("spk utt score", embeddings._parse_score, "empty score file", "score"),
+        "trials": ("spk utt label", _reference_label, "empty trial list", "trial"),
+        "scores": ("spk utt score", _reference_score, "empty score file", "score"),
     }[kind]
     enroll, test, values, linenos = _read_rows(path, layout, parse)
     if not linenos:

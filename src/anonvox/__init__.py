@@ -30,9 +30,7 @@ from .metrics import (
 from .plda import (
     PldaModel,
     load_model,
-    log_likelihood,
     save_model,
-    score,
     score_trials,
     train_plda,
 )

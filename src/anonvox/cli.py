@@ -23,6 +23,7 @@ from .embeddings import (
     load_scores,
     load_trials,
     make_trials,
+    read_utf8,
     save_embeddings,
     save_scores,
     save_trials,
@@ -162,15 +163,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> dict[str, str]:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, line in enumerate(read_utf8(path, UsageError).split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = stripped.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -370,7 +370,7 @@ def _cmd_det(opts: dict) -> int:
 
 def _transcript_lines(path) -> list[list[str]]:
     """The words of each ``\n``-separated line, without the trailing blank lines."""
-    lines = [line.split() for line in Path(path).read_text(encoding="utf-8").split("\n")]
+    lines = [line.split() for line in read_utf8(path).split("\n")]
     while lines and not lines[-1]:
         lines.pop()
     return lines

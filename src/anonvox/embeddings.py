@@ -15,6 +15,8 @@ On-disk formats:
 
 In memory a ``TrialList`` codes each id column once against its sorted
 vocabulary, and a ``ScoreSet`` is a score column over a ``TrialList``.
+Text files are read as UTF-8, and a byte that does not decode raises ``path: ...``.
+The embedding loaders only parse; the one ``Corpus`` build checks each row once.
 
 A trial or score file in the layout the savers write is read whole by one
 ``str.split``; any other file, or a saved one whose columns fail their checks,
@@ -29,7 +31,7 @@ import math
 import re
 import struct
 import warnings
-from dataclasses import InitVar, dataclass, fields
+from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
 
@@ -70,14 +72,16 @@ class Embedding:
         object.__setattr__(self, "vector", _read_only(vec))
 
 
-def _check_rows(utt_id, spk_id, gender, matrix, where, error=None):
-    """The utt, spk and gender columns as string arrays. Raises for the first
-    row with a fault: an id the id rule rejects (its utt_id first), else what
-    ``Embedding`` raises; then ``error``, a loader's fault past the last row,
-    if given; then for the first row that repeats an utt_id or, strictly
-    earlier, contradicts its speaker's first gender. Each message but
-    ``error``'s is prefixed by ``where(row)``."""
-    utt, spk, gender = _id_strings(utt_id), _id_strings(spk_id), np.asarray(gender, np.str_)
+def _check_rows(utt_id, spk_id, columns, matrix, where, error=None) -> None:
+    """Raises for the first row with a fault: an id the id rule rejects (its
+    utt_id first), else what ``Embedding`` raises; then ``error``, a loader's
+    fault past the last row, if given; then for the first row that repeats an
+    utt_id or, strictly earlier, contradicts its speaker's first gender. Each
+    message but ``error``'s is prefixed by ``where(row)``. ``utt_id`` and
+    ``spk_id`` are the ids as given, ``columns`` the utt, spk and gender string
+    arrays made of them."""
+    utt, spk = _id_strings(utt_id), _id_strings(spk_id)
+    utt_col, spk_col, gender = columns
     bad = ~np.isin(gender, GENDERS)
     bad |= ~np.isfinite(matrix).all(axis=1) if matrix.shape[1] else True
     first = int(np.argmax(bad)) if bad.any() else len(bad)
@@ -93,7 +97,6 @@ def _check_rows(utt_id, spk_id, gender, matrix, where, error=None):
     if error is not None:
         raise error
     # ids that pass the id rule keep every character in a string array
-    utt_col, spk_col = np.asarray(utt_id, np.str_), np.asarray(spk_id, np.str_)
     dup = _first_repeat(utt_col)
     _, first, spk_code = np.unique(spk_col, return_index=True, return_inverse=True)
     conflict = np.flatnonzero(gender != gender[first][spk_code])
@@ -102,7 +105,6 @@ def _check_rows(utt_id, spk_id, gender, matrix, where, error=None):
     if conflict.size:
         row = conflict[0]
         raise ValueError(f"{where(row)}speaker {spk[row]!r} has conflicting genders")
-    return utt_col, spk_col, gender
 
 
 def _id_fault(ids: list[str], what: str) -> tuple[int, str] | None:
@@ -130,7 +132,7 @@ def _id_strings(values) -> list[str]:
     return list(map(str, values))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Corpus:
     """An immutable corpus as columns, one row per utterance.
 
@@ -145,21 +147,22 @@ class Corpus:
     utt_id: np.ndarray
     spk_id: np.ndarray
     gender: np.ndarray
-    vectors: InitVar[np.ndarray]
 
-    def __post_init__(self, vectors):
-        utt = _column(self.utt_id, np.str_, "utt_id")
-        spk = _column(self.spk_id, np.str_, "spk_id")
-        gender = _column(self.gender, np.str_, "gender")
+    def __init__(self, name, utt_id, spk_id, gender, vectors):
+        self._build(name, utt_id, spk_id, gender, vectors, lambda row: f"corpus {name!r}: ")
+
+    def _build(self, name, utt_id, spk_id, gender, vectors, where, error=None) -> None:
+        """Check the columns, as ``_check_rows`` with ``where`` and ``error``, and set them."""
+        columns = (_column(utt_id, np.str_, "utt_id"), _column(spk_id, np.str_, "spk_id"),
+                   _column(gender, np.str_, "gender"))
         matrix = np.asarray(vectors, dtype=np.float64)
         if matrix.ndim != 2:
-            raise ValueError(f"corpus {self.name!r}: vectors must be an (N, D) matrix")
-        _check_lengths(utt, spk, gender, matrix)
-        _check_rows(self.utt_id, self.spk_id, gender, matrix, lambda row: f"corpus {self.name!r}: ")
-        object.__setattr__(self, "utt_id", utt)
-        object.__setattr__(self, "spk_id", spk)
-        object.__setattr__(self, "gender", gender)
-        object.__setattr__(self, "_matrix", _read_only(matrix))
+            raise ValueError(f"corpus {name!r}: vectors must be an (N, D) matrix")
+        _check_lengths(*columns, matrix)
+        _check_rows(utt_id, spk_id, columns, matrix, where, error)
+        for field, value in zip(("name", "utt_id", "spk_id", "gender", "_matrix"),
+                                (name, *columns, _read_only(matrix))):
+            object.__setattr__(self, field, value)
 
     def __len__(self) -> int:
         return len(self.utt_id)
@@ -414,66 +417,71 @@ def _format_coord(value: float) -> str:
 def load_embeddings(path, format: str = "text") -> Corpus:
     """Load a corpus from a text or binary embedding file."""
     path = Path(path)
-    if format == "text":
-        columns = _load_text(path)
-    elif format == "binary":
-        columns = _load_binary(path)
-    else:
+    loader = {"text": _load_text, "binary": _load_binary}.get(format)
+    if loader is None:
         raise ValueError(f"unknown embedding format {format!r}")
-    if not len(columns[0]):
+    *columns, where, error = loader(path)
+    corpus = Corpus.__new__(Corpus)
+    # an earlier row's fault is reported before the walk's fault, a repeat after it
+    corpus._build(path.stem, *columns, where, error)
+    if not len(corpus):
         raise ValueError(f"{path}: empty corpus")
-    return Corpus(path.stem, *columns)
+    return corpus
+
+
+def read_utf8(path, fault=ValueError) -> str:
+    """The text of a UTF-8 file; a byte that does not decode raises ``fault("path: ...")``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise fault(f"{path}: {exc}") from None
 
 
 def _load_text(path: Path):
-    """The utt, spk and gender columns and the vector matrix of a text file."""
+    """The utt, spk and gender columns and the vector matrix of a text file, the
+    ``path:line`` prefix of each row, and the first malformed line's fault."""
     utts, spks, genders, vectors, linenos = [], [], [], [], []
     dim = error = None
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                fields = stripped.split()
-                if len(fields) < 4:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected 'utt spk gender v1 ...', "
-                        f"got {len(fields)} fields"
-                    )
-                utt_id, spk_id, gender = fields[0], fields[1], fields[2]
-                if gender not in GENDERS:
-                    raise ValueError(f"{path}:{lineno}: gender must be F or M, got {gender!r}")
-                try:
-                    vector = [float(tok) for tok in fields[3:]]
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad coordinate: {exc}") from None
-                if dim is None:
-                    dim = len(vector)
-                elif len(vector) != dim:
-                    raise ValueError(
-                        f"{path}:{lineno}: dimension mismatch, expected {dim} coordinates, "
-                        f"got {len(vector)}"
-                    )
-                if not all(map(math.isfinite, vector)):
-                    raise ValueError(
-                        f"{path}:{lineno}: embedding {utt_id!r}: non-finite coordinate"
-                    )
-                utts.append(utt_id)
-                spks.append(spk_id)
-                genders.append(gender)
-                vectors.append(vector)
-                linenos.append(lineno)
-        except ValueError as exc:
-            error = exc
+    text = read_utf8(path)
+    try:
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            fields = stripped.split()
+            if len(fields) < 4:
+                raise ValueError(
+                    f"{path}:{lineno}: expected 'utt spk gender v1 ...', "
+                    f"got {len(fields)} fields"
+                )
+            utt_id, spk_id, gender = fields[0], fields[1], fields[2]
+            if gender not in GENDERS:
+                raise ValueError(f"{path}:{lineno}: gender must be F or M, got {gender!r}")
+            try:
+                vector = [float(tok) for tok in fields[3:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad coordinate: {exc}") from None
+            if dim is None:
+                dim = len(vector)
+            elif len(vector) != dim:
+                raise ValueError(
+                    f"{path}:{lineno}: dimension mismatch, expected {dim} coordinates, "
+                    f"got {len(vector)}"
+                )
+            utts.append(utt_id)
+            spks.append(spk_id)
+            genders.append(gender)
+            vectors.append(vector)
+            linenos.append(lineno)
+    except ValueError as exc:
+        error = exc
     matrix = np.array(vectors, dtype=np.float64).reshape(len(utts), dim or 0)
-    # an id fault on an earlier line is reported before the walk's fault, a repeat after it
-    labels = _check_rows(utts, spks, genders, matrix, lambda row: f"{path}:{linenos[row]}: ", error)
-    return *labels, matrix
+    return utts, spks, genders, matrix, lambda row: f"{path}:{linenos[row]}: ", error
 
 
 def _load_binary(path: Path):
-    """The columns of a binary file: ids walked record by record, vectors joined at once."""
+    """The columns of a binary file, the ``path: record i`` prefix of each row and
+    the walk's fault: ids walked record by record, vectors joined at once."""
     blob = Path(path).read_bytes()
     if len(blob) < 12 or blob[:4] != _BINARY_MAGIC:
         raise ValueError(f"{path}: not a binary embedding file (bad magic)")
@@ -509,9 +517,7 @@ def _load_binary(path: Path):
         error = ValueError(f"{path}: truncated or corrupt record {len(utts)}: {error}")
     elif error is None and offset != len(blob):
         error = ValueError(f"{path}: {len(blob) - offset} trailing bytes after {count} records")
-    # an earlier record's fault is reported before the walk's fault, a repeat after it
-    labels = _check_rows(utts, spks, genders, matrix, lambda row: f"{path}: record {row}: ", error)
-    return *labels, matrix
+    return utts, spks, genders, matrix, lambda row: f"{path}: record {row}: ", error
 
 
 def save_embeddings(corpus: Corpus, path, format: str = "text") -> None:
@@ -631,7 +637,7 @@ def _read_table(path: Path, layout: str, parse_column, row_fault):
     checks, goes to ``_walk_lines``. ``parse_column(fields)`` gives the third
     column, or None if an entry is bad; ``row_fault`` is its per-row message.
     """
-    text = path.read_text(encoding="utf-8")
+    text = read_utf8(path)
     if _SAVED_START.match(text) and not _SAVED_BREAK.search(text):
         fields = text.split()
         linenos = range(1, len(fields) // 3 + 1)

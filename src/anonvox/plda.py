@@ -26,7 +26,6 @@ import numpy as np
 from .embeddings import Corpus, ScoreSet, TrialList, group_means, index_in
 
 _MODEL_MAGIC = b"PLD1"
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
@@ -180,37 +179,6 @@ def train_plda(corpus: Corpus, iterations: int) -> PldaModel:
     return PldaModel(mu=mu, between=b, within=w)
 
 
-def log_likelihood(model: PldaModel, corpus: Corpus) -> float:
-    """Exact marginal log-likelihood of a speaker-labeled corpus.
-
-    For a speaker with n utterances the stacked covariance block-diagonalizes
-    into one (within + n between) block for the speaker mean and n-1 within
-    blocks for the deviations.
-    """
-    _, counts, means, scatter = _speaker_stats(corpus)
-    d = model.dim
-    w = model.within
-    b = model.between
-    sign_w, logdet_w = np.linalg.slogdet(w)
-    if sign_w <= 0:
-        raise ValueError("within covariance must be positive definite")
-
-    ll = -0.5 * float(np.trace(np.linalg.solve(w, scatter)))
-    for n in np.unique(counts):
-        idx = np.flatnonzero(counts == n)
-        a = w + float(n) * b
-        sign_a, logdet_a = np.linalg.slogdet(a)
-        if sign_a <= 0:
-            raise ValueError("within + n * between must be positive definite")
-        zbar = means[idx] - model.mu
-        quad = float(np.einsum("ij,ij->", zbar, np.linalg.solve(a, zbar.T).T))
-        ll += -0.5 * (
-            len(idx) * (n * d * _LOG_2PI + logdet_a + (n - 1) * logdet_w)
-            + float(n) * quad
-        )
-    return float(ll)
-
-
 # ---------------------------------------------------------------------------
 # scoring
 # ---------------------------------------------------------------------------
@@ -237,15 +205,6 @@ def score_matrix(model: PldaModel, x, y) -> np.ndarray:
     qy = ((yc @ q) * yc).sum(axis=1)
     cross = 0.5 * ((xc @ g) @ yc.T + ((yc @ g) @ xc.T).T)
     return const - 0.5 * (qx[:, None] + qy[None, :]) - cross
-
-
-def score(model: PldaModel, enroll_vec, test_vec) -> float:
-    """Log-likelihood ratio for a single pair; symmetric in its arguments."""
-    a, b = np.asarray(enroll_vec, dtype=np.float64), np.asarray(test_vec, dtype=np.float64)
-    for what, v in (("enrollment vector", a), ("test vector", b)):
-        if v.shape != (model.dim,):
-            raise ValueError(f"{what} has shape {v.shape}, model expects ({model.dim},)")
-    return float(score_matrix(model, a[None, :], b[None, :])[0, 0])
 
 
 def score_trials(

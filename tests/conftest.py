@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from anonvox import Corpus, WaveBuffer
+from anonvox import Corpus, PldaModel, WaveBuffer
+from anonvox.plda import _speaker_stats
 
 SAMPLE_RATE = 16000
+LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def synth_vowel(
@@ -50,6 +52,38 @@ def tie_break_ranking(distances, utt_ids) -> list[int]:
     if len(utt_ids) != len(d):
         raise ValueError("distances and utt_ids must have equal length")
     return sorted(range(len(d)), key=lambda i: (-d[i], str(utt_ids[i])))
+
+
+def log_likelihood(model: PldaModel, corpus: Corpus) -> float:
+    """Exact marginal log-likelihood of a speaker-labeled corpus: the oracle
+    for EM's non-decreasing likelihood.
+
+    For a speaker with n utterances the stacked covariance block-diagonalizes
+    into one (within + n between) block for the speaker mean and n-1 within
+    blocks for the deviations.
+    """
+    _, counts, means, scatter = _speaker_stats(corpus)
+    d = model.dim
+    w = model.within
+    b = model.between
+    sign_w, logdet_w = np.linalg.slogdet(w)
+    if sign_w <= 0:
+        raise ValueError("within covariance must be positive definite")
+
+    ll = -0.5 * float(np.trace(np.linalg.solve(w, scatter)))
+    for n in np.unique(counts):
+        idx = np.flatnonzero(counts == n)
+        a = w + float(n) * b
+        sign_a, logdet_a = np.linalg.slogdet(a)
+        if sign_a <= 0:
+            raise ValueError("within + n * between must be positive definite")
+        zbar = means[idx] - model.mu
+        quad = float(np.einsum("ij,ij->", zbar, np.linalg.solve(a, zbar.T).T))
+        ll += -0.5 * (
+            len(idx) * (n * d * LOG_2PI + logdet_a + (n - 1) * logdet_w)
+            + float(n) * quad
+        )
+    return float(ll)
 
 
 def by_speaker(corpus) -> dict:

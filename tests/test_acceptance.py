@@ -18,7 +18,6 @@ from anonvox import (
     evaluate,
     generate,
     make_trials,
-    score,
     score_trials,
     split,
     train_plda,
@@ -29,10 +28,11 @@ from anonvox.anonymize import derive_stream
 from anonvox.anonymize import anonymize_corpus
 from anonvox.cli import main as cli_main
 from anonvox.formant import ShiftConfig, anonymize_wav, lpc_analyze
-from anonvox.plda import log_likelihood
+from anonvox.plda import score_matrix
 
 from conftest import (
-    by_speaker, corpus_of, dominant_peak_hz, from_arrays, synth_vowel, tie_break_ranking,
+    by_speaker, corpus_of, dominant_peak_hz, from_arrays, log_likelihood, synth_vowel,
+    tie_break_ranking,
 )
 from test_metrics import (
     levenshtein_distance,
@@ -84,7 +84,7 @@ def test_criterion_2_scoring_oracle():
             model = random_model(rng, dim)
             x1 = rng.standard_normal(dim)
             x2 = rng.standard_normal(dim)
-            got = score(model, x1, x2)
+            got = score_matrix(model, [x1], [x2])[0, 0]
             worst = max(worst, abs(got - dense_llr(model, x1, x2)))
             cases += 1
     assert cases >= 100
@@ -92,7 +92,7 @@ def test_criterion_2_scoring_oracle():
 
     hand = PldaModel(mu=np.zeros(1), between=np.ones((1, 1)), within=np.ones((1, 1)))
     want = float(np.log(2.0 / np.sqrt(3.0)))
-    assert score(hand, [0.0], [0.0]) == pytest.approx(want, abs=1e-12)
+    assert score_matrix(hand, [[0.0]], [[0.0]])[0, 0] == pytest.approx(want, abs=1e-12)
     _report(2, f"{cases} cases, worst |err|={worst:.2e}, hand case ok")
 
 
@@ -197,7 +197,7 @@ def test_criterion_6_anonymizer_correctness():
         one_row = corpus_of("c", [("src", "s", "F", source)])
         (got,) = anonymize_corpus(one_row, pool, model, cfg).matrix()
         # oracle: per-pair distances, spec tie rule, replicated selection stream
-        dists = [-score(model, source, p) for p in pool.matrix()]
+        dists = [-score_matrix(model, [source], [p])[0, 0] for p in pool.matrix()]
         order = tie_break_ranking(dists, pool_ids)
         top = np.array(order[:n_far])
         oracle_rng = derive_stream(case, "", "src")

@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from anonvox import AnonConfig, PldaModel, anonymize_corpus, score
+from anonvox import AnonConfig, PldaModel, anonymize_corpus
 from anonvox import anonymize as anon
 from anonvox.anonymize import derive_stream
+from anonvox.plda import score_matrix
 from anonvox.synthgen import default_spec, generate, split
 
 from conftest import by_speaker, by_utt, corpus_of, tie_break_ranking
@@ -91,7 +92,7 @@ class TestAnonymizeEmbedding:
             cfg = AnonConfig(n_farthest=n_far, n_select=n_far, seed=int(case))
             out = anonymize_one(source, pool, model, cfg)
             # oracle: rank by per-pair score calls, average the top n_far
-            dists = [-score(model, source, p) for p in pool.matrix()]
+            dists = [-score_matrix(model, [source], [p])[0, 0] for p in pool.matrix()]
             order = sorted(range(n_pool), key=lambda i: (-dists[i], pool_ids[i]))
             expected = pool.matrix()[order[:n_far]].mean(axis=0)
             np.testing.assert_allclose(out, expected, rtol=1e-9, atol=1e-12)
@@ -164,11 +165,12 @@ class TestAnonymizeCorpus:
         cfg = AnonConfig(n_farthest=20, n_select=10, seed=4, subset_tag="t")
         out = anonymize_corpus(trial, pool, model, cfg)
         sources = by_utt(trial)
-        anon_dists = [-score(model, sources[utt], v) for utt, v in by_utt(out).items()]
+        anon_dists = [-score_matrix(model, [sources[utt]], [v])[0, 0]
+                      for utt, v in by_utt(out).items()]
         pm = pool.matrix()
         rng = np.random.default_rng(0)
         pairs = rng.integers(0, len(pm), size=(200, 2))
-        pool_dists = [-score(model, pm[i], pm[j]) for i, j in pairs if i != j]
+        pool_dists = [-score_matrix(model, [pm[i]], [pm[j]])[0, 0] for i, j in pairs if i != j]
         assert np.mean(anon_dists) > np.median(pool_dists)
 
     def test_labels_preserved(self, synth_setup):
@@ -242,7 +244,7 @@ class TestPoolRankingKernel:
         full = anon._ranked_rows(corpus.matrix(), *view, model, len(ids))
         out = by_utt(anonymize_corpus(corpus, pool, model, cfg))
         for utt, src, order, whole in zip(corpus.utt_id.tolist(), corpus.matrix(), ranked, full):
-            dists = [-score(model, src, p) for p in pm]
+            dists = [-score_matrix(model, [src], [p])[0, 0] for p in pm]
             want = sorted(range(len(ids)), key=lambda i: (-dists[i], ids[i]))
             assert whole.tolist() == want
             assert order.tolist() == want[: cfg.n_farthest]
@@ -271,7 +273,7 @@ class TestPoolRankingKernel:
         for utt, gender, src, got in rows:
             # oracle: per-pair scores over the source gender's pool rows only
             view = [i for i, g in enumerate(pool_gender) if g == gender]
-            dists = {i: -score(model, src, pm[i]) for i in view}
+            dists = {i: -score_matrix(model, [src], [pm[i]])[0, 0] for i in view}
             top = np.array(sorted(view, key=lambda i: (-dists[i], ids[i]))[: cfg.n_farthest])
             rng_src = derive_stream(cfg.seed, cfg.subset_tag, utt)
             chosen = np.sort(top[rng_src.choice(cfg.n_farthest, size=cfg.n_select,

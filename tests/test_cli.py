@@ -161,6 +161,56 @@ class TestExitCodes:
         assert not (tmp_path / "m.plda").exists()
 
 
+class TestDecodeFaultsNameTheFile:
+    """A byte that is not UTF-8 is a data error naming its file; in a config
+    file it is a usage error, like the file's other faults."""
+
+    def _last_error(self, capsys):
+        return capsys.readouterr().err.splitlines()[-1]
+
+    def test_det_trial_and_score_files(self, tmp_path, capsys):
+        good_trials, good_scores = tmp_path / "trials.txt", tmp_path / "scores.txt"
+        good_trials.write_text("s1 u1 target\n")
+        good_scores.write_text("s1 u1 0.5\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"s1 u1 \x84\n")
+        for scores, trials in ((good_scores, bad), (bad, good_trials)):
+            assert run_cli("det", "--scores", str(scores), "--trials", str(trials)) == 2
+            assert self._last_error(capsys) == (
+                f"error: {bad}: 'utf-8' codec can't decode byte 0x84 in position 6: "
+                "invalid start byte"
+            )
+
+    def test_make_trials_text_format(self, synth_dir, tmp_path, capsys):
+        bad = tmp_path / "enroll.txt"
+        bad.write_bytes(b"u1 s1 F 1.0\n\x84\n")
+        for path in (bad, synth_dir / "enroll.xvec"):
+            assert run_cli("make-trials", "--enroll", str(path), "--trial", str(path),
+                           "--out", str(tmp_path / "trials.txt"), "--format", "text") == 2
+            assert self._last_error(capsys).startswith(f"error: {path}: 'utf-8' codec ")
+        assert not (tmp_path / "trials.txt").exists()
+
+    def test_wer_transcripts(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("a b\n")
+        bad.write_bytes(b"a \x84\n")
+        for ref, hyp in ((bad, good), (good, bad)):
+            assert run_cli("wer", "--ref", str(ref), "--hyp", str(hyp)) == 2
+            assert self._last_error(capsys) == (
+                f"error: {bad}: 'utf-8' codec can't decode byte 0x84 in position 2: "
+                "invalid start byte"
+            )
+
+    def test_config_file_is_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"ref = r.txt\nhyp = \x84\n")
+        assert run_cli("wer", "--config", str(config)) == 1
+        assert self._last_error(capsys) == (
+            f"usage error: {config}: 'utf-8' codec can't decode byte 0x84 in position 18: "
+            "invalid start byte"
+        )
+
+
 class TestConfigFile:
     def test_config_supplies_values_and_flags_override(self, tmp_path, capsys):
         ref = tmp_path / "r.txt"

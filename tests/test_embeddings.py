@@ -752,6 +752,19 @@ class TestIdRule:
         with pytest.raises(ValueError, match=rf"c\.xvec: record 1: utt_id '#u2' {_HASH}$"):
             load_embeddings(path, "binary")
 
+    def test_an_id_fault_and_a_nan_on_one_row_report_the_id(self, tmp_path):
+        rows = [("u1", "s1", "F", [1.0, 2.0]), ("u\x01", "s1", "F", [np.nan, 2.0])]
+        text, binary = tmp_path / "c.txt", tmp_path / "c.xvec"
+        text.write_text("u1 s1 F 1.0 2.0\nu\x01 s1 F nan 2.0\n", encoding="utf-8")
+        binary.write_bytes(_binary_blob(rows))
+        fault = rf"utt_id 'u\\x01' {_RULE}$"
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(text))}:2: {fault}"):
+            load_embeddings(text, "text")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(binary))}: record 1: {fault}"):
+            load_embeddings(binary, "binary")
+        with pytest.raises(ValueError, match=rf"^corpus 'c': {fault}"):
+            corpus_of("c", rows)
+
     def test_earlier_record_fault_is_reported_first(self, tmp_path):
         path = tmp_path / "c.xvec"
         path.write_bytes(_binary_blob([("u1", "s1", "F", [np.nan, 2]), ("u 2", "s1", "F", [1, 1])]))
@@ -850,6 +863,59 @@ class TestRepeatedRows:
             Corpus("c", ["u1", "u1"], ["s1", "s1"], ["F", "F"], np.zeros((2, 2)))
         with pytest.raises(ValueError, match="^corpus 'c': embedding 'u1': non-finite coordinate$"):
             Corpus("c", ["u1"], ["s1"], ["F"], [[np.nan, 0.0]])
+
+
+class TestEachLoadChecksOnce:
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_row_check_runs_once_per_load(self, tmp_path, monkeypatch, fmt):
+        calls = []
+        check = embeddings._check_rows
+        monkeypatch.setattr(embeddings, "_check_rows",
+                            lambda *args: calls.append(args) or check(*args))
+        rows = [("u1", "s1", "F", [1.0, 2.0]), ("u2", "s2", "M", [3.0, 4.0])]
+        path = tmp_path / "c.emb"
+        save_embeddings(corpus_of("c", rows), path, fmt)
+        calls.clear()
+        assert load_embeddings(path, fmt).utt_id.tolist() == ["u1", "u2"]
+        assert len(calls) == 1
+        # a faulty file is refused by that one check too
+        rows.append(("u1", "s1", "F", [5.0, 6.0]))
+        if fmt == "text":
+            path.write_text("".join(f"{u} {s} {g} {x} {y}\n" for u, s, g, (x, y) in rows))
+        else:
+            path.write_bytes(_binary_blob(rows))
+        calls.clear()
+        with pytest.raises(ValueError, match="duplicate utt_id 'u1'"):
+            load_embeddings(path, fmt)
+        assert len(calls) == 1
+
+
+class TestDecodeFaultsNameTheFile:
+    """A byte that is not UTF-8 is reported with the path of the file holding it."""
+
+    def _message(self, path, blob):
+        position = blob.index(0x84)
+        return (rf"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0x84 in position "
+                rf"{position}: invalid start byte$")
+
+    def test_trial_score_and_text_embedding_readers(self, tmp_path):
+        trials = TrialList(["s1"], ["u1"], [True])
+        readers = {
+            "trials.txt": (load_trials, b"s1 u1 target\ns1 u\x842 nontarget\n"),
+            "scores.txt": (lambda p: load_scores(p, trials), b"s1 u1 0.5\n# \x84\n"),
+            "c.txt": (lambda p: load_embeddings(p, "text"), b"u1 s1 F 1.0\nu\x84 s1 F 2.0\n"),
+        }
+        for name, (load, blob) in readers.items():
+            path = tmp_path / name
+            path.write_bytes(blob)
+            with pytest.raises(ValueError, match=self._message(path, blob)):
+                load(path)
+
+    def test_binary_corpus_read_as_text(self, tmp_path):
+        path = tmp_path / "c.xvec"
+        path.write_bytes(_binary_blob([("u1", "s1", "F", [1.5, -2.25])]))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: 'utf-8' codec "):
+            load_embeddings(path, "text")
 
 
 def _read_rows(path, layout, parse):

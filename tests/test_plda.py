@@ -11,14 +11,13 @@ from anonvox import (
     generate,
     load_model,
     save_model,
-    score,
     score_trials,
     train_plda,
 )
 from anonvox.anonymize import _ranked_rows
-from anonvox.plda import log_likelihood, score_matrix
+from anonvox.plda import score_matrix
 
-from conftest import by_speaker, by_utt, corpus_of
+from conftest import by_speaker, by_utt, corpus_of, log_likelihood
 
 LN_2_OVER_SQRT3 = 0.1438410362258906
 
@@ -47,7 +46,8 @@ def dense_llr(model, x1, x2):
 class TestScore:
     def test_hand_case_d1(self):
         model = PldaModel(mu=np.zeros(1), between=np.ones((1, 1)), within=np.ones((1, 1)))
-        assert score(model, [0.0], [0.0]) == pytest.approx(LN_2_OVER_SQRT3, abs=1e-12)
+        got = score_matrix(model, [[0.0]], [[0.0]])[0, 0]
+        assert got == pytest.approx(LN_2_OVER_SQRT3, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_matches_dense_gaussian_oracle(self, dim):
@@ -56,20 +56,22 @@ class TestScore:
             model = random_model(rng, dim)
             x1 = rng.standard_normal(dim)
             x2 = rng.standard_normal(dim)
-            assert score(model, x1, x2) == pytest.approx(dense_llr(model, x1, x2), abs=1e-9)
+            got = score_matrix(model, [x1], [x2])[0, 0]
+            assert got == pytest.approx(dense_llr(model, x1, x2), abs=1e-9)
 
     def test_zero_between_scores_zero(self):
         model = PldaModel(mu=np.zeros(3), between=np.zeros((3, 3)), within=np.eye(3))
         rng = np.random.default_rng(4)
         for _ in range(5):
-            assert score(model, rng.standard_normal(3), rng.standard_normal(3)) == 0.0
+            x, y = rng.standard_normal(3), rng.standard_normal(3)
+            assert score_matrix(model, [x], [y])[0, 0] == 0.0
 
     def test_symmetry_bitwise(self):
         rng = np.random.default_rng(8)
         model = random_model(rng, 4)
         for _ in range(20):
             a, b = rng.standard_normal(4), rng.standard_normal(4)
-            assert score(model, a, b) == score(model, b, a)
+            assert score_matrix(model, [a], [b])[0, 0] == score_matrix(model, [b], [a])[0, 0]
 
     def test_translation_consistency(self):
         rng = np.random.default_rng(12)
@@ -77,14 +79,14 @@ class TestScore:
         shift = rng.standard_normal(5)
         shifted = PldaModel(model.mu + shift, model.between, model.within)
         a, b = rng.standard_normal(5), rng.standard_normal(5)
-        assert score(model, a, b) == pytest.approx(
-            score(shifted, a + shift, b + shift), abs=1e-9
+        assert score_matrix(model, [a], [b])[0, 0] == pytest.approx(
+            score_matrix(shifted, [a + shift], [b + shift])[0, 0], abs=1e-9
         )
 
     def test_dimension_mismatch(self):
         model = random_model(np.random.default_rng(0), 3)
         with pytest.raises(ValueError, match="shape"):
-            score(model, [1.0, 2.0], [1.0, 2.0, 3.0])
+            score_matrix(model, [[1.0, 2.0]], [[1.0, 2.0, 3.0]])
 
 
 _SYMMETRY_MODEL = random_model(np.random.default_rng(2718), 3)
@@ -96,7 +98,8 @@ _SYMMETRY_MODEL = random_model(np.random.default_rng(2718), 3)
     st.lists(st.floats(-100, 100, allow_nan=False), min_size=3, max_size=3),
 )
 def test_score_symmetry_property(a, b):
-    assert score(_SYMMETRY_MODEL, a, b) == score(_SYMMETRY_MODEL, b, a)
+    model = _SYMMETRY_MODEL
+    assert score_matrix(model, [a], [b])[0, 0] == score_matrix(model, [b], [a])[0, 0]
 
 
 class TestScoreMatrix:
@@ -111,7 +114,7 @@ class TestScoreMatrix:
             assert got.shape == (len(x), len(y))
             for i in range(len(x)):
                 for j in range(len(y)):
-                    pair = score(model, x[i], y[j])
+                    pair = score_matrix(model, [x[i]], [y[j]])[0, 0]
                     assert got[i, j] == pytest.approx(dense_llr(model, x[i], y[j]), abs=1e-9)
                     assert abs(got[i, j] - pair) <= 1e-12 * max(1.0, abs(pair))
 
@@ -128,11 +131,11 @@ class TestScoreMatrix:
         rng = np.random.default_rng(7)
         model = random_model(rng, 4)
         a, b = rng.standard_normal(4), rng.standard_normal(4)
-        before = score(model, a, b)
+        before = score_matrix(model, [a], [b])[0, 0]
         forms = model._scoring_forms
         monkeypatch.setattr(np.linalg, "solve", None)  # deriving the forms again would fail
-        assert score(model, a, b) == before
-        assert score(model, b, a) == before
+        assert score_matrix(model, [a], [b])[0, 0] == before
+        assert score_matrix(model, [b], [a])[0, 0] == before
         assert model._scoring_forms is forms
 
     def test_model_arrays_are_read_only(self):
@@ -157,15 +160,17 @@ class TestDistance:
         model = random_model(rng, 3)
         a, pool = rng.standard_normal(3), rng.standard_normal((8, 3))
         (farthest,) = _ranked_rows(a[None, :], pool, np.arange(8), model, 1)
-        assert farthest.tolist() == [int(np.argmin([score(model, a, p) for p in pool]))]
+        pair_scores = [score_matrix(model, [a], [p])[0, 0] for p in pool]
+        assert farthest.tolist() == [int(np.argmin(pair_scores))]
 
     def test_self_distance_minimal_over_pool(self):
         rng = np.random.default_rng(21)
         model = random_model(rng, 4)
         pool = rng.standard_normal((30, 4)) + model.mu
         for i in range(10):
-            self_d = -score(model, pool[i], pool[i])
-            others = [-score(model, pool[i], pool[j]) for j in range(30) if j != i]
+            self_d = -score_matrix(model, [pool[i]], [pool[i]])[0, 0]
+            others = [-score_matrix(model, [pool[i]], [pool[j]])[0, 0]
+                      for j in range(30) if j != i]
             assert self_d <= min(others)
 
     def test_ordering_is_reverse_of_score(self):
@@ -174,13 +179,14 @@ class TestDistance:
         x = rng.standard_normal(3)
         ys = rng.standard_normal((10, 3))
         (by_dist,) = _ranked_rows(x[None, :], ys, np.arange(10), model, 10)
-        by_score = sorted(range(10), key=lambda i: score(model, x, ys[i]))
+        by_score = sorted(range(10), key=lambda i: score_matrix(model, [x], [ys[i]])[0, 0])
         assert by_dist.tolist() == by_score
 
     def test_zero_between_all_distances_zero(self):
         model = PldaModel(mu=np.zeros(2), between=np.zeros((2, 2)), within=np.eye(2))
         rng = np.random.default_rng(1)
-        assert -score(model, rng.standard_normal(2), rng.standard_normal(2)) == 0.0
+        x, y = rng.standard_normal(2), rng.standard_normal(2)
+        assert -score_matrix(model, [x], [y])[0, 0] == 0.0
 
 
 class TestTraining:
@@ -257,18 +263,21 @@ class TestEnrollAndTrials:
     def test_enroll_single_vector(self):
         model = random_model(np.random.default_rng(0), 2)
         y = [0.3, -0.7]
-        assert _enrolled_score(model, [[1.0, 2.0]], y) == score(model, [1.0, 2.0], y)
+        want = score_matrix(model, [[1.0, 2.0]], [y])[0, 0]
+        assert _enrolled_score(model, [[1.0, 2.0]], y) == want
 
     def test_enroll_mean(self):
         model = random_model(np.random.default_rng(0), 2)
         y = [0.3, -0.7]
-        assert _enrolled_score(model, [[0.0, 0.0], [2.0, 0.0]], y) == score(model, [1.0, 0.0], y)
+        want = score_matrix(model, [[1.0, 0.0]], [y])[0, 0]
+        assert _enrolled_score(model, [[0.0, 0.0], [2.0, 0.0]], y) == want
 
     def test_enroll_k_copies(self):
         model = random_model(np.random.default_rng(0), 2)
         y = [0.3, -0.7]
         got = _enrolled_score(model, [[0.5, -1.5]] * 5, y)
-        assert got == pytest.approx(score(model, [0.5, -1.5], y), rel=1e-12, abs=1e-12)
+        want = score_matrix(model, [[0.5, -1.5]], [y])[0, 0]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_enroll_empty_errors(self):
         model = random_model(np.random.default_rng(0), 2)
@@ -295,7 +304,7 @@ class TestEnrollAndTrials:
         test_by_utt = by_utt(test)
         rows = zip(trials.enroll_spk.tolist(), trials.test_utt.tolist(), scores.score.tolist())
         for spk, utt, got in rows:
-            manual = score(model, groups[spk].mean(axis=0), test_by_utt[utt])
+            manual = score_matrix(model, [groups[spk].mean(axis=0)], [test_by_utt[utt]])[0, 0]
             assert got == pytest.approx(manual, rel=1e-12, abs=1e-12)
 
     def test_score_trials_order_invariant(self):
@@ -353,7 +362,7 @@ class TestEnrollAndTrials:
         rows = zip(got.trials.enroll_spk.tolist(), got.trials.test_utt.tolist(),
                    got.score.tolist())
         for spk, utt, value in rows:
-            want = score(model, groups[spk].mean(axis=0), test_by_utt[utt])
+            want = score_matrix(model, [groups[spk].mean(axis=0)], [test_by_utt[utt]])[0, 0]
             assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 

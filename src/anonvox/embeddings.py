@@ -22,7 +22,9 @@ A trial or score file in the layout the savers write is read whole by one
 ``str.split``; any other file, or a saved one whose columns fail their checks,
 by one walk over its lines, which names the first malformed line. A file with
 none is rejected at its first pair that repeats or is absent from the trial
-list, named by the line of its row.
+list, named by the line of its row. A score file whose id columns equal its
+trial list's row by row, as ``save_scores`` writes them, takes that list
+without coding its ids; the savers take each row's ids from the vocabularies.
 """
 
 from __future__ import annotations
@@ -620,38 +622,57 @@ def _write_rows(path, *columns) -> None:
         fh.write(text + "\n" if text else text)
 
 
-# The layout the savers write: three fields joined by single spaces, each line
-# ended, the first field not starting with "#". A text is in it when it starts
-# with such a line (or is empty) and every newline is followed by another or by
-# the end; one regex repeating the line over the whole text would keep a
-# backtracking entry per line.
-_SAVED_LINE = r"(?:[^\s#]\S* \S+ \S+\n|\Z)"
-_SAVED_START = re.compile(_SAVED_LINE)
-_SAVED_BREAK = re.compile(r"\n(?!" + _SAVED_LINE + ")")
+def _saved_fields(text: str) -> list[str] | None:
+    """The fields of a text in the layout the savers write, else None: three
+    fields joined by single spaces on each line, each line ended by "\n", none
+    starting with "#". A text with other space or newline counts is not split;
+    nor is one with a control character, which no valid file holds."""
+    lines = text.count("\n")
+    # most files hold no "#", and one-character search is the fastest
+    if (text.count(" ") != 2 * lines or not text.endswith("\n")
+            or "#" in text and (text.startswith("#") or "\n#" in text)):
+        return None
+    fields = text.split()
+    # so each field is followed by one space or newline, 3 * lines in all ...
+    if len(fields) != 3 * lines or len("".join(fields)) + len(fields) != len(text):
+        return None
+    # ... and each third is the newline. A multibyte UTF-8 character holds no byte
+    # up to 32; a control character in a field would put one byte too many before
+    # the last newline
+    codes = np.frombuffer(text.encode("utf-8"), np.uint8)
+    return fields if (codes[codes <= 32][2::3] == 10).all() else None
 
 
-def _read_table(path: Path, layout: str, parse_column, row_fault):
+def _read_table(path: Path, layout: str, parse_column, row_fault, trials=None):
     """The coded id columns of a trial or score file, its third column and the
     line of each row. A text in the saved layout is split whole (row i is on
     line i + 1); any other text, or a saved one whose columns fail their
     checks, goes to ``_walk_lines``. ``parse_column(fields)`` gives the third
     column, or None if an entry is bad; ``row_fault`` is its per-row message.
+    If the id columns hold ``trials``' ids row by row, the ids are None: they
+    are that list's, so they pass the id rule and need no coding.
     """
     text = read_utf8(path)
-    if _SAVED_START.match(text) and not _SAVED_BREAK.search(text):
-        fields = text.split()
-        linenos = range(1, len(fields) // 3 + 1)
-    else:
+    fields = _saved_fields(text)
+    walked = fields is None
+    if walked:
         fields, linenos = _walk_lines(path, text, layout, row_fault)
-    spk_vocab, spk_code = _code(fields[0::3])
-    utt_vocab, utt_code = _code(fields[1::3])
+    else:
+        linenos = range(1, len(fields) // 3 + 1)
+    spk, utt = fields[0::3], fields[1::3]
     values = parse_column(fields[2::3])
-    # the id rule is checked here, before load_scores makes string arrays of the
-    # vocabularies: those drop trailing NULs, so "u\0" would join the score of "u"
-    if values is None or _id_fault(spk_vocab + utt_vocab, "id") is not None:
-        _walk_lines(path, text, layout, row_fault)
-        raise AssertionError(f"{path}: the line walk passed a text its columns reject")
-    return (spk_vocab, spk_code, utt_vocab, utt_code), values, linenos
+    if values is not None:
+        if (trials is not None and len(spk) == len(trials) > 0
+                and trials.pair(0) == (spk[0], utt[0]) and [spk, utt] == _row_ids(trials)):
+            return None, values, linenos
+        spk_vocab, spk_code = _code(spk)
+        utt_vocab, utt_code = _code(utt)
+        # the id rule is checked here, before load_scores makes string arrays of the
+        # vocabularies: those drop trailing NULs, so "u\0" would join the score of "u"
+        if walked or _id_fault(spk_vocab + utt_vocab, "id") is None:
+            return (spk_vocab, spk_code, utt_vocab, utt_code), values, linenos
+    _walk_lines(path, text, layout, row_fault)
+    raise AssertionError(f"{path}: the line walk passed a text its columns reject")
 
 
 def _walk_lines(path: Path, text: str, layout: str, row_fault):
@@ -677,6 +698,9 @@ def _walk_lines(path: Path, text: str, layout: str, row_fault):
 
 
 def _token_fault(what: str, token: str) -> str | None:
+    # the regex runs only on a token that a printable, "#"-free id cannot be
+    if token.isprintable() and not token.startswith("#"):
+        return None
     if _ID_FAULT.search(token):
         return f"{what} {token!r} contains a control character"
     return _ID_HASH.format(what, token) if token.startswith("#") else None
@@ -722,9 +746,15 @@ def _parse_scores(fields: list[str]) -> np.ndarray | None:
     return score if np.isfinite(score).all() else None
 
 
+def _row_ids(trials: TrialList) -> list[list[str]]:
+    """The enroll_spk and test_utt ids of every row, as two lists of strings."""
+    return [list(map(vocab.tolist().__getitem__, code.tolist()))
+            for vocab, code in ((trials.spk_vocab, trials.spk_code),
+                                (trials.utt_vocab, trials.utt_code))]
+
+
 def save_trials(trials: TrialList, path) -> None:
-    _write_rows(path, trials.enroll_spk.tolist(), trials.test_utt.tolist(),
-                np.where(trials.is_target, "target", "nontarget").tolist())
+    _write_rows(path, *_row_ids(trials), np.where(trials.is_target, "target", "nontarget").tolist())
 
 
 def load_trials(path) -> TrialList:
@@ -739,8 +769,7 @@ def load_trials(path) -> TrialList:
 
 
 def save_scores(scores: ScoreSet, path) -> None:
-    trials = scores.trials
-    rows = zip(trials.enroll_spk.tolist(), trials.test_utt.tolist(), scores.score.tolist())
+    rows = zip(*_row_ids(scores.trials), scores.score.tolist())
     text = ("%s %s %.6f\n" * len(scores)) % tuple(chain.from_iterable(rows))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -751,12 +780,15 @@ def load_scores(path, trials: TrialList) -> ScoreSet:
     in ``trials``; the result keeps file order. A malformed line (a non-finite
     score included) is reported first, wherever it is; only a file with none
     is rejected at its first pair that repeats an earlier one or is absent
-    from ``trials``."""
+    from ``trials``. A file in ``trials``' row order, as ``save_scores``
+    writes it, keeps ``trials`` itself."""
     path = Path(path)
-    ids, score, linenos = _read_table(path, "spk utt score", _parse_scores, _score_fault)
-    spk_vocab, spk_code, utt_vocab, utt_code = ids
+    ids, score, linenos = _read_table(path, "spk utt score", _parse_scores, _score_fault, trials)
     if not len(score):
         raise ValueError(f"{path}: empty score file")
+    if ids is None:
+        return ScoreSet(trials, score)
+    spk_vocab, spk_code, utt_vocab, utt_code = ids
     spk = index_in(np.array(spk_vocab, np.str_), trials.spk_vocab)[spk_code]
     utt = index_in(np.array(utt_vocab, np.str_), trials.utt_vocab)[utt_code]
     keys = np.where((spk < 0) | (utt < 0), -1, _pair_codes(spk, utt, len(trials.utt_vocab)))

@@ -59,17 +59,18 @@ def trained(synth_dir, tmp_path_factory):
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    """Neither importing the CLI nor running `det` loads scipy."""
+    """Neither importing the CLI nor running `det` loads scipy or statistics."""
     (tmp_path / "trials.txt").write_text("s1 u1 target\ns1 u2 nontarget\ns2 u1 nontarget\n")
     (tmp_path / "scores.txt").write_text("s1 u1 2.0\ns1 u2 -1.0\ns2 u1 0.5\n")
     det = ["det", "--scores", str(tmp_path / "scores.txt"), "--trials",
            str(tmp_path / "trials.txt"), "--out", str(tmp_path / "det.txt")]
     code = (
         "import anonvox.cli, sys\n"
-        "def scipy(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "print(scipy())\n"
+        "def loaded():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] in ('scipy', 'statistics')]\n"
+        "print(loaded())\n"
         f"assert anonvox.cli.main({det!r}) == 0\n"
-        "print(scipy())\n"
+        "print(loaded())\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(anonvox.__file__).resolve().parents[1]))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -316,6 +317,12 @@ class TestPipelineCommands:
         assert run_cli("det", "--scores", str(scores), "--trials", str(trials)) == 0
         out = capsys.readouterr().out
         assert out.startswith("# threshold p_fa p_miss probit_fa probit_miss")
+        # `score` writes the trial list's row order; a reordered file joins by pair
+        lines = scores.read_text().splitlines(keepends=True)
+        (tmp_path / "sorted.txt").write_text("".join(sorted(lines, reverse=True)))
+        assert run_cli("det", "--scores", str(tmp_path / "sorted.txt"),
+                       "--trials", str(trials)) == 0
+        assert capsys.readouterr().out == out
 
     def test_anonymize_xvec(self, synth_dir, trained, tmp_path):
         model, _ = trained

@@ -5,7 +5,7 @@ import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anonvox import embeddings
@@ -1072,6 +1072,115 @@ def test_control_character_ids_are_rejected_with_their_line(tmp_path):
         TrialList(["s1"], ["u\x01"], [True])
     with pytest.raises(ValueError, match="control character"):
         TrialList(["s\x7f"], ["u1"], [True])
+
+
+# the layout the trial and score savers write, as one regex over a whole text;
+# an empty text, which no saver writes for a loadable list, is walked
+_SAVED_LAYOUT = re.compile(r"(?:[^\s#]\S* \S+ \S+\n)+")
+
+
+@st.composite
+def _near_saved_text(draw):
+    """Fields and separators mostly in the saved layout, with the faults that
+    must send a text to the line walk: other whitespace, ASCII and not, runs
+    of separators, a leading "#", CRLF ends, lines of two or four fields, a
+    last line not ended, and a control character in a field."""
+    fields = st.sampled_from(["s1", "u1", "target", "0.5", "é", "説", "#", "#a", "a#", "u\x01"])
+    seps = st.sampled_from([" "] * 8 + ["\n"] * 4
+                           + ["  ", "\t", "\r\n", "\n\n", "\xa0", "\u2028", "\x1f", "\x85"])
+    text = ""
+    for _ in range(draw(st.integers(0, 9))):
+        text += draw(fields) + draw(seps)
+    text += draw(st.sampled_from(["", "", "", "a", "\x01"]))
+    if draw(st.booleans()):  # the layout itself, or a separator or two changed
+        rows = draw(st.lists(st.tuples(fields, fields, fields), max_size=4))
+        text = "".join(f"{a} {b} {c}\n" for a, b, c in rows)
+        breaks = [at for at, c in enumerate(text) if c in " \n"]
+        for at in sorted(draw(st.sets(st.sampled_from(breaks), max_size=2)) if breaks else (),
+                         reverse=True):
+            text = text[:at] + draw(seps) + text[at + 1:]
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_near_saved_text())
+# three fields and two spaces a line, but one split at a tab and one gap of two spaces
+@example(text="s1\tu1  target\n")
+@example(text="é\u2028x  y\n")
+# three fields and two spaces, but a line of two fields and one not ended
+@example(text="a a \na")
+# two spaces and a newline as the only ASCII separators, but four fields
+@example(text="s1 u1 t\xa0x\n")
+def test_saved_layout_gate_takes_exactly_the_saved_layout(text):
+    # a control character, which fails the id rule or the third column, goes to the walk too
+    saved = _SAVED_LAYOUT.fullmatch(text) and not re.search(r"[\x00-\x08\x0e-\x1b]", text)
+    want = text.split() if saved else None
+    assert embeddings._saved_fields(text) == want
+
+
+class TestTrialOrderScores:
+    """A score file in its trial list's row order, as ``score`` writes it, and
+    the same file in any other order load to equal score sets."""
+
+    @staticmethod
+    def _saved(tmp_path):
+        trials = TestWithLabelsJoin._trial_list(TestWithLabelsJoin()._trials())
+        scores = ScoreSet(trials, np.arange(len(trials)) / 8 - 3)
+        save_scores(scores, tmp_path / "scores.txt")
+        return scores, (tmp_path / "scores.txt").read_text().splitlines(keepends=True)
+
+    def test_trial_order_and_reversed_files_load_equal(self, tmp_path):
+        scores, lines = self._saved(tmp_path)
+        trials = scores.trials
+        forward = load_scores(tmp_path / "scores.txt", trials)
+        assert forward == scores and forward.trials is trials
+        (tmp_path / "reversed.txt").write_text("".join(reversed(lines)))
+        backward = load_scores(tmp_path / "reversed.txt", trials)
+        rows = slice(None, None, -1)
+        assert backward == ScoreSet(TrialList(trials.enroll_spk[rows], trials.test_utt[rows],
+                                              trials.is_target[rows]), scores.score[rows])
+        # a walked file in trial order takes the trial list too
+        (tmp_path / "tabs.txt").write_text("# scores\n" + "".join(lines).replace(" ", "\t"))
+        assert load_scores(tmp_path / "tabs.txt", trials) == scores
+
+    @pytest.mark.parametrize("line, fault", [
+        ("s1 u1 high\n", "bad score 'high'"),
+        ("s1 u1 nan\n", r"score for \(s1, u1\) is not finite"),
+        ("s1 u1 0.5 x\n", "expected 'spk utt score'"),
+        ("s1 u\x01 0.5\n", r"test_utt 'u\\x01' contains a control character"),
+    ])
+    def test_malformed_line_names_its_line(self, tmp_path, line, fault):
+        scores, lines = self._saved(tmp_path)
+        spk, utt, _ = lines[4].split()
+        lines[4] = line.replace("s1", spk).replace("u1", utt)
+        path = tmp_path / "scores.txt"
+        path.write_text("".join(lines))
+        fault = fault.replace("s1", spk).replace("u1", utt)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:5: {fault}$"):
+            load_scores(path, scores.trials)
+
+    def test_a_row_past_the_trial_list_is_a_repeat(self, tmp_path):
+        scores, lines = self._saved(tmp_path)
+        path = tmp_path / "scores.txt"
+        path.write_text("".join(lines + lines[:1]))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{len(lines) + 1}: "
+                           "duplicate score pair"):
+            load_scores(path, scores.trials)
+
+
+@pytest.mark.parametrize("spk, utt", [("s1", "u1"), ("spé", "ütt·1"), ("说话人", "発話")])
+def test_savers_round_trip_one_row_and_non_ascii_ids(tmp_path, spk, utt):
+    for rows in (1, 2):
+        trials = TrialList([spk, spk + "2"][:rows], [utt, utt][:rows], [True, False][:rows])
+        scores = ScoreSet(trials, [0.5, -1.25][:rows])
+        save_trials(trials, tmp_path / "trials.txt")
+        save_scores(scores, tmp_path / "scores.txt")
+        assert (tmp_path / "trials.txt").read_text(encoding="utf-8") == "".join(
+            [f"{spk} {utt} target\n", f"{spk}2 {utt} nontarget\n"][:rows])
+        assert (tmp_path / "scores.txt").read_text(encoding="utf-8") == "".join(
+            [f"{spk} {utt} 0.500000\n", f"{spk}2 {utt} -1.250000\n"][:rows])
+        assert load_trials(tmp_path / "trials.txt") == trials
+        assert load_scores(tmp_path / "scores.txt", trials) == scores
 
 
 class TestCodedIds:

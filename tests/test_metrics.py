@@ -1,4 +1,5 @@
 import itertools
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonvox import compute_metrics, det_points, wer
-from anonvox.metrics import LOG2, format_det, wer_counts
+from anonvox.metrics import LOG2, _inv_normal_cdf, _probit, format_det, wer_counts
 
 from conftest import from_arrays
 
@@ -330,24 +331,80 @@ class TestMetricsReport:
         assert report.min_cllr <= report.cllr + 1e-9
 
 
-def test_format_det_matches_per_point_formatting(monkeypatch):
-    rng = np.random.default_rng(21)
-    tar = np.round(rng.standard_normal(60) + 1.5, 2)  # rounding makes ties
-    non = np.round(rng.standard_normal(90), 2)
-    curve = det_points(*from_arrays(tar, non))
+def _per_point_det_text(curve):
     lines = ["# threshold p_fa p_miss probit_fa probit_miss"]
     for i in range(len(curve)):
         lines.append(
             f"{curve.thresholds[i]:.9g} {curve.p_fa[i]:.9g} {curve.p_miss[i]:.9g} "
             f"{curve.probit_fa[i]:.9g} {curve.probit_miss[i]:.9g}"
         )
+    return "\n".join(lines) + "\n"
+
+
+def test_format_det_matches_per_point_formatting(monkeypatch):
+    rng = np.random.default_rng(21)
+    tar = np.round(rng.standard_normal(60) + 1.5, 2)  # rounding makes ties
+    non = np.round(rng.standard_normal(90), 2)
+    curve = det_points(*from_arrays(tar, non))
     text = format_det(curve)
-    assert text == "\n".join(lines) + "\n"
+    assert text == _per_point_det_text(curve)
     for block in (1, 7):  # points formatted per % pass
         monkeypatch.setattr("anonvox.metrics._DET_BLOCK", block)
         assert format_det(curve) == text
     assert text.splitlines()[1].startswith("-inf 1 0 ")
     assert text.splitlines()[-1].startswith("inf 0 1 ")
+
+
+@pytest.mark.parametrize("n_tar, n_non, longest", [(3, 5000, 1024), (40, 3000, 100), (5000, 3, 1)])
+def test_format_det_matches_per_point_formatting_on_long_tied_runs(n_tar, n_non, longest,
+                                                                    monkeypatch):
+    """Few target scores leave p_miss constant over runs longer than ``longest``
+    points, which cross the boundaries of the % passes."""
+    rng = np.random.default_rng(n_tar)
+    curve = det_points(*from_arrays(rng.standard_normal(n_tar) + 1, rng.standard_normal(n_non)))
+    runs = np.diff(np.flatnonzero(np.r_[True, curve.p_miss[1:] != curve.p_miss[:-1], True]))
+    assert runs.max() > longest
+    text = format_det(curve)
+    assert text == _per_point_det_text(curve)
+    for block in (1, 1000):
+        monkeypatch.setattr("anonvox.metrics._DET_BLOCK", block)
+        assert format_det(curve) == text
+
+
+def _as241_inputs() -> np.ndarray:
+    """About 1.2M probabilities in (0, 1): uniform draws, both tails down to the
+    smallest subnormal and up to 1 - 2**-53, runs of neighbours around the
+    branch points 0.075, 0.5 and 0.925, and the k/n rates of DET curves."""
+    rng = np.random.default_rng(7)
+    parts = [rng.random(400_000),
+             np.exp(-rng.random(200_000) * 744.0),
+             1.0 - np.ldexp(rng.random(100_000), -rng.integers(0, 54, 100_000)),
+             1.0 - rng.random(100_000) * 0.2,
+             np.array([5e-324, 2.0**-1022, 1.0 - 2.0**-53, 0.5 - 2.0**-54, 0.5 + 2.0**-53])]
+    for point in (0.075, 0.5, 0.925):
+        parts.append(point + np.arange(-20_000, 20_001) * np.spacing(point))
+    for n in (2, 3, 420, 12_530, 250_003):
+        parts.append(np.arange(1, n) / n)
+    p = np.concatenate(parts)
+    return p[(p > 0.0) & (p < 1.0)]
+
+
+def test_inverse_normal_cdf_equals_statistics_bit_for_bit():
+    p = _as241_inputs()
+    assert len(p) > 10**6
+    assert {0.075, 0.925, 5e-324, 1.0 - 2.0**-53} <= set(p.tolist())
+    want = np.array(list(map(NormalDist().inv_cdf, p.tolist())))
+    got = _inv_normal_cdf(p)
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert differ.size == 0, p[differ[:5]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 420, 12_530])
+def test_probit_clamps_then_equals_statistics(n):
+    rate = np.r_[0.0, np.arange(n + 1) / n, 1.0]
+    floor = 1.0 / (2.0 * n)
+    want = [NormalDist().inv_cdf(min(max(r, floor), 1.0 - floor)) for r in rate.tolist()]
+    assert _probit(rate, n).tolist() == want
 
 
 def _per_score_min_cllr(tar, non):

@@ -7,6 +7,12 @@ refiltered through the warped envelope and frames are overlap-added with
 window-sum compensation. alpha = 1 reconstructs the input. Frames are
 processed in fixed-size blocks, every step vectorized over the block's frames;
 the autocorrelation and the residual are one contraction each.
+The overlap-add streams: each block cuts its own zero-padded segment of the
+input, adds its frames into block-local sums seeded with the previous block's
+carry (the partial sums of the samples its last frames reach past its end),
+and writes the samples no later frame reaches, normalized and clipped, into
+the one output array. A call holds the input, the output and one block's
+working set, whatever the signal length.
 The blocks run two deep in a pipeline: while the calling thread warps,
 synthesizes and overlap-adds block k, one worker thread solves the poles of
 blocks k+1 and k+2 in turn (a batched LAPACK eigen-solve, which releases the
@@ -14,8 +20,9 @@ GIL). While block k's poles are not ready, the calling thread takes queued
 solves the worker has not started, latest first, and runs them itself instead
 of waiting. A block in flight holds only its error filter and companion
 matrices; its windowed frames and residual are made when it is synthesized.
-Analysis, warp and WAV I/O stay on the calling thread; the output is bit for
-bit the serial loop's.
+Analysis, warp and WAV I/O stay on the calling thread. Each sample's sums
+take their terms in the order of one full-length overlap-add, so the output
+is bit for bit the serial loop's.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .embeddings import _read_only
 
 _MAG_CLAMP = 0.998
 _BLOCK = 128  # frames per block: bounds the working arrays, not the result
@@ -44,13 +53,13 @@ class WaveBuffer:
         x = np.asarray(self.samples, dtype=np.float64)
         if x.ndim != 1 or x.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
-        if not np.all(np.isfinite(x)):
+        # the extremes carry any NaN or infinity, so no per-sample temporary is made
+        low, high = x.min(), x.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError("samples contain non-finite values")
-        if np.max(np.abs(x)) > 1.0 + 1e-9:
+        if low < -1.0 - 1e-9 or high > 1.0 + 1e-9:
             raise ValueError("samples must lie in [-1, 1]")
-        x = x.copy()
-        x.flags.writeable = False
-        object.__setattr__(self, "samples", x)
+        object.__setattr__(self, "samples", _read_only(x))
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -152,10 +161,12 @@ def warp_poles(poles, alpha: float) -> np.ndarray:
 def _overlap_add(out: np.ndarray, start: int, frames: np.ndarray, hop: int) -> None:
     """Add the rows of ``frames`` into ``out``, ``hop`` samples apart, the first at ``start``."""
     count, flen = frames.shape
-    chunks = -(-flen // hop)
-    split = np.pad(frames, ((0, 0), (0, chunks * hop - flen))).reshape(count, chunks, hop)
-    for j in range(chunks):
-        out[start + j * hop : start + (j + count) * hop] += split[:, j].ravel()
+    # one pass per hop-wide column of the frames, added through a strided view
+    # of out, so no padded copy of the frames is made
+    for j in range(0, flen, hop):
+        width = min(hop, flen - j)
+        rows = out[start + j : start + j + count * hop].reshape(count, hop)
+        rows[:, :width] += frames[:, j : j + width]
 
 
 def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
@@ -168,21 +179,29 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
     # frame starting past the signal would add nothing, so none is made
     pad = flen
     n_frames = -(-(pad + n) // hop)
-    xp = np.zeros((n_frames - 1) * hop + flen)
-    xp[pad : pad + n] = wav.samples
-    frames = np.lib.stride_tricks.sliding_window_view(xp, flen)[::hop]
+    chunks = -(-flen // hop)  # hops one frame spans
     window = np.hanning(flen)
+
+    def windowed_frames(first):
+        """Block ``first``'s windowed frames, cut from a zero-padded segment of their own."""
+        lo = first * hop  # the segment's start in padded coordinates
+        segment = np.zeros((min(_BLOCK, n_frames - first) - 1) * hop + flen)
+        a, b = max(lo, pad), min(lo + segment.size, pad + n)
+        if a < b:
+            segment[a - lo : b - lo] = wav.samples[a - pad : b - pad]
+        return np.lib.stride_tricks.sliding_window_view(segment, flen)[::hop] * window
 
     def analyze(first):
         """Block ``first``'s error filter and companion matrices; its eigen-solve is queued."""
-        error = _error_filter(frames[first : first + _BLOCK] * window, p)
+        error = _error_filter(windowed_frames(first), p)
         # column-major matrices reach LAPACK by a straight copy, not a transposing one
         companion = np.zeros((p, p, len(error)), order="F").transpose(2, 0, 1)
         companion[:, 0] = -error[:, 1:]
         companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
-        return [error, companion, worker.submit(np.linalg.eigvals, companion)]
+        return [error, worker.submit(np.linalg.eigvals, companion), companion]
 
-    acc, wsum = np.zeros(xp.size + flen), np.zeros(xp.size + flen)
+    out = np.empty(n)
+    carry = carry_wsum = np.zeros(0)
     starts = range(0, n_frames, _BLOCK)
     # two blocks deep: the poles of blocks k+1 and k+2 are under way while
     # block k is warped, rebuilt, synthesized and overlap-added
@@ -191,21 +210,26 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
         for first in starts:
             if first + _AHEAD * _BLOCK < n_frames:
                 queued.append(analyze(first + _AHEAD * _BLOCK))
-            error, companion, poles = queued.pop(0)
+            # the block's companion matrices are not kept: the worker holds
+            # them while it solves them
+            error, poles = queued.pop(0)[:2]
             # while the worker is still on this block, solve queued blocks here,
             # latest first, instead of waiting; LAPACK solves each matrix alone,
             # so the poles do not depend on the thread that solves them
             for later in reversed(queued):
                 if poles.done():
                     break
-                if later[2].cancel():
-                    later[2] = Future()
-                    later[2].set_result(np.linalg.eigvals(later[1]))
+                if later[1].cancel():
+                    later[1] = Future()
+                    later[1].set_result(np.linalg.eigvals(later[2]))
             # frames and residual are made only now, so blocks in flight hold
             # no more than their filters and companion matrices
-            windowed = frames[first : first + _BLOCK] * window
-            excitation = _residual(windowed, error)
+            windowed = windowed_frames(first)
+            excitation, energy_in = _residual(windowed, error), (windowed**2).sum(1)
             count = len(windowed)
+            # one block's arrays bound the call's memory: each is freed once
+            # synthesis no longer reads it
+            del windowed
             warped = warp_poles(poles.result(), cfg.alpha)
             poly = np.zeros((count, p + 1), dtype=np.complex128)
             poly[:, 0] = 1.0
@@ -218,22 +242,34 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
             for i in range(flen):
                 y[:, p + i] = excitation[:, i] - np.einsum("ij,ij->i", y[:, i : i + p], taps)
             y = y[:, p:]
+            del excitation
 
             # match per-frame energy: warping redistributes all-pole gain
-            energy_in, energy_out = (windowed**2).sum(1), (y**2).sum(1)
+            energy_out = (y**2).sum(1)
             live = (energy_in > 0.0) & (energy_out > 0.0)
-            gain = np.sqrt(np.divide(energy_in, energy_out, out=np.ones(count), where=live))
-            _overlap_add(acc, first * hop, y * gain[:, None], hop)
-            _overlap_add(wsum, first * hop, np.broadcast_to(window, y.shape), hop)
+            y *= np.sqrt(np.divide(energy_in, energy_out, out=np.ones(count), where=live))[:, None]
 
-    # the output pass is the call's memory peak: free the padded input and the
-    # last block first, and normalize in place in acc's output slice
-    del xp, frames, error, companion, poles, windowed, excitation, y
-    out, denom = acc[pad : pad + n], wsum[pad : pad + n]
-    covered = denom > 1e-6
-    np.divide(out, denom, out=out, where=covered)
-    out[~covered] = 0.0
-    return WaveBuffer(np.clip(out, -1.0, 1.0, out=out), wav.sample_rate)
+            # the block's sums start from the carry, the partial sums of the
+            # samples the previous block's frames reach past its end, so every
+            # sample adds its terms in the order one full-length buffer would
+            lo, size = first * hop, (count + chunks - 1) * hop
+            acc, wsum = np.zeros(size), np.zeros(size)
+            acc[: carry.size], wsum[: carry_wsum.size] = carry, carry_wsum
+            _overlap_add(acc, 0, y, hop)
+            _overlap_add(wsum, 0, np.broadcast_to(window, y.shape), hop)
+            # samples before the next block's first frame are final
+            done = count * hop if first + count < n_frames else size
+            carry, carry_wsum = acc[done:], wsum[done:]
+            a, b = max(lo, pad), min(lo + done, pad + n)
+            if a < b:
+                final, denom = acc[a - lo : b - lo], wsum[a - lo : b - lo]
+                covered = denom > 1e-6
+                np.divide(final, denom, out=final, where=covered)
+                final[~covered] = 0.0
+                np.clip(final, -1.0, 1.0, out=out[a - pad : b - pad])
+
+    out.flags.writeable = False
+    return WaveBuffer(out, wav.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +299,19 @@ def read_wav(path) -> WaveBuffer:
         raise ValueError(f"{path}: data chunk holds {len(raw) // 2} of {declared} declared samples")
     if rate <= 0:
         raise ValueError(f"{path}: sample rate must be positive, got {rate}")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     if samples.size == 0:
         raise ValueError(f"{path}: empty audio file")
+    samples /= 32768.0
+    samples.flags.writeable = False
     return WaveBuffer(samples, rate)
 
 
 def write_wav(wav: WaveBuffer, path) -> None:
     """Write 16-bit PCM at ``read_wav``'s scale, 32768 per unit, so a read and write keep every sample."""
-    scaled = np.clip(np.rint(wav.samples * 32768.0), -32768, 32767).astype("<i2")
+    scaled = wav.samples * 32768.0
+    np.clip(np.rint(scaled, out=scaled), -32768, 32767, out=scaled)
+    scaled = scaled.astype("<i2")
     with _wavefile.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)

@@ -1,8 +1,11 @@
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from anonvox import ShiftConfig, WaveBuffer, anonymize_wav, formant, lpc_analyze, warp_poles
@@ -148,6 +151,27 @@ class TestAnonymizeWav:
     def test_wave_buffer_validates_range(self):
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             WaveBuffer(np.array([2.0]), 16000)
+
+    def test_wave_buffer_rejects_below_minus_one(self):
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            WaveBuffer(np.array([-1.5]), 16000)
+
+    @pytest.mark.parametrize("edge", [-1.0, 1.0])
+    def test_wave_buffer_accepts_full_scale(self, edge):
+        assert WaveBuffer(np.array([edge]), 16000).samples[0] == edge
+
+    @pytest.mark.parametrize("samples", [[np.nan], [2.0, np.nan], [-np.inf, 0.5], [np.inf]])
+    def test_wave_buffer_reports_non_finite_before_range(self, samples):
+        with pytest.raises(ValueError, match="non-finite"):
+            WaveBuffer(np.array(samples), 16000)
+
+    def test_wave_buffer_shares_a_read_only_array_and_copies_a_writeable_one(self):
+        samples = np.zeros(4)
+        held = WaveBuffer(samples, 16000)
+        samples[0] = 0.5
+        assert held.samples[0] == 0.0 and not held.samples.flags.writeable
+        samples.flags.writeable = False
+        assert WaveBuffer(samples, 16000).samples is samples
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +442,51 @@ class TestPipelinedBlocks:
             anonymize_wav(THREE_BLOCKS, ShiftConfig())
         assert len(calls) >= 2
         assert threading.active_count() == threads
+
+
+@st.composite
+def _small_shifts(draw):
+    """A small config and a signal whose frames span up to four blocks, with a run of zeros."""
+    flen = draw(st.integers(8, 64))
+    hop = draw(st.integers(1, flen - 2))
+    cfg = ShiftConfig(alpha=draw(st.sampled_from([0.7, 0.8, 1.0, 1.3])),
+                      lpc_order=draw(st.integers(1, min(11, flen - 1))), frame_len=flen, hop=hop)
+    # the input length for which the frames fill exactly ``blocks`` blocks
+    blocks, frames = draw(st.integers(1, 4)), formant._BLOCK * hop
+    n = draw(st.integers(max(1, (blocks - 1) * frames - flen + 1), blocks * frames - flen))
+    samples = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, n)
+    start = draw(st.integers(0, n))
+    samples[start : draw(st.integers(start, n))] = 0.0
+    return WaveBuffer(samples, 16000), cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_small_shifts())
+def test_block_carry_matches_full_length_overlap_add_bit_for_bit(case):
+    # the serial reference sums every frame into full-length buffers, so it
+    # checks the carry each streamed block hands the next
+    wav, cfg = case
+    assert np.array_equal(anonymize_wav(wav, cfg).samples, _serial_anonymize_wav(wav, cfg).samples)
+
+
+def test_peak_memory_is_the_output_and_one_block():
+    vowel, cfg = synth_vowel(0.5), ShiftConfig()
+    # one block's working set, counted in frame matrices of one block
+    block_bytes = 12 * formant._BLOCK * cfg.frame_len * 8
+    peaks, outputs = [], []
+    for seconds in (15, 120):
+        wav = WaveBuffer(np.tile(vowel.samples, 2 * seconds), vowel.sample_rate)
+        # the input is made before tracing starts: the peak is what the call adds
+        tracemalloc.start()
+        try:
+            out = anonymize_wav(wav, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        outputs.append(out.samples.nbytes)
+        assert peaks[-1] <= outputs[-1] + block_bytes
+    # a longer input adds its output and nothing that grows with it
+    assert peaks[1] - peaks[0] <= 1.1 * (outputs[1] - outputs[0])
 
 
 def _wav_header(fmt_tag, bits, data_bytes, rate=16000):

@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .anonymize import AnonConfig, anonymize_corpus
 from .embeddings import (
     Corpus,
-    Embedding,
     ScoreSet,
     TrialList,
     TrialPolicy,

@@ -1,4 +1,4 @@
-"""Embedding-space anonymization by farthest-pool averaging.
+"""Anonymization in embedding space by farthest-pool averaging.
 
 Each source vector is replaced by the mean of ``n_select`` pool vectors drawn
 uniformly without replacement from the ``n_farthest`` pool entries ranked
@@ -11,6 +11,7 @@ carry different pseudo-speakers without shared state.
 from __future__ import annotations
 
 import hashlib
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,15 +52,20 @@ def derive_stream(seed: int, subset_tag: str, key: str) -> np.random.Generator:
 
 
 def _pool_view(pool: Corpus, cfg: AnonConfig, gender: str):
-    """Pool matrix one source gender ranks against, and its rows in utt_id order."""
+    """Pool matrix one source gender ranks against, and its rows in utt_id order.
+
+    Warns when ``n_farthest`` covers at least half of the view's rows."""
     rows = np.flatnonzero(pool.gender == gender) if cfg.same_gender_pool else slice(None)
     utt_ids = pool.utt_id[rows]
-    if not len(utt_ids):
+    size = len(utt_ids)
+    if not size:
         raise ValueError("anonymization pool is empty")
-    if cfg.n_farthest > len(utt_ids):
-        raise ValueError(
-            f"n_farthest ({cfg.n_farthest}) exceeds pool size ({len(utt_ids)})"
-        )
+    if cfg.n_farthest > size:
+        raise ValueError(f"n_farthest ({cfg.n_farthest}) exceeds pool size ({size})")
+    if 2 * cfg.n_farthest >= size:
+        warnings.warn(f"n_farthest {cfg.n_farthest} is {100 * cfg.n_farthest / size:.0f}% of the "
+                      f"{size}-row{' ' + gender if gender else ''} pool view; pseudo-speakers "
+                      "converge on the pool mean")
     return pool.matrix()[rows], np.argsort(utt_ids, kind="stable")
 
 
@@ -144,7 +150,7 @@ def anonymize_corpus(
 
     view_of = genders if cfg.same_gender_pool else np.full(len(keys), "")
     pseudo = np.empty_like(sources)
-    for gender in dict.fromkeys(view_of.tolist()):
+    for gender in sorted(set(view_of.tolist())):
         idx = np.flatnonzero(view_of == gender)
         streams = [derive_stream(cfg.seed, cfg.subset_tag, keys[i]) for i in idx]
         pseudo[idx] = _pseudo_vectors(sources[idx], _pool_view(pool, cfg, gender), model, cfg,

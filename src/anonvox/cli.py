@@ -270,28 +270,11 @@ def _anon_config(opts: dict) -> AnonConfig:
     )
 
 
-def _note_pool_regime(pool, cfg: AnonConfig, *anonymized) -> None:
-    """One stderr note per pool view the anonymized corpora ranked against
-    whose rows ``n_farthest`` covers at least half of."""
-    genders = sorted(set().union(*(c.gender.tolist() for c in anonymized if c is not None)))
-    if not genders:
-        return
-    views = ([(f" {g}", pool.gender.tolist().count(g)) for g in genders]
-             if cfg.same_gender_pool else [("", len(pool))])
-    for name, rows in views:
-        if 2 * cfg.n_farthest >= rows:
-            print(f"note: n_farthest {cfg.n_farthest} is {100 * cfg.n_farthest / rows:.0f}% of "
-                  f"the {rows}-row{name} pool view; pseudo-speakers converge on the pool mean",
-                  file=sys.stderr)
-
-
 def _cmd_anonymize_xvec(opts: dict) -> int:
     corpus = load_embeddings(opts["input"], opts["format"])
     pool = load_embeddings(opts["pool"], opts["format"])
     model = load_model(opts["model"])
-    cfg = _anon_config(opts)
-    out = anonymize_corpus(corpus, pool, model, cfg)
-    _note_pool_regime(pool, cfg, out)
+    out = anonymize_corpus(corpus, pool, model, _anon_config(opts))
     save_embeddings(out, opts["out"], opts["format"])
     print(f"anonymized {len(out)} embeddings", file=sys.stderr)
     return 0
@@ -339,12 +322,10 @@ def _cmd_eval(opts: dict) -> int:
     if not conditions:
         raise UsageError("no conditions requested")
 
-    cfg = _anon_config(opts)
     runs, trial_anon, enroll_anon = evaluate(
-        conditions, enroll, trial, pool, model, cfg, trials,
+        conditions, enroll, trial, pool, model, _anon_config(opts), trials,
         dataset=opts["dataset"], same_tags=opts["same_tags"],
     )
-    _note_pool_regime(pool, cfg, trial_anon, enroll_anon)
     report = render_report(runs)
     sys.stdout.write(report.table)
     if opts["records"]:

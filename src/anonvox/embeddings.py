@@ -33,6 +33,7 @@ import math
 import re
 import struct
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
@@ -50,38 +51,18 @@ _GENDER_BYTE = {"F": b"\x00", "M": b"\x01"}
 _ID_FAULT = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
 _ID_RULE = "{} {!r} must be non-empty and contain no whitespace or control character"
 _ID_HASH = "{} {!r} must not start with '#'"
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """One utterance's fixed-dimension speaker vector with labels."""
-
-    utt_id: str
-    spk_id: str
-    gender: str
-    vector: np.ndarray
-
-    def __post_init__(self):
-        if not self.utt_id or not self.spk_id:
-            raise ValueError("utt_id and spk_id must be non-empty")
-        if self.gender not in GENDERS:
-            raise ValueError(f"gender must be one of {GENDERS}, got {self.gender!r}")
-        vec = np.asarray(self.vector, dtype=np.float64)
-        if vec.ndim != 1 or vec.size == 0:
-            raise ValueError(f"embedding {self.utt_id!r}: vector must be non-empty and 1-D")
-        if not np.isfinite(vec).all():
-            raise ValueError(f"embedding {self.utt_id!r}: non-finite coordinate")
-        object.__setattr__(self, "vector", _read_only(vec))
+# one corpus row as read from the columns; nothing checks it again
+Row = namedtuple("Row", "utt_id spk_id gender vector")
 
 
 def _check_rows(utt_id, spk_id, columns, matrix, where, error=None) -> None:
     """Raises for the first row with a fault: an id the id rule rejects (its
-    utt_id first), else what ``Embedding`` raises; then ``error``, a loader's
-    fault past the last row, if given; then for the first row that repeats an
-    utt_id or, strictly earlier, contradicts its speaker's first gender. Each
-    message but ``error``'s is prefixed by ``where(row)``. ``utt_id`` and
-    ``spk_id`` are the ids as given, ``columns`` the utt, spk and gender string
-    arrays made of them."""
+    utt_id first), else a gender outside ``GENDERS``, else an empty or
+    non-finite vector; then ``error``, a loader's fault past the last row, if
+    given; then for the first row that repeats an utt_id or, strictly earlier,
+    contradicts its speaker's first gender. Each message but ``error``'s is
+    prefixed by ``where(row)``. ``utt_id`` and ``spk_id`` are the ids as given,
+    ``columns`` the utt, spk and gender string arrays made of them."""
     utt, spk = _id_strings(utt_id), _id_strings(spk_id)
     utt_col, spk_col, gender = columns
     bad = ~np.isin(gender, GENDERS)
@@ -92,10 +73,11 @@ def _check_rows(utt_id, spk_id, columns, matrix, where, error=None) -> None:
     if fault is not None and fault[0] <= first:
         raise ValueError(where(fault[0]) + fault[1])
     if first < len(bad):
-        try:
-            Embedding(utt[first], spk[first], str(gender[first]), matrix[first])
-        except ValueError as exc:
-            raise ValueError(where(first) + str(exc)) from None
+        got = str(gender[first])
+        fault = (f"gender must be one of {GENDERS}, got {got!r}" if got not in GENDERS else
+                 f"embedding {utt[first]!r}: " + ("non-finite coordinate" if matrix.shape[1]
+                                                   else "vector must be non-empty and 1-D"))
+        raise ValueError(where(first) + fault)
     if error is not None:
         raise error
     # ids that pass the id rule keep every character in a string array
@@ -170,9 +152,9 @@ class Corpus:
         return len(self.utt_id)
 
     @property
-    def records(self) -> tuple[Embedding, ...]:
+    def records(self) -> tuple[Row, ...]:
         """Per-utterance rows, derived from the columns on each access."""
-        return tuple(map(Embedding, self.utt_id.tolist(), self.spk_id.tolist(),
+        return tuple(map(Row, self.utt_id.tolist(), self.spk_id.tolist(),
                          self.gender.tolist(), self._matrix))
 
     @property

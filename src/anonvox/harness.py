@@ -20,7 +20,7 @@ import numpy as np
 
 from . import anonymize as anon
 from .anonymize import AnonConfig
-from .embeddings import Corpus, TrialList
+from .embeddings import GENDERS, Corpus, TrialList
 from .metrics import MetricsReport, compute_metrics
 from .plda import PldaModel, score_trials
 
@@ -110,7 +110,7 @@ def run_condition(condition: Condition, enroll: Corpus, trial: Corpus, model: Pl
     scores = score_trials(model, enroll, trial, trials)
     genders = _gender_column(trials, enroll.speaker_gender())
     runs = []
-    for gender in ("F", "M"):
+    for gender in GENDERS:
         keep = genders == gender
         score, is_target = scores.score[keep], trials.is_target[keep]
         n_target = int(is_target.sum())

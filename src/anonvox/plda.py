@@ -112,7 +112,7 @@ def _speaker_stats(corpus: Corpus):
     return speakers, counts, means, scatter
 
 
-def _em_step(mu, b, w, counts, means, scatter, grand_mean, n_total):
+def _em_step(mu, b, w, counts, means, scatter, grand_mean, n_total, total_trace):
     d = mu.shape[0]
     n_speakers = counts.shape[0]
     eye = np.eye(d)
@@ -138,8 +138,10 @@ def _em_step(mu, b, w, counts, means, scatter, grand_mean, n_total):
     w_new = scatter + (resid * counts[:, None]).T @ resid + post_cov_weighted
     w_new = _symmetrize(w_new / float(n_total))
 
+    # collapsed against the data's spread (each speaker one repeated vector), or
+    # in absolute terms (a degenerate corpus, whose spread is rounding noise)
     trace = float(np.trace(w_new))
-    if trace < 1e-12:
+    if trace < max(1e-6 * total_trace, 1e-12):
         warnings.warn("within-speaker covariance collapsed; flooring with 1e-6 I")
         w_new = w_new + 1e-6 * eye
     else:
@@ -168,14 +170,15 @@ def train_plda(corpus: Corpus, iterations: int) -> PldaModel:
     grand_mean = x.mean(axis=0)
     centered = x - grand_mean
     total_cov = centered.T @ centered / float(n_total)
-    if float(np.trace(total_cov)) < 1e-12:
+    total_trace = float(np.trace(total_cov))
+    if total_trace < 1e-12:
         warnings.warn("degenerate corpus (all vectors identical); covariances floored")
 
     mu = grand_mean.copy()
     b = 0.5 * total_cov
     w = 0.5 * total_cov + 1e-6 * np.eye(d)
     for _ in range(iterations):
-        mu, b, w = _em_step(mu, b, w, counts, means, scatter, grand_mean, n_total)
+        mu, b, w = _em_step(mu, b, w, counts, means, scatter, grand_mean, n_total, total_trace)
     return PldaModel(mu=mu, between=b, within=w)
 
 

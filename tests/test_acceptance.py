@@ -358,3 +358,58 @@ def test_criterion_10_paper_pool_ratio():
     assert elapsed < 30.0, f"runtime {elapsed:.1f}s"
     _report(10, " ".join(f"eer_{c}_{g}={100 * e:.1f}%" for (c, g), e in eers.items())
             + f" runtime={elapsed:.1f}s")
+
+
+def test_criterion_11_informed_attacker(tmp_path, capsys):
+    """Criterion 10's setup, through the CLI. Scoring the dumped aa corpora as
+    oo gives the aa row; an attacker whose PLDA is trained on per-utterance
+    anonymized training data scores them better than the original model."""
+    start = time.monotonic()
+    data = tmp_path / "data"
+
+    def run(*argv):
+        assert cli_main([str(a) for a in argv]) == 0, argv[0]
+
+    def rows(path):
+        """Each record's eer, min_cllr, cllr and counts, keyed by gender and condition."""
+        return {tuple(f[1:4]): f[4:9] for f in map(str.split, path.read_text().splitlines())}
+
+    run("synth", "--out-dir", data, "--n-speakers", 500, "--dim", 32, "--seed", 0,
+        "--fractions", "0.5,0.25,0.1,0.15")
+    run("train-plda", "--data", data / "train.xvec", "--out", tmp_path / "model.plda",
+        "--iterations", 15)
+    run("make-trials", "--enroll", data / "enroll.xvec", "--trial", data / "trial.xvec",
+        "--out", tmp_path / "trials.txt")
+    common = ["--pool", data / "pool.xvec", "--trials", tmp_path / "trials.txt"]
+    run("eval", "--enroll", data / "enroll.xvec", "--trial", data / "trial.xvec",
+        "--model", tmp_path / "model.plda", *common, "--records", tmp_path / "aa.txt",
+        "--dump-anon", tmp_path / "anon")
+    run("anonymize-xvec", "--input", data / "train.xvec", "--pool", data / "pool.xvec",
+        "--model", tmp_path / "model.plda", "--out", tmp_path / "train_anon.xvec",
+        "--assignment", "per_utterance")
+    run("train-plda", "--data", tmp_path / "train_anon.xvec", "--out", tmp_path / "attacker.plda",
+        "--iterations", 15)
+    for model in ("model", "attacker"):
+        run("eval", "--enroll", tmp_path / "anon" / "enroll_anon.xvec",
+            "--trial", tmp_path / "anon" / "trial_anon.xvec", "--conditions", "oo",
+            "--model", tmp_path / f"{model}.plda", *common, "--records", tmp_path / f"{model}.txt")
+    capsys.readouterr()
+    aa, lazy, informed = (rows(tmp_path / f"{name}.txt") for name in ("aa", "model", "attacker"))
+    elapsed = time.monotonic() - start
+
+    eers = {}
+    for gender in ("F", "M"):
+        original = aa[gender, "anonymized", "anonymized"]
+        assert lazy[gender, "original", "original"] == original
+        attacked = informed[gender, "original", "original"]
+        eers[gender] = float(original[0]), float(attacked[0])
+        # seeds 1-20: the attacker's Cllr is 0.018-0.052 of the original model's
+        assert float(attacked[2]) < 0.1 * float(original[2]), gender
+    # seeds 1-20: the attacker's EER is 0-0.53 of the original model's, and equal
+    # once (seed 20, F), never on both genders
+    assert all(att <= orig for orig, att in eers.values())
+    assert any(att < orig for orig, att in eers.values())
+    assert elapsed < 30.0, f"runtime {elapsed:.1f}s"
+    with capsys.disabled():
+        _report(11, " ".join(f"eer_aa_{g}={100 * o:.2f}%->{100 * a:.2f}%"
+                             for g, (o, a) in eers.items()) + f" runtime={elapsed:.1f}s")

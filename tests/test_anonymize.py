@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -107,6 +108,26 @@ class TestAnonymizeEmbedding:
         pool = corpus_of("pool", [("p1", "q1", "M", [0.0, 1.0])])
         with pytest.raises(ValueError, match="empty"):
             anonymize_one([1.0, 0.0], pool, identity_model(2), cfg)
+
+    @pytest.mark.parametrize("same_gender_pool, n_farthest, notes", [
+        (False, 2, []),
+        (False, 3, ["n_farthest 3 is 60% of the 5-row pool view"]),
+        (True, 1, ["n_farthest 1 is 50% of the 2-row F pool view"]),
+        (True, 2, ["n_farthest 2 is 100% of the 2-row F pool view",
+                   "n_farthest 2 is 67% of the 3-row M pool view"]),
+    ])
+    def test_pool_regime_warns_once_per_view_in_gender_order(self, same_gender_pool,
+                                                             n_farthest, notes):
+        pool = corpus_of("pool", [("p1", "q1", "F", [1.0, 0.0]), ("p2", "q2", "F", [0.0, 1.0]),
+                                  ("p3", "q3", "M", [-1.0, 0.0]), ("p4", "q4", "M", [0.0, -1.0]),
+                                  ("p5", "q5", "M", [1.0, 1.0])])
+        corpus = corpus_of("c", [("u1", "s1", "M", [1.0, 0.0]), ("u2", "s2", "F", [0.0, 1.0])])
+        cfg = AnonConfig(n_farthest=n_farthest, n_select=1, same_gender_pool=same_gender_pool)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            anonymize_corpus(corpus, pool, identity_model(2), cfg)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning, f"{note}; pseudo-speakers converge on the pool mean") for note in notes]
 
     def test_config_invariant(self):
         with pytest.raises(ValueError, match="n_select"):

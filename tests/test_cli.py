@@ -11,7 +11,7 @@ import anonvox
 from anonvox import anonymize, cli
 from anonvox.anonymize import AnonConfig
 from anonvox.cli import main
-from anonvox.embeddings import Corpus, Embedding, load_embeddings, save_embeddings
+from anonvox.embeddings import Corpus, load_embeddings, save_embeddings
 from anonvox.plda import load_model
 from anonvox.formant import read_wav, write_wav
 
@@ -481,6 +481,20 @@ class TestLibraryWarningsAreNotes:
         assert all(line.startswith("note: ") for line in err[:-1])
         assert err[-1] == "trained D=2 model on 6 embeddings"
 
+    def test_train_plda_notes_a_per_speaker_anonymized_corpus(self, synth_dir, trained, tmp_path,
+                                                              capsys):
+        """Each speaker of a per-speaker anonymized corpus holds one repeated vector:
+        its within-speaker covariance collapses against the data's spread."""
+        model, _ = trained
+        anon = tmp_path / "train_anon.xvec"
+        self._stderr(capsys, "anonymize-xvec", "--input", str(synth_dir / "train.xvec"),
+                     "--pool", str(synth_dir / "pool.xvec"), "--model", str(model),
+                     "--out", str(anon), "--n-farthest", "20", "--n-select", "10")
+        assert self._stderr(capsys, "train-plda", "--data", str(anon),
+                            "--out", str(tmp_path / "model.plda")) == [
+            "note: within-speaker covariance collapsed; flooring with 1e-6 I",
+            f"trained D=8 model on {len(load_embeddings(anon, 'binary'))} embeddings"]
+
 
 class TestEvalAnonymizesOncePerTag:
     @pytest.mark.parametrize("same_tags", [False, True])
@@ -679,12 +693,12 @@ class TestEvalRejectsPoolOverlap:
 
 
 def test_command_pipeline_builds_no_embedding(tmp_path, monkeypatch):
-    """synth to anonymize-xvec runs on columns alone: no per-record Embedding is built."""
+    """synth to anonymize-xvec runs on columns alone: no command reads ``Corpus.records``."""
 
     def refuse(self):
-        raise AssertionError(f"per-record Embedding built for {self.utt_id!r}")
+        raise AssertionError(f"per-row records read from corpus {self.name!r}")
 
-    monkeypatch.setattr(Embedding, "__post_init__", refuse)
+    monkeypatch.setattr(Corpus, "records", property(refuse))
     d = tmp_path
     steps = [
         ["synth", "--out-dir", str(d), "--n-speakers", "24", "--utts-per-speaker", "6",

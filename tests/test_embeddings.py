@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from anonvox import embeddings
 from anonvox import (
     Corpus,
-    Embedding,
     TrialList,
     TrialPolicy,
     load_embeddings,
@@ -41,17 +40,26 @@ def _corpus(spec, dim=2, name="c"):
 
 class TestEmbeddingValidation:
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            Embedding("u1", "s1", "F", [0.0, np.inf])
+        with pytest.raises(ValueError, match="^corpus 'c': embedding 'u1': non-finite coordinate$"):
+            Corpus("c", ["u1"], ["s1"], ["F"], [[0.0, np.inf]])
 
     def test_rejects_bad_gender(self):
-        with pytest.raises(ValueError, match="gender"):
-            Embedding("u1", "s1", "X", [0.0])
+        message = "^corpus 'c': " + re.escape("gender must be one of ('F', 'M'), got 'X'") + "$"
+        with pytest.raises(ValueError, match=message):
+            Corpus("c", ["u1"], ["s1"], ["X"], [[0.0]])
+
+    def test_rejects_empty_vector(self):
+        with pytest.raises(ValueError,
+                           match="^corpus 'c': embedding 'u1': vector must be non-empty and 1-D$"):
+            Corpus("c", ["u1"], ["s1"], ["F"], np.empty((1, 0)))
 
     def test_vector_is_immutable(self):
-        e = Embedding("u1", "s1", "F", [1.0, 2.0])
-        with pytest.raises(ValueError):
-            e.vector[0] = 3.0
+        corpus = Corpus("c", ["u1"], ["s1"], ["F"], [[1.0, 2.0]])
+        (row,) = corpus.records
+        assert (row.utt_id, row.spk_id, row.gender) == ("u1", "s1", "F")
+        for vector in (row.vector, corpus.matrix()[0]):
+            with pytest.raises(ValueError):
+                vector[0] = 3.0
 
     def test_corpus_rejects_duplicate_utt(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -587,26 +595,27 @@ def test_free_form_trial_file_reads_like_canonical(tmp_path, text, capsys):
 
 
 def _per_record_corpus_error(name, rows):
-    """The first error a per-record build raises (the id rule and Embedding, row by
-    row, then the corpus loop), or None."""
-    records = []
-    for row in rows:
-        for what, token in zip(("utt_id", "spk_id"), row):
+    """The first error a per-record build raises (the id rule, gender and vector,
+    row by row, then the corpus loop), or None."""
+    for utt, spk, gender, vector in rows:
+        for what, token in (("utt_id", utt), ("spk_id", spk)):
             if not token or any(c.isspace() or unicodedata.category(c) == "Cc" for c in token):
                 return f"corpus {name!r}: {what} {token!r} {_RULE}"
             if token.startswith("#"):
                 return f"corpus {name!r}: {what} {token!r} {_HASH}"
-        try:
-            records.append(Embedding(*row))
-        except ValueError as exc:
-            return f"corpus {name!r}: {exc}"
+        if gender not in ("F", "M"):
+            return f"corpus {name!r}: gender must be one of ('F', 'M'), got {gender!r}"
+        if not vector:
+            return f"corpus {name!r}: embedding {utt!r}: vector must be non-empty and 1-D"
+        if not all(map(math.isfinite, vector)):
+            return f"corpus {name!r}: embedding {utt!r}: non-finite coordinate"
     seen, spk_gender = set(), {}
-    for rec in records:
-        if rec.utt_id in seen:
-            return f"corpus {name!r}: duplicate utt_id {rec.utt_id!r}"
-        seen.add(rec.utt_id)
-        if spk_gender.setdefault(rec.spk_id, rec.gender) != rec.gender:
-            return f"corpus {name!r}: speaker {rec.spk_id!r} has conflicting genders"
+    for utt, spk, gender, _ in rows:
+        if utt in seen:
+            return f"corpus {name!r}: duplicate utt_id {utt!r}"
+        seen.add(utt)
+        if spk_gender.setdefault(spk, gender) != gender:
+            return f"corpus {name!r}: speaker {spk!r} has conflicting genders"
     return None
 
 

@@ -215,10 +215,12 @@ class TestTraining:
         assert rel_w < 0.15
 
     def test_degenerate_corpus_floors_within(self):
-        rows = ((f"u{i}", f"s{i % 3}", "F", [1.0, 2.0]) for i in range(9))
-        with pytest.warns(UserWarning):
-            model = train_plda(corpus_of("deg", rows), 3)
-        assert np.min(np.linalg.eigvalsh(model.within)) > 0.0
+        # the mean of nine 0.1s is not 0.1: that corpus's spread is rounding noise
+        for vector in ([1.0, 2.0], [0.1, 0.8]):
+            rows = ((f"u{i}", f"s{i % 3}", "F", vector) for i in range(9))
+            with pytest.warns(UserWarning, match="within-speaker covariance collapsed"):
+                model = train_plda(corpus_of("deg", rows), 3)
+            assert np.min(np.linalg.eigvalsh(model.within)) > 5e-7
 
     def test_single_utterance_per_speaker_fixed_point(self):
         """With singleton speakers only the total covariance is identifiable;

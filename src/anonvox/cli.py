@@ -393,7 +393,8 @@ def main(argv=None) -> int:
         return 1
     try:
         with warnings.catch_warnings():
-            # a library warning is one stderr note, free of the install path
+            # a library warning is one stderr note, free of the install path, under any filter
+            warnings.simplefilter("default")
             warnings.showwarning = lambda message, *_: print(f"note: {message}", file=sys.stderr)
             opts = _resolve_options(args.command, args)
             _print_provenance(args.command, opts)

@@ -18,23 +18,22 @@ vocabulary, and a ``ScoreSet`` is a score column over a ``TrialList``.
 Text files are read as UTF-8, and a byte that does not decode raises ``path: ...``.
 The embedding loaders only parse; the one ``Corpus`` build checks each row once.
 
-A trial or score file in the layout the savers write is read whole by one
-``str.split``; any other file, or a saved one whose columns fail their checks,
-by one walk over its lines, which names the first malformed line. A file with
-none is rejected at its first pair that repeats or is absent from the trial
-list, named by the line of its row. A score file whose id columns equal its
-trial list's row by row, as ``save_scores`` writes them, takes that list
-without coding its ids; the savers take each row's ids from the vocabularies.
+A trial or score file in the layout the savers write is split whole by one
+``str.split``, any other line by line. Each column rule then runs once, and
+the first malformed line is named; a file with none is rejected at its first
+pair that repeats or is absent from the trial list. A score file whose ids
+equal its trial list's row by row, as ``save_scores`` writes them, takes that
+list uncoded; the savers take each row's ids from the vocabularies.
 """
 
 from __future__ import annotations
 
-import math
 import re
 import struct
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -625,58 +624,51 @@ def _saved_fields(text: str) -> list[str] | None:
     return fields if (codes[codes <= 32][2::3] == 10).all() else None
 
 
-def _read_table(path: Path, layout: str, parse_column, row_fault, trials=None):
+def _read_table(path: Path, layout: str, parse_column, trials=None):
     """The coded id columns of a trial or score file, its third column and the
     line of each row. A text in the saved layout is split whole (row i is on
-    line i + 1); any other text, or a saved one whose columns fail their
-    checks, goes to ``_walk_lines``. ``parse_column(fields)`` gives the third
-    column, or None if an entry is bad; ``row_fault`` is its per-row message.
-    If the id columns hold ``trials``' ids row by row, the ids are None: they
-    are that list's, so they pass the id rule and need no coding.
-    """
+    line i + 1), any other by ``_walk_lines``. ``parse_column(fields)`` gives the
+    third column and its first bad row with the message, or None. The id rule
+    runs once per distinct id. The first faulty row is reported, on a tie its
+    first faulty field, and only then the walk's fault. If the id columns hold
+    ``trials``' ids row by row, the ids are None: they are that list's, so they
+    pass the id rule and need no coding."""
     text = read_utf8(path)
     fields = _saved_fields(text)
-    walked = fields is None
-    if walked:
-        fields, linenos = _walk_lines(path, text, layout, row_fault)
-    else:
-        linenos = range(1, len(fields) // 3 + 1)
+    fields, linenos, error = (_walk_lines(path, text, layout) if fields is None
+                              else (fields, range(1, len(fields) // 3 + 1), None))
     spk, utt = fields[0::3], fields[1::3]
-    values = parse_column(fields[2::3])
-    if values is not None:
-        if (trials is not None and len(spk) == len(trials) > 0
-                and trials.pair(0) == (spk[0], utt[0]) and [spk, utt] == _row_ids(trials)):
-            return None, values, linenos
-        spk_vocab, spk_code = _code(spk)
-        utt_vocab, utt_code = _code(utt)
-        # the id rule is checked here, before load_scores makes string arrays of the
-        # vocabularies: those drop trailing NULs, so "u\0" would join the score of "u"
-        if walked or _id_fault(spk_vocab + utt_vocab, "id") is None:
-            return (spk_vocab, spk_code, utt_vocab, utt_code), values, linenos
-    _walk_lines(path, text, layout, row_fault)
-    raise AssertionError(f"{path}: the line walk passed a text its columns reject")
+    values, fault = parse_column(fields)
+    if (fault is None and error is None and trials is not None and len(spk) == len(trials) > 0
+            and trials.pair(0) == (spk[0], utt[0]) and [spk, utt] == _row_ids(trials)):
+        return None, values, linenos
+    (spk_vocab, spk_code), (utt_vocab, utt_code) = _code(spk), _code(utt)
+    # checked before load_scores makes string arrays, which drop trailing NULs ("u\0" is "u")
+    faults = [f for f in (_first_fault(spk_vocab, spk_code, partial(_token_fault, "enroll_spk")),
+                          _first_fault(utt_vocab, utt_code, partial(_token_fault, "test_utt")),
+                          fault) if f]
+    if faults:
+        row, message = min(faults, key=lambda f: f[0])
+        raise ValueError(f"{path}:{linenos[row]}: {message}")
+    if error is not None:
+        raise error
+    return (spk_vocab, spk_code, utt_vocab, utt_code), values, linenos
 
 
-def _walk_lines(path: Path, text: str, layout: str, row_fault):
-    """The fields of every row of a trial or score text and the line of each
-    row; raises for the first malformed line. Blank lines and ``#`` comment
-    lines (their first field starts with "#") are skipped; any other line must
-    have three fields, ids with no control character and no leading "#", and
-    no ``row_fault(enroll_spk, test_utt, third)``.
-    """
+def _walk_lines(path: Path, text: str, layout: str):
+    """The fields of a trial or score text's rows up to its first line without
+    three fields, the line of each row, and that line's fault or None. Blank
+    and ``#`` comment lines (their first field starts with "#") are skipped."""
     fields, linenos = [], []
     for lineno, line in enumerate(text.split("\n"), start=1):
         row = line.split()
         if not row or row[0].startswith("#"):
             continue
-        fault = (f"expected '{layout}'" if len(row) != 3 else
-                 _token_fault("enroll_spk", row[0]) or _token_fault("test_utt", row[1])
-                 or row_fault(*row))
-        if fault:
-            raise ValueError(f"{path}:{lineno}: {fault}")
+        if len(row) != 3:
+            return fields, linenos, ValueError(f"{path}:{lineno}: expected '{layout}'")
         fields += row
         linenos.append(lineno)
-    return fields, linenos
+    return fields, linenos, None
 
 
 def _token_fault(what: str, token: str) -> str | None:
@@ -686,6 +678,14 @@ def _token_fault(what: str, token: str) -> str | None:
     if _ID_FAULT.search(token):
         return f"{what} {token!r} contains a control character"
     return _ID_HASH.format(what, token) if token.startswith("#") else None
+
+
+def _first_fault(vocab: list[str], code: np.ndarray, fault) -> tuple[int, str] | None:
+    """The first row whose token ``fault`` rejects and its message, or None;
+    ``fault`` runs once per distinct token of ``vocab``."""
+    bad = [i for i, token in enumerate(vocab) if fault(token)]
+    row = int(np.argmax(np.isin(code, bad))) if bad else None
+    return None if row is None else (row, fault(vocab[code[row]]))
 
 
 def _pair_error(path: Path, ids, linenos, what: str, absent=()) -> ValueError:
@@ -701,31 +701,32 @@ def _pair_error(path: Path, ids, linenos, what: str, absent=()) -> ValueError:
     return ValueError(f"{path}:{linenos[row]}: " + fault.format(pair))
 
 
-def _label_fault(enroll_spk: str, test_utt: str, label: str) -> str | None:
-    return None if label in LABELS else f"bad label {label!r}"
+def _parse_labels(fields: list[str]) -> tuple[np.ndarray, tuple[int, str] | None]:
+    vocab, code = _code(fields[2::3])
+    fault = _first_fault(vocab, code,
+                         lambda label: None if label in LABELS else f"bad label {label!r}")
+    return np.array([label == "target" for label in vocab], bool)[code], fault
 
 
-def _parse_labels(fields: list[str]) -> np.ndarray | None:
-    vocab, code = _code(fields)
-    if not set(vocab) <= set(LABELS):
-        return None
-    return np.array([label == "target" for label in vocab], bool)[code]
-
-
-def _score_fault(enroll_spk: str, test_utt: str, token: str) -> str | None:
+def _parse_scores(fields: list[str]) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """The score column and its first bad row with the message, or None: a token
+    ``float`` rejects or a non-finite score. Only a failed one-pass parse walks."""
+    tokens, fault = fields[2::3], None
     try:
-        score = float(token)
+        score = np.fromiter(map(float, tokens), np.float64, len(tokens))
     except ValueError:
-        return f"bad score {token!r}"
-    return None if math.isfinite(score) else f"score for ({enroll_spk}, {test_utt}) is not finite"
-
-
-def _parse_scores(fields: list[str]) -> np.ndarray | None:
-    try:
-        score = np.fromiter(map(float, fields), np.float64, len(fields))
-    except ValueError:
-        return None
-    return score if np.isfinite(score).all() else None
+        score = []
+        try:
+            for token in tokens:
+                score.append(float(token))
+        except ValueError:
+            fault = len(score), f"bad score {token!r}"
+        score = np.array(score, np.float64)
+    bad = np.flatnonzero(~np.isfinite(score))
+    if bad.size:
+        row = int(bad[0])
+        fault = row, f"score for ({fields[3 * row]}, {fields[3 * row + 1]}) is not finite"
+    return score, fault
 
 
 def _row_ids(trials: TrialList) -> list[list[str]]:
@@ -741,7 +742,7 @@ def save_trials(trials: TrialList, path) -> None:
 
 def load_trials(path) -> TrialList:
     path = Path(path)
-    ids, is_target, linenos = _read_table(path, "spk utt label", _parse_labels, _label_fault)
+    ids, is_target, linenos = _read_table(path, "spk utt label", _parse_labels)
     if not len(is_target):
         raise ValueError(f"{path}: empty trial list")
     try:
@@ -765,7 +766,7 @@ def load_scores(path, trials: TrialList) -> ScoreSet:
     from ``trials``. A file in ``trials``' row order, as ``save_scores``
     writes it, keeps ``trials`` itself."""
     path = Path(path)
-    ids, score, linenos = _read_table(path, "spk utt score", _parse_scores, _score_fault, trials)
+    ids, score, linenos = _read_table(path, "spk utt score", _parse_scores, trials)
     if not len(score):
         raise ValueError(f"{path}: empty score file")
     if ids is None:

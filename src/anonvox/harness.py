@@ -13,7 +13,7 @@ splits the metrics per gender.
 from __future__ import annotations
 
 import enum
-import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -115,11 +115,8 @@ def run_condition(condition: Condition, enroll: Corpus, trial: Corpus, model: Pl
         score, is_target = scores.score[keep], trials.is_target[keep]
         n_target = int(is_target.sum())
         if n_target == 0 or n_target == len(is_target):
-            print(
-                f"note: {condition.value}: skipped gender {gender}: {n_target} target and "
-                f"{len(is_target) - n_target} nontarget trials",
-                file=sys.stderr,
-            )
+            warnings.warn(f"{condition.value}: skipped gender {gender}: {n_target} target and "
+                          f"{len(is_target) - n_target} nontarget trials")
             continue
         runs.append(EvalRun(dataset, condition, gender, compute_metrics(score, is_target), seed))
     if not runs:

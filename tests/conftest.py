@@ -27,6 +27,11 @@ def synth_vowel(
     return WaveBuffer(0.3 * signal / np.max(np.abs(signal)), sample_rate)
 
 
+# the anonymizer's note that n_farthest covers half of a pool view or more, for
+# tests that draw n_farthest at random and so rank most of a small pool at times
+POOL_REGIME = pytest.mark.filterwarnings("ignore:n_farthest .* pool view:UserWarning")
+
+
 def corpus_of(name: str, rows) -> Corpus:
     """A corpus from ``(utt_id, spk_id, gender, vector)`` rows."""
     rows = list(rows)

@@ -31,7 +31,7 @@ from anonvox.formant import ShiftConfig, anonymize_wav, lpc_analyze
 from anonvox.plda import score_matrix
 
 from conftest import (
-    by_speaker, corpus_of, dominant_peak_hz, from_arrays, log_likelihood, synth_vowel,
+    POOL_REGIME, by_speaker, corpus_of, dominant_peak_hz, from_arrays, log_likelihood, synth_vowel,
     tie_break_ranking,
 )
 from test_metrics import (
@@ -59,7 +59,8 @@ def test_criterion_1_table_directionality():
 
     scores = score_trials(model, enroll, trial, trials)
     eer_oo = compute_metrics(scores.score, trials.is_target).eer
-    oa_runs = evaluate([Condition.oa], enroll, trial, pool, model, cfg, trials)[0]
+    with pytest.warns(UserWarning, match=r"^n_farthest 200 is \d+% of the \d+-row pool view"):
+        oa_runs = evaluate([Condition.oa], enroll, trial, pool, model, cfg, trials)[0]
     oa_eers = [run.metrics.eer for run in oa_runs]
     elapsed = time.monotonic() - start
 
@@ -179,6 +180,7 @@ def test_criterion_5_eer_properties():
     _report(5, f"500 sweep cases (worst {worst:.2e}), invariance + 0/50/100% ok")
 
 
+@POOL_REGIME
 def test_criterion_6_anonymizer_correctness():
     """Brute-force ranking oracle; per-speaker function property; subset-tag
     separation; full-pool reduction to the mean."""

@@ -10,7 +10,7 @@ from anonvox.anonymize import derive_stream
 from anonvox.plda import score_matrix
 from anonvox.synthgen import default_spec, generate, split
 
-from conftest import by_speaker, by_utt, corpus_of, tie_break_ranking
+from conftest import POOL_REGIME, by_speaker, by_utt, corpus_of, tie_break_ranking
 
 
 def identity_model(dim):
@@ -58,7 +58,8 @@ class TestTieBreakRanking:
 class TestAnonymizeEmbedding:
     def test_worked_example(self):
         cfg = AnonConfig(n_farthest=2, n_select=2, seed=0)
-        out = anonymize_one([1.0, 0.0], small_pool(), identity_model(2), cfg)
+        with pytest.warns(UserWarning, match="^n_farthest 2 is 67% of the 3-row pool view"):
+            out = anonymize_one([1.0, 0.0], small_pool(), identity_model(2), cfg)
         np.testing.assert_allclose(out, [-0.5, 0.5], atol=1e-12)
 
     def test_single_farthest(self):
@@ -71,9 +72,11 @@ class TestAnonymizeEmbedding:
         expected = pool.matrix().mean(axis=0)
         for seed in (0, 1, 2):
             cfg = AnonConfig(n_farthest=3, n_select=3, seed=seed, subset_tag="x")
-            assert np.array_equal(anonymize_one([1.0, 0.0], pool, identity_model(2), cfg),
-                                  expected)
+            with pytest.warns(UserWarning, match="^n_farthest 3 is 100% of the 3-row pool view"):
+                out = anonymize_one([1.0, 0.0], pool, identity_model(2), cfg)
+            assert np.array_equal(out, expected)
 
+    @POOL_REGIME
     def test_brute_force_ranking_oracle(self):
         rng = np.random.default_rng(55)
         for case in range(100):
@@ -209,7 +212,8 @@ class TestAnonymizeCorpus:
         cfg = AnonConfig(
             n_farthest=2, n_select=2, seed=0, subset_tag="t", same_gender_pool=True
         )
-        out = by_utt(anonymize_corpus(corpus, pool, model, cfg))
+        with pytest.warns(UserWarning, match="^n_farthest 2 is 100% of the 2-row [FM] pool view"):
+            out = by_utt(anonymize_corpus(corpus, pool, model, cfg))
         np.testing.assert_allclose(out["a"], [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(out["b"], [-0.5, -0.5], atol=1e-12)
 
@@ -260,10 +264,11 @@ class TestPoolRankingKernel:
                          assignment="per_utterance")
         ids = pool.utt_id.tolist()
         pm = pool.matrix()
-        view = anon._pool_view(pool, cfg, "F")
-        ranked = anon._ranked_rows(corpus.matrix(), *view, model, cfg.n_farthest)
-        full = anon._ranked_rows(corpus.matrix(), *view, model, len(ids))
-        out = by_utt(anonymize_corpus(corpus, pool, model, cfg))
+        with pytest.warns(UserWarning, match=r"^n_farthest 300 is \d+% of the \d+-row (F )?pool"):
+            view = anon._pool_view(pool, cfg, "F")
+            ranked = anon._ranked_rows(corpus.matrix(), *view, model, cfg.n_farthest)
+            full = anon._ranked_rows(corpus.matrix(), *view, model, len(ids))
+            out = by_utt(anonymize_corpus(corpus, pool, model, cfg))
         for utt, src, order, whole in zip(corpus.utt_id.tolist(), corpus.matrix(), ranked, full):
             dists = [-score_matrix(model, [src], [p])[0, 0] for p in pm]
             want = sorted(range(len(ids)), key=lambda i: (-dists[i], ids[i]))
@@ -287,7 +292,8 @@ class TestPoolRankingKernel:
                                   rng.standard_normal(dim)) for i in range(40)))
         cfg = AnonConfig(n_farthest=20, n_select=8, seed=9, subset_tag="trial",
                          assignment="per_utterance", same_gender_pool=True)
-        out = anonymize_corpus(corpus, pool, model, cfg)
+        with pytest.warns(UserWarning, match="^n_farthest 20 is 53% of the 38-row F pool view"):
+            out = anonymize_corpus(corpus, pool, model, cfg)
         assert set(out.gender.tolist()) == {"F", "M"}
         pm, ids, pool_gender = pool.matrix(), pool.utt_id.tolist(), pool.gender.tolist()
         rows = zip(corpus.utt_id.tolist(), corpus.gender.tolist(), corpus.matrix(), out.matrix())

@@ -534,22 +534,40 @@ class TestTrialAndScoreFileErrors:
         with pytest.raises(ValueError, match=":2: bad label 'maybe'"):
             load_trials(path)
 
-    def test_first_bad_line_is_reported(self, tmp_path):
-        trials = tmp_path / "trials.txt"
-        trials.write_text("s1 u1 target\ns1 u2 maybe\ns1 u3 target\ns1 u4\n")
-        with pytest.raises(ValueError, match=":2: bad label 'maybe'"):
-            load_trials(trials)
-        trials.write_text("s1 u1 target\ns1 u2\ns1 u3 maybe\n")
-        with pytest.raises(ValueError, match=":2: expected 'spk utt label'"):
-            load_trials(trials)
-        scores = tmp_path / "scores.txt"
-        scores.write_text("s1 u1 0.5\ns1 u2 high\ns1 u3 nan\ns1 u4\n")
+    # the lowest faulty row wins, on a tie its first faulty field; a line without
+    # three fields only after every row before it
+    @pytest.mark.parametrize("kind, text, fault", [
+        pytest.param("trials", "s1 u1 target\ns1 u2 maybe\ns1 u3 target\ns1 u4\n",
+                     "2: bad label 'maybe'", id="label-first"),
+        pytest.param("trials", "s1 u1 target\ns1 u2 maybe\ns1 u3\n",
+                     "2: bad label 'maybe'", id="label-short"),
+        pytest.param("trials", "s1 u1 target\ns1 u2\ns1 u3 maybe\n",
+                     "2: expected 'spk utt label'", id="short-label"),
+        pytest.param("scores", "s1 u1 0.5\ns1 u2 high\ns1 u3 nan\ns1 u4\n",
+                     "2: bad score 'high'", id="score-nan"),
+        pytest.param("scores", "s1 u1 0.5\ns1 u2 inf\ns1 u3 high\ns1 u4\n",
+                     r"2: score for \(s1, u2\) is not finite", id="inf-score"),
+        pytest.param("scores", "s1 u1 0.5\ns1 u2 nan\ns1 u3 high\n",
+                     r"2: score for \(s1, u2\) is not finite", id="nan-score"),
+        # "#a" sorts before "z\x01": the first faulty row, not the first faulty id
+        pytest.param("trials", "s1 u1 target\ns1 z\x01 target\ns1 u3 target\ns1 #a target\n",
+                     r"2: test_utt 'z\\x01' contains a control character", id="ctrl-hash"),
+        pytest.param("trials", "s1\tu1\ttarget\ns1\tz\x01\ttarget\n"
+                     "s1\tu3\ttarget\ns1\t#a\ttarget\n",
+                     r"2: test_utt 'z\\x01' contains a control character", id="ctrl-hash-tab"),
+        pytest.param("trials", "s1 u1 target\ns1 z\x7f target\ns1 u3 target\ns1 #a target\n",
+                     r"2: test_utt 'z\\x7f' contains a control character", id="ctrl-hash-saved"),
+        pytest.param("trials", "s1 u1 target\ns\x7f u\x7f maybe\n",
+                     r"2: enroll_spk 's\\x7f' contains a control character", id="tie-spk"),
+        pytest.param("trials", "s1 u1 target\ns1 u\x7f maybe\n",
+                     r"2: test_utt 'u\\x7f' contains a control character", id="tie-utt"),
+    ])
+    def test_first_bad_line_is_reported(self, tmp_path, kind, text, fault):
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(text, encoding="utf-8")
         trials = TrialList(["s1"] * 4, ["u1", "u2", "u3", "u4"], [True, False, False, False])
-        with pytest.raises(ValueError, match=":2: bad score 'high'"):
-            load_scores(scores, trials)
-        scores.write_text("s1 u1 0.5\ns1 u2 inf\ns1 u3 high\ns1 u4\n")
-        with pytest.raises(ValueError, match=r":2: score for \(s1, u2\) is not finite"):
-            load_scores(scores, trials)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{fault}$"):
+            load_trials(path) if kind == "trials" else load_scores(path, trials)
 
     def test_round_trip_keeps_columns(self, tmp_path):
         trials = TrialList(["s2", "s1", "s1"], ["u9", "u1", "u2"], [False, True, False])

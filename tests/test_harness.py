@@ -13,11 +13,15 @@ from anonvox import (
     generate,
     make_trials,
     render_report,
+    save_embeddings,
+    save_model,
+    save_trials,
     score_trials,
     split,
     train_plda,
 )
 from anonvox import anonymize as anonymize_module
+from anonvox.cli import main
 
 from conftest import from_arrays
 
@@ -66,7 +70,8 @@ class TestRunCondition:
         runs = []
         for seed in (1, 2):
             cfg = AnonConfig(n_farthest=full, n_select=full, seed=seed)
-            runs.append(evaluate([Condition.oa], enroll, trial, pool, model, cfg, trials)[0])
+            with pytest.warns(UserWarning, match=rf"^n_farthest {full} is 100% of the {full}-row"):
+                runs.append(evaluate([Condition.oa], enroll, trial, pool, model, cfg, trials)[0])
         for a, b in zip(*runs):
             assert a.metrics.eer == b.metrics.eer
             assert a.metrics.cllr == b.metrics.cllr
@@ -100,10 +105,9 @@ class TestRunCondition:
             for d, s in zip(default, shared)
         )
 
-    def test_skipped_gender_named_on_stderr(self, pipeline, capsys):
+    def test_skipped_gender_named_on_stderr(self, pipeline, tmp_path, capsys):
         model, pool, enroll, trial, trials, cfg = pipeline
         evaluate([Condition.oa], enroll, trial, pool, model, cfg, trials)
-        assert capsys.readouterr() == ("", "")
 
         genders = enroll.speaker_gender()
         male = np.array([genders[s] == "M" for s in trials.enroll_spk.tolist()])
@@ -111,12 +115,25 @@ class TestRunCondition:
         male_targets_only = TrialList(
             trials.enroll_spk[keep], trials.test_utt[keep], trials.is_target[keep]
         )
-        runs = evaluate([Condition.oa], enroll, trial, pool, model, cfg, male_targets_only)[0]
-        assert [r.gender for r in runs] == ["F"]
-        out, err = capsys.readouterr()
         n_male = int((male & trials.is_target).sum())
-        assert out == ""
-        assert err == f"note: oa: skipped gender M: {n_male} target and 0 nontarget trials\n"
+        note = f"oa: skipped gender M: {n_male} target and 0 nontarget trials"
+        # a library caller gets a UserWarning, and nothing is printed
+        with pytest.warns(UserWarning) as caught:
+            runs = evaluate([Condition.oa], enroll, trial, pool, model, cfg, male_targets_only)[0]
+        assert [r.gender for r in runs] == ["F"]
+        assert [str(w.message) for w in caught] == [note]
+        assert capsys.readouterr() == ("", "")
+        # the CLI prints it as one stderr note
+        for name, corpus in (("enroll", enroll), ("trial", trial), ("pool", pool)):
+            save_embeddings(corpus, tmp_path / f"{name}.xvec", "binary")
+        save_model(model, tmp_path / "model.plda")
+        save_trials(male_targets_only, tmp_path / "trials.txt")
+        assert main(["eval", "--conditions", "oa", "--n-farthest", str(cfg.n_farthest),
+                     "--n-select", str(cfg.n_select), "--seed", str(cfg.seed),
+                     *(f"--{name}={tmp_path / name}.xvec" for name in ("enroll", "trial", "pool")),
+                     f"--model={tmp_path / 'model.plda'}",
+                     f"--trials={tmp_path / 'trials.txt'}"]) == 0
+        assert capsys.readouterr().err.splitlines()[1:] == [f"note: {note}"]
 
     def test_reproducible_runs(self, pipeline):
         model, pool, enroll, trial, trials, cfg = pipeline

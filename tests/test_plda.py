@@ -218,7 +218,8 @@ class TestTraining:
         # the mean of nine 0.1s is not 0.1: that corpus's spread is rounding noise
         for vector in ([1.0, 2.0], [0.1, 0.8]):
             rows = ((f"u{i}", f"s{i % 3}", "F", vector) for i in range(9))
-            with pytest.warns(UserWarning, match="within-speaker covariance collapsed"):
+            with pytest.warns(UserWarning, match="within-speaker covariance collapsed"), \
+                    pytest.warns(UserWarning, match="^degenerate corpus"):
                 model = train_plda(corpus_of("deg", rows), 3)
             assert np.min(np.linalg.eigvalsh(model.within)) > 5e-7
 

@@ -23,7 +23,9 @@ A trial or score file in the layout the savers write is split whole by one
 the first malformed line is named; a file with none is rejected at its first
 pair that repeats or is absent from the trial list. A score file whose ids
 equal its trial list's row by row, as ``save_scores`` writes them, takes that
-list uncoded; the savers take each row's ids from the vocabularies.
+list uncoded. Any other is joined through the trial list's rows: each line's
+pair is looked up among them, and the result is built from the list's own
+vocabularies and codes. The savers take each row's ids from the vocabularies.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import struct
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, fields
-from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -54,17 +55,18 @@ _ID_HASH = "{} {!r} must not start with '#'"
 Row = namedtuple("Row", "utt_id spk_id gender vector")
 
 
-def _check_rows(utt_id, spk_id, columns, matrix, where, error=None) -> None:
+def _check_rows(given, columns, matrix, where, error=None) -> None:
     """Raises for the first row with a fault: an id the id rule rejects (its
     utt_id first), else a gender outside ``GENDERS``, else an empty or
     non-finite vector; then ``error``, a loader's fault past the last row, if
     given; then for the first row that repeats an utt_id or, strictly earlier,
     contradicts its speaker's first gender. Each message but ``error``'s is
-    prefixed by ``where(row)``. ``utt_id`` and ``spk_id`` are the ids as given,
-    ``columns`` the utt, spk and gender string arrays made of them."""
-    utt, spk = _id_strings(utt_id), _id_strings(spk_id)
+    prefixed by ``where(row)``. ``given`` holds the utt, spk and gender values
+    as given, ``columns`` the string arrays made of them; ids and genders are
+    checked as given, since a string array drops trailing NULs."""
+    utt, spk, genders = map(_id_strings, given)
     utt_col, spk_col, gender = columns
-    bad = ~np.isin(gender, GENDERS)
+    bad = ~np.fromiter(map(set(GENDERS).__contains__, genders), bool, len(genders))
     bad |= ~np.isfinite(matrix).all(axis=1) if matrix.shape[1] else True
     first = int(np.argmax(bad)) if bad.any() else len(bad)
     faults = [f for f in (_id_fault(utt, "utt_id"), _id_fault(spk, "spk_id")) if f]
@@ -72,7 +74,7 @@ def _check_rows(utt_id, spk_id, columns, matrix, where, error=None) -> None:
     if fault is not None and fault[0] <= first:
         raise ValueError(where(fault[0]) + fault[1])
     if first < len(bad):
-        got = str(gender[first])
+        got = genders[first]
         fault = (f"gender must be one of {GENDERS}, got {got!r}" if got not in GENDERS else
                  f"embedding {utt[first]!r}: " + ("non-finite coordinate" if matrix.shape[1]
                                                    else "vector must be non-empty and 1-D"))
@@ -90,26 +92,28 @@ def _check_rows(utt_id, spk_id, columns, matrix, where, error=None) -> None:
         raise ValueError(f"{where(row)}speaker {spk[row]!r} has conflicting genders")
 
 
-def _id_fault(ids: list[str], what: str) -> tuple[int, str] | None:
-    """The first of ``ids`` the id rule rejects and the message for it, or None.
-    One pass over the joined column clears most columns: each printable
-    character but the space passes the rule. Ids are walked one by one only
-    after a hit, or when the column holds a "#"."""
+def _id_fault(ids: list[str], what: str, code=None) -> tuple[int, str] | None:
+    """The first row whose id the id rule rejects and the message for it, or None.
+    ``ids`` holds one id per row, or with ``code`` is a vocabulary that ``code``
+    uses in full. One pass over the joined ids clears most columns: each
+    printable character but the space passes the rule. Ids are walked one by
+    one only after a hit, or when the column holds a "#"."""
     joined = "".join(ids)
     if "" not in ids and "#" not in joined and (
         (joined.isprintable() and " " not in joined) or not _ID_FAULT.search(joined)
     ):
         return None
-    for i, token in enumerate(ids):
+
+    def fault(token: str) -> str | None:
         if not token or _ID_FAULT.search(token):
-            return i, _ID_RULE.format(what, token)
-        if token.startswith("#"):
-            return i, _ID_HASH.format(what, token)
-    return None
+            return _ID_RULE.format(what, token)
+        return _ID_HASH.format(what, token) if token.startswith("#") else None
+
+    return _first_fault(ids, np.arange(len(ids)) if code is None else code, fault)
 
 
 def _id_strings(values) -> list[str]:
-    """Ids as Python strings, read before a ``str_`` column drops trailing NULs."""
+    """Values as Python strings, read before a ``str_`` column drops trailing NULs."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "U":
         return values.tolist()
     return list(map(str, values))
@@ -142,7 +146,7 @@ class Corpus:
         if matrix.ndim != 2:
             raise ValueError(f"corpus {name!r}: vectors must be an (N, D) matrix")
         _check_lengths(*columns, matrix)
-        _check_rows(utt_id, spk_id, columns, matrix, where, error)
+        _check_rows((utt_id, spk_id, gender), columns, matrix, where, error)
         for field, value in zip(("name", "utt_id", "spk_id", "gender", "_matrix"),
                                 (name, *columns, _read_only(matrix))):
             object.__setattr__(self, field, value)
@@ -319,7 +323,10 @@ class TrialList:
         trials._build(spk_vocab, spk_code, utt_vocab, utt_code, is_target)
         return trials
 
-    def _build(self, spk_vocab, spk_code, utt_vocab, utt_code, is_target) -> None:
+    def _build(self, spk_vocab, spk_code, utt_vocab, utt_code, is_target,
+               where=lambda row: "") -> None:
+        """Check the columns and set them; a repeated pair's message is prefixed by
+        ``where(row)``."""
         labels = np.asarray(is_target)
         if labels.size and labels.dtype != np.bool_:
             raise ValueError(f"is_target must be boolean, got dtype {labels.dtype}")
@@ -332,7 +339,7 @@ class TrialList:
             object.__setattr__(self, name, value)
         dup = _first_repeat(self._pair_codes())
         if dup >= 0:
-            raise ValueError(f"duplicate trial pair {self.pair(dup)}")
+            raise ValueError(f"{where(dup)}duplicate trial pair {self.pair(dup)}")
 
     def __eq__(self, other) -> bool:
         return type(other) is TrialList and all(
@@ -438,8 +445,6 @@ def _load_text(path: Path):
                     f"got {len(fields)} fields"
                 )
             utt_id, spk_id, gender = fields[0], fields[1], fields[2]
-            if gender not in GENDERS:
-                raise ValueError(f"{path}:{lineno}: gender must be F or M, got {gender!r}")
             try:
                 vector = [float(tok) for tok in fields[3:]]
             except ValueError as exc:
@@ -644,9 +649,8 @@ def _read_table(path: Path, layout: str, parse_column, trials=None):
         return None, values, linenos
     (spk_vocab, spk_code), (utt_vocab, utt_code) = _code(spk), _code(utt)
     # checked before load_scores makes string arrays, which drop trailing NULs ("u\0" is "u")
-    faults = [f for f in (_first_fault(spk_vocab, spk_code, partial(_token_fault, "enroll_spk")),
-                          _first_fault(utt_vocab, utt_code, partial(_token_fault, "test_utt")),
-                          fault) if f]
+    faults = [f for f in (_id_fault(spk_vocab, "enroll_spk", spk_code),
+                          _id_fault(utt_vocab, "test_utt", utt_code), fault) if f]
     if faults:
         row, message = min(faults, key=lambda f: f[0])
         raise ValueError(f"{path}:{linenos[row]}: {message}")
@@ -671,34 +675,13 @@ def _walk_lines(path: Path, text: str, layout: str):
     return fields, linenos, None
 
 
-def _token_fault(what: str, token: str) -> str | None:
-    # the regex runs only on a token that a printable, "#"-free id cannot be
-    if token.isprintable() and not token.startswith("#"):
-        return None
-    if _ID_FAULT.search(token):
-        return f"{what} {token!r} contains a control character"
-    return _ID_HASH.format(what, token) if token.startswith("#") else None
-
-
 def _first_fault(vocab: list[str], code: np.ndarray, fault) -> tuple[int, str] | None:
     """The first row whose token ``fault`` rejects and its message, or None;
-    ``fault`` runs once per distinct token of ``vocab``."""
+    ``code`` indexes each row's token in ``vocab``, and ``fault`` runs once
+    per entry of ``vocab``."""
     bad = [i for i, token in enumerate(vocab) if fault(token)]
     row = int(np.argmax(np.isin(code, bad))) if bad else None
     return None if row is None else (row, fault(vocab[code[row]]))
-
-
-def _pair_error(path: Path, ids, linenos, what: str, absent=()) -> ValueError:
-    """The error for the first row whose (enroll_spk, test_utt) pair repeats an
-    earlier row's or is one of the ``absent`` rows (ascending), those a score
-    file holds but its trial list does not; absent wins on the same row."""
-    spk_vocab, spk_code, utt_vocab, utt_code = ids
-    row = _first_repeat(_pair_codes(spk_code, utt_code, len(utt_vocab)))
-    fault = f"duplicate {what} pair {{}}"
-    if len(absent) and (row < 0 or absent[0] <= row):
-        row, fault = absent[0], "score pair {} not present in trial list"
-    pair = (spk_vocab[spk_code[row]], utt_vocab[utt_code[row]])
-    return ValueError(f"{path}:{linenos[row]}: " + fault.format(pair))
 
 
 def _parse_labels(fields: list[str]) -> tuple[np.ndarray, tuple[int, str] | None]:
@@ -745,10 +728,9 @@ def load_trials(path) -> TrialList:
     ids, is_target, linenos = _read_table(path, "spk utt label", _parse_labels)
     if not len(is_target):
         raise ValueError(f"{path}: empty trial list")
-    try:
-        return TrialList.from_codes(*ids, is_target)
-    except ValueError:  # a repeated pair: every other fault is a malformed line
-        raise _pair_error(path, ids, linenos, "trial") from None
+    trials = TrialList.__new__(TrialList)
+    trials._build(*ids, is_target, lambda row: f"{path}:{linenos[row]}: ")
+    return trials
 
 
 def save_scores(scores: ScoreSet, path) -> None:
@@ -760,11 +742,11 @@ def save_scores(scores: ScoreSet, path) -> None:
 
 def load_scores(path, trials: TrialList) -> ScoreSet:
     """Read a score file, joining each score to its (enroll_spk, test_utt) pair
-    in ``trials``; the result keeps file order. A malformed line (a non-finite
-    score included) is reported first, wherever it is; only a file with none
-    is rejected at its first pair that repeats an earlier one or is absent
-    from ``trials``. A file in ``trials``' row order, as ``save_scores``
-    writes it, keeps ``trials`` itself."""
+    among ``trials``' rows; the result keeps file order. A malformed line (a
+    non-finite score included) is reported first, wherever it is; only a file
+    with none is rejected at its first line whose pair is absent from
+    ``trials`` or takes a row an earlier line took. A file in ``trials``' row
+    order, as ``save_scores`` writes it, keeps ``trials`` itself."""
     path = Path(path)
     ids, score, linenos = _read_table(path, "spk utt score", _parse_scores, trials)
     if not len(score):
@@ -776,10 +758,13 @@ def load_scores(path, trials: TrialList) -> ScoreSet:
     utt = index_in(np.array(utt_vocab, np.str_), trials.utt_vocab)[utt_code]
     keys = np.where((spk < 0) | (utt < 0), -1, _pair_codes(spk, utt, len(trials.utt_vocab)))
     row = index_in(keys, trials._pair_codes())
-    absent = np.flatnonzero(row < 0)
-    if not absent.size:
-        try:
-            return ScoreSet(TrialList.from_codes(*ids, trials.is_target[row]), score)
-        except ValueError:  # a repeated pair: every other fault is a malformed line
-            pass
-    raise _pair_error(path, ids, linenos, "score", absent)
+    # an absent line's row is -1, so only a later absent line repeats it
+    absent, dup = np.flatnonzero(row < 0), _first_repeat(row)
+    if absent.size and (dup < 0 or absent[0] < dup):
+        line = absent[0]
+        pair = (spk_vocab[spk_code[line]], utt_vocab[utt_code[line]])
+        raise ValueError(f"{path}:{linenos[line]}: score pair {pair} not present in trial list")
+    if dup >= 0:
+        raise ValueError(f"{path}:{linenos[dup]}: duplicate score pair {trials.pair(row[dup])}")
+    return ScoreSet(TrialList.from_codes(trials.spk_vocab, trials.spk_code[row], trials.utt_vocab,
+                                         trials.utt_code[row], trials.is_target[row]), score)

@@ -44,9 +44,11 @@ class PldaModel:
         mu = np.asarray(self.mu, dtype=np.float64)
         b = np.asarray(self.between, dtype=np.float64)
         w = np.asarray(self.within, dtype=np.float64)
-        d = mu.shape[0]
+        d = mu.size
         if mu.ndim != 1 or b.shape != (d, d) or w.shape != (d, d):
             raise ValueError("model shapes inconsistent: mu (D,), between/within (D, D)")
+        if d == 0:
+            raise ValueError("model dimension must be positive, got D=0")
         for name, m in (("between", b), ("within", w)):
             if not np.all(np.isfinite(m)):
                 raise ValueError(f"{name} covariance has non-finite entries")
@@ -276,4 +278,7 @@ def load_model(path) -> PldaModel:
     mu = np.frombuffer(blob, dtype="<f8", count=d, offset=8)
     b = np.frombuffer(blob, dtype="<f8", count=d * d, offset=8 + 8 * d).reshape(d, d)
     w = np.frombuffer(blob, dtype="<f8", count=d * d, offset=8 + 8 * d * (1 + d)).reshape(d, d)
-    return PldaModel(mu=mu.copy(), between=b.copy(), within=w.copy())
+    try:
+        return PldaModel(mu=mu.copy(), between=b.copy(), within=w.copy())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

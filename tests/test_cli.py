@@ -155,6 +155,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {path}: ")
         assert not (tmp_path / "out.wav").exists()
 
+    def test_malformed_model_names_the_file(self, synth_dir, trained, tmp_path, capsys):
+        blob = bytearray(trained[0].read_bytes())
+        blob[8:16] = np.array([np.nan], "<f8").tobytes()
+        path = tmp_path / "nan.plda"
+        path.write_bytes(blob)
+        assert run_cli("score", "--model", str(path),
+                       "--enroll", str(synth_dir / "enroll.xvec"),
+                       "--test", str(synth_dir / "trial.xvec"),
+                       "--trials", str(trained[1]), "--out", str(tmp_path / "scores.txt")) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {path}: mu has non-finite entries")
+        assert not (tmp_path / "scores.txt").exists()
+
     @pytest.mark.parametrize("flag", ["--center", "--length-normalize"])
     def test_removed_preprocessing_flags_are_usage_errors(self, tmp_path, flag):
         assert run_cli("train-plda", "--data", str(tmp_path / "train.xvec"),

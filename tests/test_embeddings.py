@@ -48,6 +48,20 @@ class TestEmbeddingValidation:
         with pytest.raises(ValueError, match=message):
             Corpus("c", ["u1"], ["s1"], ["X"], [[0.0]])
 
+    def test_gender_is_checked_as_given(self, tmp_path):
+        # a string array drops trailing NULs: "F\x00" would become "F"
+        with pytest.raises(ValueError, match=r"got 'F\\x00'$"):
+            Corpus("c", ["u1"], ["s1"], ["F\x00"], [[0.0]])
+        path = tmp_path / "c.txt"
+        path.write_text("u1 s1 F 1.0\nu2 s2 F\x00 1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"c\.txt:2: gender must be one of "
+                                             r"\('F', 'M'\), got 'F\\x00'$"):
+            load_embeddings(path, "text")
+        # on one line a bad coordinate comes before a bad gender
+        path.write_text("u1 s1 F 1.0\nu2 s2 X one\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"c\.txt:2: bad coordinate: "):
+            load_embeddings(path, "text")
+
     def test_rejects_empty_vector(self):
         with pytest.raises(ValueError,
                            match="^corpus 'c': embedding 'u1': vector must be non-empty and 1-D$"):
@@ -551,16 +565,16 @@ class TestTrialAndScoreFileErrors:
                      r"2: score for \(s1, u2\) is not finite", id="nan-score"),
         # "#a" sorts before "z\x01": the first faulty row, not the first faulty id
         pytest.param("trials", "s1 u1 target\ns1 z\x01 target\ns1 u3 target\ns1 #a target\n",
-                     r"2: test_utt 'z\\x01' contains a control character", id="ctrl-hash"),
+                     r"2: test_utt 'z\\x01' " + _RULE, id="ctrl-hash"),
         pytest.param("trials", "s1\tu1\ttarget\ns1\tz\x01\ttarget\n"
                      "s1\tu3\ttarget\ns1\t#a\ttarget\n",
-                     r"2: test_utt 'z\\x01' contains a control character", id="ctrl-hash-tab"),
+                     r"2: test_utt 'z\\x01' " + _RULE, id="ctrl-hash-tab"),
         pytest.param("trials", "s1 u1 target\ns1 z\x7f target\ns1 u3 target\ns1 #a target\n",
-                     r"2: test_utt 'z\\x7f' contains a control character", id="ctrl-hash-saved"),
+                     r"2: test_utt 'z\\x7f' " + _RULE, id="ctrl-hash-saved"),
         pytest.param("trials", "s1 u1 target\ns\x7f u\x7f maybe\n",
-                     r"2: enroll_spk 's\\x7f' contains a control character", id="tie-spk"),
+                     r"2: enroll_spk 's\\x7f' " + _RULE, id="tie-spk"),
         pytest.param("trials", "s1 u1 target\ns1 u\x7f maybe\n",
-                     r"2: test_utt 'u\\x7f' contains a control character", id="tie-utt"),
+                     r"2: test_utt 'u\\x7f' " + _RULE, id="tie-utt"),
     ])
     def test_first_bad_line_is_reported(self, tmp_path, kind, text, fault):
         path = tmp_path / f"{kind}.txt"
@@ -735,6 +749,49 @@ def _binary_blob(rows, dim=2) -> bytes:
     return b"".join(parts)
 
 
+def _written(path, content):
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    return path
+
+
+# each input boundary: the column of the bad id, the message's prefix, and a read
+# of an input whose second row holds it
+_BOUNDARIES = {
+    "corpus": ("utt_id", "corpus 'c': ", lambda path, token: Corpus(
+        "c", ["u1", token], ["s1", "s1"], ["F", "F"], np.zeros((2, 1)))),
+    # the spk column, since a line whose first field starts with "#" is a comment
+    "text": ("spk_id", "{path}:2: ", lambda path, token: load_embeddings(
+        _written(path, f"u1 s1 F 1.0\nu2 {token} F 1.0\n"), "text")),
+    # on one line the id fault comes before a bad gender
+    "text-bad-gender": ("spk_id", "{path}:2: ", lambda path, token: load_embeddings(
+        _written(path, f"u1 s1 F 1.0\nu2 {token} X 1.0\n"), "text")),
+    "binary": ("spk_id", "{path}: record 1: ", lambda path, token: load_embeddings(
+        _written(path, _binary_blob([("u1", "s1", "F", [1, 2]), ("u2", token, "F", [1, 2])])),
+        "binary")),
+    "trial-list": ("test_utt", "", lambda path, token: TrialList(
+        ["s1", "s1"], ["u1", token], [True, False])),
+    "from-codes": ("test_utt", "", lambda path, token: TrialList.from_codes(
+        ["s1"], [0, 0], sorted(["u1", token]), [0, 1], [True, False])),
+    "trials-saved": ("test_utt", "{path}:2: ", lambda path, token: load_trials(
+        _written(path, f"s1 u1 target\ns1 {token} target\n"))),
+    "trials-tab": ("test_utt", "{path}:2: ", lambda path, token: load_trials(
+        _written(path, f"s1\tu1\ttarget\ns1\t{token}\ttarget\n"))),
+    "scores": ("test_utt", "{path}:2: ", lambda path, token: load_scores(
+        _written(path, f"s1 u1 0.5\ns1 {token} 0.25\n"), TrialList(["s1"], ["u1"], [True]))),
+}
+
+
+@pytest.mark.parametrize("token", ["z\x01", "#a"])
+@pytest.mark.parametrize("boundary", list(_BOUNDARIES))
+def test_one_id_gives_one_message_at_every_boundary(tmp_path, boundary, token):
+    what, prefix, read = _BOUNDARIES[boundary]
+    path = tmp_path / "input"
+    with pytest.raises(ValueError) as info:
+        read(path, token)
+    rule = _HASH if token.startswith("#") else _RULE
+    assert str(info.value) == f"{prefix.format(path=path)}{what} {token!r} {rule}"
+
+
 class TestIdRule:
     @pytest.mark.parametrize("ids", [["a\x00", "b"], ["a\x00", "a"]])
     def test_constructor_rejects_nul_before_str_columns_drop_it(self, ids):
@@ -878,7 +935,7 @@ class TestRepeatedRows:
     def test_a_later_malformed_row_is_reported_first(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("u1 s1 F 1.0\nu1 s1 F 1.0\nu2 s1 X 1.0\n", encoding="utf-8")
-        assert self._fault(path, "text") == "<path>:3: gender must be F or M, got 'X'"
+        assert self._fault(path, "text") == "<path>:3: gender must be one of ('F', 'M'), got 'X'"
         path = tmp_path / "c.xvec"
         blob = _binary_blob([("u1", "s1", "F", [1, 2]), ("u1", "s1", "F", [1, 2]),
                              ("u2", "s1", "F", [1, 2])])
@@ -1081,18 +1138,18 @@ def test_whole_file_reader_matches_per_line_reference(tmp_path_factory, data, ki
         lineno, what, token = control
         earlier = re.match(rf"{re.escape(str(path))}:(\d+): (?!duplicate)", str(want))
         if not (earlier and int(earlier.group(1)) < lineno):
-            want = f"{path}:{lineno}: {what} {token!r} contains a control character"
+            want = f"{path}:{lineno}: {what} {token!r} {_RULE}"
     assert got == want
 
 
 def test_control_character_ids_are_rejected_with_their_line(tmp_path):
     path = tmp_path / "trials.txt"
     path.write_text("s1 u target\n# s1 u\x00 target\ns1 u\x00 nontarget\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r":3: test_utt 'u\\x00' contains a control character$"):
+    with pytest.raises(ValueError, match=rf":3: test_utt 'u\\x00' {_RULE}$"):
         load_trials(path)
     path = tmp_path / "scores.txt"
     path.write_text("s1 u1 0.5\ns\x01 u1 0.25\ns1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r":2: enroll_spk 's\\x01' contains a control character$"):
+    with pytest.raises(ValueError, match=rf":2: enroll_spk 's\\x01' {_RULE}$"):
         load_scores(path, TrialList(["s1"], ["u1"], [True]))
     # no trial list, so no saver, holds such an id
     with pytest.raises(ValueError, match="control character"):
@@ -1174,7 +1231,7 @@ class TestTrialOrderScores:
         ("s1 u1 high\n", "bad score 'high'"),
         ("s1 u1 nan\n", r"score for \(s1, u1\) is not finite"),
         ("s1 u1 0.5 x\n", "expected 'spk utt score'"),
-        ("s1 u\x01 0.5\n", r"test_utt 'u\\x01' contains a control character"),
+        ("s1 u\x01 0.5\n", r"test_utt 'u\\x01' " + _RULE),
     ])
     def test_malformed_line_names_its_line(self, tmp_path, line, fault):
         scores, lines = self._saved(tmp_path)

@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -391,4 +394,18 @@ class TestModelIO:
         save_model(model, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="expected"):
+            load_model(path)
+
+    @pytest.mark.parametrize("mu, between, within, fault", [
+        ([], np.zeros((0, 0)), np.zeros((0, 0)), "model dimension must be positive, got D=0"),
+        ([np.nan, 0.0], np.eye(2), np.eye(2), "mu has non-finite entries"),
+        ([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]], np.eye(2), "between covariance is not symmetric"),
+        ([0.0, 0.0], np.eye(2), np.diag([1.0, 0.0]),
+         "within covariance must be positive definite"),
+    ], ids=["zero-dim", "nan-mu", "asymmetric-between", "singular-within"])
+    def test_every_fault_names_the_file(self, tmp_path, mu, between, within, fault):
+        path = tmp_path / "m.plda"
+        path.write_bytes(b"PLD1" + struct.pack("<I", len(mu)) + b"".join(
+            np.asarray(a, "<f8").tobytes() for a in (mu, between, within)))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {fault}$"):
             load_model(path)

@@ -6,7 +6,8 @@ On-disk formats:
   single-space separated, ``.`` decimal separator, ``#`` comment lines ignored.
 * binary embeddings: magic ``XVC1``, little-endian u32 dimension, u32 record
   count, then per record u16-prefixed utt/spk ids, u8 gender (0=F, 1=M) and
-  the vector as 64-bit IEEE floats. Round-trips are bit exact.
+  the vector as 64-bit IEEE floats. Round-trips are bit exact. A file whose
+  records share one layout is read column by column, any other record by record.
 * trial list: ``<enroll_spk> <test_utt> <target|nontarget>`` per line.
 * score file: ``<enroll_spk> <test_utt> <score>`` with six decimal places.
   In both, each (enroll_spk, test_utt) pair appears once and ids hold no
@@ -469,11 +470,17 @@ def _load_text(path: Path):
 
 def _load_binary(path: Path):
     """The columns of a binary file, the ``path: record i`` prefix of each row and
-    the walk's fault: ids walked record by record, vectors joined at once."""
+    the walk's fault. A file of fixed-layout records is read at once by
+    ``_fixed_records``; any other is walked, ids record by record and vectors
+    joined at once, and the walk is the one place that words a binary fault."""
     blob = Path(path).read_bytes()
     if len(blob) < 12 or blob[:4] != _BINARY_MAGIC:
         raise ValueError(f"{path}: not a binary embedding file (bad magic)")
     dim, count = struct.unpack_from("<II", blob, 4)
+    where = lambda row: f"{path}: record {row}: "
+    fixed = _fixed_records(blob, dim, count)
+    if fixed is not None:
+        return *fixed, where, None
     u16, u8 = struct.Struct("<H").unpack_from, struct.Struct("<B").unpack_from
     width, offset, view = 8 * dim, 12, memoryview(blob)
     utts, spks, genders, starts = [], [], [], []
@@ -505,7 +512,35 @@ def _load_binary(path: Path):
         error = ValueError(f"{path}: truncated or corrupt record {len(utts)}: {error}")
     elif error is None and offset != len(blob):
         error = ValueError(f"{path}: {len(blob) - offset} trailing bytes after {count} records")
-    return utts, spks, genders, matrix, lambda row: f"{path}: record {row}: ", error
+    return utts, spks, genders, matrix, where, error
+
+
+def _fixed_records(blob: bytes, dim: int, count: int):
+    """The utt, spk and gender columns and the matrix of ``blob``, or None unless
+    its records fill it exactly and each holds record 0's two id lengths (neither
+    0), ids of printable ASCII but the space (0x21-0x7e) and a gender byte of 0
+    or 1. Such ids keep every byte in a string array, which drops trailing NULs.
+    Each column is one read-only copy out of the blob."""
+    try:
+        n_utt = struct.unpack_from("<H", blob, 12)[0]
+        n_spk = struct.unpack_from("<H", blob, 14 + n_utt)[0]
+    except struct.error:
+        return None
+    width = 5 + n_utt + n_spk + 8 * dim
+    if not (n_utt and n_spk) or len(blob) != 12 + count * width:
+        return None
+    records = np.frombuffer(blob, np.uint8, count * width, 12).reshape(count, width)
+    utt_len, utt, spk_len, spk, gender, vectors = np.split(
+        records, [2, 2 + n_utt, 4 + n_utt, 4 + n_utt + n_spk, 5 + n_utt + n_spk], axis=1)
+    if ((utt_len != utt_len[0]).any() or (spk_len != spk_len[0]).any() or gender.max() > 1
+            or any(ids.min() < 0x21 or ids.max() > 0x7E for ids in (utt, spk))):
+        return None
+    # an ASCII byte is its code point: one uint32 copy is the string column
+    columns = [ids.astype(np.uint32).view((np.str_, ids.shape[1]))[:, 0] for ids in (utt, spk)]
+    columns += np.array(GENDERS)[gender[:, 0]], vectors.copy().view("<f8")
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
 def save_embeddings(corpus: Corpus, path, format: str = "text") -> None:
@@ -528,7 +563,8 @@ def save_embeddings(corpus: Corpus, path, format: str = "text") -> None:
         for i, (utt_id, spk_id, gender) in enumerate(rows):
             utt, spk = utt_id.encode("utf-8"), spk_id.encode("utf-8")
             if len(utt) > 0xFFFF or len(spk) > 0xFFFF:
-                raise ValueError(f"id too long for binary format: {utt_id!r}")
+                too_long = utt_id if len(utt) > 0xFFFF else spk_id
+                raise ValueError(f"id too long for binary format: {too_long!r}")
             parts += (u16(len(utt)), utt, u16(len(spk)), spk, _GENDER_BYTE[gender],
                       vectors[i * width : (i + 1) * width])
         path.write_bytes(b"".join(parts))

@@ -2,6 +2,7 @@ import math
 import re
 import struct
 import unicodedata
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -905,6 +906,206 @@ class TestBinaryLoaderErrors:
         path.write_bytes(bytes(blob) + b"\0")
         with pytest.raises(ValueError, match=message):
             load_embeddings(path, "binary")
+
+
+# printable ASCII ids of a given width, as the savers write fixed-width ids, and
+# ids the walk reads alone: empty, non-ASCII, undecodable, NUL, control, space
+_PRINTABLE = b"ab1_~!#"
+_ODD_ID = st.sampled_from([b"", "é".encode(), "éa".encode(), b"\xff\xfe", b"a\x00",
+                           b"\x00a", b"a\x1f", b"a\x7f", b"a b", b" ab", b"a\t"])
+
+
+def _printable_id(width):
+    return st.binary(min_size=width, max_size=width).map(
+        lambda raw: bytes(_PRINTABLE[b % len(_PRINTABLE)] for b in raw))
+
+
+@st.composite
+def _binary_records(draw):
+    """A binary blob's dimension and records (utt bytes, spk bytes, gender byte,
+    vector bytes), its ending ("whole", "cut" or "padded") and the blob. Records
+    share their id widths and hold genders 0 and 1, but for one odd id, one
+    record whose two ids split the same width otherwise, or one bad gender byte;
+    or every id and gender is drawn freely."""
+    dim, count = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    widths = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["fixed", "odd-id", "shifted", "bad-gender", "free"]))
+    free_id = st.one_of(_printable_id(widths[0]), st.integers(1, 4).flatmap(_printable_id),
+                        _ODD_ID)
+    coords = st.one_of(
+        st.lists(st.floats(width=64), min_size=dim, max_size=dim).map(
+            lambda v: np.array(v, "<f8").tobytes()),
+        st.binary(min_size=8 * dim, max_size=8 * dim),  # any bits, NaN payloads included
+    )
+    records = []
+    for _ in range(count):
+        ids = [draw(free_id if kind == "free" else _printable_id(n)) for n in widths]
+        gender = draw(st.sampled_from([0, 1, 2] if kind == "free" else [0, 1]))
+        records.append([*ids, gender, draw(coords)])
+    if count and kind in ("odd-id", "shifted", "bad-gender"):
+        record = records[draw(st.integers(0, count - 1))]
+        if kind == "odd-id":
+            column = draw(st.integers(0, 1))
+            # a byte outside 0x21-0x7e in an id of the shared width, or another id
+            at = draw(st.integers(0, widths[column] - 1))
+            bad = draw(st.sampled_from([0x00, 0x09, 0x1F, 0x20, 0x7F, 0x80, 0xC3, 0xFF]))
+            same_width = record[column][:at] + bytes([bad]) + record[column][at + 1:]
+            record[column] = draw(st.one_of(st.just(same_width), _ODD_ID, _printable_id(4)))
+        elif kind == "shifted":
+            shift = draw(st.sampled_from([-2, -1, 1, 2]))
+            total = sum(widths)
+            utt_width = min(max(1, widths[0] + shift), total - 1)
+            record[:2] = draw(_printable_id(utt_width)), draw(_printable_id(total - utt_width))
+        else:
+            record[2] = draw(st.integers(2, 255))
+    parts = [b"XVC1", struct.pack("<II", dim, count)]
+    for utt, spk, gender, vector in records:
+        parts += [struct.pack("<H", len(utt)), utt, struct.pack("<H", len(spk)), spk,
+                  bytes([gender]), vector]
+    blob = b"".join(parts)
+    ending = draw(st.sampled_from(["whole", "cut", "padded"]))
+    if ending == "cut":
+        blob = blob[: draw(st.integers(12, max(12, len(blob) - 1)))]
+    elif ending == "padded":
+        blob += draw(st.binary(min_size=1, max_size=9))
+    return dim, records, ending, blob
+
+
+def _walked(load, *args):
+    """``load(*args)`` with the bulk path closed, so that every binary file is walked."""
+    with mock.patch.object(embeddings, "_fixed_records", lambda *_: None):
+        return load(*args)
+
+
+def _load_outcome(path):
+    """The loaded corpus's columns and matrix bits, or the message of its fault."""
+    try:
+        corpus = load_embeddings(path, "binary")
+    except ValueError as exc:
+        return str(exc)
+    columns = (corpus.utt_id, corpus.spk_id, corpus.gender, corpus.matrix())
+    return [(c.dtype.str, c.shape, c.tobytes()) for c in columns]
+
+
+def _assert_bulk_equals_walk(path):
+    fast, walked = embeddings._load_binary(path), _walked(embeddings._load_binary, path)
+    *columns, where, error = fast
+    *walk_columns, walk_where, walk_error = walked
+    for column, walk_column in zip(columns[:3], walk_columns[:3]):
+        assert list(map(str, column)) == walk_column
+        assert np.asarray(column, np.str_).dtype == np.asarray(walk_column, np.str_).dtype
+    matrix, walk_matrix = columns[3], walk_columns[3]
+    assert (matrix.dtype, matrix.shape, matrix.tobytes()) == (
+        walk_matrix.dtype, walk_matrix.shape, walk_matrix.tobytes())
+    assert [where(i) for i in range(len(walk_matrix) + 1)] == [
+        walk_where(i) for i in range(len(walk_matrix) + 1)]
+    assert repr(error) == repr(walk_error)
+    assert _load_outcome(path) == _walked(_load_outcome, path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_binary_records())
+@example(case=(2, [], "whole", b"XVC1" + struct.pack("<II", 2, 0)))
+@example(case=(0, [(b"u1", b"s1", 0, b"")], "whole",
+               b"XVC1" + struct.pack("<II", 0, 1) + b"\x02\x00u1\x02\x00s1\x00"))
+# a DEL byte in an id of the shared width
+@example(case=(1, [(b"u\x7f", b"s1", 0, bytes(8))], "whole",
+               b"XVC1" + struct.pack("<II", 1, 1) + b"\x02\x00u\x7f\x02\x00s1\x00" + bytes(8)))
+# empty ids in every record: one shared width, but not a string column's
+@example(case=(1, [(b"", b"s", 0, bytes(8))] * 2, "whole",
+               b"XVC1" + struct.pack("<II", 1, 2) + b"\x00\x00\x01\x00s\x00" + bytes(8)
+               + b"\x00\x00\x01\x00s\x00" + bytes(8)))
+def test_bulk_binary_read_equals_the_walk(tmp_path_factory, case):
+    dim, records, ending, blob = case
+    path = tmp_path_factory.mktemp("bulk") / "c.xvec"
+    path.write_bytes(blob)
+    _assert_bulk_equals_walk(path)
+    # the bulk path is taken exactly for a whole file of one or more records whose
+    # ids share record 0's widths and are printable ASCII, and whose genders are 0 or 1
+    first = records[0][:2] if records else ()
+    fixed = ending == "whole" and records and all(
+        tuple(map(len, r[:2])) == tuple(map(len, first)) and r[2] < 2
+        and all(raw and min(raw) >= 0x21 and max(raw) <= 0x7E for raw in r[:2])
+        for r in records)
+    assert (embeddings._fixed_records(blob, dim, len(records)) is not None) == bool(fixed)
+
+
+def test_bulk_binary_read_equals_the_walk_at_every_cut_and_pad(tmp_path):
+    # every cut past the 12-byte header, which both paths read alike, and two pads
+    path = tmp_path / "c.xvec"
+    blob = _binary_blob([("u1", "s1", "F", [1, 2]), ("u2", "s2", "M", [np.nan, 4]),
+                         ("u3", "s1", "F", [5, 6])])
+    for end in range(12, len(blob) + 3):
+        path.write_bytes(blob[:end] + b"\x01" * max(0, end - len(blob)))
+        _assert_bulk_equals_walk(path)
+
+
+def test_ids_that_split_the_shared_width_otherwise_are_walked(tmp_path):
+    # ids of 0x2121 and 0x2122 bytes, then 0x2122 and 0x2121: record 1 read at record
+    # 0's offsets holds only printable bytes, so only its length fields tell them apart
+    rows = [("a" * 0x2121, "b" * 0x2122, "F", [1.0]), ("c" * 0x2122, "d" * 0x2121, "M", [2.0])]
+    path = tmp_path / "c.xvec"
+    path.write_bytes(_binary_blob(rows, dim=1))
+    assert embeddings._fixed_records(path.read_bytes(), 1, 2) is None
+    _assert_bulk_equals_walk(path)
+    assert load_embeddings(path, "binary").spk_id.tolist() == ["b" * 0x2122, "d" * 0x2121]
+    # a spk_id two bytes longer in record 1, whose third byte sits where the gender
+    # byte would, and a utt_id two bytes shorter in record 2, whose length field and
+    # the last bytes of record 1's vector read as the shared utt length 0x2123: at
+    # the shared offsets only record 1's spk length differs
+    tail = np.frombuffer(bytes(6) + b"\x23\x21", "<f8")
+    rows = [("a" * 0x2123, "ab", "F", [1.0]), ("b" * 0x2123, "cd\x00x", "F", tail),
+            ("e" * 0x2121, "fg", "M", [2.0])]
+    path.write_bytes(_binary_blob(rows, dim=1))
+    assert embeddings._fixed_records(path.read_bytes(), 1, 3) is None
+    _assert_bulk_equals_walk(path)
+    # a utt_id two bytes longer in record 1, ending in the bytes of the shared spk
+    # length 0x2123, and a spk_id two bytes shorter, 0x2121 long: at the shared
+    # offsets only record 1's utt length differs
+    rows = [("abc", "c" * 0x2123, "F", [1.0]), ("abc#!", "d" * 0x2121, "M", [2.0])]
+    path.write_bytes(_binary_blob(rows, dim=1))
+    assert embeddings._fixed_records(path.read_bytes(), 1, 2) is None
+    _assert_bulk_equals_walk(path)
+
+
+class TestBulkBinaryPathIsTaken:
+    """The fixed-layout files the commands write are read without the walk."""
+
+    def test_synth_and_anonymizer_outputs(self, tmp_path, monkeypatch):
+        assert main(["synth", "--out-dir", str(tmp_path), "--n-speakers", "20", "--dim", "4",
+                     "--seed", "0", "--model-out", str(tmp_path / "truth.plda")]) == 0
+        out = tmp_path / "anon" / "trial.xvec"
+        out.parent.mkdir()
+        assert main(["anonymize-xvec", "--input", str(tmp_path / "trial.xvec"),
+                     "--pool", str(tmp_path / "pool.xvec"),
+                     "--model", str(tmp_path / "truth.plda"), "--out", str(out),
+                     "--n-farthest", "4", "--n-select", "2", "--assignment", "per_utterance"]) == 0
+        read, fixed = [], embeddings._fixed_records
+
+        def fixed_records(*args):
+            read.append(fixed(*args))
+            return read[-1]
+
+        monkeypatch.setattr(embeddings, "_fixed_records", fixed_records)
+        paths = sorted(tmp_path.glob("*.xvec")) + [out]
+        assert len(paths) == 5
+        for path in paths:
+            corpus = load_embeddings(path, "binary")
+            # the bulk read took the file, and the corpus keeps the one copy of
+            # each column that it made
+            assert read[-1] is not None
+            kept = corpus.utt_id, corpus.spk_id, corpus.gender, corpus.matrix()
+            assert all(column is copy for column, copy in zip(kept, read[-1]))
+
+
+class TestSaveTooLongIds:
+    @pytest.mark.parametrize("column", ["utt_id", "spk_id"])
+    def test_names_the_id_that_is_too_long(self, tmp_path, column):
+        ids = {"utt_id": "u1", "spk_id": "s1", column: "s" * 70000}
+        corpus = Corpus("c", [ids["utt_id"]], [ids["spk_id"]], ["F"], [[1.0, 2.0]])
+        message = f"^id too long for binary format: {ids[column]!r}$"
+        with pytest.raises(ValueError, match=message):
+            save_embeddings(corpus, tmp_path / "c.xvec", "binary")
 
 
 class TestRepeatedRows:

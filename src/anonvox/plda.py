@@ -102,16 +102,14 @@ class PldaModel:
 
 
 def _speaker_stats(corpus: Corpus):
-    """Per-speaker counts and means plus the pooled within-speaker scatter."""
+    """Per-speaker counts and means plus the pooled within-speaker scatter,
+    one product over every row's deviation from its speaker's mean."""
     speakers, groups = corpus.speaker_rows(sort=True)
     x = corpus.matrix()
     counts = np.array([len(rows) for rows in groups], dtype=np.int64)
     means = group_means(x, groups)
-    scatter = np.zeros((corpus.dim, corpus.dim))
-    for rows, mean in zip(groups, means):
-        dev = x[rows] - mean
-        scatter += dev.T @ dev
-    return speakers, counts, means, scatter
+    dev = x[np.concatenate(groups)] - np.repeat(means, counts, axis=0)
+    return speakers, counts, means, dev.T @ dev
 
 
 def _em_step(mu, b, w, counts, means, scatter, grand_mean, n_total, total_trace):

@@ -74,7 +74,9 @@ def _psd_factor(cov: np.ndarray, name: str) -> np.ndarray:
 
 
 def generate(spec: GenSpec) -> tuple[Corpus, PldaModel]:
-    """Sample a corpus and return it with the ground-truth model."""
+    """Sample a corpus and return it with the ground-truth model: one draw
+    gives every utterance's noise in speaker order, then each row gets its
+    speaker's offset."""
     factor_b = _psd_factor(spec.between_cov, "between_cov")
     factor_w = _psd_factor(spec.within_cov, "within_cov")
 
@@ -84,10 +86,9 @@ def generate(spec: GenSpec) -> tuple[Corpus, PldaModel]:
 
     utts = spec.utts_per_speaker
     spk_ids = [f"s{s:04d}" for s in range(spec.n_speakers)]
-    matrix = np.empty((spec.n_speakers * utts, spec.dim))
-    for s in range(spec.n_speakers):
-        noise = rng.standard_normal((utts, spec.dim)) @ factor_w.T
-        matrix[s * utts : (s + 1) * utts] = offsets[s] + noise
+    matrix = rng.standard_normal((spec.n_speakers * utts, spec.dim)) @ factor_w.T
+    by_speaker = matrix.reshape(spec.n_speakers, utts, spec.dim)
+    by_speaker += offsets[:, None]
     corpus = Corpus(
         f"synth{spec.seed}",
         [f"{spk}_u{u:03d}" for spk in spk_ids for u in range(utts)],

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from anonvox import (
+    Corpus,
     PldaModel,
     TrialList,
     default_spec,
@@ -18,7 +19,7 @@ from anonvox import (
     train_plda,
 )
 from anonvox.anonymize import _ranked_rows
-from anonvox.plda import score_matrix
+from anonvox.plda import _speaker_stats, score_matrix
 
 from conftest import by_speaker, by_utt, corpus_of, log_likelihood
 
@@ -409,3 +410,51 @@ class TestModelIO:
             np.asarray(a, "<f8").tobytes() for a in (mu, between, within)))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {fault}$"):
             load_model(path)
+
+
+def per_speaker_scatter(corpus) -> np.ndarray:
+    """The pooled within-speaker scatter summed one speaker at a time: the
+    oracle of ``_speaker_stats``'s one product."""
+    scatter = np.zeros((corpus.dim, corpus.dim))
+    for vectors in by_speaker(corpus).values():
+        dev = vectors - vectors.mean(axis=0)
+        scatter += dev.T @ dev
+    return scatter
+
+
+def interleaved_corpus(dim: int, seed: int) -> Corpus:
+    """Speakers of 1 to 13 utterances whose rows are shuffled together."""
+    rng = np.random.default_rng(seed)
+    counts = [1, 2, 3, 5, 8, 13, 4, 7]
+    spk = np.repeat([f"s{i}" for i in range(len(counts))], counts)
+    offsets = np.repeat(rng.standard_normal((len(counts), dim)), counts, axis=0)
+    order = rng.permutation(len(spk))
+    vectors = (offsets + 0.5 * rng.standard_normal((len(spk), dim)))[order]
+    return Corpus("mixed", [f"u{i:02d}" for i in range(len(spk))], spk[order],
+                  ["F"] * len(spk), vectors)
+
+
+class TestSpeakerStats:
+    @pytest.mark.parametrize("dim", [3, 64])
+    def test_scatter_equals_the_per_speaker_sum(self, dim):
+        corpus = interleaved_corpus(dim, seed=dim)
+        speakers, counts, means, scatter = _speaker_stats(corpus)
+        groups = by_speaker(corpus)
+        assert counts.tolist() == [len(groups[spk]) for spk in speakers]
+        np.testing.assert_allclose(means, [groups[spk].mean(axis=0) for spk in speakers],
+                                   rtol=1e-12)
+        oracle = per_speaker_scatter(corpus)
+        # relative to each entry, and to the largest one for entries near zero
+        np.testing.assert_allclose(scatter, oracle, rtol=1e-12,
+                                   atol=1e-12 * np.abs(oracle).max())
+
+    def test_row_order_does_not_change_the_model(self):
+        # a row paired with another speaker's mean would change the scatter
+        corpus = interleaved_corpus(6, seed=4)
+        order = np.argsort(corpus.spk_id, kind="stable")
+        grouped = Corpus(corpus.name, corpus.utt_id[order], corpus.spk_id[order],
+                         corpus.gender[order], corpus.matrix()[order])
+        shuffled, model = train_plda(corpus, 10), train_plda(grouped, 10)
+        for field in ("mu", "between", "within"):
+            np.testing.assert_allclose(getattr(shuffled, field), getattr(model, field),
+                                       rtol=0, atol=1e-12)

@@ -11,6 +11,7 @@ from anonvox import (
     split,
     train_plda,
 )
+from anonvox.synthgen import _psd_factor
 
 from conftest import by_speaker
 
@@ -124,3 +125,42 @@ class TestSplit:
         corpus, _ = generate(spec)
         with pytest.raises(ValueError, match="sum to 1"):
             split(corpus, (0.5, 0.5, 0.5, 0.5), seed=0)
+
+
+def per_speaker_matrix(spec: GenSpec) -> np.ndarray:
+    """The corpus matrix drawn and multiplied one speaker at a time, from the
+    same generator stream: the oracle of ``generate``'s one draw."""
+    factor_b = _psd_factor(spec.between_cov, "between_cov")
+    factor_w = _psd_factor(spec.within_cov, "within_cov")
+    rng = np.random.default_rng(spec.seed)
+    offsets = rng.standard_normal((spec.n_speakers, spec.dim)) @ factor_b.T
+    utts = spec.utts_per_speaker
+    matrix = np.empty((spec.n_speakers * utts, spec.dim))
+    for s in range(spec.n_speakers):
+        noise = rng.standard_normal((utts, spec.dim)) @ factor_w.T
+        matrix[s * utts : (s + 1) * utts] = offsets[s] + noise
+    return matrix
+
+
+class TestOneDraw:
+    @pytest.mark.parametrize("dim", [8, 32, 64])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_default_spec_equals_the_per_speaker_loop_bit_for_bit(self, dim, seed):
+        spec = default_spec(n_speakers=60, utts_per_speaker=7, dim=dim, seed=seed)
+        corpus, _ = generate(spec)
+        assert corpus.matrix().tobytes() == per_speaker_matrix(spec).tobytes()
+
+    @pytest.mark.parametrize("dim", [8, 32, 64])
+    def test_random_within_cov_matches_the_per_speaker_loop(self, dim):
+        # the product may take other BLAS kernels for more rows: equal to rounding
+        a = np.random.default_rng(dim).standard_normal((dim, dim))
+        spec = GenSpec(
+            n_speakers=60,
+            utts_per_speaker=7,
+            dim=dim,
+            between_cov=default_spec(dim=dim, seed=2).between_cov,
+            within_cov=a @ a.T / dim + 0.5 * np.eye(dim),
+            seed=2,
+        )
+        corpus, _ = generate(spec)
+        np.testing.assert_allclose(corpus.matrix(), per_speaker_matrix(spec), rtol=0, atol=1e-14)

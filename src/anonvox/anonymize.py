@@ -59,7 +59,8 @@ def _pool_view(pool: Corpus, cfg: AnonConfig, gender: str):
     utt_ids = pool.utt_id[rows]
     size = len(utt_ids)
     if not size:
-        raise ValueError("anonymization pool is empty")
+        raise ValueError(f"the {gender} pool view is empty" if gender
+                         else "anonymization pool is empty")
     if cfg.n_farthest > size:
         raise ValueError(f"n_farthest ({cfg.n_farthest}) exceeds pool size ({size})")
     if 2 * cfg.n_farthest >= size:

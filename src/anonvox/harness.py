@@ -20,7 +20,7 @@ import numpy as np
 
 from . import anonymize as anon
 from .anonymize import AnonConfig
-from .embeddings import GENDERS, Corpus, TrialList
+from .embeddings import GENDERS, Corpus, TrialList, _id_fault
 from .metrics import MetricsReport, compute_metrics
 from .plda import PldaModel, score_trials
 
@@ -71,7 +71,8 @@ def evaluate(conditions: list[Condition], enroll: Corpus, trial: Corpus, pool: C
     with "enroll", whatever tag ``cfg`` carries. Returns the per-gender runs,
     the anonymized trial corpus that was scored (``aa``'s when ``aa`` ran,
     else ``oa``'s, else None) and the anonymized enrollment corpus (``aa``'s,
-    else None). ``dataset`` defaults to the trial corpus name.
+    else None). ``dataset`` defaults to the trial corpus name; it opens each
+    records line, so it must pass the id rule.
     """
     # pseudo-speakers drawn from evaluation speakers would leak their identity
     shared = np.intersect1d(pool.spk_id, np.union1d(enroll.spk_id, trial.spk_id)).tolist()
@@ -79,6 +80,9 @@ def evaluate(conditions: list[Condition], enroll: Corpus, trial: Corpus, pool: C
         raise ValueError(f"{len(shared)} pool speaker(s) also in enrollment or trial data: "
                          + " ".join(shared[:5]) + (" ..." if len(shared) > 5 else ""))
     dataset = trial.name if dataset is None else dataset
+    fault = _id_fault([dataset], "dataset")
+    if fault is not None:
+        raise ValueError(fault[1])
     anonymized = {}  # (side, subset_tag) -> anonymized corpus
 
     def anonymize(side: str, corpus: Corpus, tag: str) -> Corpus:

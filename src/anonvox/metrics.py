@@ -14,7 +14,7 @@ Conventions:
 
 from __future__ import annotations
 
-import math
+from _statistics import _normal_dist_inv_cdf
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -211,7 +211,8 @@ def det_points(scores, is_target) -> DetCurve:
 
 
 def _probit(rate: np.ndarray, n: int) -> np.ndarray:
-    """Inverse normal CDF of ``rate`` clamped to [1/(2n), 1 - 1/(2n)]."""
+    """Inverse normal CDF of ``rate`` clamped to [1/(2n), 1 - 1/(2n)], one
+    quantile call per run of equal clamped rates."""
     floor = 1.0 / (2.0 * n)
     clamped = np.clip(rate, floor, 1.0 - floor)
     # rates are monotone, so equal values are adjacent: transform each run once
@@ -219,62 +220,11 @@ def _probit(rate: np.ndarray, n: int) -> np.ndarray:
     return _inv_normal_cdf(clamped[starts])[np.cumsum(starts) - 1]
 
 
-# Wichura's AS241 (numerator, denominator) coefficients, highest power first,
-# as CPython's statistics._normal_dist_inv_cdf holds them: for |p - 0.5| <= 0.425,
-# then in the tails for r = sqrt(-log(min(p, 1 - p))) <= 5 and beyond
-_AS241_CENTRAL = (
-    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
-     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
-     1.3314166789178437745e+2, 3.3871328727963666080e+0),
-    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
-     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
-     4.2313330701600911252e+1, 1.0),
-)
-_AS241_NEAR = (
-    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
-     1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
-     4.63033784615654529590e+0, 1.42343711074968357734e+0),
-    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
-     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
-     2.05319162663775882187e+0, 1.0),
-)
-_AS241_FAR = (
-    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
-     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
-     5.46378491116411436990e+0, 6.65790464350110377720e+0),
-    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
-     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
-     5.99832206555887937690e-1, 1.0),
-)
-
-
-def _horner(coeffs: tuple[float, ...], r: np.ndarray) -> np.ndarray:
-    """The polynomial of ``coeffs`` (highest power first) at ``r``, in Horner order."""
-    out = coeffs[0] * r
-    for c in coeffs[1:-1]:
-        out = (out + c) * r
-    return out + coeffs[-1]
-
-
 def _inv_normal_cdf(p: np.ndarray) -> np.ndarray:
     """The standard normal quantile of each p in (0, 1), bit for bit
-    ``statistics.NormalDist().inv_cdf``: AS241 with its constants and order of
-    operations, and libm's ``log`` in the tails, where ``np.log`` may differ."""
-    q = p - 0.5
-    x = np.empty_like(p)
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    r = 0.180625 - qc * qc
-    x[central] = _horner(_AS241_CENTRAL[0], r) * qc / _horner(_AS241_CENTRAL[1], r)
-    q, p = q[~central], p[~central]
-    r = np.where(q <= 0.0, p, 1.0 - p).tolist()
-    r = np.sqrt(-np.fromiter(map(math.log, r), np.float64, len(r)))
-    tail = np.empty_like(r)
-    for rows, coeffs, shift in ((r <= 5.0, _AS241_NEAR, 1.6), (r > 5.0, _AS241_FAR, 5.0)):
-        rs = r[rows] - shift
-        tail[rows] = _horner(coeffs[0], rs) / _horner(coeffs[1], rs)
-    x[~central] = np.where(q < 0.0, -tail, tail)
-    return x
+    ``statistics.NormalDist().inv_cdf``: the C function that method calls."""
+    quantiles = map(_normal_dist_inv_cdf, p.tolist(), repeat(0.0), repeat(1.0))
+    return np.fromiter(quantiles, np.float64, len(p))
 
 
 _DET_LINE = "%.9g %.9g %s %.9g %s\n"

@@ -112,6 +112,28 @@ class TestAnonymizeEmbedding:
         with pytest.raises(ValueError, match="empty"):
             anonymize_one([1.0, 0.0], pool, identity_model(2), cfg)
 
+    @pytest.mark.parametrize("same_gender_pool, pool_rows, message", [
+        (False, [], "anonymization pool is empty"),
+        (True, [("p1", "q1", "M", [0.0, 1.0])], "the F pool view is empty"),
+    ])
+    def test_empty_pool_view_message(self, same_gender_pool, pool_rows, message):
+        cfg = AnonConfig(n_farthest=1, n_select=1, same_gender_pool=same_gender_pool)
+        with pytest.raises(ValueError) as caught:
+            anonymize_one([1.0, 0.0], corpus_of("pool", pool_rows), identity_model(2), cfg)
+        assert str(caught.value) == message
+
+    def test_corpus_dimension_differs_from_model(self):
+        cfg = AnonConfig(n_farthest=1, n_select=1)
+        with pytest.raises(ValueError) as caught:
+            anonymize_one([1.0, 0.0, 0.0], small_pool(), identity_model(2), cfg)
+        assert str(caught.value) == "corpus dimension does not match model"
+
+    def test_pool_dimension_differs_from_model(self):
+        cfg = AnonConfig(n_farthest=1, n_select=1)
+        with pytest.raises(ValueError) as caught:
+            anonymize_one([1.0, 0.0, 0.0], small_pool(), identity_model(3), cfg)
+        assert str(caught.value) == "pool or source dimension does not match model"
+
     @pytest.mark.parametrize("same_gender_pool, n_farthest, notes", [
         (False, 2, []),
         (False, 3, ["n_farthest 3 is 60% of the 5-row pool view"]),

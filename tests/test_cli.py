@@ -705,6 +705,73 @@ class TestEvalRejectsPoolOverlap:
         )
 
 
+class TestEvalDatasetLabel:
+    """The label opens every records line, so it obeys the id rule."""
+
+    @pytest.mark.parametrize("label, fault", [
+        ("a b", "must be non-empty and contain no whitespace or control character"),
+        ("", "must be non-empty and contain no whitespace or control character"),
+        ("#x", "must not start with '#'"),
+    ])
+    def test_bad_label_refused_before_anonymizing(self, synth_dir, trained, tmp_path, capsys,
+                                                  monkeypatch, label, fault):
+        def refuse(*_):
+            raise AssertionError("anonymized before the label was checked")
+
+        monkeypatch.setattr(anonymize, "anonymize_corpus", refuse)
+        records = tmp_path / "records.txt"
+        capsys.readouterr()
+        assert run_cli(*_eval_args(synth_dir, trained, synth_dir / "pool.xvec"),
+                       "--dataset", label, "--records", str(records)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"error: dataset {label!r} {fault}"
+        assert not records.exists()
+
+    def test_trial_file_stem_is_checked(self, synth_dir, trained, tmp_path, capsys):
+        trial = tmp_path / "my trial.xvec"
+        trial.write_bytes((synth_dir / "trial.xvec").read_bytes())
+        argv = _eval_args(synth_dir, trained, synth_dir / "pool.xvec")
+        argv[argv.index("--trial") + 1] = str(trial)
+        capsys.readouterr()
+        assert run_cli(*argv, "--conditions", "oo") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "error: dataset 'my trial' must be non-empty and contain no whitespace or control "
+            "character")
+
+    @pytest.mark.parametrize("label", [None, "desk-1"])
+    def test_records_lines_have_ten_fields(self, synth_dir, trained, tmp_path, label):
+        records = tmp_path / "records.txt"
+        argv = _eval_args(synth_dir, trained, synth_dir / "pool.xvec")
+        argv += ["--records", str(records)] + (["--dataset", label] if label else [])
+        assert run_cli(*argv) == 0
+        lines = [line.split(" ") for line in records.read_text().splitlines()]
+        assert len(lines) == 6
+        assert {len(fields) for fields in lines} == {10}
+        assert {fields[0] for fields in lines} == {label or "trial"}
+
+
+class TestAnonymizeXvecRefusals:
+    def test_corpus_dimension_differs_from_model(self, synth_dir, tmp_path, capsys):
+        model = tmp_path / "d4.plda"
+        train = load_embeddings(synth_dir / "train.xvec", "binary")
+        narrow = Corpus("narrow", train.utt_id, train.spk_id, train.gender, train.matrix()[:, :4])
+        save_embeddings(narrow, tmp_path / "narrow.xvec", "binary")
+        assert run_cli("train-plda", "--data", str(tmp_path / "narrow.xvec"),
+                       "--out", str(model), "--iterations", "2") == 0
+        out = tmp_path / "anon.xvec"
+        capsys.readouterr()
+        assert run_cli("anonymize-xvec", "--input", str(synth_dir / "trial.xvec"),
+                       "--pool", str(synth_dir / "pool.xvec"), "--model", str(model),
+                       "--out", str(out), "--n-farthest", "20", "--n-select", "10") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "error: corpus dimension does not match model"
+        assert not out.exists()
+
+
 def test_command_pipeline_builds_no_embedding(tmp_path, monkeypatch):
     """synth to anonymize-xvec runs on columns alone: no command reads ``Corpus.records``."""
 

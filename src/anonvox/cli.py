@@ -16,8 +16,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .anonymize import AnonConfig, anonymize_corpus
+from .anonymize import ASSIGNMENTS, AnonConfig, anonymize_corpus
 from .embeddings import (
+    FORMATS,
     TrialPolicy,
     load_embeddings,
     load_scores,
@@ -57,6 +58,15 @@ class Opt:
     required: bool = False
 
 
+# the anonymizer's options, shared by anonymize-xvec and eval
+_ANON_OPTIONS = [
+    Opt("n_farthest", int, 200, "pool candidates ranked most dissimilar"),
+    Opt("n_select", int, 100, "vectors averaged into the pseudo-vector"),
+    Opt("assignment", str, "per_speaker", "per_speaker or per_utterance"),
+    Opt("seed", int, 0, "anonymization seed"),
+    Opt("same_gender_pool", _parse_bool, False, "filter pool by source gender"),
+]
+
 # per-subcommand option tables; names double as config-file keys
 _OPTIONS: dict[str, list[Opt]] = {
     "synth": [
@@ -91,12 +101,8 @@ _OPTIONS: dict[str, list[Opt]] = {
         Opt("model", str, None, "verification model path", required=True),
         Opt("out", str, None, "output embedding file", required=True),
         Opt("format", str, "binary", "embedding file format"),
-        Opt("n_farthest", int, 200, "pool candidates ranked most dissimilar"),
-        Opt("n_select", int, 100, "vectors averaged into the pseudo-vector"),
-        Opt("assignment", str, "per_speaker", "per_speaker or per_utterance"),
-        Opt("seed", int, 0, "anonymization seed"),
+        *_ANON_OPTIONS,
         Opt("subset_tag", str, "", "salts the random stream"),
-        Opt("same_gender_pool", _parse_bool, False, "filter pool by source gender"),
     ],
     "anonymize-wav": [
         Opt("input", str, None, "input WAV", required=True),
@@ -123,11 +129,7 @@ _OPTIONS: dict[str, list[Opt]] = {
         Opt("format", str, "binary", "embedding file format"),
         Opt("conditions", str, "oo,oa,aa", "comma-separated subset of oo,oa,aa"),
         Opt("dataset", str, None, "dataset label in the report"),
-        Opt("n_farthest", int, 200, "pool candidates ranked most dissimilar"),
-        Opt("n_select", int, 100, "vectors averaged into the pseudo-vector"),
-        Opt("assignment", str, "per_speaker", "per_speaker or per_utterance"),
-        Opt("seed", int, 0, "anonymization seed"),
-        Opt("same_gender_pool", _parse_bool, False, "filter pool by source gender"),
+        *_ANON_OPTIONS,
         Opt("same_tags", _parse_bool, False, "share the enroll/trial stream tag (ablation)"),
         Opt("records", str, None, "write machine-readable lines here"),
         Opt("dump_anon", str, None, "directory for anonymized corpora (binary)"),
@@ -189,6 +191,9 @@ def _resolve_options(command: str, args: argparse.Namespace) -> dict:
         flag_value = getattr(args, name)
         if flag_value is not None:
             resolved[name] = flag_value
+    for name, choices in (("format", FORMATS), ("assignment", ASSIGNMENTS)):
+        if name in resolved and resolved[name] not in choices:
+            raise UsageError(f"unknown {name} {resolved[name]!r}; pick from {','.join(choices)}")
     missing = [n for n, opt in table.items() if opt.required and resolved[n] is None]
     if missing:
         flags = ", ".join("--" + n.replace("_", "-") for n in missing)
@@ -260,14 +265,8 @@ def _cmd_train_plda(opts: dict) -> int:
 
 
 def _anon_config(opts: dict) -> AnonConfig:
-    return AnonConfig(
-        n_farthest=opts["n_farthest"],
-        n_select=opts["n_select"],
-        assignment=opts["assignment"],
-        seed=opts["seed"],
-        subset_tag=opts.get("subset_tag", ""),
-        same_gender_pool=opts["same_gender_pool"],
-    )
+    shared = {opt.name: opts[opt.name] for opt in _ANON_OPTIONS}
+    return AnonConfig(subset_tag=opts.get("subset_tag", ""), **shared)
 
 
 def _cmd_anonymize_xvec(opts: dict) -> int:

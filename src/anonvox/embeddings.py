@@ -43,6 +43,7 @@ import numpy as np
 
 GENDERS = ("F", "M")
 LABELS = ("target", "nontarget")
+FORMATS = ("text", "binary")
 
 _BINARY_MAGIC = b"XVC1"
 _GENDER_BYTE = {"F": b"\x00", "M": b"\x01"}
@@ -408,10 +409,9 @@ def _format_coord(value: float) -> str:
 def load_embeddings(path, format: str = "text") -> Corpus:
     """Load a corpus from a text or binary embedding file."""
     path = Path(path)
-    loader = {"text": _load_text, "binary": _load_binary}.get(format)
-    if loader is None:
+    if format not in FORMATS:
         raise ValueError(f"unknown embedding format {format!r}")
-    *columns, where, error = loader(path)
+    *columns, where, error = (_load_text if format == "text" else _load_binary)(path)
     corpus = Corpus.__new__(Corpus)
     # an earlier row's fault is reported before the walk's fault, a repeat after it
     corpus._build(path.stem, *columns, where, error)
@@ -547,6 +547,8 @@ def save_embeddings(corpus: Corpus, path, format: str = "text") -> None:
     """Write a corpus; binary round-trips bit exactly, text to 9 significant digits."""
     if len(corpus) == 0:
         raise ValueError("cannot save an empty corpus")
+    if format not in FORMATS:
+        raise ValueError(f"unknown embedding format {format!r}")
     path = Path(path)
     rows = zip(corpus.utt_id.tolist(), corpus.spk_id.tolist(), corpus.gender.tolist())
     if format == "text":
@@ -555,7 +557,7 @@ def save_embeddings(corpus: Corpus, path, format: str = "text") -> None:
             for (utt, spk, gender), vec in zip(rows, corpus.matrix())
         ]
         path.write_text("".join(lines), encoding="utf-8")
-    elif format == "binary":
+    else:
         vectors = np.ascontiguousarray(corpus.matrix(), dtype="<f8").tobytes()
         width = 8 * corpus.dim
         u16 = struct.Struct("<H").pack
@@ -568,8 +570,6 @@ def save_embeddings(corpus: Corpus, path, format: str = "text") -> None:
             parts += (u16(len(utt)), utt, u16(len(spk)), spk, _GENDER_BYTE[gender],
                       vectors[i * width : (i + 1) * width])
         path.write_bytes(b"".join(parts))
-    else:
-        raise ValueError(f"unknown embedding format {format!r}")
 
 
 @dataclass(frozen=True)

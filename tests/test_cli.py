@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from anonvox.anonymize import AnonConfig
 from anonvox.cli import main
 from anonvox.embeddings import Corpus, load_embeddings, save_embeddings
 from anonvox.plda import load_model
-from anonvox.formant import read_wav, write_wav
+from anonvox.formant import WaveBuffer, read_wav, write_wav
 
 from conftest import synth_vowel
 from test_formant import _wav_header
@@ -80,6 +81,21 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert len((tmp_path / "det.txt").read_text().splitlines()) == 1 + 3 + 2
 
 
+@pytest.mark.parametrize("argv, code, last", [
+    (["train-plda", "--data", "t.xvec", "--out", "m.plda", "--center", "true"], 1,
+     "anonvox: error: unrecognized arguments: --center true"),
+    (["train-plda", "--data", "t.xvec", "--out", "m.plda"], 2,
+     "error: [Errno 2] No such file or directory: 't.xvec'"),
+], ids=["usage-error", "data-error"])
+def test_module_run_exits_with_the_code_of_main(tmp_path, argv, code, last):
+    env = dict(os.environ, PYTHONPATH=str(Path(anonvox.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-m", "anonvox.cli", *argv], cwd=tmp_path, env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == code
+    assert result.stderr.splitlines()[-1] == last
+    assert not (tmp_path / "m.plda").exists()
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run_cli("frobnicate") == 1
@@ -142,6 +158,26 @@ class TestExitCodes:
             f"error: {path}: record 0: spk_id 's 1' must be non-empty and contain no "
             "whitespace or control character"
         )
+        assert not (tmp_path / "trials.txt").exists()
+
+    @pytest.mark.parametrize("fault", ["nan", "cut"])
+    def test_binary_corpus_fault_names_the_record(self, synth_dir, tmp_path, capsys, fault):
+        blob = (synth_dir / "enroll.xvec").read_bytes()
+        path = tmp_path / "enroll.xvec"
+        if fault == "nan":
+            # record 0's first coordinate follows its u16-prefixed utt and spk ids and gender byte
+            n_utt = int.from_bytes(blob[12:14], "little")
+            start = 17 + n_utt + int.from_bytes(blob[14 + n_utt : 16 + n_utt], "little")
+            path.write_bytes(blob[:start] + np.array([np.nan], "<f8").tobytes() + blob[start + 8 :])
+            detail = f"record 0: embedding {blob[14 : 14 + n_utt].decode()!r}: non-finite coordinate"
+        else:
+            # one byte short, the file leaves the fixed-layout read for the record walk
+            path.write_bytes(blob[:-1])
+            detail = f"record {int.from_bytes(blob[8:12], 'little') - 1}: truncated vector"
+        assert run_cli("make-trials", "--enroll", str(path),
+                       "--trial", str(synth_dir / "trial.xvec"),
+                       "--out", str(tmp_path / "trials.txt")) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {path}: {detail}"
         assert not (tmp_path / "trials.txt").exists()
 
     @pytest.mark.parametrize(
@@ -266,6 +302,34 @@ class TestConfigFile:
         assert "ref=" in err and "hyp=" in err
 
 
+class TestOptionValuesOutsideTheirSet:
+    """A value outside an option's set is a usage error, from a flag or a config
+    key, found before any command runs."""
+
+    @pytest.mark.parametrize("name, choices", [("format", "text,binary"),
+                                               ("assignment", "per_speaker,per_utterance")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_eval(self, synth_dir, trained, tmp_path, capsys, name, choices, source):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{name} = bogus\n")
+        given = ["--" + name, "bogus"] if source == "flag" else ["--config", str(config)]
+        records = tmp_path / "records.txt"
+        capsys.readouterr()
+        assert run_cli(*_eval_args(synth_dir, trained, synth_dir / "pool.xvec"), *given,
+                       "--records", str(records)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: unknown {name} 'bogus'; pick from {choices}\n"
+        assert not records.exists()
+
+    def test_synth_makes_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "newdir"
+        assert run_cli("synth", "--out-dir", str(out), "--format", "bogus") == 1
+        assert capsys.readouterr().err == (
+            "usage error: unknown format 'bogus'; pick from text,binary\n")
+        assert not out.exists()
+
+
 class TestWerCommand:
     def test_identical_files(self, tmp_path, capsys):
         ref = tmp_path / "r.txt"
@@ -283,6 +347,9 @@ class TestWerCommand:
         assert run_cli("wer", "--ref", str(ref), "--hyp", str(hyp)) == 2
 
     @pytest.mark.parametrize("ref_text,hyp_text,counts,rate", [
+        # an inserted and a deleted word over six reference words
+        ("the cat sat\non the mat\n", "the cat sat down\non mat\n", "S=0 D=1 I=1 ref=6",
+         "WER 33.333%"),
         # lines pair by position: a blank line pairs with the line beside it
         ("a b\n\nc d\ne f\n", "a b\nx\n\ne f\n", "S=0 D=2 I=1 ref=6", "WER 50.000%"),
         # a blank hypothesis deletes every reference word of its line
@@ -336,6 +403,23 @@ class TestPipelineCommands:
         assert run_cli("det", "--scores", str(tmp_path / "sorted.txt"),
                        "--trials", str(trials)) == 0
         assert capsys.readouterr().out == out
+
+    def test_det_reads_tab_separated_commented_files(self, synth_dir, trained, tmp_path):
+        model, trials = trained
+        scores = tmp_path / "scores.txt"
+        assert run_cli("score", "--model", str(model),
+                       "--enroll", str(synth_dir / "enroll.xvec"),
+                       "--test", str(synth_dir / "trial.xvec"),
+                       "--trials", str(trials), "--out", str(scores)) == 0
+        # files the savers did not write are walked line by line, to the same DET points
+        trials_tab, scores_tab = tmp_path / "trials_tab.txt", tmp_path / "scores_tab.txt"
+        trials_tab.write_text("# trials\n" + trials.read_text().replace(" ", "\t"))
+        scores_tab.write_text("# scores\n\n" + scores.read_text().replace(" ", "\t"))
+        for tag, score_file, trial_file in (("plain", scores, trials),
+                                            ("tab", scores_tab, trials_tab)):
+            assert run_cli("det", "--scores", str(score_file), "--trials", str(trial_file),
+                           "--out", str(tmp_path / f"det_{tag}.txt")) == 0
+        assert (tmp_path / "det_tab.txt").read_bytes() == (tmp_path / "det_plain.txt").read_bytes()
 
     def test_anonymize_xvec(self, synth_dir, trained, tmp_path):
         model, _ = trained
@@ -410,6 +494,20 @@ class TestPipelineCommands:
         out = read_wav(dst)
         assert len(out) == len(read_wav(src))
 
+    def test_anonymize_wav_off_the_hop_grid_is_byte_stable(self, tmp_path):
+        """120 s less 77 samples is 12,003 frames: 94 blocks of ``formant._BLOCK`` = 128,
+        each handing its overlap-add carry to the next."""
+        src = tmp_path / "in.wav"
+        write_wav(WaveBuffer(np.resize(synth_vowel().samples, 120 * 16000 - 77), 16000), src)
+        outs = [tmp_path / "out1.wav", tmp_path / "out2.wav"]
+        for out in outs:
+            assert run_cli("anonymize-wav", "--input", str(src), "--out", str(out),
+                           "--alpha", "0.8") == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        with wave.open(str(src)) as w_in, wave.open(str(outs[0])) as w_out:
+            assert w_in.getnframes() % 160 != 0
+            assert w_out.getnframes() == w_in.getnframes()
+
     def test_unknown_condition_rejected(self, synth_dir, trained, capsys):
         model, trials = trained
         assert run_cli(
@@ -441,6 +539,13 @@ class TestPoolRegimeNote:
 
     def test_eval_notes_a_view_n_farthest_covers_half_of(self, synth_dir, trained, capsys):
         assert self._eval(synth_dir, trained, "--n-farthest", "30") == 0
+        assert self._notes(capsys) == [
+            "note: n_farthest 30 is 50% of the 60-row pool view; "
+            "pseudo-speakers converge on the pool mean"]
+
+    def test_repeated_and_reordered_conditions_note_once(self, synth_dir, trained, capsys):
+        assert self._eval(synth_dir, trained, "--n-farthest", "30",
+                          "--conditions", "aa,oa,oo,oa") == 0
         assert self._notes(capsys) == [
             "note: n_farthest 30 is 50% of the 60-row pool view; "
             "pseudo-speakers converge on the pool mean"]

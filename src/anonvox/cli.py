@@ -217,6 +217,7 @@ def _parse_fractions(text: str) -> tuple[float, ...]:
 
 
 def _cmd_synth(opts: dict) -> int:
+    fractions = _parse_fractions(opts["fractions"])  # before the corpus is drawn
     spec = default_spec(
         n_speakers=opts["n_speakers"],
         utts_per_speaker=opts["utts_per_speaker"],
@@ -224,7 +225,7 @@ def _cmd_synth(opts: dict) -> int:
         seed=opts["seed"],
     )
     corpus, truth = generate(replace(spec, female_fraction=opts["female_fraction"]))
-    train, pool, enroll, trial = split(corpus, _parse_fractions(opts["fractions"]), opts["seed"])
+    train, pool, enroll, trial = split(corpus, fractions, opts["seed"])
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = "txt" if opts["format"] == "text" else "xvec"
@@ -304,12 +305,7 @@ def _cmd_score(opts: dict) -> int:
 
 
 def _cmd_eval(opts: dict) -> int:
-    enroll = load_embeddings(opts["enroll"], opts["format"])
-    trial = load_embeddings(opts["trial"], opts["format"])
-    pool = load_embeddings(opts["pool"], opts["format"])
-    model = load_model(opts["model"])
-    trials = load_trials(opts["trials"])
-
+    # a bad value is a usage error before any input is read
     conditions = []
     for token in opts["conditions"].split(","):
         token = token.strip()
@@ -321,6 +317,11 @@ def _cmd_eval(opts: dict) -> int:
     if not conditions:
         raise UsageError("no conditions requested")
 
+    enroll = load_embeddings(opts["enroll"], opts["format"])
+    trial = load_embeddings(opts["trial"], opts["format"])
+    pool = load_embeddings(opts["pool"], opts["format"])
+    model = load_model(opts["model"])
+    trials = load_trials(opts["trials"])
     runs, trial_anon, enroll_anon = evaluate(
         conditions, enroll, trial, pool, model, _anon_config(opts), trials,
         dataset=opts["dataset"], same_tags=opts["same_tags"],

@@ -15,11 +15,17 @@ the one output array. A call holds the input, the output and one block's
 working set, whatever the signal length.
 The blocks run two deep in a pipeline: while the calling thread warps,
 synthesizes and overlap-adds block k, one worker thread solves the poles of
-blocks k+1 and k+2 in turn (a batched LAPACK eigen-solve, which releases the
-GIL). While block k's poles are not ready, the calling thread takes queued
-solves the worker has not started, latest first, and runs them itself instead
-of waiting. A block in flight holds only its error filter and companion
-matrices; its windowed frames and residual are made when it is synthesized.
+blocks k+1 and k+2 in turn, each as two batched LAPACK eigen-solves of half
+a block (which release the GIL). While block k's poles are not ready, the
+calling thread takes queued batches the worker has not started, latest
+first, block k's own before later blocks', and solves them itself instead
+of waiting; LAPACK solves each matrix alone, so the poles do not depend on
+the batch or the thread. A block in flight holds only its error filter and
+companion matrices; its windowed frames and residual are made when it is
+synthesized. The residual and the all-pole recursion are time-major, one
+row per sample and one column per frame, so each recursion step reads
+contiguous rows; its taps are a reversed view, because einsum sums a
+contiguous one-frame block in another order than the serial loop.
 Analysis, warp and WAV I/O stay on the calling thread. Each sample's sums
 take their terms in the order of one full-length overlap-add, so the output
 is bit for bit the serial loop's.
@@ -101,13 +107,14 @@ def lpc_analyze(frames, order: int) -> tuple[np.ndarray, np.ndarray]:
     if order >= n:
         raise ValueError(f"lpc order {order} must be below frame length {n}")
     error = _error_filter(x, order)
-    return -error[..., 1:], _residual(x, error)
+    return -error[..., 1:], np.moveaxis(_residual(x, error), 0, -1)
 
 
-def _lags(x: np.ndarray, before: int, after: int) -> np.ndarray:
-    """Every run of ``before + after + 1`` samples of the zero-padded frames, one per sample."""
-    pad = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(before, after)])
-    return np.lib.stride_tricks.sliding_window_view(pad, before + after + 1, axis=-1)
+def _lags(x: np.ndarray, before: int, after: int, axis: int = -1) -> np.ndarray:
+    """Every run of ``before + after + 1`` samples along ``axis`` of the zero-padded frames."""
+    widths = [(0, 0)] * x.ndim
+    widths[axis] = (before, after)
+    return np.lib.stride_tricks.sliding_window_view(np.pad(x, widths), before + after + 1, axis)
 
 
 def _error_filter(x: np.ndarray, order: int) -> np.ndarray:
@@ -133,12 +140,14 @@ def _error_filter(x: np.ndarray, order: int) -> np.ndarray:
 
 
 def _residual(x: np.ndarray, error: np.ndarray) -> np.ndarray:
-    """The frames inverse-filtered through ``error``: one contraction with their last p samples.
+    """The frames inverse-filtered through ``error``, time-major: shape (n, ...).
 
-    Sample i sums error[k] * x[i - k] in the order k = 0..p.
+    One contraction with their last p samples; sample i sums error[k] * x[i - k]
+    in the order k = 0..p.
     """
     p = error.shape[-1] - 1
-    return np.einsum("...ik,...k->...i", _lags(x, p, 0)[..., ::-1], error)
+    lags = _lags(np.moveaxis(x, -1, 0), p, 0, axis=0)[..., ::-1]
+    return np.einsum("i...k,k...->i...", lags, np.ascontiguousarray(np.moveaxis(error, -1, 0)))
 
 
 def warp_poles(poles, alpha: float) -> np.ndarray:
@@ -192,13 +201,14 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
         return np.lib.stride_tricks.sliding_window_view(segment, flen)[::hop] * window
 
     def analyze(first):
-        """Block ``first``'s error filter and companion matrices; its eigen-solve is queued."""
+        """Block ``first``'s error filter and its eigen-solves, queued as [future, matrices]."""
         error = _error_filter(windowed_frames(first), p)
         # column-major matrices reach LAPACK by a straight copy, not a transposing one
         companion = np.zeros((p, p, len(error)), order="F").transpose(2, 0, 1)
         companion[:, 0] = -error[:, 1:]
         companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
-        return [error, worker.submit(np.linalg.eigvals, companion), companion]
+        halves = [companion[i : i + _BLOCK // 2] for i in range(0, len(error), _BLOCK // 2)]
+        return error, [[worker.submit(np.linalg.eigvals, half), half] for half in halves]
 
     out = np.empty(n)
     carry = carry_wsum = np.zeros(0)
@@ -210,18 +220,19 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
         for first in starts:
             if first + _AHEAD * _BLOCK < n_frames:
                 queued.append(analyze(first + _AHEAD * _BLOCK))
-            # the block's companion matrices are not kept: the worker holds
-            # them while it solves them
-            error, poles = queued.pop(0)[:2]
-            # while the worker is still on this block, solve queued blocks here,
-            # latest first, instead of waiting; LAPACK solves each matrix alone,
-            # so the poles do not depend on the thread that solves them
-            for later in reversed(queued):
-                if poles.done():
+            error, own = queued.pop(0)
+            # while this block's poles are not ready, solve queued batches here,
+            # latest first, its own before later blocks'; LAPACK solves each
+            # matrix alone, so the poles do not depend on the batch or thread
+            for job in [*own[::-1], *(later for _, jobs in queued[::-1] for later in jobs[::-1])]:
+                if all(mine[0].done() for mine in own):
                     break
-                if later[1].cancel():
-                    later[1] = Future()
-                    later[1].set_result(np.linalg.eigvals(later[2]))
+                if job[0].cancel():
+                    job[0] = Future()
+                    job[0].set_result(np.linalg.eigvals(job[1]))
+            poles = np.concatenate([mine[0].result() for mine in own])
+            # the block's companion matrices are not kept past its poles
+            del own, job
             # frames and residual are made only now, so blocks in flight hold
             # no more than their filters and companion matrices
             windowed = windowed_frames(first)
@@ -230,18 +241,19 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
             # one block's arrays bound the call's memory: each is freed once
             # synthesis no longer reads it
             del windowed
-            warped = warp_poles(poles.result(), cfg.alpha)
+            warped = warp_poles(poles, cfg.alpha)
             poly = np.zeros((count, p + 1), dtype=np.complex128)
             poly[:, 0] = 1.0
             for j in range(p):
                 poly[:, 1 : j + 2] -= warped[:, j : j + 1] * poly[:, : j + 1]
 
-            # all-pole synthesis through 1 / poly, one sample of every frame per step
-            taps = poly.real[:, :0:-1]
-            y = np.zeros((count, p + flen))
+            # all-pole synthesis through 1 / poly, time-major: each step reads p
+            # contiguous rows; reversed taps keep a one-frame einsum in serial order
+            taps = np.ascontiguousarray(poly.real[:, 1:].T)[::-1]
+            y = np.zeros((p + flen, count))
             for i in range(flen):
-                y[:, p + i] = excitation[:, i] - np.einsum("ij,ij->i", y[:, i : i + p], taps)
-            y = y[:, p:]
+                np.subtract(excitation[i], np.einsum("ji,ji->i", y[i : i + p], taps), out=y[p + i])
+            y = np.ascontiguousarray(y[p:].T)
             del excitation
 
             # match per-frame energy: warping redistributes all-pole gain

@@ -329,6 +329,28 @@ class TestOptionValuesOutsideTheirSet:
             "usage error: unknown format 'bogus'; pick from text,binary\n")
         assert not out.exists()
 
+    def test_eval_conditions_refused_before_any_input_is_read(self, synth_dir, trained,
+                                                              tmp_path, capsys):
+        # the value decides the exit code, not whether the inputs can be read
+        argv = _eval_args(synth_dir, trained, synth_dir / "pool.xvec")
+        argv[argv.index("--enroll") + 1] = str(tmp_path / "missing.xvec")
+        capsys.readouterr()
+        assert run_cli(*argv, "--conditions", "xx") == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "usage error: unknown condition 'xx'; pick from oo,oa,aa"
+
+    def test_synth_fractions_refused_before_the_corpus_is_drawn(self, tmp_path, monkeypatch,
+                                                                capsys):
+        def no_draw(spec):
+            raise AssertionError("generate ran before --fractions was checked")
+
+        monkeypatch.setattr(cli, "generate", no_draw)
+        out = tmp_path / "newdir"
+        assert run_cli("synth", "--out-dir", str(out), "--fractions", "1,2") == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "usage error: fractions must have four comma-separated values")
+        assert not out.exists()
+
 
 class TestWerCommand:
     def test_identical_files(self, tmp_path, capsys):

@@ -306,6 +306,17 @@ class TestAgainstPerFrameReference:
             np.testing.assert_allclose(row_excitation, excitation, rtol=0, atol=1e-12)
         assert np.all(batch_coeffs[1, 2] == 0.0) and np.all(batch_excitation[1, 2] == 0.0)
 
+    @pytest.mark.parametrize("shape", [(120,), (1, 120), (5, 120), (2, 3, 120)])
+    def test_residual_adds_its_lags_in_order(self, shape):
+        # sample i adds error[k] * x[i - k] for k = 0..p, one term at a time, in any layout
+        frames = np.random.default_rng(4).standard_normal(shape) * np.hanning(120)
+        coeffs, excitation = lpc_analyze(frames, 10)
+        padded = np.pad(frames, [(0, 0)] * (frames.ndim - 1) + [(10, 0)])
+        expected = np.zeros(shape) + padded[..., 10:]
+        for k in range(1, 11):
+            expected = expected + -coeffs[..., k - 1 : k] * padded[..., 10 - k : 130 - k]
+        assert np.array_equal(excitation, expected)
+
     def test_warp_poles_any_shape(self):
         rng = np.random.default_rng(8)
         poles = rng.uniform(0.1, 1.05, (4, 6)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (4, 6)))
@@ -382,7 +393,7 @@ class TestPipelinedBlocks:
         out = anonymize_wav(THREE_BLOCKS, cfg)
         assert np.array_equal(out.samples, _serial_anonymize_wav(THREE_BLOCKS, cfg).samples)
 
-    @pytest.mark.parametrize("blocks", [2, 3, 5])
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 5])
     def test_calling_thread_solves_queued_blocks_while_the_worker_is_held(self, monkeypatch,
                                                                           blocks):
         wav, cfg = _whole_blocks(blocks), ShiftConfig()

@@ -6,10 +6,18 @@ most dissimilar under the verification model; entries at equal distance rank
 by utt_id. Random streams are derived from (seed, subset_tag,
 speaker-or-utterance id), so corpora anonymized with different subset tags
 carry different pseudo-speakers without shared state.
+
+Each source's selection is ``derive_stream(seed, subset_tag, key).choice(
+n_farthest, n_select, replace=False)`` over its ranked entries.
+``_selection_masks`` draws these sets for every source in one vectorised
+pass that repeats numpy's SeedSequence mixing, PCG64 seeding and
+``Generator.choice`` (Lemire bounded draws, Floyd's set) exactly; a source it
+cannot reproduce that way takes its own stream.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import warnings
 from dataclasses import dataclass
@@ -44,11 +52,170 @@ class AnonConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
+def _entropy(subset_tag: str, key: str) -> bytes:
+    """The 16 bytes a key's stream takes as little-endian entropy."""
+    return hashlib.sha256(f"{subset_tag}\x1f{key}".encode("utf-8")).digest()[:16]
+
+
 def derive_stream(seed: int, subset_tag: str, key: str) -> np.random.Generator:
     """Deterministic per-key random stream; stable across platforms."""
-    digest = hashlib.sha256(f"{subset_tag}\x1f{key}".encode("utf-8")).digest()
-    entropy = int.from_bytes(digest[:16], "little")
+    entropy = int.from_bytes(_entropy(subset_tag, key), "little")
     return np.random.default_rng(np.random.SeedSequence([seed, entropy]))
+
+
+_MASK32 = 0xFFFFFFFF
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# Generator.choice draws a set without replacement by Floyd's algorithm up to
+# this population; above it, it may shuffle a tail instead
+_FLOYD_MAX = 10000
+# (seed, subset_tag, key, n_farthest, n_select) of the draw that checks the
+# kernel against this numpy's Generator.choice once per process
+_PROBE = (2**64 - 1, "probe", "key", 200, 100)
+
+
+def _hash_steps(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) constants of SeedSequence's first ``count`` hash steps."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    consts = np.array(consts, dtype=np.uint32)
+    return consts[:-1], consts[1:]
+
+
+def _hash(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of uint32 values, given each step's constants."""
+    values = (values ^ xor) * mul
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of two uint32 arrays, wrapping as uint32 does."""
+    mixed = _MIX_L * x - _MIX_R * y
+    return mixed ^ (mixed >> 16)
+
+
+def _mixed_states(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of every row of an (S, L)
+    uint32 entropy matrix, as a C-contiguous (S, 4) uint64 array.
+
+    Runs SeedSequence's pool mixing (pool size 4, no spawn key) on all rows at
+    once, and pairs the eight output words low word first by arithmetic, as
+    SeedSequence does through little-endian views, so the states are the same
+    on every platform.
+    """
+    n_rows, n_words = words.shape
+    xor, mul = _hash_steps(_INIT_A, _MULT_A, 4 + 12 + 4 * max(0, n_words - 4))
+    padded = np.zeros((n_rows, max(4, n_words)), dtype=np.uint32)
+    padded[:, :n_words] = words
+    pool = _hash(padded[:, :4], xor[:4], mul[:4])
+    # every pool word mixes into every other, in SeedSequence's order
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        steps = slice(4 + 3 * src, 7 + 3 * src)
+        pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, src, None], xor[steps], mul[steps]))
+    for src in range(4, n_words):
+        steps = slice(16 + 4 * (src - 4), 20 + 4 * (src - 4))
+        pool = _mix(pool, _hash(padded[:, src, None], xor[steps], mul[steps]))
+    xor, mul = _hash_steps(_INIT_B, _MULT_B, 8)
+    state = _hash(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], xor, mul).astype(np.uint64)
+    return np.ascontiguousarray(state[:, 0::2] | (state[:, 1::2] << 32))
+
+
+@functools.cache
+def _mixed_state_type() -> type:
+    """A PCG64 seed whose four state words are already mixed: what
+    ``SeedSequence(...).generate_state(4, np.uint64)`` returns, without the
+    mixing. PCG64 asks for exactly that, and the type serves only PCG64.
+
+    Made on first use: importing numpy.random adds about 2.5 MiB to the
+    resident memory of every command, and most commands never draw."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class MixedState(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return MixedState
+
+
+def _raw_words(states: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` raw outputs of PCG64 seeded with each row of ``states``."""
+    mixed_state = _mixed_state_type()
+    raw = np.empty((len(states), count), dtype=np.uint64)
+    for row, state in zip(raw, states):
+        row[:] = np.random.PCG64(mixed_state(state)).random_raw(count)
+    return raw
+
+
+def _floyd_masks(seed: int, subset_tag: str, keys, n: int, k: int):
+    """Every key's ``choice(n, k, replace=False)`` set, as ``Generator.choice``
+    draws it by Floyd's algorithm, and which rows are exact.
+
+    SeedSequence splits the seed and the entropy into 32-bit words, low word
+    first, and drops high zero words: a key whose entropy has a zero top word
+    has fewer words than the others, and its row is marked inexact. The raw
+    PCG64 words come from one seeding per key; numpy's Lemire bounded draws
+    take a 32-bit word each, low half of a raw word first, and a row where one
+    is rejected (so later draws shift) is marked inexact.
+    """
+    entropy = np.frombuffer(b"".join(_entropy(subset_tag, key) for key in keys), dtype="<u4")
+    entropy = entropy.reshape(len(keys), 4).astype(np.uint32)
+    exact = entropy[:, 3] != 0
+    seed_words = np.array([seed & _MASK32] + ([seed >> 32] if seed >> 32 else []), np.uint32)
+    words = np.hstack([np.broadcast_to(seed_words, (len(keys), len(seed_words))), entropy])
+    bounds = np.arange(n - k, n)
+    drawn = bounds > 0  # a draw from [0, 0] takes no word
+    n_draws = int(drawn.sum())
+    raw = _raw_words(_mixed_states(words), (n_draws + 1) // 2)
+    halves = np.stack([raw & _MASK32, raw >> 32], axis=2).reshape(len(keys), -1)[:, :n_draws]
+    span = bounds[drawn].astype(np.uint64) + 1
+    scaled = halves * span
+    exact &= ~((scaled & _MASK32) < (2**32 % span)).any(axis=1)
+    values = np.zeros((len(keys), k), dtype=np.intp)
+    values[:, drawn] = scaled >> 32
+    # Floyd's set for all keys at once: draw v from [0, j]; take v, or j if v is taken
+    masks = np.zeros((len(keys), n), dtype=bool)
+    flat = masks.reshape(-1)
+    offsets = np.arange(0, len(keys) * n, n)
+    picks = np.ascontiguousarray((values + offsets[:, None]).T)
+    for pick, fresh in zip(picks, bounds[:, None] + offsets):
+        flat[np.where(flat[pick], fresh, pick)] = True
+    return masks, exact
+
+
+@functools.cache
+def _kernel_matches_choice() -> bool:
+    """Whether ``_floyd_masks`` gives this numpy's ``Generator.choice`` set on
+    the probe draw; numpy does not freeze ``choice``'s algorithm across versions.
+    Checked on first use, not at import."""
+    seed, subset_tag, key, n, k = _PROBE
+    masks, exact = _floyd_masks(seed, subset_tag, [key], n, k)
+    want = np.zeros(n, dtype=bool)
+    want[derive_stream(seed, subset_tag, key).choice(n, k, replace=False)] = True
+    return bool(exact[0]) and np.array_equal(masks[0], want)
+
+
+def _selection_masks(seed: int, subset_tag: str, keys, n: int, k: int) -> np.ndarray:
+    """Each key's selection of ``k`` of ``n`` ranked entries, as an (S, n) mask.
+
+    Row i is the set ``derive_stream(seed, subset_tag, keys[i]).choice(n, k,
+    replace=False)``. ``_floyd_masks`` draws every row at once; a row it marks
+    inexact, every row when ``n`` exceeds Floyd's range, and every row when the
+    probe finds this numpy drawing otherwise, draws from its own stream.
+    """
+    if n <= _FLOYD_MAX and _kernel_matches_choice():
+        masks, exact = _floyd_masks(seed, subset_tag, keys, n, k)
+    else:
+        masks, exact = np.zeros((len(keys), n), dtype=bool), np.zeros(len(keys), dtype=bool)
+    for i in np.flatnonzero(~exact):
+        masks[i] = False
+        masks[i, derive_stream(seed, subset_tag, keys[i]).choice(n, k, replace=False)] = True
+    return masks
 
 
 def _pool_view(pool: Corpus, cfg: AnonConfig, gender: str):
@@ -93,8 +260,10 @@ def _ranked_rows(sources: np.ndarray, matrix: np.ndarray, id_order: np.ndarray,
 
     Rows are ordered by descending distance, ties by ascending utt_id
     (``id_order`` lists the pool rows in utt_id order). All sources are
-    scored in one matrix product, cut at their n-th distance by one
-    partition, and their candidates ranked by one stable sort.
+    scored in one matrix product and cut at their n-th distance by one
+    partition. When every source has exactly ``n`` candidates, one stable
+    sort ranks the candidate columns alone; when distances tie at a cutoff,
+    it ranks all columns with the rest sorted last.
     """
     if matrix.shape[1] != model.dim:
         raise ValueError("pool or source dimension does not match model")
@@ -106,18 +275,23 @@ def _ranked_rows(sources: np.ndarray, matrix: np.ndarray, id_order: np.ndarray,
     # the n-th largest distance of each row; every row at or above it is a
     # candidate, and the rest sort last
     cutoff = -np.partition(-distances, n - 1, axis=1)[:, n - 1]
-    key = np.where(distances >= cutoff[:, None], -distances, np.inf)
+    candidate = distances >= cutoff[:, None]
+    if np.count_nonzero(candidate) == n * len(candidate):
+        # columns in ascending order, so the stable sort still breaks ties by utt_id
+        columns = np.nonzero(candidate)[1].reshape(-1, n)
+        order = np.argsort(-np.take_along_axis(distances, columns, axis=1), axis=1, kind="stable")
+        return id_order[np.take_along_axis(columns, order, axis=1)]
+    key = np.where(candidate, -distances, np.inf)
     return id_order[np.argsort(key, axis=1, kind="stable")[:, :n]]
 
 
-def _pseudo_vectors(sources, view, model: PldaModel, cfg: AnonConfig, streams) -> np.ndarray:
-    """One pseudo-vector per source row, each drawing from its own stream."""
+def _pseudo_vectors(sources, view, model: PldaModel, cfg: AnonConfig, chosen) -> np.ndarray:
+    """One pseudo-vector per source row: the mean of the ranked entries its
+    row of the (S, n_farthest) mask ``chosen`` selects."""
     matrix, id_order = view
     top = _ranked_rows(sources, matrix, id_order, model, cfg.n_farthest)
-    chosen = np.stack([rng.choice(cfg.n_farthest, size=cfg.n_select, replace=False)
-                       for rng in streams])
     # pool order canonicalizes summation, so the mean is selection-order free
-    return group_means(matrix, np.sort(np.take_along_axis(top, chosen, axis=1), axis=1))
+    return group_means(matrix, np.sort(top[chosen].reshape(len(top), cfg.n_select), axis=1))
 
 
 def anonymize_corpus(
@@ -128,8 +302,9 @@ def anonymize_corpus(
     per_speaker ranks against the speaker's mean embedding and assigns the
     identical pseudo-vector to all of that speaker's utterances. Each pool
     view is built once and ranked against all of its sources together, and
-    every pseudo-vector of a view is averaged in one ``group_means`` pass;
-    only the random draws are made per source, each from its own stream.
+    every pseudo-vector of a view is averaged in one ``group_means`` pass.
+    The selections of all sources are drawn together by ``_selection_masks``,
+    each the set its own stream would draw.
     """
     if len(corpus) == 0:
         raise ValueError("cannot anonymize an empty corpus")
@@ -150,10 +325,11 @@ def anonymize_corpus(
         source_of_row = np.arange(len(corpus))
 
     view_of = genders if cfg.same_gender_pool else np.full(len(keys), "")
+    # every view is checked against n_farthest before any mask is drawn
+    views = {gender: _pool_view(pool, cfg, gender) for gender in sorted(set(view_of.tolist()))}
+    chosen = _selection_masks(cfg.seed, cfg.subset_tag, keys, cfg.n_farthest, cfg.n_select)
     pseudo = np.empty_like(sources)
-    for gender in sorted(set(view_of.tolist())):
+    for gender, view in views.items():
         idx = np.flatnonzero(view_of == gender)
-        streams = [derive_stream(cfg.seed, cfg.subset_tag, keys[i]) for i in idx]
-        pseudo[idx] = _pseudo_vectors(sources[idx], _pool_view(pool, cfg, gender), model, cfg,
-                                      streams)
+        pseudo[idx] = _pseudo_vectors(sources[idx], view, model, cfg, chosen[idx])
     return Corpus(corpus.name, corpus.utt_id, corpus.spk_id, corpus.gender, pseudo[source_of_row])

@@ -198,15 +198,22 @@ def score_matrix(model: PldaModel, x, y) -> np.ndarray:
     """LLR of every row pair: ``S[i, j] = LLR(x[i], y[j])``, shape (N, M).
 
     GEMM form on centered rows: ``S = c - 0.5 (q_x 1' + 1 q_y') - X G Y'``
-    with ``q = diag(X Q X')``. The cross term averages both product orders,
-    so ``score_matrix(x, y) == score_matrix(y, x).T`` bit for bit.
+    with ``q = diag(X Q X')``. ``G`` is multiplied into the operand with
+    fewer rows, and both product orders are averaged only when the row counts
+    are equal, so either argument order runs the same products and
+    ``score_matrix(x, y) == score_matrix(y, x).T`` bit for bit.
     """
     xc = _as_rows(model, x, "x") - model.mu
     yc = _as_rows(model, y, "y") - model.mu
     q, g, const = model._scoring_forms
     qx = ((xc @ q) * xc).sum(axis=1)
     qy = ((yc @ q) * yc).sum(axis=1)
-    cross = 0.5 * ((xc @ g) @ yc.T + ((yc @ g) @ xc.T).T)
+    if len(xc) < len(yc):
+        cross = (xc @ g) @ yc.T
+    elif len(xc) > len(yc):
+        cross = ((yc @ g) @ xc.T).T
+    else:
+        cross = 0.5 * ((xc @ g) @ yc.T + ((yc @ g) @ xc.T).T)
     return const - 0.5 * (qx[:, None] + qy[None, :]) - cross
 
 

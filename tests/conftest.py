@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.signal import lfilter
 
 from anonvox import Corpus, PldaModel, WaveBuffer
@@ -7,6 +8,9 @@ from anonvox.plda import _speaker_stats
 
 SAMPLE_RATE = 16000
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+# `--hypothesis-profile deep`: a long run of a property that sets no example count of its own
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 def synth_vowel(

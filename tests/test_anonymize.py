@@ -1,8 +1,13 @@
+import hashlib
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anonvox import AnonConfig, PldaModel, anonymize_corpus
 from anonvox import anonymize as anon
@@ -328,3 +333,168 @@ class TestPoolRankingKernel:
             chosen = np.sort(top[rng_src.choice(cfg.n_farthest, size=cfg.n_select,
                                                 replace=False)])
             assert np.array_equal(got, pm[chosen].mean(axis=0))
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_cutoff_ties_follow_pair_oracle(self, ties):
+        rng = np.random.default_rng(23)
+        dim, n_far = 4, 20
+        a = rng.standard_normal((dim, dim))
+        model = PldaModel(mu=rng.standard_normal(dim), between=a @ a.T + 0.1 * np.eye(dim),
+                          within=np.eye(dim))
+        sources = rng.standard_normal((6, dim))
+        matrix = rng.standard_normal((70, dim))
+        ids = np.array([f"p{i:03d}" for i in rng.permutation(len(matrix))])
+
+        def pair_distances(src):
+            return [-score_matrix(model, [src], [p])[0, 0] for p in matrix]
+
+        if ties:
+            # a copy of the first source's n-th farthest row over its (n+1)-th:
+            # identical rows on both sides of the cutoff, so that row has n + 1 candidates
+            order = np.argsort(pair_distances(sources[0]))[::-1]
+            matrix[order[n_far]] = matrix[order[n_far - 1]]
+        candidates = []
+        for src in sources:
+            dists = np.array(pair_distances(src))
+            candidates.append(int(np.sum(dists >= np.sort(dists)[::-1][n_far - 1])))
+        assert max(candidates) == (n_far + 1 if ties else n_far)
+        ranked = anon._ranked_rows(sources, matrix, np.argsort(ids, kind="stable"), model, n_far)
+        for src, got in zip(sources, ranked):
+            dists = pair_distances(src)
+            want = sorted(range(len(ids)), key=lambda i: (-dists[i], ids[i]))[:n_far]
+            assert got.tolist() == want
+
+
+def choice_masks(seed, subset_tag, keys, n, k):
+    """The documented draws as an (S, n) mask: ``derive_stream(...).choice`` per key."""
+    masks = np.zeros((len(keys), n), dtype=bool)
+    for row, key in zip(masks, keys):
+        row[derive_stream(seed, subset_tag, key).choice(n, k, replace=False)] = True
+    return masks
+
+
+@st.composite
+def _draws(draw):
+    """(seed, subset_tag, keys, n, k), seeds on both sides of a 32-bit word boundary."""
+    seed = draw(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1))
+    n = draw(st.integers(1, 300))
+    keys = draw(st.lists(st.text(max_size=6), min_size=1, max_size=6))
+    return seed, draw(st.text(max_size=6)), keys, n, draw(st.integers(1, n))
+
+
+@pytest.fixture
+def fresh_probe():
+    """The numpy-version probe runs again on the next draw, and after the test."""
+    anon._kernel_matches_choice.cache_clear()
+    yield
+    anon._kernel_matches_choice.cache_clear()
+
+
+class TestSelectionDraws:
+    @settings(deadline=None)
+    @given(case=_draws())
+    @example(case=(0, "", ["a"], 1, 1))
+    @example(case=(2**32 - 1, "trial", ["spk1", "spk2"], 37, 37))
+    @example(case=(2**32, "énroll", ["ü", "語", ""], 200, 1))
+    @example(case=(2**64 - 1, "ξ", ["utt-β", "utt-γ"], 200, 100))
+    def test_masks_equal_per_key_choice(self, case):
+        seed, subset_tag, keys, n, k = case
+        want = choice_masks(seed, subset_tag, keys, n, k)
+        masks, exact = anon._floyd_masks(seed, subset_tag, keys, n, k)
+        assert np.array_equal(masks[exact], want[exact])
+        assert np.array_equal(anon._selection_masks(seed, subset_tag, keys, n, k), want)
+
+    def test_kernel_draws_every_row_of_a_corpus(self):
+        keys = [f"utt{i:04d}" for i in range(300)]
+        masks, exact = anon._floyd_masks(3, "trial", keys, 200, 100)
+        assert exact.all()
+        assert np.array_equal(masks, choice_masks(3, "trial", keys, 200, 100))
+        assert anon._kernel_matches_choice()
+
+    @pytest.mark.parametrize("n_words", range(1, 9))
+    def test_mixed_states_equal_seed_sequence(self, n_words):
+        rng = np.random.default_rng(n_words)
+        words = rng.integers(0, 2**32, size=(12, n_words), dtype=np.uint64).astype(np.uint32)
+        words[::3, -1] = 0  # zero high words, as a short digest or seed would give
+        words[1] = 0
+        want = [np.random.SeedSequence(row.tolist()).generate_state(4, np.uint64) for row in words]
+        assert np.array_equal(anon._mixed_states(words), want)
+
+    def test_short_entropy_takes_its_own_stream(self, monkeypatch):
+        # digests whose top words are zero carry fewer entropy words than the others
+        sha256 = hashlib.sha256
+
+        class ShortDigest:
+            def __init__(self, data):
+                self.data = data
+
+            def digest(self):
+                digest = sha256(self.data).digest()
+                return digest[:4] + bytes(12) if b"short" in self.data else digest
+
+        monkeypatch.setattr(anon.hashlib, "sha256", ShortDigest)
+        keys = ["a", "short-1", "b", "short-2"]
+        _, exact = anon._floyd_masks(2**32, "t", keys, 200, 100)
+        assert exact.tolist() == [True, False, True, False]
+        assert np.array_equal(anon._selection_masks(2**32, "t", keys, 200, 100),
+                              choice_masks(2**32, "t", keys, 200, 100))
+
+    def test_rejected_draw_takes_its_own_stream(self, monkeypatch):
+        assert anon._kernel_matches_choice()
+        raw_words = anon._raw_words
+
+        def crafted(states, count):
+            raw = raw_words(states, count)
+            raw[1, 3] = 0  # a 32-bit word of 0 is rejected for every span but a power of two
+            return raw
+
+        monkeypatch.setattr(anon, "_raw_words", crafted)
+        keys = ["a", "b", "c"]
+        _, exact = anon._floyd_masks(5, "t", keys, 200, 100)
+        assert exact.tolist() == [True, False, True]
+        streamed = []
+        monkeypatch.setattr(anon, "derive_stream", lambda *args: streamed.append(args[2])
+                            or derive_stream(*args))
+        masks = anon._selection_masks(5, "t", keys, 200, 100)
+        assert streamed == ["b"]
+        assert np.array_equal(masks, choice_masks(5, "t", keys, 200, 100))
+
+    @POOL_REGIME
+    def test_population_beyond_floyd_takes_every_stream(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        n_pool = anon._FLOYD_MAX + 1
+        pool = corpus_of("pool", ((f"p{i:05d}", f"q{i}", "F", row)
+                                  for i, row in enumerate(rng.standard_normal((n_pool, 2)))))
+        corpus = corpus_of("c", [("u1", "s1", "F", [0.5, -1.0]), ("u2", "s2", "F", [2.0, 0.0])])
+        # above n // 50 selections numpy shuffles a tail instead of running Floyd's set
+        cfg = AnonConfig(n_farthest=n_pool, n_select=300, seed=8, subset_tag="t",
+                         assignment="per_utterance")
+        streamed = []
+        monkeypatch.setattr(anon, "derive_stream", lambda *args: streamed.append(args[2])
+                            or derive_stream(*args))
+        out = anonymize_corpus(corpus, pool, identity_model(2), cfg)
+        assert streamed == ["u1", "u2"]
+        top = anon._ranked_rows(corpus.matrix(), *anon._pool_view(pool, cfg, ""),
+                                identity_model(2), n_pool)
+        want = choice_masks(8, "t", ["u1", "u2"], n_pool, 300)
+        for got, ranked, mask in zip(out.matrix(), top, want):
+            assert np.array_equal(got, pool.matrix()[np.sort(ranked[mask])].mean(axis=0))
+
+    def test_probe_mismatch_draws_every_key_from_its_stream(self, fresh_probe, monkeypatch):
+        stream = derive_stream
+        monkeypatch.setattr(anon, "derive_stream",
+                            lambda seed, subset_tag, key: stream(seed, subset_tag + "!", key))
+        keys = ["a", "b", "c"]
+        masks = anon._selection_masks(5, "t", keys, 200, 100)
+        assert not anon._kernel_matches_choice()
+        assert np.array_equal(masks, choice_masks(5, "t!", keys, 200, 100))
+
+    def test_import_runs_no_probe_and_loads_no_numpy_random(self):
+        # commands that never draw, such as anonymize-wav, pay for neither
+        code = ("import sys, anonvox, anonvox.cli\n"
+                "from anonvox import anonymize\n"
+                "print(anonymize._kernel_matches_choice.cache_info().currsize,\n"
+                "      'numpy.random' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.split() == ["0", "False"]

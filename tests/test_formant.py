@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
@@ -471,8 +471,20 @@ def _small_shifts(draw):
     return WaveBuffer(samples, 16000), cfg
 
 
+def _frames_case(n_frames):
+    """A small config and a noise signal of exactly ``n_frames`` frames."""
+    cfg = ShiftConfig(lpc_order=20, frame_len=40, hop=13)
+    samples = np.random.default_rng(n_frames).uniform(-1.0, 1.0, _samples_for_frames(n_frames, cfg))
+    return WaveBuffer(samples, 16000), cfg
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=_small_shifts())
+# a last block, or a last half-block batch, of one frame: the draws rarely end there
+@example(case=_frames_case(formant._BLOCK + 1))
+@example(case=_frames_case(2 * formant._BLOCK + 1))
+@example(case=_frames_case(3 * formant._BLOCK + 1))
+@example(case=_frames_case(formant._BLOCK // 2 + 1))
 def test_block_carry_matches_full_length_overlap_add_bit_for_bit(case):
     # the serial reference sums every frame into full-length buffers, so it
     # checks the carry each streamed block hands the next

@@ -131,6 +131,15 @@ class TestScoreMatrix:
             y = 3.0 * rng.standard_normal((int(rng.integers(1, 70)), dim))
             assert np.array_equal(score_matrix(model, x, y), score_matrix(model, y, x).T)
 
+    @pytest.mark.parametrize("x_rows, y_rows", [(3, 40), (40, 3), (17, 17)])
+    def test_transpose_symmetry_bitwise_at_each_row_order(self, x_rows, y_rows):
+        # G goes into the operand with fewer rows; equal counts average both orders
+        rng = np.random.default_rng(x_rows * y_rows)
+        model = random_model(rng, 6)
+        x = 3.0 * rng.standard_normal((x_rows, 6))
+        y = 3.0 * rng.standard_normal((y_rows, 6))
+        assert np.array_equal(score_matrix(model, x, y), score_matrix(model, y, x).T)
+
     def test_forms_derived_once_per_model(self, monkeypatch):
         rng = np.random.default_rng(7)
         model = random_model(rng, 4)

@@ -3,7 +3,8 @@
 Each source vector is replaced by the mean of ``n_select`` pool vectors drawn
 uniformly without replacement from the ``n_farthest`` pool entries ranked
 most dissimilar under the verification model; entries at equal distance rank
-by utt_id. Random streams are derived from (seed, subset_tag,
+by utt_id, and each mean sums its entries in utt_id order, so the pool's row
+order changes no output bit. Random streams are derived from (seed, subset_tag,
 speaker-or-utterance id), so corpora anonymized with different subset tags
 carry different pseudo-speakers without shared state.
 
@@ -218,13 +219,13 @@ def _selection_masks(seed: int, subset_tag: str, keys, n: int, k: int) -> np.nda
     return masks
 
 
-def _pool_view(pool: Corpus, cfg: AnonConfig, gender: str):
-    """Pool matrix one source gender ranks against, and its rows in utt_id order.
+def _pool_view(pool: Corpus, cfg: AnonConfig, gender: str) -> np.ndarray:
+    """The pool rows one source gender ranks against, in utt_id order.
 
     Warns when ``n_farthest`` covers at least half of the view's rows."""
-    rows = np.flatnonzero(pool.gender == gender) if cfg.same_gender_pool else slice(None)
-    utt_ids = pool.utt_id[rows]
-    size = len(utt_ids)
+    rows = np.flatnonzero(pool.gender == gender) if cfg.same_gender_pool else np.arange(len(pool))
+    rows = rows[np.argsort(pool.utt_id[rows], kind="stable")]
+    size = len(rows)
     if not size:
         raise ValueError(f"the {gender} pool view is empty" if gender
                          else "anonymization pool is empty")
@@ -234,7 +235,7 @@ def _pool_view(pool: Corpus, cfg: AnonConfig, gender: str):
         warnings.warn(f"n_farthest {cfg.n_farthest} is {100 * cfg.n_farthest / size:.0f}% of the "
                       f"{size}-row{' ' + gender if gender else ''} pool view; pseudo-speakers "
                       "converge on the pool mean")
-    return pool.matrix()[rows], np.argsort(utt_ids, kind="stable")
+    return pool.matrix()[rows]
 
 
 def _distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,44 +255,32 @@ def _distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unique, inverse.ravel()
 
 
-def _ranked_rows(sources: np.ndarray, matrix: np.ndarray, id_order: np.ndarray,
-                 model: PldaModel, n: int) -> np.ndarray:
-    """The ``n`` farthest pool rows of each source row, as an (S, n) array.
+def _ranked_rows(sources: np.ndarray, matrix: np.ndarray, model: PldaModel, n: int) -> np.ndarray:
+    """The ``n`` farthest rows of ``matrix`` for each source row, as an (S, n)
+    array of row positions.
 
-    Rows are ordered by descending distance, ties by ascending utt_id
-    (``id_order`` lists the pool rows in utt_id order). All sources are
-    scored in one matrix product and cut at their n-th distance by one
-    partition. When every source has exactly ``n`` candidates, one stable
-    sort ranks the candidate columns alone; when distances tie at a cutoff,
-    it ranks all columns with the rest sorted last.
+    Rows are ordered by descending distance, ties by ascending position, which
+    in a pool view is utt_id order. All sources are scored in one matrix
+    product and cut at their n-th distance by one partition. When every
+    source has exactly ``n`` candidates, one stable sort ranks the candidate
+    columns alone; when distances tie at a cutoff, it ranks all columns with
+    the rest sorted last.
     """
-    if matrix.shape[1] != model.dim:
-        raise ValueError("pool or source dimension does not match model")
     # score distinct rows only: GEMM tiling can give identical rows different
     # last bits, and the tie rule needs identical vectors at equal distance
     unique, inverse = _distinct_rows(matrix)
-    # columns in utt_id order, so a stable sort breaks distance ties by utt_id
-    distances = -score_matrix(model, sources, unique)[:, inverse[id_order]]
+    distances = -score_matrix(model, sources, unique)[:, inverse]
     # the n-th largest distance of each row; every row at or above it is a
     # candidate, and the rest sort last
     cutoff = -np.partition(-distances, n - 1, axis=1)[:, n - 1]
     candidate = distances >= cutoff[:, None]
     if np.count_nonzero(candidate) == n * len(candidate):
-        # columns in ascending order, so the stable sort still breaks ties by utt_id
+        # columns in ascending order, so the stable sort still breaks ties by position
         columns = np.nonzero(candidate)[1].reshape(-1, n)
         order = np.argsort(-np.take_along_axis(distances, columns, axis=1), axis=1, kind="stable")
-        return id_order[np.take_along_axis(columns, order, axis=1)]
+        return np.take_along_axis(columns, order, axis=1)
     key = np.where(candidate, -distances, np.inf)
-    return id_order[np.argsort(key, axis=1, kind="stable")[:, :n]]
-
-
-def _pseudo_vectors(sources, view, model: PldaModel, cfg: AnonConfig, chosen) -> np.ndarray:
-    """One pseudo-vector per source row: the mean of the ranked entries its
-    row of the (S, n_farthest) mask ``chosen`` selects."""
-    matrix, id_order = view
-    top = _ranked_rows(sources, matrix, id_order, model, cfg.n_farthest)
-    # pool order canonicalizes summation, so the mean is selection-order free
-    return group_means(matrix, np.sort(top[chosen].reshape(len(top), cfg.n_select), axis=1))
+    return np.argsort(key, axis=1, kind="stable")[:, :n]
 
 
 def anonymize_corpus(
@@ -301,15 +290,17 @@ def anonymize_corpus(
 
     per_speaker ranks against the speaker's mean embedding and assigns the
     identical pseudo-vector to all of that speaker's utterances. Each pool
-    view is built once and ranked against all of its sources together, and
-    every pseudo-vector of a view is averaged in one ``group_means`` pass.
-    The selections of all sources are drawn together by ``_selection_masks``,
-    each the set its own stream would draw.
+    view is built once, in utt_id order, and ranked against all of its
+    sources together, and every pseudo-vector of a view is averaged in one
+    ``group_means`` pass. The selections of all sources are drawn together
+    by ``_selection_masks``, each the set its own stream would draw.
     """
     if len(corpus) == 0:
         raise ValueError("cannot anonymize an empty corpus")
     if corpus.dim != model.dim:
         raise ValueError("corpus dimension does not match model")
+    if len(pool) and pool.dim != model.dim:
+        raise ValueError("pool dimension does not match model")
 
     matrix = corpus.matrix()
     if cfg.assignment == "per_speaker":
@@ -331,5 +322,7 @@ def anonymize_corpus(
     pseudo = np.empty_like(sources)
     for gender, view in views.items():
         idx = np.flatnonzero(view_of == gender)
-        pseudo[idx] = _pseudo_vectors(sources[idx], view, model, cfg, chosen[idx])
+        top = _ranked_rows(sources[idx], view, model, cfg.n_farthest)
+        # each mean sums its selected rows in view order, which is utt_id order
+        pseudo[idx] = group_means(view, np.sort(top[chosen[idx]].reshape(len(idx), -1), axis=1))
     return Corpus(corpus.name, corpus.utt_id, corpus.spk_id, corpus.gender, pseudo[source_of_row])

@@ -174,19 +174,12 @@ class Corpus:
             raise ValueError(f"corpus {self.name!r} is empty")
         return self._matrix
 
-    def speaker_rows(self, sort: bool = False) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Distinct speaker ids and, for each, its row indices in corpus order.
-
-        Speakers come in first-appearance order, or in id order with ``sort``.
-        """
-        speakers, first, code = np.unique(self.spk_id, return_index=True, return_inverse=True)
+    def speaker_rows(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Distinct speaker ids in id order and, for each, its row indices in corpus order."""
+        speakers, code = np.unique(self.spk_id, return_inverse=True)
         order = np.argsort(code, kind="stable")
         ends = np.cumsum(np.bincount(code)).tolist()
-        rows = [order[start:end] for start, end in zip([0] + ends, ends)]
-        if sort:
-            return speakers, rows
-        appearance = np.argsort(first)
-        return speakers[appearance], [rows[i] for i in appearance]
+        return speakers, [order[start:end] for start, end in zip([0] + ends, ends)]
 
     def speaker_gender(self) -> dict[str, str]:
         return dict(zip(self.spk_id.tolist(), self.gender.tolist()))
@@ -588,6 +581,8 @@ class TrialPolicy:
     def __post_init__(self):
         if self.max_nontargets is not None and self.max_nontargets < 0:
             raise ValueError("max_nontargets must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def make_trials(enroll: Corpus, trial: Corpus, policy: TrialPolicy | None = None) -> TrialList:

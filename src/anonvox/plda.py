@@ -104,7 +104,7 @@ class PldaModel:
 def _speaker_stats(corpus: Corpus):
     """Per-speaker counts and means plus the pooled within-speaker scatter,
     one product over every row's deviation from its speaker's mean."""
-    speakers, groups = corpus.speaker_rows(sort=True)
+    speakers, groups = corpus.speaker_rows()
     x = corpus.matrix()
     counts = np.array([len(rows) for rows in groups], dtype=np.int64)
     means = group_means(x, groups)

@@ -31,6 +31,8 @@ class GenSpec:
             raise ValueError("n_speakers, utts_per_speaker and dim must be positive")
         if not 0.0 <= self.female_fraction <= 1.0:
             raise ValueError("female_fraction must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         b = np.asarray(self.between_cov, dtype=np.float64)
         w = np.asarray(self.within_cov, dtype=np.float64)
         d = self.dim
@@ -51,6 +53,8 @@ def default_spec(
 ) -> GenSpec:
     """Desk-scale default: rotated between-covariance with eigenvalues in
     [0.5, 2], identity within-covariance."""
+    if seed < 0:  # refused here too, since numpy refuses a seed below -0xB5 without naming it
+        raise ValueError("seed must be non-negative")
     rng = np.random.default_rng(seed + 0xB5)
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     eigs = np.linspace(0.5, 2.0, dim)
@@ -120,7 +124,7 @@ def split(corpus: Corpus, fractions, seed: int = 0) -> tuple[Corpus, Corpus, Cor
         raise ValueError("cannot split an empty corpus")
     f_train, f_pool, f_enroll, f_trial = fractions
 
-    speakers, groups = corpus.speaker_rows(sort=True)
+    speakers, groups = corpus.speaker_rows()
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(speakers))
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anonvox import AnonConfig, PldaModel, anonymize_corpus
+from anonvox import AnonConfig, Corpus, PldaModel, anonymize_corpus
 from anonvox import anonymize as anon
 from anonvox.anonymize import derive_stream
 from anonvox.plda import score_matrix
@@ -134,10 +134,13 @@ class TestAnonymizeEmbedding:
         assert str(caught.value) == "corpus dimension does not match model"
 
     def test_pool_dimension_differs_from_model(self):
-        cfg = AnonConfig(n_farthest=1, n_select=1)
-        with pytest.raises(ValueError) as caught:
+        # refused before the pool view is built, so n_farthest's note never shows
+        cfg = AnonConfig(n_farthest=2, n_select=1)
+        with warnings.catch_warnings(record=True) as notes, pytest.raises(ValueError) as caught:
+            warnings.simplefilter("always")
             anonymize_one([1.0, 0.0, 0.0], small_pool(), identity_model(3), cfg)
-        assert str(caught.value) == "pool or source dimension does not match model"
+        assert str(caught.value) == "pool dimension does not match model"
+        assert notes == []
 
     @pytest.mark.parametrize("same_gender_pool, n_farthest, notes", [
         (False, 2, []),
@@ -291,10 +294,11 @@ class TestPoolRankingKernel:
                          assignment="per_utterance")
         ids = pool.utt_id.tolist()
         pm = pool.matrix()
+        by_id = np.argsort(pool.utt_id, kind="stable")  # view position -> pool row
         with pytest.warns(UserWarning, match=r"^n_farthest 300 is \d+% of the \d+-row (F )?pool"):
             view = anon._pool_view(pool, cfg, "F")
-            ranked = anon._ranked_rows(corpus.matrix(), *view, model, cfg.n_farthest)
-            full = anon._ranked_rows(corpus.matrix(), *view, model, len(ids))
+            ranked = by_id[anon._ranked_rows(corpus.matrix(), view, model, cfg.n_farthest)]
+            full = by_id[anon._ranked_rows(corpus.matrix(), view, model, len(ids))]
             out = by_utt(anonymize_corpus(corpus, pool, model, cfg))
         for utt, src, order, whole in zip(corpus.utt_id.tolist(), corpus.matrix(), ranked, full):
             dists = [-score_matrix(model, [src], [p])[0, 0] for p in pm]
@@ -303,8 +307,9 @@ class TestPoolRankingKernel:
             assert order.tolist() == want[: cfg.n_farthest]
             top = np.array(want[: cfg.n_farthest])
             rng_src = derive_stream(cfg.seed, cfg.subset_tag, utt)
-            chosen = np.sort(top[rng_src.choice(cfg.n_farthest, size=cfg.n_select,
-                                                replace=False)])
+            # the selected rows, summed in utt_id order
+            chosen = sorted(top[rng_src.choice(cfg.n_farthest, size=cfg.n_select,
+                                               replace=False)], key=ids.__getitem__)
             expected = np.mean([pm[i] for i in chosen], axis=0)
             assert np.array_equal(out[utt], expected)
 
@@ -330,9 +335,30 @@ class TestPoolRankingKernel:
             dists = {i: -score_matrix(model, [src], [pm[i]])[0, 0] for i in view}
             top = np.array(sorted(view, key=lambda i: (-dists[i], ids[i]))[: cfg.n_farthest])
             rng_src = derive_stream(cfg.seed, cfg.subset_tag, utt)
-            chosen = np.sort(top[rng_src.choice(cfg.n_farthest, size=cfg.n_select,
-                                                replace=False)])
+            # the selected rows, summed in utt_id order
+            chosen = sorted(top[rng_src.choice(cfg.n_farthest, size=cfg.n_select,
+                                               replace=False)], key=ids.__getitem__)
             assert np.array_equal(got, pm[chosen].mean(axis=0))
+
+    @pytest.mark.parametrize("same_gender_pool", [False, True])
+    @pytest.mark.parametrize("assignment", anon.ASSIGNMENTS)
+    def test_pool_row_order_changes_no_bit(self, assignment, same_gender_pool):
+        rng = np.random.default_rng(13)
+        dim = 5
+        a = rng.standard_normal((dim, dim))
+        model = PldaModel(mu=np.zeros(dim), between=a @ a.T + 0.1 * np.eye(dim),
+                          within=np.eye(dim))
+        pool = self._duplicated_pool(rng, 160, dim)  # file order is not utt_id order
+        corpus = corpus_of("c", ((f"u{i}", f"s{i % 7}", "F" if i % 7 < 3 else "M",
+                                  rng.standard_normal(dim)) for i in range(40)))
+        cfg = AnonConfig(n_farthest=30, n_select=12, seed=9, subset_tag="trial",
+                         assignment=assignment, same_gender_pool=same_gender_pool)
+        want = anonymize_corpus(corpus, pool, model, cfg).matrix()
+        for rows in (np.argsort(pool.utt_id), rng.permutation(len(pool))):
+            permuted = Corpus("pool", pool.utt_id[rows], pool.spk_id[rows], pool.gender[rows],
+                              pool.matrix()[rows])
+            got = anonymize_corpus(corpus, permuted, model, cfg).matrix()
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_cutoff_ties_follow_pair_oracle(self, ties):
@@ -358,7 +384,8 @@ class TestPoolRankingKernel:
             dists = np.array(pair_distances(src))
             candidates.append(int(np.sum(dists >= np.sort(dists)[::-1][n_far - 1])))
         assert max(candidates) == (n_far + 1 if ties else n_far)
-        ranked = anon._ranked_rows(sources, matrix, np.argsort(ids, kind="stable"), model, n_far)
+        by_id = np.argsort(ids, kind="stable")  # position in utt_id order -> matrix row
+        ranked = by_id[anon._ranked_rows(sources, matrix[by_id], model, n_far)]
         for src, got in zip(sources, ranked):
             dists = pair_distances(src)
             want = sorted(range(len(ids)), key=lambda i: (-dists[i], ids[i]))[:n_far]
@@ -474,11 +501,13 @@ class TestSelectionDraws:
                             or derive_stream(*args))
         out = anonymize_corpus(corpus, pool, identity_model(2), cfg)
         assert streamed == ["u1", "u2"]
-        top = anon._ranked_rows(corpus.matrix(), *anon._pool_view(pool, cfg, ""),
+        by_id = np.argsort(pool.utt_id, kind="stable")  # view position -> pool row
+        top = anon._ranked_rows(corpus.matrix(), anon._pool_view(pool, cfg, ""),
                                 identity_model(2), n_pool)
         want = choice_masks(8, "t", ["u1", "u2"], n_pool, 300)
         for got, ranked, mask in zip(out.matrix(), top, want):
-            assert np.array_equal(got, pool.matrix()[np.sort(ranked[mask])].mean(axis=0))
+            # the selected rows, summed in utt_id order
+            assert np.array_equal(got, pool.matrix()[by_id[np.sort(ranked[mask])]].mean(axis=0))
 
     def test_probe_mismatch_draws_every_key_from_its_stream(self, fresh_probe, monkeypatch):
         stream = derive_stream

@@ -160,6 +160,16 @@ class TestExitCodes:
         )
         assert not (tmp_path / "trials.txt").exists()
 
+    @pytest.mark.parametrize("command", ["synth", "make-trials"])
+    def test_negative_seed_is_data_error(self, synth_dir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = {"synth": ["--out-dir", str(out)],
+                "make-trials": ["--enroll", str(synth_dir / "enroll.xvec"),
+                                "--trial", str(synth_dir / "trial.xvec"), "--out", str(out)]}
+        assert run_cli(command, *argv[command], "--seed", "-1") == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: seed must be non-negative"
+        assert not out.exists()
+
     @pytest.mark.parametrize("fault", ["nan", "cut"])
     def test_binary_corpus_fault_names_the_record(self, synth_dir, tmp_path, capsys, fault):
         blob = (synth_dir / "enroll.xvec").read_bytes()

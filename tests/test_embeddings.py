@@ -699,12 +699,9 @@ class TestCorpusColumns:
         assert corpus.gender.tolist() == ["M", "F", "M"]
         np.testing.assert_array_equal(corpus.matrix(), [[1, 2], [3, 4], [5, 6]])
 
-    def test_speaker_rows_in_appearance_or_id_order(self):
+    def test_speaker_rows_in_id_order(self):
         corpus = self._corpus()
         speakers, rows = corpus.speaker_rows()
-        assert speakers.tolist() == ["s2", "s1"]
-        assert [r.tolist() for r in rows] == [[0, 2], [1]]
-        speakers, rows = corpus.speaker_rows(sort=True)
         assert speakers.tolist() == ["s1", "s2"]
         assert [r.tolist() for r in rows] == [[1], [0, 2]]
         assert corpus.speaker_gender() == {"s2": "M", "s1": "F"}

@@ -172,7 +172,7 @@ class TestDistance:
         rng = np.random.default_rng(2)
         model = random_model(rng, 3)
         a, pool = rng.standard_normal(3), rng.standard_normal((8, 3))
-        (farthest,) = _ranked_rows(a[None, :], pool, np.arange(8), model, 1)
+        (farthest,) = _ranked_rows(a[None, :], pool, model, 1)
         pair_scores = [score_matrix(model, [a], [p])[0, 0] for p in pool]
         assert farthest.tolist() == [int(np.argmin(pair_scores))]
 
@@ -191,7 +191,7 @@ class TestDistance:
         model = random_model(rng, 3)
         x = rng.standard_normal(3)
         ys = rng.standard_normal((10, 3))
-        (by_dist,) = _ranked_rows(x[None, :], ys, np.arange(10), model, 10)
+        (by_dist,) = _ranked_rows(x[None, :], ys, model, 10)
         by_score = sorted(range(10), key=lambda i: score_matrix(model, [x], [ys[i]])[0, 0])
         assert by_dist.tolist() == by_score
 

@@ -73,6 +73,14 @@ class TestGenerate:
         with pytest.raises(ValueError, match="positive semi-definite"):
             generate(spec)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            GenSpec(n_speakers=3, utts_per_speaker=2, dim=2, between_cov=np.eye(2),
+                    within_cov=np.eye(2), seed=-1)
+        # below -0xB5 numpy would refuse the covariance draw's seed first
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            default_spec(seed=-1000)
+
     def test_gender_split(self):
         spec = default_spec(n_speakers=10, utts_per_speaker=2, dim=3, seed=0)
         corpus, _ = generate(spec)

@@ -230,7 +230,8 @@ def _pool_view(pool: Corpus, cfg: AnonConfig, gender: str) -> np.ndarray:
         raise ValueError(f"the {gender} pool view is empty" if gender
                          else "anonymization pool is empty")
     if cfg.n_farthest > size:
-        raise ValueError(f"n_farthest ({cfg.n_farthest}) exceeds pool size ({size})")
+        raise ValueError(f"n_farthest ({cfg.n_farthest}) exceeds pool size ({size})"
+                         + (f" of the {gender} pool view" if gender else ""))
     if 2 * cfg.n_farthest >= size:
         warnings.warn(f"n_farthest {cfg.n_farthest} is {100 * cfg.n_farthest / size:.0f}% of the "
                       f"{size}-row{' ' + gender if gender else ''} pool view; pseudo-speakers "
@@ -259,28 +260,28 @@ def _ranked_rows(sources: np.ndarray, matrix: np.ndarray, model: PldaModel, n: i
     """The ``n`` farthest rows of ``matrix`` for each source row, as an (S, n)
     array of row positions.
 
-    Rows are ordered by descending distance, ties by ascending position, which
+    Rows are ordered by ascending score, ties by ascending position, which
     in a pool view is utt_id order. All sources are scored in one matrix
-    product and cut at their n-th distance by one partition. When every
+    product and cut at their n-th lowest score by one partition. When every
     source has exactly ``n`` candidates, one stable sort ranks the candidate
-    columns alone; when distances tie at a cutoff, it ranks all columns with
+    columns alone; when scores tie at a cutoff, it ranks all columns with
     the rest sorted last.
     """
     # score distinct rows only: GEMM tiling can give identical rows different
-    # last bits, and the tie rule needs identical vectors at equal distance
+    # last bits, and the tie rule needs identical vectors at equal score
     unique, inverse = _distinct_rows(matrix)
-    distances = -score_matrix(model, sources, unique)[:, inverse]
-    # the n-th largest distance of each row; every row at or above it is a
+    scores = score_matrix(model, sources, unique)[:, inverse]
+    # the n-th lowest score of each row; every row at or below it is a
     # candidate, and the rest sort last
-    cutoff = -np.partition(-distances, n - 1, axis=1)[:, n - 1]
-    candidate = distances >= cutoff[:, None]
+    cutoff = np.partition(scores, n - 1, axis=1)[:, n - 1]
+    candidate = scores <= cutoff[:, None]
     if np.count_nonzero(candidate) == n * len(candidate):
         # columns in ascending order, so the stable sort still breaks ties by position
         columns = np.nonzero(candidate)[1].reshape(-1, n)
-        order = np.argsort(-np.take_along_axis(distances, columns, axis=1), axis=1, kind="stable")
+        order = np.argsort(np.take_along_axis(scores, columns, axis=1), axis=1, kind="stable")
         return np.take_along_axis(columns, order, axis=1)
-    key = np.where(candidate, -distances, np.inf)
-    return np.argsort(key, axis=1, kind="stable")[:, :n]
+    scores[~candidate] = np.inf
+    return np.argsort(scores, axis=1, kind="stable")[:, :n]
 
 
 def anonymize_corpus(

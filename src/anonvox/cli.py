@@ -12,7 +12,8 @@ import argparse
 import functools
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -33,7 +34,7 @@ from .formant import ShiftConfig, anonymize_wav, read_wav, write_wav
 from .harness import Condition, evaluate, render_report
 from .metrics import WerResult, det_points, format_det, wer_counts
 from .plda import load_model, save_model, score_trials, train_plda
-from .synthgen import default_spec, generate, split
+from .synthgen import GenSpec, default_spec, generate, split
 
 
 class UsageError(Exception):
@@ -46,7 +47,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
 @dataclass(frozen=True)
@@ -58,93 +59,6 @@ class Opt:
     required: bool = False
 
 
-# the anonymizer's options, shared by anonymize-xvec and eval
-_ANON_OPTIONS = [
-    Opt("n_farthest", int, 200, "pool candidates ranked most dissimilar"),
-    Opt("n_select", int, 100, "vectors averaged into the pseudo-vector"),
-    Opt("assignment", str, "per_speaker", "per_speaker or per_utterance"),
-    Opt("seed", int, 0, "anonymization seed"),
-    Opt("same_gender_pool", _parse_bool, False, "filter pool by source gender"),
-]
-
-# per-subcommand option tables; names double as config-file keys
-_OPTIONS: dict[str, list[Opt]] = {
-    "synth": [
-        Opt("out_dir", str, None, "directory for the generated corpora", required=True),
-        Opt("n_speakers", int, 200, "number of speakers"),
-        Opt("utts_per_speaker", int, 10, "utterances per speaker"),
-        Opt("dim", int, 32, "embedding dimension"),
-        Opt("seed", int, 0, "generator seed"),
-        Opt("female_fraction", float, 0.5, "fraction of female speakers"),
-        Opt("fractions", str, "0.595,0.105,0.1,0.2", "train,pool,enroll,trial split"),
-        Opt("format", str, "binary", "embedding file format: text or binary"),
-        Opt("model_out", str, None, "optional path for the ground-truth model"),
-    ],
-    "make-trials": [
-        Opt("enroll", str, None, "enrollment embedding file", required=True),
-        Opt("trial", str, None, "trial embedding file", required=True),
-        Opt("out", str, None, "output trial list", required=True),
-        Opt("format", str, "binary", "embedding file format"),
-        Opt("same_gender_only", _parse_bool, True, "restrict impostors to same gender"),
-        Opt("max_nontargets", int, None, "subsample impostors to this many"),
-        Opt("seed", int, 0, "impostor subsampling seed"),
-    ],
-    "train-plda": [
-        Opt("data", str, None, "training embedding file", required=True),
-        Opt("out", str, None, "output model path", required=True),
-        Opt("iterations", int, 10, "EM iterations"),
-        Opt("format", str, "binary", "embedding file format"),
-    ],
-    "anonymize-xvec": [
-        Opt("input", str, None, "embedding file to anonymize", required=True),
-        Opt("pool", str, None, "pool embedding file", required=True),
-        Opt("model", str, None, "verification model path", required=True),
-        Opt("out", str, None, "output embedding file", required=True),
-        Opt("format", str, "binary", "embedding file format"),
-        *_ANON_OPTIONS,
-        Opt("subset_tag", str, "", "salts the random stream"),
-    ],
-    "anonymize-wav": [
-        Opt("input", str, None, "input WAV", required=True),
-        Opt("out", str, None, "output WAV", required=True),
-        Opt("alpha", float, 0.8, "pole-angle exponent in (0, 2]"),
-        Opt("lpc_order", int, 20, "LPC order"),
-        Opt("frame_len", int, 400, "analysis frame length in samples"),
-        Opt("hop", int, 160, "hop size in samples"),
-    ],
-    "score": [
-        Opt("model", str, None, "model path", required=True),
-        Opt("enroll", str, None, "enrollment embedding file", required=True),
-        Opt("test", str, None, "test embedding file", required=True),
-        Opt("trials", str, None, "trial list", required=True),
-        Opt("out", str, None, "output score file", required=True),
-        Opt("format", str, "binary", "embedding file format"),
-    ],
-    "eval": [
-        Opt("enroll", str, None, "enrollment embedding file", required=True),
-        Opt("trial", str, None, "trial embedding file", required=True),
-        Opt("pool", str, None, "pool embedding file", required=True),
-        Opt("model", str, None, "model path", required=True),
-        Opt("trials", str, None, "trial list", required=True),
-        Opt("format", str, "binary", "embedding file format"),
-        Opt("conditions", str, "oo,oa,aa", "comma-separated subset of oo,oa,aa"),
-        Opt("dataset", str, None, "dataset label in the report"),
-        *_ANON_OPTIONS,
-        Opt("same_tags", _parse_bool, False, "share the enroll/trial stream tag (ablation)"),
-        Opt("records", str, None, "write machine-readable lines here"),
-        Opt("dump_anon", str, None, "directory for anonymized corpora (binary)"),
-    ],
-    "det": [
-        Opt("scores", str, None, "score file", required=True),
-        Opt("trials", str, None, "trial list supplying labels", required=True),
-        Opt("out", str, None, "output path (default: stdout)"),
-    ],
-    "wer": [
-        Opt("ref", str, None, "reference transcript file", required=True),
-        Opt("hyp", str, None, "hypothesis transcript file", required=True),
-    ],
-}
-
 @functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -153,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"anonvox {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for command, options in _OPTIONS.items():
+    for command, (_, options) in _COMMANDS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="key = value option file")
         for opt in options:
@@ -177,7 +91,7 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _resolve_options(command: str, args: argparse.Namespace) -> dict:
-    table = {opt.name: opt for opt in _OPTIONS[command]}
+    table = {opt.name: opt for opt in _COMMANDS[command][1]}
     resolved = {name: opt.default for name, opt in table.items()}
     if args.config is not None:
         for key, raw in _read_config_file(args.config).items():
@@ -185,7 +99,7 @@ def _resolve_options(command: str, args: argparse.Namespace) -> dict:
                 raise UsageError(f"unknown config key {key!r} for {command}")
             try:
                 resolved[key] = table[key].type(raw)
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise UsageError(f"config key {key!r}: {exc}") from None
     for name in table:
         flag_value = getattr(args, name)
@@ -216,6 +130,11 @@ def _parse_fractions(text: str) -> tuple[float, ...]:
         raise UsageError(f"bad fractions value {text!r}") from None
 
 
+def _config(cls, opts: dict):
+    """``cls`` built from the options named after its dataclass fields."""
+    return cls(**{f.name: opts[f.name] for f in fields(cls) if f.name in opts})
+
+
 def _cmd_synth(opts: dict) -> int:
     fractions = _parse_fractions(opts["fractions"])  # before the corpus is drawn
     spec = default_spec(
@@ -242,12 +161,7 @@ def _cmd_synth(opts: dict) -> int:
 def _cmd_make_trials(opts: dict) -> int:
     enroll = load_embeddings(opts["enroll"], opts["format"])
     trial = load_embeddings(opts["trial"], opts["format"])
-    policy = TrialPolicy(
-        same_gender_only=opts["same_gender_only"],
-        max_nontargets=opts["max_nontargets"],
-        seed=opts["seed"],
-    )
-    trials = make_trials(enroll, trial, policy)
+    trials = make_trials(enroll, trial, _config(TrialPolicy, opts))
     save_trials(trials, opts["out"])
     print(
         f"wrote {len(trials)} trials ({trials.n_target} target, "
@@ -265,28 +179,18 @@ def _cmd_train_plda(opts: dict) -> int:
     return 0
 
 
-def _anon_config(opts: dict) -> AnonConfig:
-    shared = {opt.name: opts[opt.name] for opt in _ANON_OPTIONS}
-    return AnonConfig(subset_tag=opts.get("subset_tag", ""), **shared)
-
-
 def _cmd_anonymize_xvec(opts: dict) -> int:
     corpus = load_embeddings(opts["input"], opts["format"])
     pool = load_embeddings(opts["pool"], opts["format"])
     model = load_model(opts["model"])
-    out = anonymize_corpus(corpus, pool, model, _anon_config(opts))
+    out = anonymize_corpus(corpus, pool, model, _config(AnonConfig, opts))
     save_embeddings(out, opts["out"], opts["format"])
     print(f"anonymized {len(out)} embeddings", file=sys.stderr)
     return 0
 
 
 def _cmd_anonymize_wav(opts: dict) -> int:
-    cfg = ShiftConfig(
-        alpha=opts["alpha"],
-        lpc_order=opts["lpc_order"],
-        frame_len=opts["frame_len"],
-        hop=opts["hop"],
-    )
+    cfg = _config(ShiftConfig, opts)
     wav = read_wav(opts["input"])
     write_wav(anonymize_wav(wav, cfg), opts["out"])
     print(f"wrote {opts['out']}", file=sys.stderr)
@@ -323,7 +227,7 @@ def _cmd_eval(opts: dict) -> int:
     model = load_model(opts["model"])
     trials = load_trials(opts["trials"])
     runs, trial_anon, enroll_anon = evaluate(
-        conditions, enroll, trial, pool, model, _anon_config(opts), trials,
+        conditions, enroll, trial, pool, model, _config(AnonConfig, opts), trials,
         dataset=opts["dataset"], same_tags=opts["same_tags"],
     )
     report = render_report(runs)
@@ -369,16 +273,93 @@ def _cmd_wer(opts: dict) -> int:
     return 0
 
 
-_HANDLERS = {
-    "synth": _cmd_synth,
-    "make-trials": _cmd_make_trials,
-    "train-plda": _cmd_train_plda,
-    "anonymize-xvec": _cmd_anonymize_xvec,
-    "anonymize-wav": _cmd_anonymize_wav,
-    "score": _cmd_score,
-    "eval": _cmd_eval,
-    "det": _cmd_det,
-    "wer": _cmd_wer,
+# the anonymizer's options, shared by anonymize-xvec and eval
+_ANON_OPTIONS = [
+    Opt("n_farthest", int, AnonConfig.n_farthest, "pool candidates ranked most dissimilar"),
+    Opt("n_select", int, AnonConfig.n_select, "vectors averaged into the pseudo-vector"),
+    Opt("assignment", str, AnonConfig.assignment, "per_speaker or per_utterance"),
+    Opt("seed", int, AnonConfig.seed, "anonymization seed"),
+    Opt("same_gender_pool", _parse_bool, AnonConfig.same_gender_pool,
+        "filter pool by source gender"),
+]
+
+# each subcommand's handler and options; option names double as config-file keys
+_COMMANDS: dict[str, tuple[Callable[[dict], int], list[Opt]]] = {
+    "synth": (_cmd_synth, [
+        Opt("out_dir", str, None, "directory for the generated corpora", required=True),
+        Opt("n_speakers", int, 200, "number of speakers"),
+        Opt("utts_per_speaker", int, 10, "utterances per speaker"),
+        Opt("dim", int, 32, "embedding dimension"),
+        Opt("seed", int, 0, "generator seed"),
+        Opt("female_fraction", float, GenSpec.female_fraction, "fraction of female speakers"),
+        Opt("fractions", str, "0.595,0.105,0.1,0.2", "train,pool,enroll,trial split"),
+        Opt("format", str, "binary", "embedding file format: text or binary"),
+        Opt("model_out", str, None, "optional path for the ground-truth model"),
+    ]),
+    "make-trials": (_cmd_make_trials, [
+        Opt("enroll", str, None, "enrollment embedding file", required=True),
+        Opt("trial", str, None, "trial embedding file", required=True),
+        Opt("out", str, None, "output trial list", required=True),
+        Opt("format", str, "binary", "embedding file format"),
+        Opt("same_gender_only", _parse_bool, TrialPolicy.same_gender_only,
+            "restrict impostors to same gender"),
+        Opt("max_nontargets", int, TrialPolicy.max_nontargets, "subsample impostors to this many"),
+        Opt("seed", int, TrialPolicy.seed, "impostor subsampling seed"),
+    ]),
+    "train-plda": (_cmd_train_plda, [
+        Opt("data", str, None, "training embedding file", required=True),
+        Opt("out", str, None, "output model path", required=True),
+        Opt("iterations", int, 10, "EM iterations"),
+        Opt("format", str, "binary", "embedding file format"),
+    ]),
+    "anonymize-xvec": (_cmd_anonymize_xvec, [
+        Opt("input", str, None, "embedding file to anonymize", required=True),
+        Opt("pool", str, None, "pool embedding file", required=True),
+        Opt("model", str, None, "verification model path", required=True),
+        Opt("out", str, None, "output embedding file", required=True),
+        Opt("format", str, "binary", "embedding file format"),
+        *_ANON_OPTIONS,
+        Opt("subset_tag", str, AnonConfig.subset_tag, "salts the random stream"),
+    ]),
+    "anonymize-wav": (_cmd_anonymize_wav, [
+        Opt("input", str, None, "input WAV", required=True),
+        Opt("out", str, None, "output WAV", required=True),
+        Opt("alpha", float, ShiftConfig.alpha, "pole-angle exponent in (0, 2]"),
+        Opt("lpc_order", int, ShiftConfig.lpc_order, "LPC order"),
+        Opt("frame_len", int, ShiftConfig.frame_len, "analysis frame length in samples"),
+        Opt("hop", int, ShiftConfig.hop, "hop size in samples"),
+    ]),
+    "score": (_cmd_score, [
+        Opt("model", str, None, "model path", required=True),
+        Opt("enroll", str, None, "enrollment embedding file", required=True),
+        Opt("test", str, None, "test embedding file", required=True),
+        Opt("trials", str, None, "trial list", required=True),
+        Opt("out", str, None, "output score file", required=True),
+        Opt("format", str, "binary", "embedding file format"),
+    ]),
+    "eval": (_cmd_eval, [
+        Opt("enroll", str, None, "enrollment embedding file", required=True),
+        Opt("trial", str, None, "trial embedding file", required=True),
+        Opt("pool", str, None, "pool embedding file", required=True),
+        Opt("model", str, None, "model path", required=True),
+        Opt("trials", str, None, "trial list", required=True),
+        Opt("format", str, "binary", "embedding file format"),
+        Opt("conditions", str, "oo,oa,aa", "comma-separated subset of oo,oa,aa"),
+        Opt("dataset", str, None, "dataset label in the report"),
+        *_ANON_OPTIONS,
+        Opt("same_tags", _parse_bool, False, "share the enroll/trial stream tag (ablation)"),
+        Opt("records", str, None, "write machine-readable lines here"),
+        Opt("dump_anon", str, None, "directory for anonymized corpora (binary)"),
+    ]),
+    "det": (_cmd_det, [
+        Opt("scores", str, None, "score file", required=True),
+        Opt("trials", str, None, "trial list supplying labels", required=True),
+        Opt("out", str, None, "output path (default: stdout)"),
+    ]),
+    "wer": (_cmd_wer, [
+        Opt("ref", str, None, "reference transcript file", required=True),
+        Opt("hyp", str, None, "hypothesis transcript file", required=True),
+    ]),
 }
 
 
@@ -398,7 +379,7 @@ def main(argv=None) -> int:
             warnings.showwarning = lambda message, *_: print(f"note: {message}", file=sys.stderr)
             opts = _resolve_options(args.command, args)
             _print_provenance(args.command, opts)
-            return _HANDLERS[args.command](opts)
+            return _COMMANDS[args.command][0](opts)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

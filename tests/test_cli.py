@@ -96,7 +96,84 @@ def test_module_run_exits_with_the_code_of_main(tmp_path, argv, code, last):
     assert not (tmp_path / "m.plda").exists()
 
 
+# arguments and expected last stderr line name their files by placeholder: {synth},
+# {model}, {trials} and {spk} (an enrolled speaker) come from the fixtures, {tmp} is
+# the test's own directory, and a name written under {tmp} starting "out" is an output
+_XVEC = ["anonymize-xvec", "--input", "{synth}/trial.xvec", "--pool", "{synth}/pool.xvec",
+         "--model", "{model}", "--out", "{tmp}/out.xvec"]
+_EVAL = ["eval", "--enroll", "{synth}/enroll.xvec", "--trial", "{synth}/trial.xvec",
+         "--pool", "{synth}/pool.xvec", "--model", "{model}", "--trials", "{trials}",
+         "--records", "{tmp}/out.txt"]
+_TRIALS = ["make-trials", "--enroll", "{synth}/enroll.xvec", "--trial", "{synth}/trial.xvec",
+           "--out", "{tmp}/out.txt"]
+_TRAIN = ["train-plda", "--data", "{synth}/train.xvec", "--out", "{tmp}/out.plda"]
+_WAV = ["anonymize-wav", "--input", "{tmp}/in.wav", "--out", "{tmp}/out.wav"]
+_SYNTH = ["synth", "--out-dir", "{tmp}/out"]
+_REFUSED_CALLS = [
+    # (id, files written under {tmp}, argv, exit code, last stderr line)
+    ("bool-flag", {}, [*_XVEC, "--same-gender-pool", "maybe"], 1,
+     "anonvox anonymize-xvec: error: argument --same-gender-pool: "
+     "expected a boolean, got 'maybe'"),
+    ("config-line-without-equals", {"run.cfg": "iterations 5\n"},
+     [*_TRAIN, "--config", "{tmp}/run.cfg"], 1,
+     "usage error: {tmp}/run.cfg:1: expected 'key = value'"),
+    ("config-int", {"run.cfg": "n_farthest = many\n"}, [*_XVEC, "--config", "{tmp}/run.cfg"], 1,
+     "usage error: config key 'n_farthest': invalid literal for int() with base 10: 'many'"),
+    ("config-bool", {"run.cfg": "same_gender_pool = maybe\n"},
+     [*_XVEC, "--config", "{tmp}/run.cfg"], 1,
+     "usage error: config key 'same_gender_pool': expected a boolean, got 'maybe'"),
+    ("synth-fractions", {}, [*_SYNTH, "--fractions", "a,b,c,d"], 1,
+     "usage error: bad fractions value 'a,b,c,d'"),
+    ("eval-no-conditions", {}, [*_EVAL, "--conditions", " , "], 1,
+     "usage error: no conditions requested"),
+    ("n-select", {}, [*_XVEC, "--n-select", "0"], 2, "error: n_select must be positive"),
+    ("n-farthest-over-a-gender-view", {},
+     [*_XVEC, "--same-gender-pool", "true", "--n-farthest", "20", "--n-select", "10"], 2,
+     "error: n_farthest (20) exceeds pool size (18) of the M pool view"),
+    ("max-nontargets", {}, [*_TRIALS, "--max-nontargets", "-1"], 2,
+     "error: max_nontargets must be non-negative"),
+    ("alpha-zero", {}, [*_WAV, "--alpha", "0"], 2, "error: alpha must be in (0, 2], got 0.0"),
+    ("alpha-over-two", {}, [*_WAV, "--alpha", "2.5"], 2,
+     "error: alpha must be in (0, 2], got 2.5"),
+    ("lpc-order", {}, [*_WAV, "--lpc-order", "400"], 2,
+     "error: lpc_order must satisfy 1 <= lpc_order < frame_len"),
+    ("iterations", {}, [*_TRAIN, "--iterations", "-1"], 2,
+     "error: iterations must be non-negative"),
+    ("n-speakers", {}, [*_SYNTH, "--n-speakers", "0"], 2,
+     "error: n_speakers, utts_per_speaker and dim must be positive"),
+    ("female-fraction", {}, [*_SYNTH, "--female-fraction", "1.5"], 2,
+     "error: female_fraction must be in [0, 1]"),
+    ("text-corpus-two-fields", {"bad.txt": "u1 s1\n"},
+     ["train-plda", "--data", "{tmp}/bad.txt", "--format", "text", "--out", "{tmp}/out.plda"],
+     2, "error: {tmp}/bad.txt:1: expected 'utt spk gender v1 ...', got 2 fields"),
+    ("8-bit-wav", {"in.wav": _wav_header(1, 8, 4) + bytes(4)}, _WAV, 2,
+     "error: {tmp}/in.wav: expected 16-bit PCM, got 8-bit"),
+    ("empty-wav", {"in.wav": _wav_header(1, 16, 0)}, _WAV, 2,
+     "error: {tmp}/in.wav: empty audio file"),
+    ("unknown-test-utterance", {"bad_trials.txt": "{spk} nosuch target\n"},
+     ["score", "--model", "{model}", "--enroll", "{synth}/enroll.xvec",
+      "--test", "{synth}/trial.xvec", "--trials", "{tmp}/bad_trials.txt",
+      "--out", "{tmp}/out.txt"], 2, "error: unknown test utterance 'nosuch' in trial list"),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("files, argv, code, last",
+                             [pytest.param(*case[1:], id=case[0]) for case in _REFUSED_CALLS])
+    def test_refused_call(self, synth_dir, trained, tmp_path, capsys, files, argv, code, last):
+        where = {"synth": synth_dir, "model": trained[0], "trials": trained[1], "tmp": tmp_path,
+                 "spk": load_embeddings(synth_dir / "enroll.xvec", "binary").spk_id[0]}
+        for name, content in files.items():
+            path = tmp_path / name
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(content.format(**where))
+        capsys.readouterr()
+        assert run_cli(*(arg.format(**where) for arg in argv)) == code
+        assert capsys.readouterr().err.splitlines()[-1] == last.format(**where)
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run_cli("frobnicate") == 1
         assert "usage" in capsys.readouterr().err.lower()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import sys
 import warnings
 from collections.abc import Callable
@@ -135,14 +136,13 @@ def _config(cls, opts: dict):
     return cls(**{f.name: opts[f.name] for f in fields(cls) if f.name in opts})
 
 
+# default_spec's parameters are synth options, with its defaults
+_SPEC_DEFAULTS = {name: p.default for name, p in inspect.signature(default_spec).parameters.items()}
+
+
 def _cmd_synth(opts: dict) -> int:
     fractions = _parse_fractions(opts["fractions"])  # before the corpus is drawn
-    spec = default_spec(
-        n_speakers=opts["n_speakers"],
-        utts_per_speaker=opts["utts_per_speaker"],
-        dim=opts["dim"],
-        seed=opts["seed"],
-    )
+    spec = default_spec(**{name: opts[name] for name in _SPEC_DEFAULTS})
     corpus, truth = generate(replace(spec, female_fraction=opts["female_fraction"]))
     train, pool, enroll, trial = split(corpus, fractions, opts["seed"])
     out_dir = Path(opts["out_dir"])
@@ -254,15 +254,19 @@ def _cmd_det(opts: dict) -> int:
 
 
 def _transcript_lines(path) -> list[list[str]]:
-    """The words of each ``\n``-separated line, without the trailing blank lines."""
-    lines = [line.split() for line in read_utf8(path).split("\n")]
-    while lines and not lines[-1]:
+    """The words of each ``\n``-separated line; a final ``\n`` ends the last line."""
+    lines = read_utf8(path).split("\n")
+    if not lines[-1]:
         lines.pop()
-    return lines
+    return [line.split() for line in lines]
 
 
 def _cmd_wer(opts: dict) -> int:
     refs, hyps = _transcript_lines(opts["ref"]), _transcript_lines(opts["hyp"])
+    # trailing blank lines are dropped, but only down to the other file's line count
+    for lines, other in ((refs, hyps), (hyps, refs)):
+        while len(lines) > len(other) and not lines[-1]:
+            lines.pop()
     if len(refs) != len(hyps):
         raise ValueError(f"line count mismatch: {len(refs)} reference vs {len(hyps)} hypothesis")
     subs, dels, ins = wer_counts(refs, hyps).sum(axis=0).tolist()
@@ -287,10 +291,10 @@ _ANON_OPTIONS = [
 _COMMANDS: dict[str, tuple[Callable[[dict], int], list[Opt]]] = {
     "synth": (_cmd_synth, [
         Opt("out_dir", str, None, "directory for the generated corpora", required=True),
-        Opt("n_speakers", int, 200, "number of speakers"),
-        Opt("utts_per_speaker", int, 10, "utterances per speaker"),
-        Opt("dim", int, 32, "embedding dimension"),
-        Opt("seed", int, 0, "generator seed"),
+        Opt("n_speakers", int, _SPEC_DEFAULTS["n_speakers"], "number of speakers"),
+        Opt("utts_per_speaker", int, _SPEC_DEFAULTS["utts_per_speaker"], "utterances per speaker"),
+        Opt("dim", int, _SPEC_DEFAULTS["dim"], "embedding dimension"),
+        Opt("seed", int, _SPEC_DEFAULTS["seed"], "generator seed"),
         Opt("female_fraction", float, GenSpec.female_fraction, "fraction of female speakers"),
         Opt("fractions", str, "0.595,0.105,0.1,0.2", "train,pool,enroll,trial split"),
         Opt("format", str, "binary", "embedding file format: text or binary"),

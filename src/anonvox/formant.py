@@ -7,12 +7,12 @@ refiltered through the warped envelope and frames are overlap-added with
 window-sum compensation. alpha = 1 reconstructs the input. Frames are
 processed in fixed-size blocks, every step vectorized over the block's frames;
 the autocorrelation and the residual are one contraction each.
-The overlap-add streams: each block cuts its own zero-padded segment of the
-input, adds its frames into block-local sums seeded with the previous block's
-carry (the partial sums of the samples its last frames reach past its end),
-and writes the samples no later frame reaches, normalized and clipped, into
-the one output array. A call holds the input, the output and one block's
-working set, whatever the signal length.
+Every block adds its frames straight into one zeroed buffer over the padded
+signal, about the output's size, and each sample sums its frames oldest
+first, so the block size changes no output bit. After the last block one
+pass divides by the window sum, a constant of the hop grid, and clips in
+place; the output is the buffer's signal slice. A call holds the input, the
+buffer and one block's working set, whatever the signal length.
 The blocks run two deep in a pipeline: while the calling thread warps,
 synthesizes and overlap-adds block k, one worker thread solves the poles of
 blocks k+1 and k+2 in turn, each as two batched LAPACK eigen-solves of half
@@ -26,9 +26,8 @@ synthesized. The residual and the all-pole recursion are time-major, one
 row per sample and one column per frame, so each recursion step reads
 contiguous rows; its taps are a reversed view, because einsum sums a
 contiguous one-frame block in another order than the serial loop.
-Analysis, warp and WAV I/O stay on the calling thread. Each sample's sums
-take their terms in the order of one full-length overlap-add, so the output
-is bit for bit the serial loop's.
+Analysis, warp and WAV I/O stay on the calling thread. The output is bit
+for bit that of every frame in one serial pass.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import numpy as np
 from .embeddings import _read_only
 
 _MAG_CLAMP = 0.998
-_BLOCK = 128  # frames per block: bounds the working arrays, not the result
+_BLOCK = 128  # frames per block: bounds the working arrays; changes no output bit
 _AHEAD = 2  # blocks whose poles are under way while one block is synthesized
 
 
@@ -59,7 +58,7 @@ class WaveBuffer:
         x = np.asarray(self.samples, dtype=np.float64)
         if x.ndim != 1 or x.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
-        # the extremes carry any NaN or infinity, so no per-sample temporary is made
+        # the extremes hold any NaN or infinity, so no per-sample temporary is made
         low, high = x.min(), x.max()
         if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError("samples contain non-finite values")
@@ -171,8 +170,9 @@ def _overlap_add(out: np.ndarray, start: int, frames: np.ndarray, hop: int) -> N
     """Add the rows of ``frames`` into ``out``, ``hop`` samples apart, the first at ``start``."""
     count, flen = frames.shape
     # one pass per hop-wide column of the frames, added through a strided view
-    # of out, so no padded copy of the frames is made
-    for j in range(0, flen, hop):
+    # of out, so no padded copy of the frames is made; the last column goes
+    # first, so every sample adds its frames oldest first
+    for j in reversed(range(0, flen, hop)):
         width = min(hop, flen - j)
         rows = out[start + j : start + j + count * hop].reshape(count, hop)
         rows[:, :width] += frames[:, j : j + width]
@@ -188,7 +188,6 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
     # frame starting past the signal would add nothing, so none is made
     pad = flen
     n_frames = -(-(pad + n) // hop)
-    chunks = -(-flen // hop)  # hops one frame spans
     window = np.hanning(flen)
 
     def windowed_frames(first):
@@ -210,8 +209,8 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
         halves = [companion[i : i + _BLOCK // 2] for i in range(0, len(error), _BLOCK // 2)]
         return error, [[worker.submit(np.linalg.eigvals, half), half] for half in halves]
 
-    out = np.empty(n)
-    carry = carry_wsum = np.zeros(0)
+    # one buffer over the padded signal takes every frame, block after block
+    buffer = np.zeros(n_frames * hop + flen)
     starts = range(0, n_frames, _BLOCK)
     # two blocks deep: the poles of blocks k+1 and k+2 are under way while
     # block k is warped, rebuilt, synthesized and overlap-added
@@ -261,25 +260,20 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
             live = (energy_in > 0.0) & (energy_out > 0.0)
             y *= np.sqrt(np.divide(energy_in, energy_out, out=np.ones(count), where=live))[:, None]
 
-            # the block's sums start from the carry, the partial sums of the
-            # samples the previous block's frames reach past its end, so every
-            # sample adds its terms in the order one full-length buffer would
-            lo, size = first * hop, (count + chunks - 1) * hop
-            acc, wsum = np.zeros(size), np.zeros(size)
-            acc[: carry.size], wsum[: carry_wsum.size] = carry, carry_wsum
-            _overlap_add(acc, 0, y, hop)
-            _overlap_add(wsum, 0, np.broadcast_to(window, y.shape), hop)
-            # samples before the next block's first frame are final
-            done = count * hop if first + count < n_frames else size
-            carry, carry_wsum = acc[done:], wsum[done:]
-            a, b = max(lo, pad), min(lo + done, pad + n)
-            if a < b:
-                final, denom = acc[a - lo : b - lo], wsum[a - lo : b - lo]
-                covered = denom > 1e-6
-                np.divide(final, denom, out=final, where=covered)
-                final[~covered] = 0.0
-                np.clip(final, -1.0, 1.0, out=out[a - pad : b - pad])
+            _overlap_add(buffer, first * hop, y, hop)
 
+    # every signal sample lies under all the frames that reach it, so the
+    # window sum repeats every hop; it is built oldest frame first too, and a
+    # sample whose sum is at most 1e-6 is zero
+    wsum = np.zeros(hop)
+    for j in reversed(range(0, flen, hop)):
+        wsum[: min(hop, flen - j)] += window[j : j + hop]
+    covered = wsum > 1e-6
+    rows = buffer[: n_frames * hop].reshape(n_frames, hop)
+    np.divide(rows, wsum, out=rows, where=covered)
+    rows[:, ~covered] = 0.0
+    out = buffer[pad : pad + n]
+    np.clip(out, -1.0, 1.0, out=out)
     out.flags.writeable = False
     return WaveBuffer(out, wav.sample_rate)
 

@@ -465,6 +465,8 @@ class TestWerCommand:
         ("a b\nc d\ne f\n", "a b\n\ne f\n", "S=0 D=2 I=0 ref=6", "WER 33.333%"),
         # only "\n" ends a line, and trailing blank lines are not counted
         ("a\x0cb\r\nc\n\n\n", "a b\nc\n", "S=0 D=0 I=0 ref=3", "WER 0.000%"),
+        # a blank last hypothesis line is kept to pair with its reference line
+        ("a b c\nd e\n", "a b c\n\n", "S=0 D=2 I=0 ref=5", "WER 40.000%"),
     ])
     def test_lines_pair_by_position(self, tmp_path, capsys, ref_text, hyp_text, counts, rate):
         ref = tmp_path / "r.txt"

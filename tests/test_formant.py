@@ -329,8 +329,9 @@ class TestAgainstPerFrameReference:
 
 
 # ---------------------------------------------------------------------------
-# Serial block reference: the block loop without a worker thread, with the
-# module's own kernels, so the pipelined shifter must match it bit for bit
+# Serial reference: every frame in one pass, without blocks or a worker
+# thread, with the module's own kernels, so the pipelined shifter must match
+# it bit for bit
 # ---------------------------------------------------------------------------
 
 
@@ -343,30 +344,28 @@ def _serial_anonymize_wav(wav, cfg):
     frames = np.lib.stride_tricks.sliding_window_view(xp, flen)[::hop]
     window = np.hanning(flen)
 
+    windowed = frames * window
+    coeffs, excitation = lpc_analyze(windowed, p)
+    companion = np.repeat(np.eye(p, k=-1)[None], n_frames, axis=0)
+    companion[:, 0] = coeffs
+    warped = warp_poles(np.linalg.eigvals(companion), cfg.alpha)
+    poly = np.zeros((n_frames, p + 1), dtype=np.complex128)
+    poly[:, 0] = 1.0
+    for j in range(p):
+        poly[:, 1 : j + 2] -= warped[:, j : j + 1] * poly[:, : j + 1]
+
+    taps = poly.real[:, :0:-1]
+    y = np.zeros((n_frames, p + flen))
+    for i in range(flen):
+        y[:, p + i] = excitation[:, i] - np.einsum("ij,ij->i", y[:, i : i + p], taps)
+    y = y[:, p:]
+
+    energy_in, energy_out = (windowed**2).sum(1), (y**2).sum(1)
+    live = (energy_in > 0.0) & (energy_out > 0.0)
+    gain = np.sqrt(np.divide(energy_in, energy_out, out=np.ones(n_frames), where=live))
     acc, wsum = np.zeros(xp.size + flen), np.zeros(xp.size + flen)
-    for first in range(0, n_frames, formant._BLOCK):
-        windowed = frames[first : first + formant._BLOCK] * window
-        count = len(windowed)
-        coeffs, excitation = lpc_analyze(windowed, p)
-        companion = np.repeat(np.eye(p, k=-1)[None], count, axis=0)
-        companion[:, 0] = coeffs
-        warped = warp_poles(np.linalg.eigvals(companion), cfg.alpha)
-        poly = np.zeros((count, p + 1), dtype=np.complex128)
-        poly[:, 0] = 1.0
-        for j in range(p):
-            poly[:, 1 : j + 2] -= warped[:, j : j + 1] * poly[:, : j + 1]
-
-        taps = poly.real[:, :0:-1]
-        y = np.zeros((count, p + flen))
-        for i in range(flen):
-            y[:, p + i] = excitation[:, i] - np.einsum("ij,ij->i", y[:, i : i + p], taps)
-        y = y[:, p:]
-
-        energy_in, energy_out = (windowed**2).sum(1), (y**2).sum(1)
-        live = (energy_in > 0.0) & (energy_out > 0.0)
-        gain = np.sqrt(np.divide(energy_in, energy_out, out=np.ones(count), where=live))
-        formant._overlap_add(acc, first * hop, y * gain[:, None], hop)
-        formant._overlap_add(wsum, first * hop, np.broadcast_to(window, y.shape), hop)
+    formant._overlap_add(acc, 0, y * gain[:, None], hop)
+    formant._overlap_add(wsum, 0, np.broadcast_to(window, y.shape), hop)
 
     denom = wsum[pad : pad + n]
     out = np.where(denom > 1e-6, acc[pad : pad + n] / np.maximum(denom, 1e-6), 0.0)
@@ -456,12 +455,19 @@ class TestPipelinedBlocks:
 
 
 @st.composite
+def _small_configs(draw):
+    """A config with frames of 8-64 samples and any hop and order it allows."""
+    flen = draw(st.integers(8, 64))
+    return ShiftConfig(alpha=draw(st.sampled_from([0.7, 0.8, 1.0, 1.3])),
+                       lpc_order=draw(st.integers(1, min(11, flen - 1))), frame_len=flen,
+                       hop=draw(st.integers(1, flen - 2)))
+
+
+@st.composite
 def _small_shifts(draw):
     """A small config and a signal whose frames span up to four blocks, with a run of zeros."""
-    flen = draw(st.integers(8, 64))
-    hop = draw(st.integers(1, flen - 2))
-    cfg = ShiftConfig(alpha=draw(st.sampled_from([0.7, 0.8, 1.0, 1.3])),
-                      lpc_order=draw(st.integers(1, min(11, flen - 1))), frame_len=flen, hop=hop)
+    cfg = draw(_small_configs())
+    flen, hop = cfg.frame_len, cfg.hop
     # the input length for which the frames fill exactly ``blocks`` blocks
     blocks, frames = draw(st.integers(1, 4)), formant._BLOCK * hop
     n = draw(st.integers(max(1, (blocks - 1) * frames - flen + 1), blocks * frames - flen))
@@ -485,11 +491,44 @@ def _frames_case(n_frames):
 @example(case=_frames_case(2 * formant._BLOCK + 1))
 @example(case=_frames_case(3 * formant._BLOCK + 1))
 @example(case=_frames_case(formant._BLOCK // 2 + 1))
-def test_block_carry_matches_full_length_overlap_add_bit_for_bit(case):
-    # the serial reference sums every frame into full-length buffers, so it
-    # checks the carry each streamed block hands the next
+def test_blocks_match_one_pass_overlap_add_bit_for_bit(case):
+    # the serial reference sums every frame into full-length buffers in one
+    # pass, so it checks the sums each block adds into the output buffer
     wav, cfg = case
     assert np.array_equal(anonymize_wav(wav, cfg).samples, _serial_anonymize_wav(wav, cfg).samples)
+
+
+BLOCK_SIZES = (2, 7, 128)
+
+
+@st.composite
+def _one_frame_last_block(draw):
+    """A small config and a noise signal whose last block of 2, 7 or 128 frames holds one frame."""
+    cfg = draw(_small_configs())
+    block = draw(st.sampled_from(BLOCK_SIZES))
+    # the fewest whole blocks for which one more frame leaves the input a sample
+    least = max(1, -(-(cfg.frame_len + 1 - cfg.hop) // (block * cfg.hop)))
+    n_frames = draw(st.integers(least, least + 2)) * block + 1
+    n = _samples_for_frames(n_frames, cfg)
+    samples = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, n)
+    return WaveBuffer(samples, 16000), cfg
+
+
+@settings(deadline=None)
+@given(case=_one_frame_last_block())
+@example(case=REFERENCE_CASES["interior-zeros"])
+@example(case=REFERENCE_CASES["shorter-than-frame"])
+@example(case=REFERENCE_CASES["length-not-hop-multiple"])
+@example(case=REFERENCE_CASES["hop-frame-len-minus-2"])
+def test_block_size_changes_no_output_bit(case):
+    wav, cfg = case
+    n_frames = -(-(cfg.frame_len + len(wav)) // cfg.hop)
+    expected = _serial_anonymize_wav(wav, cfg).samples
+    # the last size puts every frame in one block
+    for block in (*BLOCK_SIZES, n_frames):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formant, "_BLOCK", block)
+            assert np.array_equal(anonymize_wav(wav, cfg).samples, expected), block
 
 
 def test_peak_memory_is_the_output_and_one_block():

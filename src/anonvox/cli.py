@@ -31,7 +31,7 @@ from .embeddings import (
     save_scores,
     save_trials,
 )
-from .formant import ShiftConfig, anonymize_wav, read_wav, write_wav
+from .formant import ShiftConfig, anonymize_wav_file
 from .harness import Condition, evaluate, render_report
 from .metrics import WerResult, det_points, format_det, wer_counts
 from .plda import load_model, save_model, score_trials, train_plda
@@ -191,8 +191,7 @@ def _cmd_anonymize_xvec(opts: dict) -> int:
 
 def _cmd_anonymize_wav(opts: dict) -> int:
     cfg = _config(ShiftConfig, opts)
-    wav = read_wav(opts["input"])
-    write_wav(anonymize_wav(wav, cfg), opts["out"])
+    anonymize_wav_file(opts["input"], opts["out"], cfg)
     print(f"wrote {opts['out']}", file=sys.stderr)
     return 0
 

@@ -7,12 +7,21 @@ refiltered through the warped envelope and frames are overlap-added with
 window-sum compensation. alpha = 1 reconstructs the input. Frames are
 processed in fixed-size blocks, every step vectorized over the block's frames;
 the autocorrelation and the residual are one contraction each.
-Every block adds its frames straight into one zeroed buffer over the padded
-signal, about the output's size, and each sample sums its frames oldest
-first, so the block size changes no output bit. After the last block one
-pass divides by the window sum, a constant of the hop grid, and clips in
-place; the output is the buffer's signal slice. A call holds the input, the
-buffer and one block's working set, whatever the signal length.
+One private generator runs the blocks and yields the finished output in
+order. Each block takes its zero-padded input segment from a ``read(a, b)``
+callable when it is analyzed and adds its frames into a rolling window that
+starts at its first frame; each sample sums its frames oldest first. After
+the block, the samples before the next block's first frame are divided by
+the window sum, a constant of the hop grid, clipped and yielded, and the
+samples later frames still reach move to the window's front. Every step
+after the sums is per sample, so the block size changes no output bit.
+``anonymize_wav`` fills one output array from the generator, so a call holds
+the input, the output and one block's working set (traced: 5.2 MiB at 15 s,
+18.0 MiB at 120 s). ``anonymize_wav_file``, the ``anonymize-wav`` command,
+reads and checks the whole data chunk before any output exists, keeps it as
+16-bit samples and writes each yielded run into a temporary file that
+replaces the output only on success, so a failure leaves no partial WAV
+(traced: 3.9 MiB at 15 s, 7.1 MiB at 120 s).
 The blocks run two deep in a pipeline: while the calling thread warps,
 synthesizes and overlap-adds block k, one worker thread solves the poles of
 blocks k+1 and k+2 in turn, each as two batched LAPACK eigen-solves of half
@@ -20,18 +29,20 @@ a block (which release the GIL). While block k's poles are not ready, the
 calling thread takes queued batches the worker has not started, latest
 first, block k's own before later blocks', and solves them itself instead
 of waiting; LAPACK solves each matrix alone, so the poles do not depend on
-the batch or the thread. A block in flight holds only its error filter and
-companion matrices; its windowed frames and residual are made when it is
-synthesized. The residual and the all-pole recursion are time-major, one
-row per sample and one column per frame, so each recursion step reads
-contiguous rows; its taps are a reversed view, because einsum sums a
-contiguous one-frame block in another order than the serial loop.
+the batch or the thread. A block in flight holds only its input segment,
+error filter and companion matrices; its windowed frames and residual are
+made when it is synthesized. The residual and the all-pole recursion are
+time-major, one row per sample and one column per frame, so each recursion
+step reads contiguous rows; its taps are a reversed view, because einsum
+sums a contiguous one-frame block in another order than the serial loop.
 Analysis, warp and WAV I/O stay on the calling thread. The output is bit
 for bit that of every frame in one serial pass.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import wave as _wavefile
 from dataclasses import dataclass
 from pathlib import Path
@@ -178,39 +189,51 @@ def _overlap_add(out: np.ndarray, start: int, frames: np.ndarray, hop: int) -> N
         rows[:, :width] += frames[:, j : j + width]
 
 
-def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
-    """Shift formants block by block; output matches input length and rate."""
+def _shifted_chunks(read, n: int, cfg: ShiftConfig):
+    """Shift ``n`` samples block by block; yield the finished output in order.
+
+    ``read(a, b)`` returns input samples a..b-1 as floats in [-1, 1]; it is
+    called once per block, when the block is analyzed. Each yielded chunk is
+    the next run of output samples, a view that the next step overwrites.
+    """
     from concurrent.futures import Future, ThreadPoolExecutor
 
-    n, p, flen, hop = len(wav), cfg.lpc_order, cfg.frame_len, cfg.hop
+    p, flen, hop = cfg.lpc_order, cfg.frame_len, cfg.hop
 
     # pad the front so every original sample gets full window coverage; a
     # frame starting past the signal would add nothing, so none is made
     pad = flen
     n_frames = -(-(pad + n) // hop)
     window = np.hanning(flen)
+    # every signal sample lies under all the frames that reach it, so the
+    # window sum repeats every hop; it is built oldest frame first, and a
+    # sample whose sum is at most 1e-6 is zero
+    wsum = np.zeros(hop)
+    for j in reversed(range(0, flen, hop)):
+        wsum[: min(hop, flen - j)] += window[j : j + hop]
+    covered = wsum > 1e-6
 
-    def windowed_frames(first):
-        """Block ``first``'s windowed frames, cut from a zero-padded segment of their own."""
-        lo = first * hop  # the segment's start in padded coordinates
-        segment = np.zeros((min(_BLOCK, n_frames - first) - 1) * hop + flen)
-        a, b = max(lo, pad), min(lo + segment.size, pad + n)
-        if a < b:
-            segment[a - lo : b - lo] = wav.samples[a - pad : b - pad]
-        return np.lib.stride_tricks.sliding_window_view(segment, flen)[::hop] * window
+    def windowed_frames(seg):
+        return np.lib.stride_tricks.sliding_window_view(seg, flen)[::hop] * window
 
     def analyze(first):
-        """Block ``first``'s error filter and its eigen-solves, queued as [future, matrices]."""
-        error = _error_filter(windowed_frames(first), p)
+        """Block ``first``'s zero-padded input, error filter and [future, matrices] solves."""
+        lo = first * hop  # the segment's start in padded coordinates
+        seg = np.zeros((min(_BLOCK, n_frames - first) - 1) * hop + flen)
+        a, b = max(lo, pad), min(lo + seg.size, pad + n)
+        if a < b:
+            seg[a - lo : b - lo] = read(a - pad, b - pad)
+        error = _error_filter(windowed_frames(seg), p)
         # column-major matrices reach LAPACK by a straight copy, not a transposing one
         companion = np.zeros((p, p, len(error)), order="F").transpose(2, 0, 1)
         companion[:, 0] = -error[:, 1:]
         companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
         halves = [companion[i : i + _BLOCK // 2] for i in range(0, len(error), _BLOCK // 2)]
-        return error, [[worker.submit(np.linalg.eigvals, half), half] for half in halves]
+        return seg, error, [[worker.submit(np.linalg.eigvals, half), half] for half in halves]
 
-    # one buffer over the padded signal takes every frame, block after block
-    buffer = np.zeros(n_frames * hop + flen)
+    # the rolling window starts at the current block's first frame and takes
+    # its frames, after the samples earlier blocks' frames left there
+    rolling = np.zeros(_BLOCK * hop + flen)
     starts = range(0, n_frames, _BLOCK)
     # two blocks deep: the poles of blocks k+1 and k+2 are under way while
     # block k is warped, rebuilt, synthesized and overlap-added
@@ -219,11 +242,11 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
         for first in starts:
             if first + _AHEAD * _BLOCK < n_frames:
                 queued.append(analyze(first + _AHEAD * _BLOCK))
-            error, own = queued.pop(0)
+            seg, error, own = queued.pop(0)
             # while this block's poles are not ready, solve queued batches here,
             # latest first, its own before later blocks'; LAPACK solves each
             # matrix alone, so the poles do not depend on the batch or thread
-            for job in [*own[::-1], *(later for _, jobs in queued[::-1] for later in jobs[::-1])]:
+            for job in [*own[::-1], *(later for *_, jobs in queued[::-1] for later in jobs[::-1])]:
                 if all(mine[0].done() for mine in own):
                     break
                 if job[0].cancel():
@@ -233,13 +256,13 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
             # the block's companion matrices are not kept past its poles
             del own, job
             # frames and residual are made only now, so blocks in flight hold
-            # no more than their filters and companion matrices
-            windowed = windowed_frames(first)
+            # no more than their segments, filters and companion matrices
+            windowed = windowed_frames(seg)
             excitation, energy_in = _residual(windowed, error), (windowed**2).sum(1)
             count = len(windowed)
             # one block's arrays bound the call's memory: each is freed once
             # synthesis no longer reads it
-            del windowed
+            del seg, windowed
             warped = warp_poles(poles, cfg.alpha)
             poly = np.zeros((count, p + 1), dtype=np.complex128)
             poly[:, 0] = 1.0
@@ -260,22 +283,66 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
             live = (energy_in > 0.0) & (energy_out > 0.0)
             y *= np.sqrt(np.divide(energy_in, energy_out, out=np.ones(count), where=live))[:, None]
 
-            _overlap_add(buffer, first * hop, y, hop)
+            _overlap_add(rolling, 0, y, hop)
+            # no later frame reaches a sample before the next block's first frame
+            done = count * hop
+            rows = rolling[:done].reshape(count, hop)
+            np.divide(rows, wsum, out=rows, where=covered)
+            rows[:, ~covered] = 0.0
+            lo = first * hop
+            a, b = max(lo, pad), min(lo + done, pad + n)
+            if a < b:
+                finished = rolling[a - lo : b - lo]
+                np.clip(finished, -1.0, 1.0, out=finished)
+                yield finished
+            # the samples later frames still reach move to the window's front
+            rolling[: rolling.size - done] = rolling[done:]
+            rolling[rolling.size - done :] = 0.0
 
-    # every signal sample lies under all the frames that reach it, so the
-    # window sum repeats every hop; it is built oldest frame first too, and a
-    # sample whose sum is at most 1e-6 is zero
-    wsum = np.zeros(hop)
-    for j in reversed(range(0, flen, hop)):
-        wsum[: min(hop, flen - j)] += window[j : j + hop]
-    covered = wsum > 1e-6
-    rows = buffer[: n_frames * hop].reshape(n_frames, hop)
-    np.divide(rows, wsum, out=rows, where=covered)
-    rows[:, ~covered] = 0.0
-    out = buffer[pad : pad + n]
-    np.clip(out, -1.0, 1.0, out=out)
+
+def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
+    """Shift formants block by block; output matches input length and rate."""
+    out = np.empty(len(wav))
+    filled = 0
+    for chunk in _shifted_chunks(lambda a, b: wav.samples[a:b], len(wav), cfg):
+        out[filled : filled + len(chunk)] = chunk
+        filled += len(chunk)
     out.flags.writeable = False
     return WaveBuffer(out, wav.sample_rate)
+
+
+def anonymize_wav_file(src, dst, cfg: ShiftConfig) -> None:
+    """Shift the WAV file ``src`` into ``dst``, holding its 16-bit samples and one block.
+
+    ``src`` is read and checked whole first, so ``dst`` may be ``src``. A temporary
+    file beside ``dst`` replaces it once every sample is written, so a failure
+    leaves ``dst`` as it was.
+    """
+    pcm, rate = _read_pcm(src)
+
+    def write(fh):
+        chunks = _shifted_chunks(lambda a, b: pcm[a:b] / 32768.0, len(pcm), cfg)
+        with contextlib.closing(chunks), _pcm_writer(fh, rate, len(pcm)) as out:
+            for chunk in chunks:
+                out.writeframesraw(_to_pcm(chunk))
+
+    if os.path.exists(dst) and not os.path.isfile(dst):
+        # a pipe or a device such as /dev/stdout cannot be replaced
+        with open(dst, "wb") as fh:
+            write(fh)
+        return
+    # a symlink is followed, so the file it names is replaced, not the link
+    head, name = os.path.split(os.path.realpath(dst))
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        # "x" creates the file as a plain open would, with the umask's permissions
+        with open(tmp, "xb") as fh:
+            write(fh)
+        os.replace(tmp, os.path.join(head, name))
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +350,8 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
 # ---------------------------------------------------------------------------
 
 
-def read_wav(path) -> WaveBuffer:
-    """Read a mono 16-bit PCM WAV file; any malformed file raises ValueError naming ``path``."""
+def _read_pcm(path) -> tuple[np.ndarray, int]:
+    """A mono 16-bit PCM WAV file's samples, read-only, and rate; ValueError names ``path``."""
     path = Path(path)
     try:
         with _wavefile.open(str(path), "rb") as fh:
@@ -305,21 +372,39 @@ def read_wav(path) -> WaveBuffer:
         raise ValueError(f"{path}: data chunk holds {len(raw) // 2} of {declared} declared samples")
     if rate <= 0:
         raise ValueError(f"{path}: sample rate must be positive, got {rate}")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
-    if samples.size == 0:
+    if not raw:
         raise ValueError(f"{path}: empty audio file")
+    return np.frombuffer(raw, dtype="<i2"), rate
+
+
+def read_wav(path) -> WaveBuffer:
+    """Read a mono 16-bit PCM WAV file; any malformed file raises ValueError naming ``path``."""
+    pcm, rate = _read_pcm(path)
+    samples = pcm.astype(np.float64)
     samples /= 32768.0
     samples.flags.writeable = False
     return WaveBuffer(samples, rate)
 
 
+def _to_pcm(samples: np.ndarray) -> np.ndarray:
+    """Samples as 16-bit PCM at ``read_wav``'s scale: 32768 per unit, rounded, then clipped."""
+    scaled = samples * 32768.0
+    np.clip(np.rint(scaled, out=scaled), -32768, 32767, out=scaled)
+    return scaled.astype("<i2")
+
+
+def _pcm_writer(fh, rate: int, n: int):
+    """A mono 16-bit WAV writer on the open file ``fh`` whose header declares ``n`` samples."""
+    out = _wavefile.open(fh, "wb")
+    out.setnchannels(1)
+    out.setsampwidth(2)
+    out.setframerate(rate)
+    out.setnframes(n)
+    return out
+
+
 def write_wav(wav: WaveBuffer, path) -> None:
     """Write 16-bit PCM at ``read_wav``'s scale, 32768 per unit, so a read and write keep every sample."""
-    scaled = wav.samples * 32768.0
-    np.clip(np.rint(scaled, out=scaled), -32768, 32767, out=scaled)
-    scaled = scaled.astype("<i2")
-    with _wavefile.open(str(path), "wb") as fh:
-        fh.setnchannels(1)
-        fh.setsampwidth(2)
-        fh.setframerate(wav.sample_rate)
-        fh.writeframes(scaled.tobytes())
+    # opened here, not by wave: a wave writer whose open fails prints an error when deleted
+    with open(path, "wb") as fh, _pcm_writer(fh, wav.sample_rate, len(wav)) as out:
+        out.writeframes(_to_pcm(wav.samples))

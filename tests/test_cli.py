@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import wave
 from pathlib import Path
@@ -9,15 +10,15 @@ import numpy as np
 import pytest
 
 import anonvox
-from anonvox import anonymize, cli
+from anonvox import anonymize, cli, formant
 from anonvox.anonymize import AnonConfig
 from anonvox.cli import main
 from anonvox.embeddings import Corpus, load_embeddings, save_embeddings
 from anonvox.plda import load_model
-from anonvox.formant import WaveBuffer, read_wav, write_wav
+from anonvox.formant import ShiftConfig, WaveBuffer, anonymize_wav, read_wav, write_wav
 
 from conftest import synth_vowel
-from test_formant import _wav_header
+from test_formant import REFERENCE_CASES, _wav_header
 
 
 def run_cli(*argv):
@@ -607,7 +608,10 @@ class TestPipelineCommands:
 
     def test_anonymize_wav_off_the_hop_grid_is_byte_stable(self, tmp_path):
         """120 s less 77 samples is 12,003 frames: 94 blocks of ``formant._BLOCK`` = 128,
-        each handing its overlap-add carry to the next."""
+        each carrying the samples later frames still reach to the front of its rolling
+        window for the next. The command streams the file through that window; it must
+        write the bytes the in-memory shifter gives, here and on inputs of one block less
+        a frame, one block, one block and a frame, and less than one frame."""
         src = tmp_path / "in.wav"
         write_wav(WaveBuffer(np.resize(synth_vowel().samples, 120 * 16000 - 77), 16000), src)
         outs = [tmp_path / "out1.wav", tmp_path / "out2.wav"]
@@ -618,6 +622,16 @@ class TestPipelineCommands:
         with wave.open(str(src)) as w_in, wave.open(str(outs[0])) as w_out:
             assert w_in.getnframes() % 160 != 0
             assert w_out.getnframes() == w_in.getnframes()
+        sources = [src]
+        for case in ("block-1-frames", "block+0-frames", "block+1-frames", "shorter-than-frame"):
+            sources.append(tmp_path / f"{case}.wav")
+            write_wav(REFERENCE_CASES[case][0], sources[-1])
+        for path in sources:
+            streamed, in_memory = tmp_path / "streamed.wav", tmp_path / "in_memory.wav"
+            assert run_cli("anonymize-wav", "--input", str(path), "--out", str(streamed),
+                           "--alpha", "0.8") == 0
+            write_wav(anonymize_wav(read_wav(path), ShiftConfig(alpha=0.8)), in_memory)
+            assert streamed.read_bytes() == in_memory.read_bytes(), path.name
 
     def test_unknown_condition_rejected(self, synth_dir, trained, capsys):
         model, trials = trained
@@ -632,6 +646,80 @@ class TestPipelineCommands:
         ) == 1
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == "usage error: unknown condition 'zz'; pick from oo,oa,aa"
+
+
+class TestAnonymizeWavFile:
+    """The command streams its output into a temporary file that replaces ``--out`` on success."""
+
+    def test_failure_leaves_no_partial_wav(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "in.wav"
+        # 103 frames: two half-block eigen-solves, whichever thread takes them
+        write_wav(synth_vowel(duration=1.0), src)
+        eigvals, calls = np.linalg.eigvals, []
+
+        def fail_on_second_call(matrices):
+            calls.append(len(matrices))
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("eigenvalues did not converge")
+            return eigvals(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail_on_second_call)
+        fresh, existing = tmp_path / "fresh.wav", tmp_path / "existing.wav"
+        existing.write_bytes(b"an earlier output")
+        for out in (fresh, existing):
+            calls.clear()
+            assert run_cli("anonymize-wav", "--input", str(src), "--out", str(out)) == 2
+            assert capsys.readouterr().err.splitlines()[-1] == "error: eigenvalues did not converge"
+        assert not fresh.exists()
+        assert existing.read_bytes() == b"an earlier output"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.wav", "in.wav"]
+
+    def test_out_equal_to_input_writes_the_same_bytes(self, tmp_path):
+        src, other = tmp_path / "in.wav", tmp_path / "other.wav"
+        write_wav(synth_vowel(duration=0.5), src)
+        assert run_cli("anonymize-wav", "--input", str(src), "--out", str(other)) == 0
+        assert run_cli("anonymize-wav", "--input", str(src), "--out", str(src)) == 0
+        assert src.read_bytes() == other.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "other.wav"]
+
+    def test_pipe_and_symlink_outs_are_written_through(self, tmp_path):
+        src, other = tmp_path / "in.wav", tmp_path / "other.wav"
+        write_wav(synth_vowel(duration=0.5), src)
+        assert run_cli("anonymize-wav", "--input", str(src), "--out", str(other)) == 0
+        # a pipe cannot be replaced by the temporary file, so it is written directly
+        env = dict(os.environ, PYTHONPATH=str(Path(anonvox.__file__).resolve().parents[1]))
+        result = subprocess.run([sys.executable, "-m", "anonvox.cli", "anonymize-wav",
+                                 "--input", str(src), "--out", "/dev/stdout"],
+                                env=env, capture_output=True, check=True)
+        assert result.stdout == other.read_bytes()
+        # the file a symlink names is replaced, and the link stays
+        (tmp_path / "sub").mkdir()
+        target, link = tmp_path / "sub" / "target.wav", tmp_path / "link.wav"
+        target.write_bytes(b"an earlier output")
+        link.symlink_to(target)
+        assert run_cli("anonymize-wav", "--input", str(src), "--out", str(link)) == 0
+        assert link.is_symlink() and target.read_bytes() == other.read_bytes()
+        assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["target.wav"]
+
+    def test_peak_memory_is_the_input_samples_and_one_block(self, tmp_path):
+        vowel, cfg = synth_vowel(0.5), ShiftConfig()
+        # one block's working set, counted in frame matrices of one block, as for anonymize_wav
+        block_bytes = 12 * formant._BLOCK * cfg.frame_len * 8
+        peaks, pcm_bytes = [], []
+        for seconds in (15, 120):
+            src = tmp_path / f"in{seconds}.wav"
+            write_wav(WaveBuffer(np.tile(vowel.samples, 2 * seconds), vowel.sample_rate), src)
+            pcm_bytes.append(2 * len(vowel) * 2 * seconds)
+            tracemalloc.start()
+            try:
+                assert run_cli("anonymize-wav", "--input", str(src),
+                               "--out", str(tmp_path / "out.wav")) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert peaks[-1] <= pcm_bytes[-1] + block_bytes
+        # a longer input adds its 16-bit samples and nothing that grows with it
+        assert peaks[1] - peaks[0] <= 1.1 * (pcm_bytes[1] - pcm_bytes[0])
 
 
 class TestPoolRegimeNote:

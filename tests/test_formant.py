@@ -1,4 +1,5 @@
 import struct
+import sys
 import threading
 import tracemalloc
 
@@ -592,6 +593,13 @@ class TestWavIo:
         write_wav(vowel, first)
         write_wav(read_wav(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_write_into_a_missing_directory_raises_only_its_error(self, tmp_path, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with pytest.raises(FileNotFoundError):
+            write_wav(WaveBuffer(np.zeros(3), 16000), tmp_path / "missing" / "out.wav")
+        assert unraisable == []
 
     @pytest.mark.parametrize(
         "blob, detail",

@@ -20,13 +20,20 @@ Text files are read as UTF-8, and a byte that does not decode raises ``path: ...
 The embedding loaders only parse; the one ``Corpus`` build checks each row once.
 
 A trial or score file in the layout the savers write is split whole by one
-``str.split``, any other line by line. Each column rule then runs once, and
-the first malformed line is named; a file with none is rejected at its first
-pair that repeats or is absent from the trial list. A score file whose ids
-equal its trial list's row by row, as ``save_scores`` writes them, takes that
-list uncoded. Any other is joined through the trial list's rows: each line's
-pair is looked up among them, and the result is built from the list's own
-vocabularies and codes. The savers take each row's ids from the vocabularies.
+``str.split``, any other line by line, and each column rule runs once. A
+score file whose ids equal its trial list's row by row, as ``save_scores``
+writes them, takes that list uncoded. Any other is joined through the trial
+list's rows: each line's pair is looked up among them, and the result is
+built from the list's own vocabularies and codes. The savers take each row's
+ids from the vocabularies.
+
+One rule, ``_raise_first``, picks the fault that a corpus, a trial or score
+file and ``plda.score_trials`` report: the lowest faulty row, and on a tie the
+rule checked first. The rules run in this order: the id rule (utt_id before
+spk_id, enroll_spk before test_utt), then gender, label or score, then the
+vector; then the loader's own fault, a line or record it cannot read, which
+ends the rows read. Only then, by the same rule, come repeated ids and pairs,
+a speaker's second gender and score pairs absent from the trial list.
 """
 
 from __future__ import annotations
@@ -57,41 +64,48 @@ _ID_HASH = "{} {!r} must not start with '#'"
 Row = namedtuple("Row", "utt_id spk_id gender vector")
 
 
+def _raise_first(faults, where=lambda row: "", error=None) -> None:
+    """The one first-fault rule. Raises ``ValueError(where(row) + message)`` for
+    the ``(row, message)`` fault with the lowest row, on a tie the one listed
+    first; with none, raises ``error`` if given. ``faults`` holds each rule's
+    first fault, or None, in the order the rules are checked."""
+    faults = [fault for fault in faults if fault is not None]
+    if faults:
+        row, message = min(faults, key=lambda fault: fault[0])
+        raise ValueError(where(row) + message)
+    if error is not None:
+        raise error
+
+
+def _flagged(mask: np.ndarray, message) -> tuple[int, str] | None:
+    """The first row ``mask`` flags and ``message(row)``, or None."""
+    row = int(np.argmax(mask)) if mask.any() else None
+    return None if row is None else (row, message(row))
+
+
 def _check_rows(given, columns, matrix, where, error=None) -> None:
-    """Raises for the first row with a fault: an id the id rule rejects (its
-    utt_id first), else a gender outside ``GENDERS``, else an empty or
-    non-finite vector; then ``error``, a loader's fault past the last row, if
-    given; then for the first row that repeats an utt_id or, strictly earlier,
-    contradicts its speaker's first gender. Each message but ``error``'s is
-    prefixed by ``where(row)``. ``given`` holds the utt, spk and gender values
-    as given, ``columns`` the string arrays made of them; ids and genders are
+    """Raises for a corpus's first fault by ``_raise_first``, each message but
+    ``error``'s prefixed by ``where(row)``; ``error`` is a loader's fault past
+    the last row, or None. ``given`` holds the utt, spk and gender values as
+    given, ``columns`` the string arrays made of them; ids and genders are
     checked as given, since a string array drops trailing NULs."""
     utt, spk, genders = map(_id_strings, given)
     utt_col, spk_col, gender = columns
-    bad = ~np.fromiter(map(set(GENDERS).__contains__, genders), bool, len(genders))
-    bad |= ~np.isfinite(matrix).all(axis=1) if matrix.shape[1] else True
-    first = int(np.argmax(bad)) if bad.any() else len(bad)
-    faults = [f for f in (_id_fault(utt, "utt_id"), _id_fault(spk, "spk_id")) if f]
-    fault = min(faults, key=lambda f: f[0], default=None)
-    if fault is not None and fault[0] <= first:
-        raise ValueError(where(fault[0]) + fault[1])
-    if first < len(bad):
-        got = genders[first]
-        fault = (f"gender must be one of {GENDERS}, got {got!r}" if got not in GENDERS else
-                 f"embedding {utt[first]!r}: " + ("non-finite coordinate" if matrix.shape[1]
-                                                   else "vector must be non-empty and 1-D"))
-        raise ValueError(where(first) + fault)
-    if error is not None:
-        raise error
+    _raise_first([
+        _id_fault(utt, "utt_id"), _id_fault(spk, "spk_id"),
+        None if set(genders) <= set(GENDERS) else _first_fault(*_code(genders), lambda got: (
+            None if got in GENDERS else f"gender must be one of {GENDERS}, got {got!r}")),
+        _flagged(~np.isfinite(matrix).all(axis=1) | (matrix.shape[1] == 0), lambda row: (
+            f"embedding {utt[row]!r}: " + ("non-finite coordinate" if matrix.shape[1]
+                                           else "vector must be non-empty and 1-D"))),
+    ], where, error)
     # ids that pass the id rule keep every character in a string array
-    dup = _first_repeat(utt_col)
     _, first, spk_code = np.unique(spk_col, return_index=True, return_inverse=True)
-    conflict = np.flatnonzero(gender != gender[first][spk_code])
-    if dup >= 0 and not (conflict.size and conflict[0] < dup):
-        raise ValueError(f"{where(dup)}duplicate utt_id {utt[dup]!r}")
-    if conflict.size:
-        row = conflict[0]
-        raise ValueError(f"{where(row)}speaker {spk[row]!r} has conflicting genders")
+    _raise_first([
+        _flagged(_repeats(utt_col), lambda row: f"duplicate utt_id {utt[row]!r}"),
+        _flagged(gender != gender[first][spk_code],
+                 lambda row: f"speaker {spk[row]!r} has conflicting genders"),
+    ], where)
 
 
 def _id_fault(ids: list[str], what: str, code=None) -> tuple[int, str] | None:
@@ -206,11 +220,12 @@ def _check_lengths(*columns) -> None:
         raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
 
 
-def _first_repeat(keys: np.ndarray) -> int:
-    """Index of the first key equal to an earlier key, or -1 if all differ."""
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """A mask of the keys equal to an earlier key."""
     order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
-    return int(repeats.min()) if repeats.size else -1
+    repeat = np.zeros(len(keys), bool)
+    repeat[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+    return repeat
 
 
 def index_in(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -265,9 +280,7 @@ def _vocab_column(vocab, code, what: str) -> tuple[np.ndarray, np.ndarray]:
     renumbered into them; both read-only. Every id must pass the id rule."""
     ids = _id_strings(vocab)
     vocab = _column(vocab, np.str_, f"{what} vocabulary")
-    fault = _id_fault(ids, what)
-    if fault is not None:
-        raise ValueError(fault[1])
+    _raise_first([_id_fault(ids, what)])
     if (vocab[1:] <= vocab[:-1]).any():
         raise ValueError(f"{what} vocabulary must be sorted and distinct")
     code = np.asarray(code)
@@ -332,9 +345,8 @@ class TrialList:
         for name, value in zip(("spk_vocab", "spk_code", "utt_vocab", "utt_code", "is_target"),
                                (*spk, *utt, is_target)):
             object.__setattr__(self, name, value)
-        dup = _first_repeat(self._pair_codes())
-        if dup >= 0:
-            raise ValueError(f"{where(dup)}duplicate trial pair {self.pair(dup)}")
+        _raise_first([_flagged(_repeats(self._pair_codes()),
+                               lambda row: f"duplicate trial pair {self.pair(row)}")], where)
 
     def __eq__(self, other) -> bool:
         return type(other) is TrialList and all(
@@ -406,7 +418,6 @@ def load_embeddings(path, format: str = "text") -> Corpus:
         raise ValueError(f"unknown embedding format {format!r}")
     *columns, where, error = (_load_text if format == "text" else _load_binary)(path)
     corpus = Corpus.__new__(Corpus)
-    # an earlier row's fault is reported before the walk's fault, a repeat after it
     corpus._build(path.stem, *columns, where, error)
     if not len(corpus):
         raise ValueError(f"{path}: empty corpus")
@@ -664,29 +675,24 @@ def _read_table(path: Path, layout: str, parse_column, trials=None):
     """The coded id columns of a trial or score file, its third column and the
     line of each row. A text in the saved layout is split whole (row i is on
     line i + 1), any other by ``_walk_lines``. ``parse_column(fields)`` gives the
-    third column and its first bad row with the message, or None. The id rule
-    runs once per distinct id. The first faulty row is reported, on a tie its
-    first faulty field, and only then the walk's fault. If the id columns hold
-    ``trials``' ids row by row, the ids are None: they are that list's, so they
-    pass the id rule and need no coding."""
+    third column and its rules' faults. The id rule runs once per distinct id;
+    the first fault is raised by ``_raise_first``, the walk's as the loader's.
+    If the id columns hold ``trials``' ids row by row, the ids are None: they
+    are that list's, so they pass the id rule and need no coding."""
     text = read_utf8(path)
     fields = _saved_fields(text)
     fields, linenos, error = (_walk_lines(path, text, layout) if fields is None
                               else (fields, range(1, len(fields) // 3 + 1), None))
     spk, utt = fields[0::3], fields[1::3]
-    values, fault = parse_column(fields)
-    if (fault is None and error is None and trials is not None and len(spk) == len(trials) > 0
+    values, faults = parse_column(fields)
+    if (not any(faults) and error is None and trials is not None and len(spk) == len(trials) > 0
             and trials.pair(0) == (spk[0], utt[0]) and [spk, utt] == _row_ids(trials)):
         return None, values, linenos
     (spk_vocab, spk_code), (utt_vocab, utt_code) = _code(spk), _code(utt)
     # checked before load_scores makes string arrays, which drop trailing NULs ("u\0" is "u")
-    faults = [f for f in (_id_fault(spk_vocab, "enroll_spk", spk_code),
-                          _id_fault(utt_vocab, "test_utt", utt_code), fault) if f]
-    if faults:
-        row, message = min(faults, key=lambda f: f[0])
-        raise ValueError(f"{path}:{linenos[row]}: {message}")
-    if error is not None:
-        raise error
+    _raise_first([_id_fault(spk_vocab, "enroll_spk", spk_code),
+                  _id_fault(utt_vocab, "test_utt", utt_code), *faults],
+                 lambda row: f"{path}:{linenos[row]}: ", error)
     return (spk_vocab, spk_code, utt_vocab, utt_code), values, linenos
 
 
@@ -711,20 +717,19 @@ def _first_fault(vocab: list[str], code: np.ndarray, fault) -> tuple[int, str] |
     ``code`` indexes each row's token in ``vocab``, and ``fault`` runs once
     per entry of ``vocab``."""
     bad = [i for i, token in enumerate(vocab) if fault(token)]
-    row = int(np.argmax(np.isin(code, bad))) if bad else None
-    return None if row is None else (row, fault(vocab[code[row]]))
+    return _flagged(np.isin(code, bad), lambda row: fault(vocab[code[row]])) if bad else None
 
 
-def _parse_labels(fields: list[str]) -> tuple[np.ndarray, tuple[int, str] | None]:
+def _parse_labels(fields: list[str]) -> tuple[np.ndarray, list]:
     vocab, code = _code(fields[2::3])
     fault = _first_fault(vocab, code,
                          lambda label: None if label in LABELS else f"bad label {label!r}")
-    return np.array([label == "target" for label in vocab], bool)[code], fault
+    return np.array([label == "target" for label in vocab], bool)[code], [fault]
 
 
-def _parse_scores(fields: list[str]) -> tuple[np.ndarray, tuple[int, str] | None]:
-    """The score column and its first bad row with the message, or None: a token
-    ``float`` rejects or a non-finite score. Only a failed one-pass parse walks."""
+def _parse_scores(fields: list[str]) -> tuple[np.ndarray, list]:
+    """The score column and its faults: the first token ``float`` rejects and
+    the first non-finite score. Only a failed one-pass parse walks."""
     tokens, fault = fields[2::3], None
     try:
         score = np.fromiter(map(float, tokens), np.float64, len(tokens))
@@ -736,11 +741,8 @@ def _parse_scores(fields: list[str]) -> tuple[np.ndarray, tuple[int, str] | None
         except ValueError:
             fault = len(score), f"bad score {token!r}"
         score = np.array(score, np.float64)
-    bad = np.flatnonzero(~np.isfinite(score))
-    if bad.size:
-        row = int(bad[0])
-        fault = row, f"score for ({fields[3 * row]}, {fields[3 * row + 1]}) is not finite"
-    return score, fault
+    return score, [fault, _flagged(~np.isfinite(score), lambda row: (
+        f"score for ({fields[3 * row]}, {fields[3 * row + 1]}) is not finite"))]
 
 
 def _row_ids(trials: TrialList) -> list[list[str]]:
@@ -773,11 +775,10 @@ def save_scores(scores: ScoreSet, path) -> None:
 
 def load_scores(path, trials: TrialList) -> ScoreSet:
     """Read a score file, joining each score to its (enroll_spk, test_utt) pair
-    among ``trials``' rows; the result keeps file order. A malformed line (a
-    non-finite score included) is reported first, wherever it is; only a file
-    with none is rejected at its first line whose pair is absent from
-    ``trials`` or takes a row an earlier line took. A file in ``trials``' row
-    order, as ``save_scores`` writes it, keeps ``trials`` itself."""
+    among ``trials``' rows; the result keeps file order. A line whose pair is
+    absent from ``trials`` or takes a row an earlier line took is a fault. A
+    file in ``trials``' row order, as ``save_scores`` writes it, keeps
+    ``trials`` itself."""
     path = Path(path)
     ids, score, linenos = _read_table(path, "spk utt score", _parse_scores, trials)
     if not len(score):
@@ -790,12 +791,10 @@ def load_scores(path, trials: TrialList) -> ScoreSet:
     keys = np.where((spk < 0) | (utt < 0), -1, _pair_codes(spk, utt, len(trials.utt_vocab)))
     row = index_in(keys, trials._pair_codes())
     # an absent line's row is -1, so only a later absent line repeats it
-    absent, dup = np.flatnonzero(row < 0), _first_repeat(row)
-    if absent.size and (dup < 0 or absent[0] < dup):
-        line = absent[0]
-        pair = (spk_vocab[spk_code[line]], utt_vocab[utt_code[line]])
-        raise ValueError(f"{path}:{linenos[line]}: score pair {pair} not present in trial list")
-    if dup >= 0:
-        raise ValueError(f"{path}:{linenos[dup]}: duplicate score pair {trials.pair(row[dup])}")
+    _raise_first([
+        _flagged(_repeats(row), lambda line: f"duplicate score pair {trials.pair(row[line])}"),
+        _flagged(row < 0, lambda line: "score pair {} not present in trial list".format(
+            (spk_vocab[spk_code[line]], utt_vocab[utt_code[line]]))),
+    ], lambda line: f"{path}:{linenos[line]}: ")
     return ScoreSet(TrialList.from_codes(trials.spk_vocab, trials.spk_code[row], trials.utt_vocab,
                                          trials.utt_code[row], trials.is_target[row]), score)

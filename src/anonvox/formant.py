@@ -177,15 +177,15 @@ def warp_poles(poles, alpha: float) -> np.ndarray:
     return np.minimum(np.abs(poles), _MAG_CLAMP) * np.exp(1j * phase)
 
 
-def _overlap_add(out: np.ndarray, start: int, frames: np.ndarray, hop: int) -> None:
-    """Add the rows of ``frames`` into ``out``, ``hop`` samples apart, the first at ``start``."""
+def _overlap_add(out: np.ndarray, frames: np.ndarray, hop: int) -> None:
+    """Add the rows of ``frames`` into ``out``, ``hop`` samples apart, the first at 0."""
     count, flen = frames.shape
     # one pass per hop-wide column of the frames, added through a strided view
     # of out, so no padded copy of the frames is made; the last column goes
     # first, so every sample adds its frames oldest first
     for j in reversed(range(0, flen, hop)):
         width = min(hop, flen - j)
-        rows = out[start + j : start + j + count * hop].reshape(count, hop)
+        rows = out[j : j + count * hop].reshape(count, hop)
         rows[:, :width] += frames[:, j : j + width]
 
 
@@ -283,7 +283,7 @@ def _shifted_chunks(read, n: int, cfg: ShiftConfig):
             live = (energy_in > 0.0) & (energy_out > 0.0)
             y *= np.sqrt(np.divide(energy_in, energy_out, out=np.ones(count), where=live))[:, None]
 
-            _overlap_add(rolling, 0, y, hop)
+            _overlap_add(rolling, y, hop)
             # no later frame reaches a sample before the next block's first frame
             done = count * hop
             rows = rolling[:done].reshape(count, hop)

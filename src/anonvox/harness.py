@@ -20,7 +20,7 @@ import numpy as np
 
 from . import anonymize as anon
 from .anonymize import AnonConfig
-from .embeddings import GENDERS, Corpus, TrialList, _id_fault
+from .embeddings import GENDERS, Corpus, TrialList, _id_fault, _raise_first
 from .metrics import MetricsReport, compute_metrics
 from .plda import PldaModel, score_trials
 
@@ -80,9 +80,7 @@ def evaluate(conditions: list[Condition], enroll: Corpus, trial: Corpus, pool: C
         raise ValueError(f"{len(shared)} pool speaker(s) also in enrollment or trial data: "
                          + " ".join(shared[:5]) + (" ..." if len(shared) > 5 else ""))
     dataset = trial.name if dataset is None else dataset
-    fault = _id_fault([dataset], "dataset")
-    if fault is not None:
-        raise ValueError(fault[1])
+    _raise_first([_id_fault([dataset], "dataset")])
     anonymized = {}  # (side, subset_tag) -> anonymized corpus
 
     def anonymize(side: str, corpus: Corpus, tag: str) -> Corpus:

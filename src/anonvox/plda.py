@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import Corpus, ScoreSet, TrialList, group_means, index_in
+from .embeddings import Corpus, ScoreSet, TrialList, _flagged, _raise_first, group_means, index_in
 
 _MODEL_MAGIC = b"PLD1"
 
@@ -236,13 +236,11 @@ def score_trials(
     speakers, groups = enroll.speaker_rows()
     rows = index_in(trials.spk_vocab, speakers)[trials.spk_code]
     cols = index_in(trials.utt_vocab, test.utt_id)[trials.utt_code]
-    unknown = (rows < 0) | (cols < 0)
-    if unknown.any():
-        i = int(np.argmax(unknown))
-        spk, utt = trials.pair(i)
-        if rows[i] < 0:
-            raise ValueError(f"unknown enrollment speaker {spk!r} in trial list")
-        raise ValueError(f"unknown test utterance {utt!r} in trial list")
+    unknown = "unknown {} {!r} in trial list"
+    _raise_first([
+        _flagged(rows < 0, lambda i: unknown.format("enrollment speaker", trials.pair(i)[0])),
+        _flagged(cols < 0, lambda i: unknown.format("test utterance", trials.pair(i)[1])),
+    ])
     wrong = (index_in(test.spk_id, speakers)[cols] == rows) != trials.is_target
     if wrong.any():
         i = int(np.argmax(wrong))

@@ -365,8 +365,8 @@ def _serial_anonymize_wav(wav, cfg):
     live = (energy_in > 0.0) & (energy_out > 0.0)
     gain = np.sqrt(np.divide(energy_in, energy_out, out=np.ones(n_frames), where=live))
     acc, wsum = np.zeros(xp.size + flen), np.zeros(xp.size + flen)
-    formant._overlap_add(acc, 0, y * gain[:, None], hop)
-    formant._overlap_add(wsum, 0, np.broadcast_to(window, y.shape), hop)
+    formant._overlap_add(acc, y * gain[:, None], hop)
+    formant._overlap_add(wsum, np.broadcast_to(window, y.shape), hop)
 
     denom = wsum[pad : pad + n]
     out = np.where(denom > 1e-6, acc[pad : pad + n] / np.maximum(denom, 1e-6), 0.0)

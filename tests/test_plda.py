@@ -341,6 +341,20 @@ class TestEnrollAndTrials:
         with pytest.raises(ValueError, match="ghost"):
             score_trials(model, enroll, test, bad)
 
+    @pytest.mark.parametrize("spk, utt, labels, message", [
+        (["ghost"], ["nosuch"], [False], "unknown enrollment speaker 'ghost' in trial list"),
+        (["s0", "ghost"], ["nosuch", "t0"], [False, False],
+         "unknown test utterance 'nosuch' in trial list"),
+        (["s0", "s0", "ghost"], ["t0", "t1", "t2"], [False, False, False],
+         "unknown enrollment speaker 'ghost' in trial list"),
+    ], ids=["speaker-before-utterance-on-one-row", "earlier-row-first",
+            "unknown-id-before-contradicted-label"])
+    def test_score_trials_reports_its_first_fault(self, spk, utt, labels, message):
+        model, enroll, test, _ = self._setup()
+        with pytest.raises(ValueError) as info:
+            score_trials(model, enroll, test, TrialList(spk, utt, labels))
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("row, message", [
         (1, "trial ('s0', 't1') is labeled target but s0 does not own the utterance"),
         (2, "trial ('s1', 't1') is labeled nontarget but s1 owns the utterance"),

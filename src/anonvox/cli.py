@@ -9,8 +9,10 @@ rejected. Exit codes: 0 success, 1 usage error, 2 data/validation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
+import os
 import sys
 import warnings
 from collections.abc import Callable
@@ -140,7 +142,37 @@ def _config(cls, opts: dict):
 _SPEC_DEFAULTS = {name: p.default for name, p in inspect.signature(default_spec).parameters.items()}
 
 
-def _cmd_synth(opts: dict) -> int:
+@contextlib.contextmanager
+def _staged_outputs():
+    """Yield ``out(path)``: a temporary file beside ``path``, following a symlink, that
+    replaces it on success and is removed on any exception. A pipe or a device such as
+    ``/dev/stdout`` cannot be replaced, so ``out`` returns it to be written directly."""
+    staged = []
+
+    def out(path) -> str:
+        if os.path.exists(path) and not os.path.isfile(path):
+            return path
+        head, name = os.path.split(os.path.realpath(path))
+        tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            # "x" creates the file as a plain open would, with the umask's permissions
+            open(tmp, "xb").close()
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        staged.append((tmp, os.path.join(head, name)))
+        return tmp
+
+    try:
+        yield out
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    finally:
+        for tmp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+
+
+def _cmd_synth(opts: dict, out) -> int:
     fractions = _parse_fractions(opts["fractions"])  # before the corpus is drawn
     spec = default_spec(**{name: opts[name] for name in _SPEC_DEFAULTS})
     corpus, truth = generate(replace(spec, female_fraction=opts["female_fraction"]))
@@ -151,18 +183,18 @@ def _cmd_synth(opts: dict) -> int:
     for tag, subset in (("train", train), ("pool", pool), ("enroll", enroll), ("trial", trial)):
         if len(subset) == 0:
             continue
-        save_embeddings(subset, out_dir / f"{tag}.{ext}", opts["format"])
+        save_embeddings(subset, out(out_dir / f"{tag}.{ext}"), opts["format"])
     if opts["model_out"]:
-        save_model(truth, opts["model_out"])
+        save_model(truth, out(opts["model_out"]))
     print(f"wrote corpora to {out_dir}", file=sys.stderr)
     return 0
 
 
-def _cmd_make_trials(opts: dict) -> int:
+def _cmd_make_trials(opts: dict, out) -> int:
     enroll = load_embeddings(opts["enroll"], opts["format"])
     trial = load_embeddings(opts["trial"], opts["format"])
     trials = make_trials(enroll, trial, _config(TrialPolicy, opts))
-    save_trials(trials, opts["out"])
+    save_trials(trials, out(opts["out"]))
     print(
         f"wrote {len(trials)} trials ({trials.n_target} target, "
         f"{trials.n_nontarget} nontarget)",
@@ -171,43 +203,43 @@ def _cmd_make_trials(opts: dict) -> int:
     return 0
 
 
-def _cmd_train_plda(opts: dict) -> int:
+def _cmd_train_plda(opts: dict, out) -> int:
     corpus = load_embeddings(opts["data"], opts["format"])
     model = train_plda(corpus, opts["iterations"])
-    save_model(model, opts["out"])
+    save_model(model, out(opts["out"]))
     print(f"trained D={model.dim} model on {len(corpus)} embeddings", file=sys.stderr)
     return 0
 
 
-def _cmd_anonymize_xvec(opts: dict) -> int:
+def _cmd_anonymize_xvec(opts: dict, out) -> int:
     corpus = load_embeddings(opts["input"], opts["format"])
     pool = load_embeddings(opts["pool"], opts["format"])
     model = load_model(opts["model"])
-    out = anonymize_corpus(corpus, pool, model, _config(AnonConfig, opts))
-    save_embeddings(out, opts["out"], opts["format"])
-    print(f"anonymized {len(out)} embeddings", file=sys.stderr)
+    anon = anonymize_corpus(corpus, pool, model, _config(AnonConfig, opts))
+    save_embeddings(anon, out(opts["out"]), opts["format"])
+    print(f"anonymized {len(anon)} embeddings", file=sys.stderr)
     return 0
 
 
-def _cmd_anonymize_wav(opts: dict) -> int:
+def _cmd_anonymize_wav(opts: dict, out) -> int:
     cfg = _config(ShiftConfig, opts)
-    anonymize_wav_file(opts["input"], opts["out"], cfg)
+    anonymize_wav_file(opts["input"], out(opts["out"]), cfg)
     print(f"wrote {opts['out']}", file=sys.stderr)
     return 0
 
 
-def _cmd_score(opts: dict) -> int:
+def _cmd_score(opts: dict, out) -> int:
     model = load_model(opts["model"])
     enroll = load_embeddings(opts["enroll"], opts["format"])
     test = load_embeddings(opts["test"], opts["format"])
     trials = load_trials(opts["trials"])
     scores = score_trials(model, enroll, test, trials)
-    save_scores(scores, opts["out"])
+    save_scores(scores, out(opts["out"]))
     print(f"wrote {len(scores)} scores", file=sys.stderr)
     return 0
 
 
-def _cmd_eval(opts: dict) -> int:
+def _cmd_eval(opts: dict, out) -> int:
     # a bad value is a usage error before any input is read
     conditions = []
     for token in opts["conditions"].split(","):
@@ -230,23 +262,24 @@ def _cmd_eval(opts: dict) -> int:
         dataset=opts["dataset"], same_tags=opts["same_tags"],
     )
     report = render_report(runs)
-    sys.stdout.write(report.table)
     if opts["records"]:
-        Path(opts["records"]).write_text("\n".join(report.records) + "\n", encoding="utf-8")
+        Path(out(opts["records"])).write_text("\n".join(report.records) + "\n", encoding="utf-8")
     if opts["dump_anon"]:
         dump = Path(opts["dump_anon"])
         dump.mkdir(parents=True, exist_ok=True)
         for name, corpus in (("trial_anon.xvec", trial_anon), ("enroll_anon.xvec", enroll_anon)):
             if corpus is not None:
-                save_embeddings(corpus, dump / name, "binary")
+                save_embeddings(corpus, out(dump / name), "binary")
+    # after the last output is staged, so a failed run prints no table
+    sys.stdout.write(report.table)
     return 0
 
 
-def _cmd_det(opts: dict) -> int:
+def _cmd_det(opts: dict, out) -> int:
     scores = load_scores(opts["scores"], load_trials(opts["trials"]))
     text = format_det(det_points(scores.score, scores.trials.is_target))
     if opts["out"]:
-        Path(opts["out"]).write_text(text, encoding="utf-8")
+        Path(out(opts["out"])).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0
@@ -260,7 +293,7 @@ def _transcript_lines(path) -> list[list[str]]:
     return [line.split() for line in lines]
 
 
-def _cmd_wer(opts: dict) -> int:
+def _cmd_wer(opts: dict, out) -> int:
     refs, hyps = _transcript_lines(opts["ref"]), _transcript_lines(opts["hyp"])
     # trailing blank lines are dropped, but only down to the other file's line count
     for lines, other in ((refs, hyps), (hyps, refs)):
@@ -287,7 +320,7 @@ _ANON_OPTIONS = [
 ]
 
 # each subcommand's handler and options; option names double as config-file keys
-_COMMANDS: dict[str, tuple[Callable[[dict], int], list[Opt]]] = {
+_COMMANDS: dict[str, tuple[Callable[[dict, Callable], int], list[Opt]]] = {
     "synth": (_cmd_synth, [
         Opt("out_dir", str, None, "directory for the generated corpora", required=True),
         Opt("n_speakers", int, _SPEC_DEFAULTS["n_speakers"], "number of speakers"),
@@ -376,13 +409,13 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), _staged_outputs() as out:
             # a library warning is one stderr note, free of the install path, under any filter
             warnings.simplefilter("default")
             warnings.showwarning = lambda message, *_: print(f"note: {message}", file=sys.stderr)
             opts = _resolve_options(args.command, args)
             _print_provenance(args.command, opts)
-            return _COMMANDS[args.command][0](opts)
+            return _COMMANDS[args.command][0](opts, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

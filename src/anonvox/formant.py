@@ -18,10 +18,8 @@ after the sums is per sample, so the block size changes no output bit.
 ``anonymize_wav`` fills one output array from the generator, so a call holds
 the input, the output and one block's working set (traced: 5.2 MiB at 15 s,
 18.0 MiB at 120 s). ``anonymize_wav_file``, the ``anonymize-wav`` command,
-reads and checks the whole data chunk before any output exists, keeps it as
-16-bit samples and writes each yielded run into a temporary file that
-replaces the output only on success, so a failure leaves no partial WAV
-(traced: 3.9 MiB at 15 s, 7.1 MiB at 120 s).
+keeps the input as 16-bit samples and writes each yielded run (traced:
+3.9 MiB at 15 s, 7.1 MiB at 120 s); README "Outputs" says how it is written.
 The blocks run two deep in a pipeline: while the calling thread warps,
 synthesizes and overlap-adds block k, one worker thread solves the poles of
 blocks k+1 and k+2 in turn, each as two batched LAPACK eigen-solves of half
@@ -42,7 +40,6 @@ for bit that of every frame in one serial pass.
 from __future__ import annotations
 
 import contextlib
-import os
 import wave as _wavefile
 from dataclasses import dataclass
 from pathlib import Path
@@ -312,37 +309,13 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
 
 
 def anonymize_wav_file(src, dst, cfg: ShiftConfig) -> None:
-    """Shift the WAV file ``src`` into ``dst``, holding its 16-bit samples and one block.
-
-    ``src`` is read and checked whole first, so ``dst`` may be ``src``. A temporary
-    file beside ``dst`` replaces it once every sample is written, so a failure
-    leaves ``dst`` as it was.
-    """
+    """Shift the WAV file ``src`` into ``dst``, holding its 16-bit samples and one block;
+    ``src`` is read and checked whole before ``dst`` is opened, so ``dst`` may be ``src``."""
     pcm, rate = _read_pcm(src)
-
-    def write(fh):
-        chunks = _shifted_chunks(lambda a, b: pcm[a:b] / 32768.0, len(pcm), cfg)
-        with contextlib.closing(chunks), _pcm_writer(fh, rate, len(pcm)) as out:
-            for chunk in chunks:
-                out.writeframesraw(_to_pcm(chunk))
-
-    if os.path.exists(dst) and not os.path.isfile(dst):
-        # a pipe or a device such as /dev/stdout cannot be replaced
-        with open(dst, "wb") as fh:
-            write(fh)
-        return
-    # a symlink is followed, so the file it names is replaced, not the link
-    head, name = os.path.split(os.path.realpath(dst))
-    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
-    try:
-        # "x" creates the file as a plain open would, with the umask's permissions
-        with open(tmp, "xb") as fh:
-            write(fh)
-        os.replace(tmp, os.path.join(head, name))
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    chunks = _shifted_chunks(lambda a, b: pcm[a:b] / 32768.0, len(pcm), cfg)
+    with open(dst, "wb") as fh, contextlib.closing(chunks), _pcm_writer(fh, rate, len(pcm)) as out:
+        for chunk in chunks:
+            out.writeframesraw(_to_pcm(chunk))
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,15 @@ Conventions:
 
 from __future__ import annotations
 
-from _statistics import _normal_dist_inv_cdf
 from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
+
+try:
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:  # as statistics does; its Python version gives the same bits
+    from statistics import _normal_dist_inv_cdf
 
 LOG2 = float(np.log(2.0))
 
@@ -222,7 +226,7 @@ def _probit(rate: np.ndarray, n: int) -> np.ndarray:
 
 def _inv_normal_cdf(p: np.ndarray) -> np.ndarray:
     """The standard normal quantile of each p in (0, 1), bit for bit
-    ``statistics.NormalDist().inv_cdf``: the C function that method calls."""
+    ``statistics.NormalDist().inv_cdf``: the function that method calls."""
     quantiles = map(_normal_dist_inv_cdf, p.tolist(), repeat(0.0), repeat(1.0))
     return np.fromiter(quantiles, np.float64, len(p))
 

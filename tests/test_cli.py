@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -110,6 +111,24 @@ _TRIALS = ["make-trials", "--enroll", "{synth}/enroll.xvec", "--trial", "{synth}
 _TRAIN = ["train-plda", "--data", "{synth}/train.xvec", "--out", "{tmp}/out.plda"]
 _WAV = ["anonymize-wav", "--input", "{tmp}/in.wav", "--out", "{tmp}/out.wav"]
 _SYNTH = ["synth", "--out-dir", "{tmp}/out"]
+_SCORE = ["score", "--model", "{model}", "--enroll", "{synth}/enroll.xvec",
+          "--test", "{synth}/trial.xvec", "--trials", "{trials}", "--out", "{tmp}/out.txt"]
+_DET = ["det", "--scores", "{tmp}/s.txt", "--trials", "{tmp}/t.txt", "--out", "{tmp}/out.txt"]
+_SMALL_SYNTH = ["synth", "--out-dir", "{tmp}", "--n-speakers", "24", "--dim", "8"]
+_SMALL_POOL = ["--n-farthest", "20", "--n-select", "10"]  # inside the 60-row pool
+_VOWEL = synth_vowel(0.25)
+_INPUTS = {  # the valid inputs a call reads from {tmp}
+    "anonymize-wav": {"in.wav": _wav_header(1, 16, 2 * len(_VOWEL))
+                      + formant._to_pcm(_VOWEL.samples).tobytes()},
+    "det": {"t.txt": "s1 u1 target\ns1 u2 nontarget\n", "s.txt": "s1 u1 2.0\ns1 u2 -1.0\n"},
+}
+_NO_DIR = "error: [Errno 2] No such file or directory: '{tmp}/nodir/%s'"
+
+
+def _in_missing_dir(argv):
+    return [arg.replace("{tmp}/out", "{tmp}/nodir/out") for arg in argv]
+
+
 _REFUSED_CALLS = [
     # (id, files written under {tmp}, argv, exit code, last stderr line)
     ("bool-flag", {}, [*_XVEC, "--same-gender-pool", "maybe"], 1,
@@ -155,7 +174,28 @@ _REFUSED_CALLS = [
      ["score", "--model", "{model}", "--enroll", "{synth}/enroll.xvec",
       "--test", "{synth}/trial.xvec", "--trials", "{tmp}/bad_trials.txt",
       "--out", "{tmp}/out.txt"], 2, "error: unknown test utterance 'nosuch' in trial list"),
+    # an output in a missing directory is named as given, not by its temporary name
+    ("synth-missing-dir", {}, [*_SMALL_SYNTH, "--model-out", "{tmp}/nodir/m.plda"], 2,
+     _NO_DIR % "m.plda"),
+    ("make-trials-missing-dir", {}, _in_missing_dir(_TRIALS), 2, _NO_DIR % "out.txt"),
+    ("train-plda-missing-dir", {}, _in_missing_dir(_TRAIN), 2, _NO_DIR % "out.plda"),
+    ("anonymize-xvec-missing-dir", {}, _in_missing_dir([*_XVEC, *_SMALL_POOL]), 2,
+     _NO_DIR % "out.xvec"),
+    ("anonymize-wav-missing-dir", _INPUTS["anonymize-wav"], _in_missing_dir(_WAV), 2,
+     _NO_DIR % "out.wav"),
+    ("score-missing-dir", {}, _in_missing_dir(_SCORE), 2, _NO_DIR % "out.txt"),
+    ("eval-missing-dir", {}, _in_missing_dir([*_EVAL, *_SMALL_POOL]), 2, _NO_DIR % "out.txt"),
+    ("det-missing-dir", _INPUTS["det"], _in_missing_dir(_DET), 2, _NO_DIR % "out.txt"),
 ]
+
+
+def _write_files(tmp_path, files, where):
+    for name, content in files.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content.format(**where))
 
 
 class TestExitCodes:
@@ -164,16 +204,12 @@ class TestExitCodes:
     def test_refused_call(self, synth_dir, trained, tmp_path, capsys, files, argv, code, last):
         where = {"synth": synth_dir, "model": trained[0], "trials": trained[1], "tmp": tmp_path,
                  "spk": load_embeddings(synth_dir / "enroll.xvec", "binary").spk_id[0]}
-        for name, content in files.items():
-            path = tmp_path / name
-            if isinstance(content, bytes):
-                path.write_bytes(content)
-            else:
-                path.write_text(content.format(**where))
+        _write_files(tmp_path, files, where)
         capsys.readouterr()
         assert run_cli(*(arg.format(**where) for arg in argv)) == code
         assert capsys.readouterr().err.splitlines()[-1] == last.format(**where)
-        assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]
+        # no output and no temporary file: only what the case wrote
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run_cli("frobnicate") == 1
@@ -720,6 +756,55 @@ class TestAnonymizeWavFile:
             assert peaks[-1] <= pcm_bytes[-1] + block_bytes
         # a longer input adds its 16-bit samples and nothing that grows with it
         assert peaks[1] - peaks[0] <= 1.1 * (pcm_bytes[1] - pcm_bytes[0])
+
+
+def _write_then_fail(write):
+    """``write`` that, once it has written, fails as a full disk would."""
+    def failing(*args, **kwargs):
+        write(*args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+    return failing
+
+
+_DISK_FULL = "error: [Errno 28] No space left on device"
+_NOT_A_DIR = "error: [Errno 20] Not a directory: '/dev/null/x'"
+_LATE_FAILURES = [
+    # (id, argv, outputs under {tmp}, writer made to fail once it has written, last stderr
+    # line); each call fails after an output is written, or after the first of several
+    ("synth", [*_SMALL_SYNTH, "--model-out", "/dev/null/x"],
+     ["train.xvec", "pool.xvec", "enroll.xvec", "trial.xvec"], None, _NOT_A_DIR),
+    ("make-trials", _TRIALS, ["out.txt"], (cli, "save_trials"), _DISK_FULL),
+    ("train-plda", _TRAIN, ["out.plda"], (cli, "save_model"), _DISK_FULL),
+    ("anonymize-xvec", [*_XVEC, *_SMALL_POOL], ["out.xvec"], (cli, "save_embeddings"), _DISK_FULL),
+    ("anonymize-wav", _WAV, ["out.wav"], (cli, "anonymize_wav_file"), _DISK_FULL),
+    ("score", _SCORE, ["out.txt"], (cli, "save_scores"), _DISK_FULL),
+    ("eval", [*_EVAL, *_SMALL_POOL, "--dump-anon", "/dev/null/x"], ["out.txt"], None, _NOT_A_DIR),
+    ("det", _DET, ["out.txt"], (Path, "write_text"), _DISK_FULL),
+]
+
+
+class TestFailedCommandLeavesItsOutputsAsTheyWere:
+    """Every output is written under a temporary name that replaces it only on success."""
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+    @pytest.mark.parametrize("argv, outputs, writer, last",
+                             [pytest.param(*case[1:], id=case[0]) for case in _LATE_FAILURES])
+    def test_late_failure(self, synth_dir, trained, tmp_path, capsys, monkeypatch, argv, outputs,
+                          writer, last, existing):
+        where = {"synth": synth_dir, "model": trained[0], "trials": trained[1], "tmp": tmp_path}
+        _write_files(tmp_path, _INPUTS.get(argv[0], {}), where)
+        if existing:
+            for name in outputs:
+                (tmp_path / name).write_bytes(b"an earlier output")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        if writer:
+            monkeypatch.setattr(*writer, _write_then_fail(getattr(*writer)))
+        capsys.readouterr()
+        assert run_cli(*(arg.format(**where) for arg in argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == last
+        assert captured.out == ""  # eval prints its table only on success
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestPoolRegimeNote:

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anonvox
 from anonvox import compute_metrics, det_points, wer
 from anonvox.metrics import LOG2, _inv_normal_cdf, _probit, format_det, wer_counts
 
@@ -208,6 +213,31 @@ class TestDetCurve:
         text = format_det(curve)
         assert text.startswith("# threshold p_fa p_miss probit_fa probit_miss\n")
         assert len(text.strip().splitlines()) == len(curve) + 1
+
+    def test_det_is_the_same_without_the_statistics_accelerator(self):
+        """With ``_statistics`` blocked the quantiles come from ``statistics``'s Python
+        function, and the DET text and tail quantiles match the C function's bit for bit."""
+        code = (
+            "import sys\n"
+            "blocked = sys.argv[1] == 'blocked'\n"
+            "if blocked:\n"
+            "    sys.modules['_statistics'] = None\n"
+            "import numpy as np\n"
+            "import anonvox\n"
+            "from anonvox.metrics import _inv_normal_cdf, det_points, format_det\n"
+            "assert ('statistics' in sys.modules) == blocked\n"
+            "rng = np.random.default_rng(4)\n"
+            "scores = np.round(rng.standard_normal(3000), 2)\n"
+            "print(format_det(det_points(scores, np.arange(3000) % 7 == 0)))\n"
+            "print(_inv_normal_cdf(np.geomspace(1e-300, 0.5, 4001)).tobytes().hex())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(anonvox.__file__).resolve().parents[1]))
+        blocked, native = (
+            subprocess.run([sys.executable, "-c", code, mode], env=env, capture_output=True,
+                           text=True, check=True).stdout
+            for mode in ("blocked", "native"))
+        assert blocked == native
+        assert blocked.startswith("# threshold p_fa p_miss probit_fa probit_miss\n")
 
 
 def levenshtein_distance(ref, hyp):

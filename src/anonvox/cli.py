@@ -33,7 +33,7 @@ from .embeddings import (
     save_scores,
     save_trials,
 )
-from .formant import ShiftConfig, anonymize_wav_file
+from .formant import ShiftConfig, read_pcm, write_shifted
 from .harness import Condition, evaluate, render_report
 from .metrics import WerResult, det_points, format_det, wer_counts
 from .plda import load_model, save_model, score_trials, train_plda
@@ -223,7 +223,8 @@ def _cmd_anonymize_xvec(opts: dict, out) -> int:
 
 def _cmd_anonymize_wav(opts: dict, out) -> int:
     cfg = _config(ShiftConfig, opts)
-    anonymize_wav_file(opts["input"], out(opts["out"]), cfg)
+    pcm, rate = read_pcm(opts["input"])
+    write_shifted(pcm, rate, out(opts["out"]), cfg)
     print(f"wrote {opts['out']}", file=sys.stderr)
     return 0
 
@@ -264,12 +265,13 @@ def _cmd_eval(opts: dict, out) -> int:
     report = render_report(runs)
     if opts["records"]:
         Path(out(opts["records"])).write_text("\n".join(report.records) + "\n", encoding="utf-8")
-    if opts["dump_anon"]:
-        dump = Path(opts["dump_anon"])
-        dump.mkdir(parents=True, exist_ok=True)
+    if opts["dump_anon"] and trial_anon is None:  # oa and aa both anonymize the trial side
+        warnings.warn(f"--dump-anon {opts['dump_anon']}: oo alone anonymizes no corpus")
+    elif opts["dump_anon"]:
+        Path(opts["dump_anon"]).mkdir(parents=True, exist_ok=True)
         for name, corpus in (("trial_anon.xvec", trial_anon), ("enroll_anon.xvec", enroll_anon)):
             if corpus is not None:
-                save_embeddings(corpus, out(dump / name), "binary")
+                save_embeddings(corpus, out(Path(opts["dump_anon"], name)), "binary")
     # after the last output is staged, so a failed run prints no table
     sys.stdout.write(report.table)
     return 0

@@ -17,9 +17,9 @@ samples later frames still reach move to the window's front. Every step
 after the sums is per sample, so the block size changes no output bit.
 ``anonymize_wav`` fills one output array from the generator, so a call holds
 the input, the output and one block's working set (traced: 5.2 MiB at 15 s,
-18.0 MiB at 120 s). ``anonymize_wav_file``, the ``anonymize-wav`` command,
-keeps the input as 16-bit samples and writes each yielded run (traced:
-3.9 MiB at 15 s, 7.1 MiB at 120 s); README "Outputs" says how it is written.
+18.0 MiB at 120 s). The ``anonymize-wav`` command reads and checks the whole
+data chunk with ``read_pcm`` before any output exists; ``write_shifted`` holds
+it as 16-bit samples and writes each yielded run (traced: 3.9 and 7.1 MiB).
 The blocks run two deep in a pipeline: while the calling thread warps,
 synthesizes and overlap-adds block k, one worker thread solves the poles of
 blocks k+1 and k+2 in turn, each as two batched LAPACK eigen-solves of half
@@ -308,10 +308,9 @@ def anonymize_wav(wav: WaveBuffer, cfg: ShiftConfig) -> WaveBuffer:
     return WaveBuffer(out, wav.sample_rate)
 
 
-def anonymize_wav_file(src, dst, cfg: ShiftConfig) -> None:
-    """Shift the WAV file ``src`` into ``dst``, holding its 16-bit samples and one block;
-    ``src`` is read and checked whole before ``dst`` is opened, so ``dst`` may be ``src``."""
-    pcm, rate = _read_pcm(src)
+def write_shifted(pcm: np.ndarray, rate: int, dst, cfg: ShiftConfig) -> None:
+    """Shift the 16-bit samples ``pcm`` at ``rate`` into the WAV file ``dst``, holding them
+    and one block; ``pcm`` is read whole beforehand, so ``dst`` may be the file it came from."""
     chunks = _shifted_chunks(lambda a, b: pcm[a:b] / 32768.0, len(pcm), cfg)
     with open(dst, "wb") as fh, contextlib.closing(chunks), _pcm_writer(fh, rate, len(pcm)) as out:
         for chunk in chunks:
@@ -323,7 +322,7 @@ def anonymize_wav_file(src, dst, cfg: ShiftConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _read_pcm(path) -> tuple[np.ndarray, int]:
+def read_pcm(path) -> tuple[np.ndarray, int]:
     """A mono 16-bit PCM WAV file's samples, read-only, and rate; ValueError names ``path``."""
     path = Path(path)
     try:
@@ -352,9 +351,8 @@ def _read_pcm(path) -> tuple[np.ndarray, int]:
 
 def read_wav(path) -> WaveBuffer:
     """Read a mono 16-bit PCM WAV file; any malformed file raises ValueError naming ``path``."""
-    pcm, rate = _read_pcm(path)
-    samples = pcm.astype(np.float64)
-    samples /= 32768.0
+    pcm, rate = read_pcm(path)
+    samples = pcm / 32768.0
     samples.flags.writeable = False
     return WaveBuffer(samples, rate)
 

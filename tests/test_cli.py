@@ -188,6 +188,17 @@ _REFUSED_CALLS = [
     ("det-missing-dir", _INPUTS["det"], _in_missing_dir(_DET), 2, _NO_DIR % "out.txt"),
 ]
 
+# every command that reads an input file and writes a file reads all its inputs first:
+# with its first input (the value of its first flag) missing and every output in a
+# missing directory, it names the input
+_REFUSED_CALLS += [
+    (f"{argv[0]}-reads-before-it-writes", _INPUTS.get(argv[0], {}),
+     _in_missing_dir([*argv[:2], "{tmp}/missing", *argv[3:]]), 2,
+     "error: [Errno 2] No such file or directory: '{tmp}/missing'")
+    for argv in (_TRIALS, _TRAIN, _XVEC, _WAV, _SCORE,
+                 [*_EVAL, "--dump-anon", "{tmp}/out_anon"], _DET)
+]
+
 
 def _write_files(tmp_path, files, where):
     for name, content in files.items():
@@ -776,7 +787,7 @@ _LATE_FAILURES = [
     ("make-trials", _TRIALS, ["out.txt"], (cli, "save_trials"), _DISK_FULL),
     ("train-plda", _TRAIN, ["out.plda"], (cli, "save_model"), _DISK_FULL),
     ("anonymize-xvec", [*_XVEC, *_SMALL_POOL], ["out.xvec"], (cli, "save_embeddings"), _DISK_FULL),
-    ("anonymize-wav", _WAV, ["out.wav"], (cli, "anonymize_wav_file"), _DISK_FULL),
+    ("anonymize-wav", _WAV, ["out.wav"], (cli, "write_shifted"), _DISK_FULL),
     ("score", _SCORE, ["out.txt"], (cli, "save_scores"), _DISK_FULL),
     ("eval", [*_EVAL, *_SMALL_POOL, "--dump-anon", "/dev/null/x"], ["out.txt"], None, _NOT_A_DIR),
     ("det", _DET, ["out.txt"], (Path, "write_text"), _DISK_FULL),
@@ -872,6 +883,19 @@ class TestLibraryWarningsAreNotes:
             "note: enrollment speaker 's3' has no trial utterances",
             "wrote 3 trials (2 target, 1 nontarget)"]
         assert warnings.showwarning is shown
+
+    def test_eval_notes_a_dump_with_no_anonymized_corpus(self, synth_dir, trained, tmp_path,
+                                                         capsys):
+        """With only ``oo`` there is nothing to dump, so no directory is made."""
+        model, trials = trained
+        dump = tmp_path / "anon" / "sub"
+        assert self._stderr(capsys, "eval", "--enroll", str(synth_dir / "enroll.xvec"),
+                            "--trial", str(synth_dir / "trial.xvec"),
+                            "--pool", str(synth_dir / "pool.xvec"), "--model", str(model),
+                            "--trials", str(trials), "--conditions", "oo,oo",
+                            "--dump-anon", str(dump)) == [
+            f"note: --dump-anon {dump}: oo alone anonymizes no corpus"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_train_plda_notes_a_degenerate_corpus(self, tmp_path, capsys):
         corpus = Corpus("train", [f"u{i}" for i in range(6)], [f"s{i % 2}" for i in range(6)],
